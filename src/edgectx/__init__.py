@@ -24,7 +24,6 @@ from .client import (
     SyncState,
     Uploader,
     client_sync_tick,
-    upload_batch,
 )
 from .data import (
     DataFormatError,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .learners import ClModel, ThresholdVector
 from .nn import LayerSpec, NetworkParameters
@@ -63,7 +64,9 @@ class ParameterBundle:
         if self.thresholds is not None and len(self.thresholds) != self.params.spec.output_count:
             raise ValueError("threshold count must equal output count")
 
+    @cached_property
     def as_cl_model(self) -> ClModel:
+        """The bundle as an LCL predictor, built once per bundle."""
         if self.model_kind != MODEL_KIND_CL:
             raise ValueError("not a CL bundle")
         assert self.thresholds is not None

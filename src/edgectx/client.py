@@ -260,23 +260,6 @@ class Uploader:
         tmp.replace(self._spool_path)
 
 
-def upload_batch(transport, batch: SensorBatch, retries: int = 2) -> int:
-    """One-shot upload with bounded retries; raises TransportError when the
-    link stays down. Use Uploader for queue-and-replay semantics."""
-    last: TransportError | None = None
-    for _ in range(retries + 1):
-        try:
-            response = transport.request(
-                {"type": MSG_PUSH_DATA, "batch": batch_to_wire(batch)}
-            )
-        except TransportError as exc:
-            last = exc
-            continue
-        return int(response.get("stored", 0))
-    assert last is not None
-    raise last
-
-
 class EdgeClient:
     """Prediction plus background parameter sync for one model kind.
 
@@ -314,7 +297,7 @@ class EdgeClient:
             raise NeverSyncedError("no parameters synced yet")
         bundle = snapshot.current_bundle
         if bundle.model_kind == MODEL_KIND_CL:
-            return lcl_predict(bundle.as_cl_model(), features)
+            return lcl_predict(bundle.as_cl_model, features)
         return adcl_predict(bundle.params, features)
 
     def start_sync_loop(self) -> None:

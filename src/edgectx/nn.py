@@ -99,13 +99,12 @@ class NetworkParameters:
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """Per-layer net inputs and sigmoid outputs from one forward pass.
+    """Per-layer sigmoid outputs from one forward pass.
 
     Index 0 is the first computed layer; the input vector itself is not part
     of the trace. ``final_outputs`` are the class scores.
     """
 
-    net_inputs: tuple[np.ndarray, ...]
     outputs: tuple[np.ndarray, ...]
 
     @property
@@ -148,12 +147,10 @@ def sigmoid(x):
 
 
 def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp only ever
+    # sees -|x|, so it cannot overflow
+    e = np.exp(-np.abs(x))
+    return np.clip(np.where(x >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
 
 
 def hidden_size_default(input_count: int, output_count: int) -> int:
@@ -188,16 +185,10 @@ def init_network(spec: LayerSpec, seed: int) -> NetworkParameters:
 def forward(params: NetworkParameters, features) -> ActivationTrace:
     """Propagate one feature vector through every layer."""
     x = _check_input(params, features)
-    nets, outs = [], []
-    a = x
-    for w, b in zip(params.weights, params.biases):
-        net = w @ a + b
-        a = _sigmoid_arr(net)
-        net.setflags(write=False)
+    outs = _activations(params.weights, params.biases, x)[1:]
+    for a in outs:
         a.setflags(write=False)
-        nets.append(net)
-        outs.append(a)
-    return ActivationTrace(tuple(nets), tuple(outs))
+    return ActivationTrace(tuple(outs))
 
 
 def squared_error(actual, predicted) -> float:
@@ -225,31 +216,38 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
         )
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("targets must lie in [0, 1]")
-    trace = forward(params, x)
-    w_grads, b_grads = _grads_from_trace(params.weights, trace, x, t)
+    _, w_grads, b_grads = _gradients(params.weights, params.biases, x, t)
     for g in w_grads + b_grads:
         g.setflags(write=False)
     return GradientSet(tuple(w_grads), tuple(b_grads))
 
 
-def _grads_from_trace(
-    weights: tuple[np.ndarray, ...],
-    trace: ActivationTrace,
-    x: np.ndarray,
-    target: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    outs = trace.outputs
-    final = outs[-1]
+def _activations(weights, biases, x: np.ndarray) -> list[np.ndarray]:
+    """The input followed by each layer's sigmoid output."""
+    acts = [x]
+    for w, b in zip(weights, biases):
+        acts.append(_sigmoid_arr(w @ acts[-1] + b))
+    return acts
+
+
+def _gradients(
+    weights, biases, x: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """(final outputs, dE/dw, dE/db) for one sample. Every gradient and
+    every delta is taken from ``weights`` as passed in, so a caller that
+    updates in place must do so only after this returns."""
+    acts = _activations(weights, biases, x)
+    final = acts[-1]
     delta = (final - target) * final * (1.0 - final)
     w_grads: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
     b_grads: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
     for l in range(len(weights) - 1, -1, -1):
-        prev = outs[l - 1] if l > 0 else x
+        prev = acts[l]
         w_grads[l] = np.outer(delta, prev)
-        b_grads[l] = delta.copy()
+        b_grads[l] = delta
         if l > 0:
             delta = (weights[l].T @ delta) * prev * (1.0 - prev)
-    return w_grads, b_grads
+    return final, w_grads, b_grads
 
 
 def apply_update(
@@ -306,7 +304,6 @@ def train(
     lr = cfg.learning_rate
     rng = Rng(cfg.seed)
     order = list(range(len(data.samples)))
-    n_layers = len(weights)
     loss_history: list[float] = []
 
     for _ in range(cfg.epochs):
@@ -314,27 +311,12 @@ def train(
             rng.shuffle(order)
         total = 0.0
         for i in order:
-            x = features[i]
             t = targets[i]
-            # forward
-            acts = [x]
-            a = x
-            for l in range(n_layers):
-                a = _sigmoid_arr(weights[l] @ a + biases[l])
-                acts.append(a)
+            a, w_grads, b_grads = _gradients(weights, biases, features[i], t)
             total += 0.5 * float(np.sum((t - a) ** 2))
-            # backward, then in-place update; grads and the next delta are
-            # taken from the pre-update weights, matching one
-            # backprop + apply_update round exactly
-            delta = (a - t) * a * (1.0 - a)
-            for l in range(n_layers - 1, -1, -1):
-                prev = acts[l]
-                grad_w = np.outer(delta, prev)
-                grad_b = delta
-                if l > 0:
-                    delta = (weights[l].T @ delta) * prev * (1.0 - prev)
-                weights[l] -= lr * grad_w
-                biases[l] -= lr * grad_b
+            for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
+                w -= lr * gw
+                b -= lr * gb
         loss_history.append(total / len(order))
 
     trained = replace(

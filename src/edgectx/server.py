@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import socketserver
 import threading
@@ -65,23 +66,21 @@ class ModelStore:
 
     def _load_persisted(self) -> None:
         assert self._persist_dir is not None
-        latest: dict[str, tuple[int, Path]] = {}
+        files: dict[str, list[tuple[int, Path]]] = {}
         for path in self._persist_dir.iterdir():
             m = _BUNDLE_FILE.match(path.name)
-            if not m:
-                continue
-            kind, version = m.group(1), int(m.group(2))
-            if kind not in latest or version > latest[kind][0]:
-                latest[kind] = (version, path)
-        for kind, (version, path) in latest.items():
-            try:
-                bundle = decode_bundle(path.read_bytes())
-            except BundleError as exc:
-                log.warning("skipping corrupt bundle file %s: %s", path, exc)
-                self._versions[kind] = max(self._versions.get(kind, 0), version)
-                continue
-            self._bundles[kind] = bundle
-            self._versions[kind] = version
+            if m:
+                files.setdefault(m.group(1), []).append((int(m.group(2)), path))
+        for kind, found in files.items():
+            found.sort(reverse=True)
+            # the next publish must not reuse even a corrupt file's number
+            self._versions[kind] = found[0][0]
+            for _, path in found:
+                try:
+                    self._bundles[kind] = decode_bundle(path.read_bytes())
+                    break
+                except BundleError as exc:
+                    log.warning("skipping corrupt bundle file %s: %s", path, exc)
 
     def publish(
         self,
@@ -105,7 +104,11 @@ class ModelStore:
             self._versions[model_kind] = version
         if self._persist_dir is not None:
             path = self._persist_dir / f"bundle-{model_kind}-v{version}.json"
-            path.write_bytes(encode_bundle(bundle))
+            # a reader or a restart sees the old file set or the new one,
+            # never a partly written bundle
+            tmp = path.with_suffix(".json.tmp")
+            tmp.write_bytes(encode_bundle(bundle))
+            os.replace(tmp, path)
         return bundle
 
     def get(self, model_kind: str) -> ParameterBundle | None:

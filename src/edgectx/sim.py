@@ -25,7 +25,6 @@ from .learners import (
     calibrate_thresholds,
     lcl_predict,
     metrics_from_counts,
-    ClModel,
 )
 from .nn import LayerSpec, TrainingConfig
 from .rng import Rng
@@ -213,12 +212,6 @@ def run_scenario(
     return runner.run()
 
 
-@dataclass
-class _ClientSlot:
-    bundle: ParameterBundle | None = None
-    cl_model: ClModel | None = None  # derived once per swap, not per predict
-
-
 class _ScenarioRunner:
     def __init__(self, nodes, link, retrain_every_ms, algorithms, duration_ms,
                  seed, *, sync_period_ms, upload_every_ms, warm_start,
@@ -269,9 +262,9 @@ class _ScenarioRunner:
 
         # client state; upload buffer maps (sensor_id, timestamp) to
         # [reading, label, last_sent_ms], insertion-ordered (oldest first)
-        self.client_slots: dict[str, _ClientSlot] = {
-            k: _ClientSlot() for k in self.client_kinds
-        }
+        self.client_bundles: dict[str, ParameterBundle | None] = dict.fromkeys(
+            self.client_kinds
+        )
         self.upload_buffer: dict[tuple[str, int], list] = {}
         self.client_sent_keys: set[tuple[str, int]] = set()
         self.dropped_from_queue = 0
@@ -338,8 +331,8 @@ class _ScenarioRunner:
         self.server_rows.extend(rows)
         for kind in self.server_kinds:
             self._train_and_publish(kind, created_at=0)
-        for kind, slot in self.client_slots.items():
-            self._install_bundle(slot, self.server_bundles.get(kind))
+        for kind in self.client_bundles:
+            self.client_bundles[kind] = self.server_bundles.get(kind)
 
     def _train_and_publish(self, kind: str, created_at: int) -> None:
         rows = self.server_rows[-self.max_train_rows:]
@@ -349,21 +342,13 @@ class _ScenarioRunner:
         version = self.server_versions.get(kind, 0) + 1
         seed = self.train_rng.next_u64()
         if kind == MODEL_KIND_DCL:
-            cfg = TrainingConfig(
-                learning_rate=self.dcl_config.learning_rate,
-                epochs=self.dcl_config.epochs, seed=seed,
-                shuffle_each_epoch=self.dcl_config.shuffle_each_epoch,
-            )
+            cfg = replace(self.dcl_config, seed=seed)
             hidden = (nn.hidden_size_default(data.n_features, data.n_classes),)
             spec = LayerSpec(data.n_features, hidden, data.n_classes)
             params, _ = nn.train(nn.init_network(spec, seed), data, cfg)
             thresholds = None
         else:
-            cfg = TrainingConfig(
-                learning_rate=self.cl_config.learning_rate,
-                epochs=self.cl_config.epochs, seed=seed,
-                shuffle_each_epoch=self.cl_config.shuffle_each_epoch,
-            )
+            cfg = replace(self.cl_config, seed=seed)
             spec = LayerSpec(data.n_features, (), data.n_classes)
             params, _ = nn.train(nn.init_network(spec, seed), data, cfg)
             thresholds = calibrate_thresholds(params, data)
@@ -380,21 +365,11 @@ class _ScenarioRunner:
 
     # -- client ------------------------------------------------------------
 
-    @staticmethod
-    def _install_bundle(slot: _ClientSlot, bundle: ParameterBundle | None) -> None:
-        if bundle is None:
-            return
-        slot.bundle = bundle
-        slot.cl_model = (
-            bundle.as_cl_model() if bundle.model_kind == MODEL_KIND_CL else None
-        )
-
     def record_prediction(self, t: int, reading: SensorReading, label: int) -> None:
         self.emitted += 1
         for algo in self.algorithms:
             if algo in _CLIENT_ALGOS:
-                slot = self.client_slots[_CLIENT_ALGOS[algo]]
-                bundle = slot.bundle
+                bundle = self.client_bundles[_CLIENT_ALGOS[algo]]
                 staleness = None if bundle is None else t - bundle.created_at
             else:
                 bundle = self.server_bundles.get(_SERVER_ALGOS[algo])
@@ -408,12 +383,7 @@ class _ScenarioRunner:
             if algo in ("ADCL", "DCL"):
                 pred = adcl_predict(bundle.params, reading.values).class_index
             else:
-                slot_model = (
-                    self.client_slots[MODEL_KIND_CL].cl_model
-                    if algo == "LCL"
-                    else bundle.as_cl_model()
-                )
-                pred = lcl_predict(slot_model, reading.values).class_index
+                pred = lcl_predict(bundle.as_cl_model, reading.values).class_index
             latency_us = (time.perf_counter_ns() - t0) / 1000.0
             correct = pred == label
             self.confusion[algo][label][pred] += 1
@@ -509,9 +479,9 @@ class _SyncClientApply:
 
     def __call__(self, t: int) -> None:
         r = self.runner
-        slot = r.client_slots[self.kind]
-        if slot.bundle is None or self.bundle.model_version > slot.bundle.model_version:
-            r._install_bundle(slot, self.bundle)
+        held = r.client_bundles[self.kind]
+        if held is None or self.bundle.model_version > held.model_version:
+            r.client_bundles[self.kind] = self.bundle
 
 
 class _UploadTick:

@@ -61,6 +61,23 @@ class TestSigmoid:
         ys = sigmoid(xs)
         assert np.all(np.diff(ys) >= 0)
 
+    def test_bit_identical_to_masked_two_branch_form(self):
+        def reference(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+        magnitudes = [0.0, 1e-300, 1e-8, 0.5, 1.0, 2.0, 36.7, 40.0, 709.0, 745.0, 1e308]
+        xs = np.array([m * sign for m in magnitudes for sign in (1.0, -1.0)])
+        xs = np.concatenate([xs, np.linspace(-50.0, 50.0, 1001)])
+        expected = reference(xs)
+        assert sigmoid(xs).tobytes() == expected.tobytes()
+        for x, y in zip(xs, expected):
+            assert np.float64(sigmoid(float(x))).tobytes() == y.tobytes()
+
 
 class TestHiddenSizeDefault:
     def test_mean_rule(self):
@@ -326,16 +343,29 @@ XOR_DATA = Dataset(
 
 
 class TestTrain:
-    def test_single_sample_single_epoch_equals_one_update(self):
-        data = Dataset((Sample((0.2, 0.7), 1),), ("x", "y"), ("a", "b"))
-        p = random_params(LayerSpec(2, (2,), 2), 77)
-        cfg = TrainingConfig(learning_rate=0.3, epochs=1, seed=0, shuffle_each_epoch=False)
+    @pytest.mark.parametrize(
+        "hidden", [(), (3,), (3, 3)], ids=["2-2", "2-3-2", "2-3-3-2"]
+    )
+    def test_equals_backprop_then_apply_update(self, hidden):
+        samples = (Sample((0.2, 0.7), 1), Sample((0.9, 0.1), 0), Sample((0.5, 0.4), 1))
+        data = Dataset(samples, ("x", "y"), ("a", "b"))
+        p = random_params(LayerSpec(2, hidden, 2), 77)
+        cfg = TrainingConfig(learning_rate=0.3, epochs=2, seed=0, shuffle_each_epoch=False)
         trained, history = train(p, data, cfg)
-        assert len(history) == 1
-        manual = apply_update(p, backprop(p, [0.2, 0.7], [0.0, 1.0]), 0.3)
-        for a, b in zip(trained.weights, manual.weights):
+
+        manual, manual_history = p, []
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for s in samples:
+                target = [float(s.label == c) for c in range(2)]
+                total += squared_error(target, forward(manual, s.features).final_outputs)
+                manual = apply_update(manual, backprop(manual, s.features, target), 0.3)
+            manual_history.append(total / len(samples))
+
+        assert history == manual_history
+        for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
             assert a.tobytes() == b.tobytes()
-        assert trained.trained_epochs == 1
+        assert trained.trained_epochs == 2
 
     def test_epochs_accumulate(self):
         data = two_cluster_data(20)

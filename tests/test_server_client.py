@@ -14,7 +14,6 @@ from edgectx.client import (
     SyncState,
     Uploader,
     client_sync_tick,
-    upload_batch,
 )
 from edgectx.data import SensorReading, normalize_minmax, synth_still_motion
 from edgectx.learners import NeverSyncedError, cl_train, dcl_train
@@ -180,6 +179,19 @@ class TestModelStorePersistence:
         reloaded = ModelStore(persist_dir=tmp_path).get("DCL")
         assert encode_bundle(reloaded) == encode_bundle(published)
 
+    def test_corrupt_newest_falls_back_to_last_good(self, tmp_path, trained_dcl):
+        store = ModelStore(persist_dir=tmp_path)
+        good = store.publish("DCL", trained_dcl)
+        store.publish("DCL", trained_dcl)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bundle-DCL-v1.json", "bundle-DCL-v2.json",
+        ]
+        v2 = tmp_path / "bundle-DCL-v2.json"
+        v2.write_bytes(v2.read_bytes()[:-20])
+        reloaded = ModelStore(persist_dir=tmp_path)
+        assert encode_bundle(reloaded.get("DCL")) == encode_bundle(good)
+        assert reloaded.publish("DCL", trained_dcl).model_version == 3
+
 
 class TestJsonlSink:
     def test_rows_survive_restart(self, tmp_path):
@@ -328,12 +340,3 @@ class TestUploader:
         assert revived.queued_count == 6
         ft.down = False
         assert revived.flush() == 6
-
-    def test_one_shot_helper_retries_then_raises(self):
-        ft = FakeTransport()
-        ft.down = True
-        with pytest.raises(TransportError):
-            upload_batch(ft, make_batch(2), retries=2)
-        assert ft.requests == 3
-        ft.down = False
-        assert upload_batch(ft, make_batch(2)) == 2
