@@ -76,33 +76,34 @@ def bench_execution(
 
     cl_model = cl_train(data, CL_DEFAULT_CONFIG)
 
-    # predictors are timed in interleaved rounds so host-load drift hits
-    # all of them alike instead of biasing whichever ran later
+    # trainers, and separately predictors, are timed in interleaved rounds
+    # so host-load drift hits all of them alike instead of biasing
+    # whichever ran later
+    trainers: list[tuple[str, object, str]] = []
     predictors: list[tuple[str, object, str]] = []
+    if "CL" in algorithms:
+        trainers.append(("CL", lambda: cl_train(data, CL_DEFAULT_CONFIG), single))
     if "LCL" in algorithms:
         predictors.append(("LCL", lambda vec: lcl_predict(cl_model, vec), single))
-
-    rows: list[BenchRow] = []
-    if "CL" in algorithms:
-        lats = _time_runs(lambda: cl_train(data, CL_DEFAULT_CONFIG), train_reps)
-        rows.append(BenchRow("CL", "train", _mean(lats), _p95(lats), train_reps, single))
 
     for width in widths:
         spec = LayerSpec(data.n_features, (width,), data.n_classes)
         deep = f"{data.n_features}->{width}->{data.n_classes}"
-        dcl_params = dcl_train(data, spec, DCL_DEFAULT_CONFIG)
         if "DCL" in algorithms:
-            lats = _time_runs(
-                lambda: dcl_train(data, spec, DCL_DEFAULT_CONFIG), train_reps
-            )
-            rows.append(
-                BenchRow("DCL", "train", _mean(lats), _p95(lats), train_reps, deep)
+            trainers.append(
+                ("DCL", lambda s=spec: dcl_train(data, s, DCL_DEFAULT_CONFIG), deep)
             )
         if "ADCL" in algorithms:
+            dcl_params = dcl_train(data, spec, DCL_DEFAULT_CONFIG)
             predictors.append(
                 ("ADCL", lambda vec, p=dcl_params: adcl_predict(p, vec), deep)
             )
 
+    train_lats = _time_runs_interleaved([fn for _, fn, _ in trainers], train_reps)
+    rows = [
+        BenchRow(name, "train", _mean(lats), _p95(lats), train_reps, size)
+        for (name, _, size), lats in zip(trainers, train_lats)
+    ]
     predict_lats = _time_calls_interleaved(
         [fn for _, fn, _ in predictors], inputs, repetitions
     )
@@ -160,14 +161,17 @@ def _time_calls_interleaved(fns, inputs, repetitions: int) -> list[list[float]]:
     return lats
 
 
-def _time_runs(fn, repetitions: int) -> list[float]:
-    fn()  # warm-up run
-    lats = []
+def _time_runs_interleaved(fns, repetitions: int) -> list[list[float]]:
+    """Whole-run latencies for several functions, one run of each per round."""
+    for fn in fns:
+        fn()  # warm-up run
+    lats: list[list[float]] = [[] for _ in fns]
     with _gc_paused():
         for _ in range(repetitions):
-            t0 = time.perf_counter_ns()
-            fn()
-            lats.append((time.perf_counter_ns() - t0) / 1000.0)
+            for k, fn in enumerate(fns):
+                t0 = time.perf_counter_ns()
+                fn()
+                lats[k].append((time.perf_counter_ns() - t0) / 1000.0)
     return lats
 
 

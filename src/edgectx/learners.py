@@ -48,12 +48,6 @@ class ThresholdVector:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not all(0.0 < v < 1.0 for v in self.values):
             raise ValueError("thresholds must lie strictly inside (0, 1)")
-        arr = np.array(self.values)
-        arr.setflags(write=False)
-        object.__setattr__(self, "_array", arr)
-
-    def as_array(self) -> np.ndarray:
-        return self._array  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -135,9 +129,7 @@ def calibrate_thresholds(params: NetworkParameters, data: Dataset) -> ThresholdV
         raise ValueError("thresholds are calibrated for single-layer models only")
     if not data.samples:
         raise ValueError("cannot calibrate on an empty dataset")
-    outputs = np.array(
-        [nn.forward(params, s.features).final_outputs for s in data.samples]
-    )
+    outputs = np.array([nn.final_outputs(params, s.features) for s in data.samples])
     labels = data.label_array()
     thresholds = []
     for c in range(params.spec.output_count):
@@ -165,8 +157,8 @@ def adcl_predict(
     """
     if params is None:
         raise NeverSyncedError("no network parameters received yet")
-    outputs = nn.forward(params, features).final_outputs
-    idx = int(np.argmax(outputs))  # argmax returns the first maximum
+    outputs = nn.final_outputs(params, features)
+    idx = _first_argmax(outputs)
     return ContextLabel(idx, class_names[idx] if idx < len(class_names) else "")
 
 
@@ -182,13 +174,18 @@ def lcl_predict(
     to plain argmax. Ties break toward the lowest index, so a prediction is
     always produced.
     """
-    outputs = nn.forward(model.params, features).final_outputs
-    margins = outputs - model.thresholds.as_array()
-    if margins.max() > 0.0:
-        idx = int(np.argmax(np.where(margins > 0.0, margins, -np.inf)))
-    else:
-        idx = int(np.argmax(outputs))
+    outputs = nn.final_outputs(model.params, features)
+    margins = [o - t for o, t in zip(outputs, model.thresholds.values)]
+    idx = _first_argmax(margins)
+    if margins[idx] <= 0.0:
+        idx = _first_argmax(outputs)
     return ContextLabel(idx, class_names[idx] if idx < len(class_names) else "")
+
+
+def _first_argmax(values: list[float]) -> int:
+    """Index of the largest value; ties go to the lowest index, as with
+    ``np.argmax``."""
+    return max(range(len(values)), key=values.__getitem__)
 
 
 def evaluate(

@@ -4,11 +4,19 @@ Every node computes net = bias + sum(weight_k * input_k), passes it through
 the logistic function, and feeds the next layer. Training minimizes the
 summed squared error 0.5 * sum((actual - output)^2) with the update
 w <- w - learning_rate * dE/dw applied after each sample.
+
+Two kernels compute the same math: nested Python lists for small networks,
+where numpy's fixed cost per call outweighs the arithmetic, and numpy arrays
+for the rest. A network's size alone picks its kernel, so ``forward``,
+``backprop``, ``train`` and the predictors agree bit for bit on any one net.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -24,6 +32,15 @@ class DimensionError(ValueError):
 # instead of returning exactly 0 or 1 at extreme inputs.
 _SIG_LO = float(np.nextafter(0.0, 1.0))
 _SIG_HI = float(np.nextafter(1.0, 0.0))
+
+# Networks with fewer weights and biases than this run on the list kernel.
+# One SGD update, lists against numpy (2-core host, Python 3.11, numpy 2.4):
+# 2-2 8.5 vs 40.6 us, 2-2x1-2 15.3 vs 70.0, 13-9-5 (176 weights) 56.8 vs
+# 73.0, 13-12-5 (233) 69.2 vs 72.5, 13-16-5 (309) 85.0 vs 66.3, 13-32-5
+# (613) 157 vs 69. Lists cost per weight, numpy per layer, so deep narrow
+# nets cross later (13-9x3-5, 356: 126 vs 135; 13-9x9-5, 896: 342 vs 304);
+# one-hidden-layer nets cross between 233 and 309 weights.
+_LIST_KERNEL_WEIGHTS = 300
 
 
 @dataclass(frozen=True)
@@ -92,9 +109,20 @@ class NetworkParameters:
         object.__setattr__(self, "weights", tuple(frozen_w))
         object.__setattr__(self, "biases", tuple(frozen_b))
 
-    @property
+    @cached_property
     def weight_count(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+
+    @cached_property
+    def _lists(self) -> tuple[tuple, tuple] | None:
+        """(weight rows, biases) as nested tuples of floats, built once, for
+        networks the list kernel runs; None for the numpy kernel."""
+        if self.weight_count >= _LIST_KERNEL_WEIGHTS:
+            return None
+        return (
+            tuple(tuple(map(tuple, w.tolist())) for w in self.weights),
+            tuple(tuple(b.tolist()) for b in self.biases),
+        )
 
 
 @dataclass(frozen=True)
@@ -153,6 +181,13 @@ def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
     return np.clip(np.where(x >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
 
 
+def _sigmoid_scalar(z: float) -> float:
+    """``_sigmoid_arr`` for one float, on ``math.exp``."""
+    e = math.exp(-abs(z))
+    s = (1.0 if z >= 0.0 else e) / (1.0 + e)
+    return _SIG_HI if s > _SIG_HI else _SIG_LO if s < _SIG_LO else s
+
+
 def hidden_size_default(input_count: int, output_count: int) -> int:
     """Default hidden-layer width: floor of the mean of input and output
     widths, at least 1."""
@@ -184,11 +219,18 @@ def init_network(spec: LayerSpec, seed: int) -> NetworkParameters:
 
 def forward(params: NetworkParameters, features) -> ActivationTrace:
     """Propagate one feature vector through every layer."""
-    x = _check_input(params, features)
-    outs = _activations(params.weights, params.biases, x)[1:]
+    acts = _layer_outputs(params, _check_input(params, features))
+    outs = [np.asarray(a) for a in acts[1:]]
     for a in outs:
         a.setflags(write=False)
     return ActivationTrace(tuple(outs))
+
+
+def final_outputs(params: NetworkParameters, features) -> list[float]:
+    """The class scores ``forward(params, features).final_outputs`` holds,
+    as a list, without building the per-layer trace."""
+    out = _layer_outputs(params, _check_input(params, features))[-1]
+    return out if isinstance(out, list) else out.tolist()
 
 
 def squared_error(actual, predicted) -> float:
@@ -208,18 +250,27 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
     ``params``.
     """
     x = _check_input(params, features)
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != (params.spec.output_count,):
-        raise DimensionError(
-            f"target length {t.shape} does not match output count "
-            f"{params.spec.output_count}"
-        )
-    if not np.all((t >= 0.0) & (t <= 1.0)):
+    t = _vector(target, params.spec.output_count, "target")
+    if not all(0.0 <= v <= 1.0 for v in t):
         raise ValueError("targets must lie in [0, 1]")
-    _, w_grads, b_grads = _gradients(params.weights, params.biases, x, t)
+    acts = _layer_outputs(params, x)
+    if params._lists is None:
+        deltas = _deltas(params.weights, acts, np.array(t))
+    else:
+        deltas = _list_deltas(params._lists[0], acts, t)
+    w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
+    b_grads = [np.array(d, dtype=np.float64) for d in deltas]
     for g in w_grads + b_grads:
         g.setflags(write=False)
     return GradientSet(tuple(w_grads), tuple(b_grads))
+
+
+def _layer_outputs(params: NetworkParameters, x: list[float]) -> list:
+    """The input followed by each layer's output, from the kernel the
+    network's size selects: lists below the crossover, arrays from it on."""
+    if params._lists is None:
+        return _activations(params.weights, params.biases, np.array(x))
+    return _list_activations(*params._lists, x)
 
 
 def _activations(weights, biases, x: np.ndarray) -> list[np.ndarray]:
@@ -230,24 +281,70 @@ def _activations(weights, biases, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _gradients(
-    weights, biases, x: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """(final outputs, dE/dw, dE/db) for one sample. Every gradient and
-    every delta is taken from ``weights`` as passed in, so a caller that
-    updates in place must do so only after this returns."""
-    acts = _activations(weights, biases, x)
+def _deltas(weights, acts: list[np.ndarray], target: np.ndarray) -> list[np.ndarray]:
+    """dE/dnet of each weighted layer, for the activations ``weights``
+    produced; dE/dw of layer l is outer(deltas[l], acts[l])."""
     final = acts[-1]
-    delta = (final - target) * final * (1.0 - final)
-    w_grads: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
-    b_grads: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
-    for l in range(len(weights) - 1, -1, -1):
+    deltas = [(final - target) * final * (1.0 - final)]
+    for l in range(len(weights) - 1, 0, -1):
         prev = acts[l]
-        w_grads[l] = np.outer(delta, prev)
-        b_grads[l] = delta
-        if l > 0:
-            delta = (weights[l].T @ delta) * prev * (1.0 - prev)
-    return final, w_grads, b_grads
+        deltas.append((weights[l].T @ deltas[-1]) * prev * (1.0 - prev))
+    return deltas[::-1]
+
+
+def _array_step(weights, biases, x, target, lr: float) -> float:
+    """One in-place SGD update on arrays; returns the sample's loss."""
+    acts = _activations(weights, biases, x)
+    for w, b, prev, delta in zip(weights, biases, acts, _deltas(weights, acts, target)):
+        w -= lr * np.outer(delta, prev)
+        b -= lr * delta
+    return 0.5 * float(np.sum((target - acts[-1]) ** 2))
+
+
+def _list_activations(weights, biases, x: list[float]) -> list[list[float]]:
+    """``_activations`` on weight rows held as nested lists or tuples."""
+    acts = [x]
+    for rows, bs in zip(weights, biases):
+        prev = acts[-1]
+        acts.append(
+            [_sigmoid_scalar(sum(map(mul, row, prev), b)) for row, b in zip(rows, bs)]
+        )
+    return acts
+
+
+def _list_deltas(weights, acts: list[list[float]], target) -> list[list[float]]:
+    """``_deltas`` on nested lists; the transposed product walks columns."""
+    final = acts[-1]
+    deltas = [[(o - t) * o * (1.0 - o) for o, t in zip(final, target)]]
+    for l in range(len(weights) - 1, 0, -1):
+        delta = deltas[-1]
+        deltas.append(
+            [
+                sum(map(mul, col, delta)) * p * (1.0 - p)
+                for col, p in zip(zip(*weights[l]), acts[l])
+            ]
+        )
+    return deltas[::-1]
+
+
+def _list_step(weights, biases, x, target, lr: float) -> float:
+    """One in-place SGD update on nested lists; returns the sample's loss.
+    Each parameter becomes p - lr * (delta * input), grouped as
+    ``apply_update`` groups it, so the result matches ``backprop`` followed
+    by ``apply_update`` bit for bit."""
+    acts = _list_activations(weights, biases, x)
+    for rows, bs, prev, delta in zip(
+        weights, biases, acts, _list_deltas(weights, acts, target)
+    ):
+        for j, d in enumerate(delta):
+            row = rows[j]
+            for k, p in enumerate(prev):
+                row[k] -= lr * (d * p)
+            bs[j] -= lr * d
+    loss = 0.0
+    for t, o in zip(target, acts[-1]):
+        loss += (t - o) * (t - o)
+    return 0.5 * loss
 
 
 def apply_update(
@@ -294,13 +391,19 @@ def train(
             f"{data.n_classes} classes do not fit {params.spec.output_count} outputs"
         )
 
+    classes = range(params.spec.output_count)
+    targets = [[float(c == s.label) for c in classes] for s in data.samples]
     features = data.features_matrix()
-    targets = np.zeros((len(data.samples), params.spec.output_count))
-    for i, s in enumerate(data.samples):
-        targets[i, s.label] = 1.0
-
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
+    if params._lists is None:
+        step = _array_step
+        weights = [w.copy() for w in params.weights]
+        biases = [b.copy() for b in params.biases]
+        targets = np.array(targets)
+    else:
+        step = _list_step
+        weights = [[list(row) for row in rows] for rows in params._lists[0]]
+        biases = [list(b) for b in params._lists[1]]
+        features = features.tolist()
     lr = cfg.learning_rate
     rng = Rng(cfg.seed)
     order = list(range(len(data.samples)))
@@ -311,30 +414,33 @@ def train(
             rng.shuffle(order)
         total = 0.0
         for i in order:
-            t = targets[i]
-            a, w_grads, b_grads = _gradients(weights, biases, features[i], t)
-            total += 0.5 * float(np.sum((t - a) ** 2))
-            for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
-                w -= lr * gw
-                b -= lr * gb
+            total += step(weights, biases, features[i], targets[i], lr)
         loss_history.append(total / len(order))
 
     trained = replace(
         params,
-        weights=tuple(weights),
-        biases=tuple(biases),
+        weights=tuple(np.asarray(w, dtype=np.float64) for w in weights),
+        biases=tuple(np.asarray(b, dtype=np.float64) for b in biases),
         trained_epochs=params.trained_epochs + cfg.epochs,
     )
     return trained, loss_history
 
 
-def _check_input(params: NetworkParameters, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (params.spec.input_count,):
-        raise DimensionError(
-            f"input length {x.shape} does not match input count "
-            f"{params.spec.input_count}"
-        )
-    if not np.all(np.isfinite(x)):
+def _vector(values, width: int, what: str) -> list[float]:
+    """``values`` as a list of exactly ``width`` floats."""
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        raise DimensionError(f"{what} shape {values.shape} is not a vector")
+    try:
+        vec = [float(v) for v in values]
+    except TypeError as exc:
+        raise DimensionError(f"{what} is not a flat vector: {exc}") from None
+    if len(vec) != width:
+        raise DimensionError(f"{what} length {len(vec)} does not match {width}")
+    return vec
+
+
+def _check_input(params: NetworkParameters, features) -> list[float]:
+    x = _vector(features, params.spec.input_count, "input")
+    if not all(map(math.isfinite, x)):
         raise ValueError("input contains non-finite values")
     return x

@@ -3,7 +3,8 @@
 The store keeps one immutable bundle per model kind; publishing swaps the
 reference under a lock, so readers always see a complete old or new bundle,
 never a mix. Versions increase by exactly one per publish and survive
-restarts when a persist directory is configured.
+restarts when a persist directory is configured; there, a bundle is on disk
+before any client can receive it.
 """
 
 from __future__ import annotations
@@ -100,15 +101,21 @@ class ModelStore:
                 created_at=now_ms() if created_at is None else created_at,
                 thresholds=thresholds,
             )
+            if self._persist_dir is not None:
+                path = self._persist_dir / f"bundle-{model_kind}-v{version}.json"
+                # a reader or a restart sees the old file set or the new
+                # one, never a partly written bundle; a failed write leaves
+                # no temp file
+                tmp = path.with_suffix(".json.tmp")
+                try:
+                    tmp.write_bytes(encode_bundle(bundle))
+                    os.replace(tmp, path)
+                finally:
+                    tmp.unlink(missing_ok=True)
+            # served only once on disk, so a restart never reissues a
+            # version number that some client already holds
             self._bundles[model_kind] = bundle
             self._versions[model_kind] = version
-        if self._persist_dir is not None:
-            path = self._persist_dir / f"bundle-{model_kind}-v{version}.json"
-            # a reader or a restart sees the old file set or the new one,
-            # never a partly written bundle
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_bytes(encode_bundle(bundle))
-            os.replace(tmp, path)
         return bundle
 
     def get(self, model_kind: str) -> ParameterBundle | None:
@@ -120,18 +127,44 @@ class ModelStore:
             return sorted(self._bundles)
 
 
+class BadBatchError(ValueError):
+    """Uploaded rows that could not be trained on with the rows already held."""
+
+
 class MemoryDataSink:
-    """Thread-safe accumulator of uploaded (reading, label) pairs."""
+    """Thread-safe accumulator of uploaded (reading, label) pairs.
+
+    Every row has the reading width of the first row stored and a label
+    that is absent or non-negative; a batch with any other row is refused
+    whole.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._rows: list[tuple[SensorReading, int | None]] = []
+        self._width: int | None = None
 
     def store(self, batch: SensorBatch) -> int:
-        labels = batch.labels or (None,) * len(batch.readings)
+        rows = list(zip(batch.readings, batch.labels or (None,) * len(batch.readings)))
         with self._lock:
-            self._rows.extend(zip(batch.readings, labels))
-        return len(batch.readings)
+            self._admit(rows)
+            self._rows.extend(rows)
+        return len(rows)
+
+    def _admit(self, rows: list[tuple[SensorReading, int | None]]) -> None:
+        """Raise BadBatchError unless every row fits; the first row of an
+        empty sink fixes the width."""
+        width = len(rows[0][0].values) if self._width is None else self._width
+        if width < 1:
+            raise BadBatchError("readings carry no values")
+        for reading, label in rows:
+            if len(reading.values) != width:
+                raise BadBatchError(
+                    f"reading width {len(reading.values)} does not match {width}"
+                )
+            if label is not None and label < 0:
+                raise BadBatchError(f"label {label} is negative")
+        self._width = width
 
     def __len__(self) -> int:
         with self._lock:
@@ -167,11 +200,11 @@ class JsonlDataSink(MemoryDataSink):
                         values=tuple(float(v) for v in obj["values"]),
                     )
                     label = obj.get("label")
-                    self._rows.append(
-                        (reading, int(label) if label is not None else None)
-                    )
+                    row = (reading, int(label) if label is not None else None)
+                    self._admit([row])
+                    self._rows.append(row)
                 except (KeyError, TypeError, ValueError) as exc:
-                    log.warning("%s:%d: skipping corrupt row: %s", self.path, lineno, exc)
+                    log.warning("%s:%d: skipping row: %s", self.path, lineno, exc)
 
     def store(self, batch: SensorBatch) -> int:
         n = super().store(batch)
@@ -217,10 +250,9 @@ def handle_request(msg: dict, store: ModelStore, sink) -> tuple[dict, bool]:
         }, True
     if kind == MSG_PUSH_DATA:
         try:
-            batch = batch_from_wire(msg.get("batch") or {})
-        except ProtocolError as exc:
+            stored = sink.store(batch_from_wire(msg.get("batch") or {}))
+        except (ProtocolError, BadBatchError) as exc:
             return error_message("bad_batch", str(exc)), True
-        stored = sink.store(batch)
         return {"type": MSG_ACK, "stored": stored}, True
     return error_message("bad_type", f"unknown message type {kind!r}"), True
 

@@ -149,6 +149,16 @@ class TestLclPredict:
         model = cl_model_with_outputs([0.2, 0.3], [0.5, 0.5])
         assert lcl_predict(model, whatever).class_index == 1
 
+    def test_ties_break_toward_lowest_index(self):
+        # above-threshold branch: classes 1 and 2 tie on the largest margin,
+        # while class 0 has the largest output
+        model = cl_model_with_outputs([0.9, 0.7, 0.7], [0.85, 0.3, 0.3])
+        assert lcl_predict(model, whatever).class_index == 1
+        # fallback branch: no output exceeds its threshold; classes 1 and 2
+        # tie on the largest output, while class 0 has the largest margin
+        model = cl_model_with_outputs([0.4, 0.7, 0.7], [0.45, 0.9, 0.9])
+        assert lcl_predict(model, whatever).class_index == 1
+
     def test_total_over_random_models(self):
         rng = Rng(77)
         for trial in range(100):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from edgectx import nn
 from edgectx.data import Dataset, Sample
 from edgectx.nn import (
     DimensionError,
@@ -342,14 +343,81 @@ XOR_DATA = Dataset(
 )
 
 
+class TestKernels:
+    """Networks below the crossover run on Python lists, the rest on numpy;
+    the numpy kernel is the reference."""
+
+    def test_size_selects_kernel(self):
+        limit = nn._LIST_KERNEL_WEIGHTS
+        below = random_params(LayerSpec(limit - 2, (), 1), 1)
+        at = random_params(LayerSpec(limit - 1, (), 1), 1)
+        assert below.weight_count == limit - 1 and below._lists is not None
+        assert at.weight_count == limit and at._lists is None
+
+    def test_list_kernel_saturates_like_numpy(self):
+        p = make_params([1, 1], [[[1.0]]], [[0.0]])
+        assert p._lists is not None
+        for x in (-1e308, -1000.0, 40.0, 1000.0, 1e308):
+            assert nn.final_outputs(p, [x]) == [sigmoid(x)]
+            assert 0.0 < sigmoid(x) < 1.0
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_list_kernel_matches_numpy_kernel(self, side):
+        rng = Rng(404 if side == "below" else 405)
+        for trial in range(20):
+            if side == "below":
+                hidden = tuple(1 + rng.randrange(6) for _ in range(rng.randrange(3)))
+                spec = LayerSpec(1 + rng.randrange(5), hidden, 1 + rng.randrange(4))
+            else:
+                hidden = tuple(9 + rng.randrange(6) for _ in range(3 + rng.randrange(3)))
+                spec = LayerSpec(10 + rng.randrange(6), hidden, 2 + rng.randrange(5))
+            sizes = spec.layer_sizes
+            # weights of both signs, so both sigmoid branches are taken
+            weights = [
+                np.array([[rng.gauss(0, 2) for _ in range(sizes[l])]
+                          for _ in range(sizes[l + 1])])
+                for l in range(len(sizes) - 1)
+            ]
+            biases = [np.array([rng.gauss(0, 2) for _ in range(n)]) for n in sizes[1:]]
+            p = NetworkParameters(spec, tuple(weights), tuple(biases))
+            assert (p._lists is not None) == (side == "below")
+            x = [rng.uniform() * 2 - 0.5 for _ in range(spec.input_count)]
+            t = [float(rng.randrange(2)) for _ in range(spec.output_count)]
+
+            ref_acts = nn._activations(p.weights, p.biases, np.array(x))
+            ref_deltas = nn._deltas(p.weights, ref_acts, np.array(t))
+            w_rows = [w.tolist() for w in p.weights]
+            acts = nn._list_activations(w_rows, [b.tolist() for b in p.biases], x)
+            deltas = nn._list_deltas(w_rows, acts, t)
+            for got, ref in zip(acts + deltas, ref_acts + ref_deltas):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("hidden", [(3,), (12, 12, 12)], ids=["2-3-2", "2-12x3-2"])
+    def test_train_sees_the_outputs_forward_gives(self, hidden):
+        p = random_params(LayerSpec(2, hidden, 2), 8)
+        cfg = TrainingConfig(learning_rate=0.3, epochs=1, seed=0)
+        rng = Rng(9)
+        for _ in range(5):
+            s = Sample((rng.uniform(), rng.uniform()), rng.randrange(2))
+            target = [float(s.label == c) for c in range(2)]
+            outputs = forward(p, s.features).final_outputs
+            assert nn.final_outputs(p, s.features) == outputs.tolist()
+            _, history = train(p, Dataset((s,), ("x", "y"), ("a", "b")), cfg)
+            assert history == [squared_error(target, outputs)]
+
+
 class TestTrain:
     @pytest.mark.parametrize(
-        "hidden", [(), (3,), (3, 3)], ids=["2-2", "2-3-2", "2-3-3-2"]
+        "hidden",
+        [(), (3,), (3, 3), (12, 12, 12)],
+        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2"],
     )
     def test_equals_backprop_then_apply_update(self, hidden):
         samples = (Sample((0.2, 0.7), 1), Sample((0.9, 0.1), 0), Sample((0.5, 0.4), 1))
         data = Dataset(samples, ("x", "y"), ("a", "b"))
         p = random_params(LayerSpec(2, hidden, 2), 77)
+        # the last topology is above the crossover, the others below it
+        assert (p._lists is None) == (hidden == (12, 12, 12))
         cfg = TrainingConfig(learning_rate=0.3, epochs=2, seed=0, shuffle_each_epoch=False)
         trained, history = train(p, data, cfg)
 

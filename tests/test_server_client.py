@@ -1,6 +1,8 @@
 """Server/client integration over real loopback TCP plus sync/upload policy
 against fake transports."""
 
+import json
+import os
 import socket
 import threading
 
@@ -193,6 +195,26 @@ class TestModelStorePersistence:
         assert reloaded.publish("DCL", trained_dcl).model_version == 3
 
 
+    def test_failed_persist_keeps_serving_previous_version(
+        self, tmp_path, trained_dcl, monkeypatch
+    ):
+        store = ModelStore(persist_dir=tmp_path)
+        v1 = store.publish("DCL", trained_dcl)
+
+        def no_rename(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError):
+            store.publish("DCL", trained_dcl)
+        monkeypatch.undo()
+        # nothing a client could have fetched: v1 is still what is served
+        assert store.get("DCL") is v1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle-DCL-v1.json"]
+        assert ModelStore(persist_dir=tmp_path).publish("DCL", trained_dcl).model_version == 2
+        assert store.publish("DCL", trained_dcl).model_version == 2
+
+
 class TestJsonlSink:
     def test_rows_survive_restart(self, tmp_path):
         path = tmp_path / "readings.jsonl"
@@ -201,6 +223,58 @@ class TestJsonlSink:
         again = JsonlDataSink(path)
         assert len(again) == 7
         assert len(again.labeled_pairs()) == 7
+
+    @pytest.mark.parametrize("bad", ["wide", "negative_label"])
+    def test_bad_batch_refused_over_the_wire(self, tmp_path, bad):
+        path = tmp_path / "readings.jsonl"
+        sink = JsonlDataSink(path)
+        srv = ParameterServer(("127.0.0.1", 0), ModelStore(), sink)
+        srv.start()
+        try:
+            tp = TcpTransport(srv.address)
+            good = tp.request({"type": "PUSH_DATA", "batch": batch_to_wire(make_batch(4))})
+            assert good == {"type": "ACK", "stored": 4}
+            before = path.read_bytes()
+            readings = [SensorReading("acc0", 10, (0.1, 0.2)), SensorReading("acc0", 11, (0.3, 0.4))]
+            labels = (0, 1)
+            if bad == "wide":
+                readings[1] = SensorReading("acc0", 11, (0.3, 0.4, 0.5))
+            else:
+                labels = (0, -3)
+            batch = SensorBatch("client-1", tuple(readings), labels=labels)
+            response = tp.request({"type": "PUSH_DATA", "batch": batch_to_wire(batch)})
+            assert response["type"] == "ERROR" and response["code"] == "bad_batch"
+            assert path.read_bytes() == before
+            assert len(sink) == 4
+            tp.close()
+        finally:
+            srv.stop()
+
+    def test_stored_bad_rows_are_skipped_on_load_and_retrain_runs(self, tmp_path):
+        from edgectx.cli import _retrain_once
+
+        path = tmp_path / "readings.jsonl"
+        rows = [
+            {"sensor_id": "acc0", "timestamp": i, "values": [0.1 + 2.0 * (i % 2), 0.2],
+             "label": i % 2}
+            for i in range(20)
+        ]
+        rows.insert(5, {"sensor_id": "acc0", "timestamp": 5, "values": [0.1, 0.2, 0.3],
+                        "label": 0})
+        rows.insert(9, {"sensor_id": "acc0", "timestamp": 9, "values": [0.1, 0.2],
+                        "label": -3})
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        sink = JsonlDataSink(path)
+        assert len(sink) == 20
+        store = ModelStore()
+
+        class Args:
+            min_rows = 8
+            epochs = 5
+
+        _retrain_once(store, sink, ["DCL", "CL"], Args)
+        assert store.get("DCL").model_version == 1
+        assert store.get("CL").params.spec.input_count == 2
 
 
 class FakeTransport:
