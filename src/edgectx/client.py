@@ -27,6 +27,7 @@ from .data import SensorReading
 from .learners import ContextLabel, NeverSyncedError, adcl_predict, lcl_predict
 from .protocol import (
     MSG_ACK,
+    MSG_ERROR,
     MSG_GET_PARAMS,
     MSG_NOT_READY,
     MSG_PARAMS,
@@ -116,8 +117,10 @@ class Uploader:
 
     Readings that cannot be delivered are queued (oldest dropped beyond the
     capacity, with a counter) and replayed, in order, before the next
-    batch once the link recovers. An optional spool file makes the queue
-    survive restarts.
+    batch once the link recovers. A batch the server refuses as bad is
+    dropped, not retried, and its readings are counted in
+    ``rejected_count``. An optional spool file makes the queue survive
+    restarts.
     """
 
     def __init__(
@@ -135,6 +138,7 @@ class Uploader:
         self._retries = max(0, retries)
         self._queue: deque[tuple[str, SensorReading, int | None]] = deque()
         self.dropped_count = 0
+        self.rejected_count = 0
         self._spool_path = Path(spool_path) if spool_path is not None else None
         if self._spool_path is not None and self._spool_path.exists():
             self._load_spool()
@@ -189,7 +193,8 @@ class Uploader:
     def _send_rows(
         self, rows: list[tuple[str, SensorReading, int | None]]
     ) -> int | None:
-        """Send one batch; acked count, or None on link failure."""
+        """Send one batch; acked count (0 when the server refuses it as
+        bad), or None on link failure."""
         labeled = all(label is not None for _, _, label in rows)
         batch = SensorBatch(
             client_id=rows[0][0],
@@ -205,6 +210,12 @@ class Uploader:
                 continue
             if response.get("type") == MSG_ACK:
                 return int(response.get("stored", len(batch)))
+            if response.get("type") == MSG_ERROR and response.get("code") == "bad_batch":
+                # resending cannot succeed and would hold up every later reading
+                log.warning("server refused %d readings: %s", len(batch),
+                            response.get("message"))
+                self.rejected_count += len(batch)
+                return 0
             break
         return None
 

@@ -7,15 +7,17 @@ w <- w - learning_rate * dE/dw applied after each sample.
 
 Two kernels compute the same math: nested Python lists for small networks,
 where numpy's fixed cost per call outweighs the arithmetic, and numpy arrays
-for the rest. A network's size alone picks its kernel, so ``forward``,
-``backprop``, ``train`` and the predictors agree bit for bit on any one net.
+for the rest, written in place into buffers allocated once per call (once
+per ``train``, not per sample). A network's size alone picks its kernel, so
+``forward``, ``backprop``, ``train`` and the predictors agree bit for bit on
+any one net.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from operator import mul
 
 import numpy as np
@@ -32,14 +34,20 @@ class DimensionError(ValueError):
 # instead of returning exactly 0 or 1 at extreme inputs.
 _SIG_LO = float(np.nextafter(0.0, 1.0))
 _SIG_HI = float(np.nextafter(1.0, 0.0))
+# (0, -1, 1, lower clip, upper clip): the constants of ``_sigmoid_into``
+_SIG_SCALARS = (0.0, -1.0, 1.0, _SIG_LO, _SIG_HI)
 
 # Networks with fewer weights and biases than this run on the list kernel.
-# One SGD update, lists against numpy (2-core host, Python 3.11, numpy 2.4):
-# 2-2 8.5 vs 40.6 us, 2-2x1-2 15.3 vs 70.0, 13-9-5 (176 weights) 56.8 vs
-# 73.0, 13-12-5 (233) 69.2 vs 72.5, 13-16-5 (309) 85.0 vs 66.3, 13-32-5
-# (613) 157 vs 69. Lists cost per weight, numpy per layer, so deep narrow
-# nets cross later (13-9x3-5, 356: 126 vs 135; 13-9x9-5, 896: 342 vs 304);
-# one-hidden-layer nets cross between 233 and 309 weights.
+# One SGD update, lists against the in-place numpy kernel (2-core host,
+# Python 3.11, numpy 2.4, median of 7 interleaved epochs): 2-2 4.1 vs 9.8 us,
+# 2-2x1-2 6.4 vs 15.4, 13-5 (70 weights) 10.3 vs 10.2, 13-4-5 (81) 14.2 vs
+# 15.9, 13-6-5 (119) 17.9 vs 15.7, 13-9-5 (176) 22.8 vs 16.1, 13-16-5 (309)
+# 35.3 vs 16.6, 13-9x3-5 (356) 49.9 vs 28.3, 13-9x9-5 (896) 128 vs 64.
+# Lists cost per weight, numpy per layer, so numpy now wins from about 100
+# weights on one-hidden-layer nets. The limit stays at 300, where the
+# allocating numpy kernel crossed, because moving it changes the result
+# bits of every net between the two points (list and numpy agree to
+# rounding, not bit for bit).
 _LIST_KERNEL_WEIGHTS = 300
 
 
@@ -168,21 +176,41 @@ def sigmoid(x):
     Accepts a scalar or array; finite inputs never produce NaN, and results
     saturate just inside (0, 1) at the extremes.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    out = _sigmoid_arr(np.atleast_1d(arr))
-    return float(out[0]) if scalar else out
+    out = np.array(x, dtype=np.float64, ndmin=1)
+    _sigmoid_into(out, np.empty(out.shape, dtype=bool), np.empty_like(out), _SIG_SCALARS)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp only ever
-    # sees -|x|, so it cannot overflow
-    e = np.exp(-np.abs(x))
-    return np.clip(np.where(x >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
+@lru_cache(maxsize=64)
+def _sigmoid_consts(width: int) -> tuple[np.ndarray, ...]:
+    """``_SIG_SCALARS`` as read-only arrays of ``width`` elements; a ufunc
+    takes an array operand faster than a Python float."""
+    consts = tuple(np.full(width, c) for c in _SIG_SCALARS)
+    for c in consts:
+        c.setflags(write=False)
+    return consts
+
+
+def _sigmoid_into(z: np.ndarray, mask: np.ndarray, den: np.ndarray, consts) -> None:
+    """Overwrite ``z`` with its sigmoid, using ``mask`` and ``den`` as scratch.
+
+    1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, clipped to
+    (``_SIG_LO``, ``_SIG_HI``): exp only ever sees -|z|, so it cannot
+    overflow.
+    """
+    zero, neg_one, one, lo, hi = consts
+    np.greater_equal(z, zero, out=mask)
+    np.copysign(z, neg_one, out=z)
+    np.exp(z, out=z)
+    np.add(one, z, out=den)
+    np.copyto(z, one, where=mask)
+    np.divide(z, den, out=z)
+    np.maximum(z, lo, out=z)
+    np.minimum(z, hi, out=z)
 
 
 def _sigmoid_scalar(z: float) -> float:
-    """``_sigmoid_arr`` for one float, on ``math.exp``."""
+    """``sigmoid`` for one float, on ``math.exp``."""
     e = math.exp(-abs(z))
     s = (1.0 if z >= 0.0 else e) / (1.0 + e)
     return _SIG_HI if s > _SIG_HI else _SIG_LO if s < _SIG_LO else s
@@ -253,13 +281,16 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
     t = _vector(target, params.spec.output_count, "target")
     if not all(0.0 <= v <= 1.0 for v in t):
         raise ValueError("targets must lie in [0, 1]")
-    acts = _layer_outputs(params, x)
     if params._lists is None:
-        deltas = _deltas(params.weights, acts, np.array(t))
+        kernel = _ArrayKernel(params, gradients=True)
+        kernel.forward(np.array(x))
+        kernel.backward(np.array(t))
+        w_grads, b_grads = kernel.weight_grads, kernel.bias_grads
     else:
+        acts = _list_activations(*params._lists, x)
         deltas = _list_deltas(params._lists[0], acts, t)
-    w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
-    b_grads = [np.array(d, dtype=np.float64) for d in deltas]
+        w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
+        b_grads = [np.array(d, dtype=np.float64) for d in deltas]
     for g in w_grads + b_grads:
         g.setflags(write=False)
     return GradientSet(tuple(w_grads), tuple(b_grads))
@@ -269,40 +300,114 @@ def _layer_outputs(params: NetworkParameters, x: list[float]) -> list:
     """The input followed by each layer's output, from the kernel the
     network's size selects: lists below the crossover, arrays from it on."""
     if params._lists is None:
-        return _activations(params.weights, params.biases, np.array(x))
+        kernel = _ArrayKernel(params)
+        kernel.forward(np.array(x))
+        return kernel.acts
     return _list_activations(*params._lists, x)
 
 
-def _activations(weights, biases, x: np.ndarray) -> list[np.ndarray]:
-    """The input followed by each layer's sigmoid output."""
-    acts = [x]
-    for w, b in zip(weights, biases):
-        acts.append(_sigmoid_arr(w @ acts[-1] + b))
-    return acts
+def _layer_views(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into one flat buffer that holds each
+    layer's weight rows followed by its biases."""
+    weights, biases, at = [], [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append(flat[at:at + n_out * n_in].reshape(n_out, n_in))
+        at += n_out * n_in
+        biases.append(flat[at:at + n_out])
+        at += n_out
+    return weights, biases
 
 
-def _deltas(weights, acts: list[np.ndarray], target: np.ndarray) -> list[np.ndarray]:
-    """dE/dnet of each weighted layer, for the activations ``weights``
-    produced; dE/dw of layer l is outer(deltas[l], acts[l])."""
-    final = acts[-1]
-    deltas = [(final - target) * final * (1.0 - final)]
-    for l in range(len(weights) - 1, 0, -1):
-        prev = acts[l]
-        deltas.append((weights[l].T @ deltas[-1]) * prev * (1.0 - prev))
-    return deltas[::-1]
+class _ArrayKernel:
+    """The numpy kernel for one network: every pass writes into buffers made
+    with the kernel, so a sample allocates no array.
 
+    ``acts`` holds the input and each layer's output. With ``gradients``,
+    ``backward`` writes each layer's deltas into its bias-gradient view of
+    the flat ``grad`` buffer and its weight gradients next to them. With
+    ``trainable``, the kernel also owns a writable flat copy of the
+    parameters (``theta``, laid out like ``grad``) and ``step`` updates it.
+    Buffers are never shared: a kernel belongs to one call.
+    """
 
-def _array_step(weights, biases, x, target, lr: float) -> float:
-    """One in-place SGD update on arrays; returns the sample's loss."""
-    acts = _activations(weights, biases, x)
-    for w, b, prev, delta in zip(weights, biases, acts, _deltas(weights, acts, target)):
-        w -= lr * np.outer(delta, prev)
-        b -= lr * delta
-    return 0.5 * float(np.sum((target - acts[-1]) ** 2))
+    def __init__(self, params: NetworkParameters, *, gradients: bool = False,
+                 trainable: bool = False) -> None:
+        sizes = params.spec.layer_sizes
+        if trainable:
+            self.theta = np.empty(params.weight_count)
+            self.weights, self.biases = _layer_views(self.theta, sizes)
+            for dst, src in zip(self.weights + self.biases, params.weights + params.biases):
+                np.copyto(dst, src)
+        else:
+            self.weights, self.biases = params.weights, params.biases
+        widths = sizes[1:]
+        # (mask, scratch, sigmoid constants) per width: a pass finishes with
+        # one layer before it starts the next, so layers of a width share them
+        scratch = {n: (np.empty(n, dtype=bool), np.empty(n), _sigmoid_consts(n))
+                   for n in set(widths)}
+        self.acts = [None, *(np.empty(n) for n in widths)]
+        self._scratch = [scratch[n] for n in widths]
+        self._layers = [
+            (w, b, z, *scratch[n])
+            for w, b, z, n in zip(self.weights, self.biases, self.acts[1:], widths)
+        ]
+        if gradients or trainable:
+            self.grad = np.empty(params.weight_count)
+            self.weight_grads, self.bias_grads = _layer_views(self.grad, sizes)
+            self._delta_cols = [d[:, None] for d in self.bias_grads]
+            self._weights_t = [w.T for w in self.weights]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Fill ``acts`` for input ``x``; returns the final layer's output."""
+        self.acts[0] = prev = x
+        for w, b, z, mask, den, consts in self._layers:
+            np.matmul(w, prev, out=z)
+            z += b
+            _sigmoid_into(z, mask, den, consts)
+            prev = z
+        return prev
+
+    def backward(self, target: np.ndarray) -> None:
+        """dE/dnet of each layer into ``bias_grads`` and dE/dw into
+        ``weight_grads``, for the activations ``forward`` left in ``acts``."""
+        acts, deltas, scratch = self.acts, self.bias_grads, self._scratch
+        final, delta = acts[-1], deltas[-1]
+        _, tmp, (_, _, one, _, _) = scratch[-1]
+        # (o - t) * o * (1 - o), then (W^T d) * a * (1 - a) back through
+        # the hidden layers
+        np.subtract(final, target, out=delta)
+        delta *= final
+        np.subtract(one, final, out=tmp)
+        delta *= tmp
+        for l in range(len(deltas) - 1, 0, -1):
+            prev, delta = acts[l], deltas[l - 1]
+            _, tmp, (_, _, one, _, _) = scratch[l - 1]
+            np.matmul(self._weights_t[l], deltas[l], out=delta)
+            delta *= prev
+            np.subtract(one, prev, out=tmp)
+            delta *= tmp
+        for col, prev, gw in zip(self._delta_cols, acts, self.weight_grads):
+            np.multiply(col, prev, out=gw)
+
+    def step(self, x: np.ndarray, target: np.ndarray, lr: float) -> float:
+        """One in-place SGD update of ``theta``; returns the sample's loss.
+        Each parameter becomes p - (delta * input) * lr, the bits of
+        ``apply_update``'s p - lr * (delta * input)."""
+        final = self.forward(x)
+        tmp = self._scratch[-1][1]
+        np.subtract(target, final, out=tmp)
+        tmp *= tmp
+        loss = 0.5 * float(tmp.sum())
+        self.backward(target)
+        grad = self.grad
+        grad *= lr
+        self.theta -= grad
+        return loss
 
 
 def _list_activations(weights, biases, x: list[float]) -> list[list[float]]:
-    """``_activations`` on weight rows held as nested lists or tuples."""
+    """Each layer's sigmoid output, after the input, on weight rows held as
+    nested lists or tuples."""
     acts = [x]
     for rows, bs in zip(weights, biases):
         prev = acts[-1]
@@ -313,7 +418,8 @@ def _list_activations(weights, biases, x: list[float]) -> list[list[float]]:
 
 
 def _list_deltas(weights, acts: list[list[float]], target) -> list[list[float]]:
-    """``_deltas`` on nested lists; the transposed product walks columns."""
+    """dE/dnet of each layer on nested lists; dE/dw of layer l is
+    outer(deltas[l], acts[l]). The transposed product walks columns."""
     final = acts[-1]
     deltas = [[(o - t) * o * (1.0 - o) for o, t in zip(final, target)]]
     for l in range(len(weights) - 1, 0, -1):
@@ -395,14 +501,13 @@ def train(
     targets = [[float(c == s.label) for c in classes] for s in data.samples]
     features = data.features_matrix()
     if params._lists is None:
-        step = _array_step
-        weights = [w.copy() for w in params.weights]
-        biases = [b.copy() for b in params.biases]
+        kernel = _ArrayKernel(params, trainable=True)
+        step, weights, biases = kernel.step, kernel.weights, kernel.biases
         targets = np.array(targets)
     else:
-        step = _list_step
         weights = [[list(row) for row in rows] for rows in params._lists[0]]
         biases = [list(b) for b in params._lists[1]]
+        step = partial(_list_step, weights, biases)
         features = features.tolist()
     lr = cfg.learning_rate
     rng = Rng(cfg.seed)
@@ -414,7 +519,7 @@ def train(
             rng.shuffle(order)
         total = 0.0
         for i in order:
-            total += step(weights, biases, features[i], targets[i], lr)
+            total += step(features[i], targets[i], lr)
         loss_history.append(total / len(order))
 
     trained = replace(

@@ -127,6 +127,11 @@ class ModelStore:
             return sorted(self._bundles)
 
 
+# Labels must lie in [0, MAX_CLASSES): a retrain sizes its output layer by
+# the largest label held, so this bounds the networks an upload can ask for.
+MAX_CLASSES = 256
+
+
 class BadBatchError(ValueError):
     """Uploaded rows that could not be trained on with the rows already held."""
 
@@ -135,8 +140,8 @@ class MemoryDataSink:
     """Thread-safe accumulator of uploaded (reading, label) pairs.
 
     Every row has the reading width of the first row stored and a label
-    that is absent or non-negative; a batch with any other row is refused
-    whole.
+    that is absent or in [0, ``MAX_CLASSES``); a batch with any other row
+    is refused whole.
     """
 
     def __init__(self) -> None:
@@ -162,8 +167,8 @@ class MemoryDataSink:
                 raise BadBatchError(
                     f"reading width {len(reading.values)} does not match {width}"
                 )
-            if label is not None and label < 0:
-                raise BadBatchError(f"label {label} is negative")
+            if label is not None and not 0 <= label < MAX_CLASSES:
+                raise BadBatchError(f"label {label} is outside [0, {MAX_CLASSES})")
         self._width = width
 
     def __len__(self) -> int:

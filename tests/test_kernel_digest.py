@@ -1,0 +1,30 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "kernel_digest.py"
+
+
+def test_digests_repeat():
+    # two runs side by side; the digests themselves vary with the host's
+    # floating-point libraries, so no value is pinned
+    runs = [
+        subprocess.Popen([sys.executable, str(TOOL)], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outputs = []
+    for proc in runs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names == [
+        "nn.train.2-2", "nn.train.2-2x1-2", "nn.train.13-9x1-5", "nn.train.13-9x3-5",
+        "nn.train.13-9x5-5", "nn.train.13-9x9-5", "train-dcl-report",
+        "train-cl-report", "train-sweep-report", "outage-canonical-bytes",
+    ]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -384,8 +386,10 @@ class TestKernels:
             x = [rng.uniform() * 2 - 0.5 for _ in range(spec.input_count)]
             t = [float(rng.randrange(2)) for _ in range(spec.output_count)]
 
-            ref_acts = nn._activations(p.weights, p.biases, np.array(x))
-            ref_deltas = nn._deltas(p.weights, ref_acts, np.array(t))
+            kernel = nn._ArrayKernel(p, gradients=True)
+            kernel.forward(np.array(x))
+            kernel.backward(np.array(t))
+            ref_acts, ref_deltas = kernel.acts, kernel.bias_grads
             w_rows = [w.tolist() for w in p.weights]
             acts = nn._list_activations(w_rows, [b.tolist() for b in p.biases], x)
             deltas = nn._list_deltas(w_rows, acts, t)
@@ -406,34 +410,113 @@ class TestKernels:
             assert history == [squared_error(target, outputs)]
 
 
+def manual_train(p, samples, cfg):
+    """``train`` without shuffling, as forward + backprop + apply_update."""
+    history = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for s in samples:
+            target = [float(s.label == c) for c in range(p.spec.output_count)]
+            total += squared_error(target, forward(p, s.features).final_outputs)
+            p = apply_update(p, backprop(p, s.features, target), cfg.learning_rate)
+        history.append(total / len(samples))
+    return p, history
+
+
+class TestNumpyKernelThreads:
+    def test_concurrent_final_outputs_match_sequential(self):
+        p = random_params(LayerSpec(13, (9,) * 5, 5), 3)
+        assert p._lists is None
+        rng = Rng(12)
+        inputs = [[rng.uniform() for _ in range(13)] for _ in range(200)]
+        expected = [nn.final_outputs(p, x) for x in inputs]
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def work(slot, order):
+            barrier.wait(timeout=30)
+            results[slot] = [(i, nn.final_outputs(p, inputs[i])) for i in order]
+
+        threads = [
+            threading.Thread(target=work, args=(0, range(200))),
+            threading.Thread(target=work, args=(1, range(199, -1, -1))),
+        ]
+        # switch threads often, so the calls interleave inside the kernel
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert len(got) == 200
+            assert all(out == expected[i] for i, out in got)
+
+
 class TestTrain:
     @pytest.mark.parametrize(
         "hidden",
-        [(), (3,), (3, 3), (12, 12, 12)],
-        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2"],
+        [(), (3,), (3, 3), (12, 12, 12), (12,) * 6],
+        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2", "2-12x6-2"],
     )
     def test_equals_backprop_then_apply_update(self, hidden):
         samples = (Sample((0.2, 0.7), 1), Sample((0.9, 0.1), 0), Sample((0.5, 0.4), 1))
         data = Dataset(samples, ("x", "y"), ("a", "b"))
         p = random_params(LayerSpec(2, hidden, 2), 77)
-        # the last topology is above the crossover, the others below it
-        assert (p._lists is None) == (hidden == (12, 12, 12))
+        # the 12-wide topologies are above the crossover, the others below it
+        assert (p._lists is None) == (hidden[:1] == (12,))
         cfg = TrainingConfig(learning_rate=0.3, epochs=2, seed=0, shuffle_each_epoch=False)
         trained, history = train(p, data, cfg)
-
-        manual, manual_history = p, []
-        for _ in range(cfg.epochs):
-            total = 0.0
-            for s in samples:
-                target = [float(s.label == c) for c in range(2)]
-                total += squared_error(target, forward(manual, s.features).final_outputs)
-                manual = apply_update(manual, backprop(manual, s.features, target), 0.3)
-            manual_history.append(total / len(samples))
+        manual, manual_history = manual_train(p, samples, cfg)
 
         assert history == manual_history
         for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
             assert a.tobytes() == b.tobytes()
         assert trained.trained_epochs == 2
+
+    def test_saturating_numpy_net_equals_backprop_then_apply_update(self):
+        rng = Rng(31)
+        spec = LayerSpec(2, (12, 12, 12), 2)
+        sizes = spec.layer_sizes
+        weights = [
+            np.array([[rng.gauss(0, 1000) for _ in range(sizes[l])]
+                      for _ in range(sizes[l + 1])])
+            for l in range(len(sizes) - 1)
+        ]
+        biases = [np.array([rng.gauss(0, 1000) for _ in range(n)]) for n in sizes[1:]]
+        p = NetworkParameters(spec, tuple(weights), tuple(biases))
+        assert p._lists is None
+        samples = tuple(Sample((rng.uniform(), rng.uniform()), i % 2) for i in range(6))
+        # net inputs beyond about -745 and +37 round to 0 and 1: both clips
+        outputs = np.concatenate([np.concatenate(forward(p, s.features).outputs)
+                                  for s in samples])
+        assert np.any(outputs == nn._SIG_LO) and np.any(outputs == nn._SIG_HI)
+
+        cfg = TrainingConfig(learning_rate=0.6, epochs=2, seed=0, shuffle_each_epoch=False)
+        trained, history = train(p, Dataset(samples, ("x", "y"), ("a", "b")), cfg)
+        manual, manual_history = manual_train(p, samples, cfg)
+        assert history == manual_history
+        for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(3,), (12, 12, 12)], ids=["2-3-2", "2-12x3-2"])
+    def test_leaves_params_alone_and_returns_fresh_arrays(self, hidden):
+        p = random_params(LayerSpec(2, hidden, 2), 5)
+        before = [a.tobytes() for a in p.weights + p.biases]
+        data = two_cluster_data(20)
+        cfg = TrainingConfig(0.3, 3, 5)
+        a, ha = train(p, data, cfg)
+        b, hb = train(p, data, cfg)
+        assert [x.tobytes() for x in p.weights + p.biases] == before
+        assert ha == hb
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+            assert x.tobytes() == y.tobytes()
+            assert not np.shares_memory(x, y)
+            assert not x.flags.writeable
 
     def test_epochs_accumulate(self):
         data = two_cluster_data(20)

@@ -31,6 +31,7 @@ from edgectx.protocol import (
     send_frame,
 )
 from edgectx.server import (
+    MAX_CLASSES,
     JsonlDataSink,
     MemoryDataSink,
     ModelStore,
@@ -276,6 +277,42 @@ class TestJsonlSink:
         assert store.get("DCL").model_version == 1
         assert store.get("CL").params.spec.input_count == 2
 
+    def test_out_of_range_label_refused_and_skipped(self, tmp_path):
+        from edgectx.cli import _retrain_once
+
+        path = tmp_path / "readings.jsonl"
+        sink = JsonlDataSink(path)
+        store = ModelStore()
+        readings = tuple(
+            SensorReading("acc0", i, (0.1 + 2.0 * (i % 2), 0.2)) for i in range(19)
+        )
+        good = SensorBatch("client-1", readings, labels=tuple(i % 2 for i in range(19)))
+        huge = SensorBatch("client-1", (SensorReading("acc0", 19, (0.1, 0.2)),),
+                           labels=(5000,))
+        push = {"type": "PUSH_DATA", "batch": batch_to_wire(good)}
+        assert handle_request(push, store, sink)[0] == {"type": "ACK", "stored": 19}
+        push = {"type": "PUSH_DATA", "batch": batch_to_wire(huge)}
+        response, _ = handle_request(push, store, sink)
+        assert response["type"] == "ERROR" and response["code"] == "bad_batch"
+        assert len(sink) == 19
+
+        class Args:
+            min_rows = 8
+            epochs = 5
+
+        _retrain_once(store, sink, ["DCL", "CL"], Args)
+        assert store.get("DCL").params.spec.output_count == 2
+        assert store.get("CL").params.spec.output_count == 2
+
+        # a row written before the bound existed is skipped on reload
+        with open(path, "a", encoding="utf-8") as fh:
+            for label in (MAX_CLASSES - 1, MAX_CLASSES, 5000):
+                fh.write(json.dumps({"sensor_id": "acc0", "timestamp": 20,
+                                     "values": [0.1, 0.2], "label": label}) + "\n")
+        again = JsonlDataSink(path)
+        assert len(again) == 20
+        assert max(label for _, label in again.labeled_pairs()) == MAX_CLASSES - 1
+
 
 class FakeTransport:
     """In-process transport with a switchable link."""
@@ -402,6 +439,22 @@ class TestUploader:
         uploader.upload_batch(make_batch(50, start=10_000))
         assert uploader.queued_count == 100
         assert uploader.dropped_count == 50
+
+    def test_refused_batch_is_dropped_not_replayed(self):
+        ft = FakeTransport()
+        uploader = Uploader(ft)
+        assert uploader.upload_batch(make_batch(4)) == 4
+        wide = SensorBatch("client-1", (SensorReading("acc0", 50, (0.1, 0.2, 0.3)),),
+                           labels=(0,))
+        assert uploader.upload_batch(wide) == 0
+        assert uploader.queued_count == 0
+        assert uploader.rejected_count == 1
+        for i in range(4):
+            assert uploader.upload_batch(make_batch(1, start=100 + i)) == 1
+            assert uploader.queued_count == 0
+            assert len(ft.sink) == 5 + i
+        assert uploader.rejected_count == 1
+        assert uploader.dropped_count == 0
 
     def test_spool_survives_restart(self, tmp_path):
         spool = tmp_path / "spool.jsonl"

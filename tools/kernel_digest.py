@@ -1,0 +1,133 @@
+"""Print SHA-256 digests of what the training kernels compute.
+
+    python tools/kernel_digest.py
+
+Each line is ``<name> <sha256>``. The names cover:
+
+* ``nn.train`` trained weights, biases and loss history on 2-2, 2-2x1-2,
+  13-9x1-5, 13-9x3-5, 13-9x5-5 and 13-9x9-5 over the 303-row
+  ``perfbench/clusters.heart_like(701)`` set, 3 epochs at learning rates 0.3
+  and 0.6 (the 2-input nets see its first two features and class 0 against
+  the rest);
+* the report files of three ``edgectx train`` runs on synth-still-motion
+  (DCL, CL, and a DCL sweep);
+* ``ScenarioResult.canonical_bytes()`` of ``edgectx simulate`` on
+  ``scenarios/outage.json``.
+
+Run it in two checkouts and compare the output to show that a change keeps
+every result bit for bit. The digests depend on the host's floating-point
+libraries, so compare runs made on one host only. Takes about 15 s.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+from edgectx import cli, nn  # noqa: E402
+from edgectx.data import Dataset, Sample  # noqa: E402
+from perfbench import clusters  # noqa: E402
+
+TOPOLOGIES = (
+    (2, (), 2),
+    (2, (2,), 2),
+    (13, (9,), 5),
+    (13, (9,) * 3, 5),
+    (13, (9,) * 5, 5),
+    (13, (9,) * 9, 5),
+)
+LEARNING_RATES = (0.3, 0.6)
+EPOCHS = 3
+DATA_SEED = 701
+
+TRAIN_RUNS = (
+    ("train-dcl-report", ["--kind", "dcl", "--epochs", "20", "--kfold", "3"]),
+    ("train-cl-report", ["--kind", "cl", "--epochs", "20", "--kfold", "3"]),
+    ("train-sweep-report", ["--sweep", "lr=0.3..0.4", "hidden=1..3",
+                            "--epochs", "5", "--kfold", "3"]),
+)
+
+
+def _name(inputs: int, hidden: tuple[int, ...], outputs: int) -> str:
+    if not hidden:
+        return f"{inputs}-{outputs}"
+    return f"{inputs}-{hidden[0]}x{len(hidden)}-{outputs}"
+
+
+def train_digests() -> list[tuple[str, str]]:
+    heart = clusters.heart_like(DATA_SEED)
+    narrow = Dataset(
+        tuple(Sample(s.features[:2], min(s.label, 1)) for s in heart.samples),
+        heart.feature_names[:2],
+        ("0", "1-4"),
+    )
+    out = []
+    for inputs, hidden, outputs in TOPOLOGIES:
+        data = heart if inputs == heart.n_features else narrow
+        spec = nn.LayerSpec(inputs, hidden, outputs)
+        digest = hashlib.sha256()
+        for lr in LEARNING_RATES:
+            cfg = nn.TrainingConfig(learning_rate=lr, epochs=EPOCHS, seed=1)
+            trained, history = nn.train(nn.init_network(spec, 1), data, cfg)
+            for arr in (*trained.weights, *trained.biases):
+                digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            digest.update(np.asarray(history, dtype=np.float64).tobytes())
+        out.append((f"nn.train.{_name(inputs, hidden, outputs)}", digest.hexdigest()))
+    return out
+
+
+def _run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"edgectx {' '.join(argv)} exited {code}")
+
+
+def report_digests(workdir: Path) -> list[tuple[str, str]]:
+    out = []
+    for name, args in TRAIN_RUNS:
+        report = workdir / f"{name}.csv"
+        _run_cli(["train", "synth-still-motion", *args, "--report", str(report)])
+        out.append((name, hashlib.sha256(report.read_bytes()).hexdigest()))
+    return out
+
+
+def outage_digest(workdir: Path) -> tuple[str, str]:
+    # edgectx simulate writes CSV summaries only; catch the ScenarioResult
+    # it builds to hash its canonical bytes
+    captured = []
+    run_scenario = cli.run_scenario
+
+    def capture(*args, **kwargs):
+        captured.append(run_scenario(*args, **kwargs))
+        return captured[-1]
+
+    cli.run_scenario = capture
+    try:
+        _run_cli(["simulate", "--scenario", str(ROOT / "scenarios" / "outage.json"),
+                  "--out-dir", str(workdir / "sim-out")])
+    finally:
+        cli.run_scenario = run_scenario
+    return "outage-canonical-bytes", hashlib.sha256(captured[0].canonical_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        lines = [*train_digests(), *report_digests(workdir), outage_digest(workdir)]
+    for name, digest in lines:
+        print(f"{name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
