@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -355,7 +356,8 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args) -> None:
     class_names = tuple(str(i) for i in range(n_classes))
     data = dataset_from_readings(pairs, feature_names, class_names)
     for kind in kinds:
-        seed = int(time.time_ns() & 0xFFFFFFFF)
+        # the same readings give the same bundle parameters on every run
+        seed = zlib.crc32(f"{kind} v{store.next_version(kind)}".encode())
         if kind == MODEL_KIND_DCL:
             cfg = TrainingConfig(DCL_LEARNING_RATE, args.epochs, seed)
             spec = LayerSpec(width, (nn.hidden_size_default(width, n_classes),), n_classes)

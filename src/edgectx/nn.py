@@ -5,20 +5,23 @@ the logistic function, and feeds the next layer. Training minimizes the
 summed squared error 0.5 * sum((actual - output)^2) with the update
 w <- w - learning_rate * dE/dw applied after each sample.
 
-Two kernels compute the same math: nested Python lists for small networks,
-where numpy's fixed cost per call outweighs the arithmetic, and numpy arrays
-for the rest, written in place into buffers allocated once per call (once
-per ``train``, not per sample). A network's size alone picks its kernel, so
-``forward``, ``backprop``, ``train`` and the predictors agree bit for bit on
-any one net.
+Two kernels compute the same math. Small networks, where numpy's fixed
+cost per call outweighs the arithmetic, run on straight-line Python
+generated once per topology from the layer sizes: one function for a
+forward pass, one for the deltas and one for a whole SGD epoch, each
+reading the parameters from one flat sequence of floats, so a sample costs
+no Python call. The rest run on numpy arrays, written in place into buffers
+allocated once per call (once per ``train``, not per sample). A network's
+size alone picks its kernel, so ``forward``, ``backprop``, ``train`` and
+the predictors agree bit for bit on any one net.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
-from operator import mul
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,16 +41,16 @@ _SIG_HI = float(np.nextafter(1.0, 0.0))
 _SIG_SCALARS = (0.0, -1.0, 1.0, _SIG_LO, _SIG_HI)
 
 # Networks with fewer weights and biases than this run on the list kernel.
-# One SGD update, lists against the in-place numpy kernel (2-core host,
-# Python 3.11, numpy 2.4, median of 7 interleaved epochs): 2-2 4.1 vs 9.8 us,
-# 2-2x1-2 6.4 vs 15.4, 13-5 (70 weights) 10.3 vs 10.2, 13-4-5 (81) 14.2 vs
-# 15.9, 13-6-5 (119) 17.9 vs 15.7, 13-9-5 (176) 22.8 vs 16.1, 13-16-5 (309)
-# 35.3 vs 16.6, 13-9x3-5 (356) 49.9 vs 28.3, 13-9x9-5 (896) 128 vs 64.
-# Lists cost per weight, numpy per layer, so numpy now wins from about 100
-# weights on one-hidden-layer nets. The limit stays at 300, where the
-# allocating numpy kernel crossed, because moving it changes the result
-# bits of every net between the two points (list and numpy agree to
-# rounding, not bit for bit).
+# One SGD update, generated lists against the in-place numpy kernel (2-core
+# host, Python 3.11, numpy 2.4, median of 11 interleaved epochs over 303
+# rows): 2-2 1.1 vs 21.1 us, 2-2x1-2 1.4 vs 23.1, 13-5 (70 weights) 6.5 vs
+# 19.3, 13-9-5 (176) 13.7 vs 29.2, 13-16-5 (309) 33.7 vs 40.9, 13-9x3-5
+# (356) 39.2 vs 69.4, 13-32-5 (613) 58.5 vs 38.0, 13-9x9-5 (896) 99.5 vs
+# 143. Lists cost per weight, numpy per layer and per call: one-hidden-layer
+# nets now cross between 309 and 613 weights, and 9-wide deep nets run
+# faster on lists up to 896 weights at least. The limit stays at 300
+# because moving it changes the result bits of every net between the old
+# and the new point (list and numpy agree to rounding, not bit for bit).
 _LIST_KERNEL_WEIGHTS = 300
 
 
@@ -122,15 +125,23 @@ class NetworkParameters:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     @cached_property
-    def _lists(self) -> tuple[tuple, tuple] | None:
-        """(weight rows, biases) as nested tuples of floats, built once, for
-        networks the list kernel runs; None for the numpy kernel."""
+    def _lists(self) -> tuple[float, ...] | None:
+        """Every parameter as one flat tuple of floats, each layer's weight
+        rows followed by its biases, built once, for networks the list
+        kernel runs; None for the numpy kernel."""
         if self.weight_count >= _LIST_KERNEL_WEIGHTS:
             return None
-        return (
-            tuple(tuple(map(tuple, w.tolist())) for w in self.weights),
-            tuple(tuple(b.tolist()) for b in self.biases),
-        )
+        flat: list[float] = []
+        for w, b in zip(self.weights, self.biases):
+            flat += w.ravel().tolist()
+            flat += b.tolist()
+        return tuple(flat)
+
+    @cached_property
+    def _list_fns(self) -> _ListKernel:
+        """The compiled list kernel of this topology, for nets with
+        ``_lists``."""
+        return _list_kernel(self.spec.layer_sizes)
 
 
 @dataclass(frozen=True)
@@ -209,13 +220,6 @@ def _sigmoid_into(z: np.ndarray, mask: np.ndarray, den: np.ndarray, consts) -> N
     np.minimum(z, hi, out=z)
 
 
-def _sigmoid_scalar(z: float) -> float:
-    """``sigmoid`` for one float, on ``math.exp``."""
-    e = math.exp(-abs(z))
-    s = (1.0 if z >= 0.0 else e) / (1.0 + e)
-    return _SIG_HI if s > _SIG_HI else _SIG_LO if s < _SIG_LO else s
-
-
 def hidden_size_default(input_count: int, output_count: int) -> int:
     """Default hidden-layer width: floor of the mean of input and output
     widths, at least 1."""
@@ -261,6 +265,18 @@ def final_outputs(params: NetworkParameters, features) -> list[float]:
     return out if isinstance(out, list) else out.tolist()
 
 
+def dataset_outputs(params: NetworkParameters, data: Dataset) -> list[list[float]]:
+    """``final_outputs`` of every sample of ``data``, in order. A Dataset's
+    rows were checked when it was built, so only its width is checked here."""
+    if data.n_features != params.spec.input_count:
+        raise DimensionError(
+            f"dataset width {data.n_features} does not match input count "
+            f"{params.spec.input_count}"
+        )
+    outs = [_layer_outputs(params, x)[-1] for x in data.features_matrix().tolist()]
+    return outs if params._lists is not None else [o.tolist() for o in outs]
+
+
 def squared_error(actual, predicted) -> float:
     """Summed squared error 0.5 * sum((actual - predicted)^2)."""
     a = np.asarray(actual, dtype=np.float64)
@@ -287,8 +303,8 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
         kernel.backward(np.array(t))
         w_grads, b_grads = kernel.weight_grads, kernel.bias_grads
     else:
-        acts = _list_activations(*params._lists, x)
-        deltas = _list_deltas(params._lists[0], acts, t)
+        acts = params._list_fns.activations(params._lists, x)
+        deltas = params._list_fns.deltas(params._lists, acts, t)
         w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
         b_grads = [np.array(d, dtype=np.float64) for d in deltas]
     for g in w_grads + b_grads:
@@ -303,7 +319,7 @@ def _layer_outputs(params: NetworkParameters, x: list[float]) -> list:
         kernel = _ArrayKernel(params)
         kernel.forward(np.array(x))
         return kernel.acts
-    return _list_activations(*params._lists, x)
+    return params._list_fns.activations(params._lists, x)
 
 
 def _layer_views(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -405,52 +421,119 @@ class _ArrayKernel:
         return loss
 
 
-def _list_activations(weights, biases, x: list[float]) -> list[list[float]]:
-    """Each layer's sigmoid output, after the input, on weight rows held as
-    nested lists or tuples."""
-    acts = [x]
-    for rows, bs in zip(weights, biases):
-        prev = acts[-1]
-        acts.append(
-            [_sigmoid_scalar(sum(map(mul, row, prev), b)) for row, b in zip(rows, bs)]
-        )
-    return acts
+class _ListKernel(NamedTuple):
+    """Straight-line Python for one topology, all reading the flat
+    parameter sequence of ``NetworkParameters._lists``.
+
+    ``activations(p, x)`` returns the input and each layer's output;
+    ``deltas(p, acts, t)`` returns dE/dnet of each layer, so dE/dw of layer
+    l is outer(deltas[l], acts[l]); ``epoch(p, features, targets, order,
+    lr)`` runs one SGD update per index in ``order`` on the list ``p`` and
+    returns the summed per-sample loss.
+    """
+
+    activations: Callable
+    deltas: Callable
+    epoch: Callable
 
 
-def _list_deltas(weights, acts: list[list[float]], target) -> list[list[float]]:
-    """dE/dnet of each layer on nested lists; dE/dw of layer l is
-    outer(deltas[l], acts[l]). The transposed product walks columns."""
-    final = acts[-1]
-    deltas = [[(o - t) * o * (1.0 - o) for o, t in zip(final, target)]]
-    for l in range(len(weights) - 1, 0, -1):
-        delta = deltas[-1]
-        deltas.append(
-            [
-                sum(map(mul, col, delta)) * p * (1.0 - p)
-                for col, p in zip(zip(*weights[l]), acts[l])
+@lru_cache(maxsize=64)
+def _list_kernel(sizes: tuple[int, ...]) -> _ListKernel:
+    """The list kernel for ``sizes``, generated once per topology; every
+    network of that topology shares it. The source is built from the layer
+    sizes alone, and the parameters, inputs and targets arrive as arguments,
+    so no value a caller supplies is ever compiled."""
+    namespace = {"exp": math.exp, "LO": _SIG_LO, "HI": _SIG_HI}
+    name = "-".join(str(int(n)) for n in sizes)
+    code = compile(_list_kernel_source(sizes), f"<edgectx.nn list kernel {name}>", "exec")
+    exec(code, namespace)
+    return _ListKernel(*(namespace[f] for f in _ListKernel._fields))
+
+
+def _list_kernel_source(sizes) -> str:
+    """Python source of the three ``_ListKernel`` functions for ``sizes``.
+
+    The arithmetic is ``apply_update``'s, one operation at a time in a fixed
+    order, which keeps a topology's result bits the same on every run:
+    each net input folds left from the bias, b + w0*a0 + w1*a1 + ...; the
+    sigmoid is 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below,
+    clipped to (``LO``, ``HI``); each hidden delta sum starts from zero, so
+    a -0.0 sum reads 0.0; and every delta is taken before any update
+    p -= lr * (delta * input).
+    """
+    sizes = [int(n) for n in sizes]
+    at, weights, biases = 0, [], []  # weights[l][j][k] and biases[l][j]: names in p
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append([[f"p{at + j * n_in + k}" for k in range(n_in)] for j in range(n_out)])
+        at += n_out * n_in
+        biases.append([f"p{at + j}" for j in range(n_out)])
+        at += n_out
+    params = [f"p{i}" for i in range(at)]
+    acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(sizes)]
+    deltas = [None, *([f"d{l}_{j}" for j in range(n)] for l, n in enumerate(sizes) if l)]
+    targets = [f"t{j}" for j in range(sizes[-1])]
+
+    def unpack(names, value):
+        return f"{', '.join(names)}, = {value}"
+
+    def listed(names):
+        return f"[{', '.join(names)}]"
+
+    forward = []
+    for l in range(1, len(sizes)):
+        for j, a in enumerate(acts[l]):
+            terms = (f"{w} * {x}" for w, x in zip(weights[l - 1][j], acts[l - 1]))
+            forward += [
+                f"z = {' + '.join((biases[l - 1][j], *terms))}",
+                "if z >= 0.0:",
+                f"    {a} = 1.0 / (1.0 + exp(-z))",
+                f"    if {a} > HI:",
+                f"        {a} = HI",
+                "else:",
+                f"    {a} = exp(z)",
+                f"    {a} = {a} / (1.0 + {a})",
+                f"    if {a} < LO:",
+                f"        {a} = LO",
             ]
-        )
-    return deltas[::-1]
+    backward = [f"{d} = ({a} - {t}) * {a} * (1.0 - {a})"
+                for d, a, t in zip(deltas[-1], acts[-1], targets)]
+    for l in range(len(sizes) - 2, 0, -1):
+        for k, (d, a) in enumerate(zip(deltas[l], acts[l])):
+            terms = (f"{row[k]} * {dn}" for row, dn in zip(weights[l], deltas[l + 1]))
+            backward.append(f"{d} = ({' + '.join(('0.0', *terms))}) * {a} * (1.0 - {a})")
+    update = []
+    for l in range(1, len(sizes)):
+        for j, d in enumerate(deltas[l]):
+            update += [f"{w} -= lr * ({d} * {x})" for w, x in zip(weights[l - 1][j], acts[l - 1])]
+            update.append(f"{biases[l - 1][j]} -= lr * {d}")
+    # each sample's loss sums the squared errors from the first: a square
+    # is never -0.0, so starting from 0.0 would not change a bit
+    errors = [f"e{j}" for j in range(sizes[-1])]
+    loss = [f"{e} = {t} - {a}" for e, t, a in zip(errors, targets, acts[-1])]
+    loss.append(f"total += 0.5 * ({' + '.join(f'{e} * {e}' for e in errors)})")
 
+    def body(lines, depth):
+        return [" " * (4 * depth) + line for line in lines]
 
-def _list_step(weights, biases, x, target, lr: float) -> float:
-    """One in-place SGD update on nested lists; returns the sample's loss.
-    Each parameter becomes p - lr * (delta * input), grouped as
-    ``apply_update`` groups it, so the result matches ``backprop`` followed
-    by ``apply_update`` bit for bit."""
-    acts = _list_activations(weights, biases, x)
-    for rows, bs, prev, delta in zip(
-        weights, biases, acts, _list_deltas(weights, acts, target)
-    ):
-        for j, d in enumerate(delta):
-            row = rows[j]
-            for k, p in enumerate(prev):
-                row[k] -= lr * (d * p)
-            bs[j] -= lr * d
-    loss = 0.0
-    for t, o in zip(target, acts[-1]):
-        loss += (t - o) * (t - o)
-    return 0.5 * loss
+    return "\n".join([
+        "def activations(p, x):",
+        *body([unpack(params, "p"), unpack(acts[0], "x"), *forward], 1),
+        f"    return [x, {', '.join(listed(a) for a in acts[1:])}]",
+        "",
+        "def deltas(p, acts, t):",
+        *body([unpack(params, "p"), unpack(targets, "t")], 1),
+        *body([unpack(acts[l], f"acts[{l}]") for l in range(1, len(sizes))], 1),
+        *body(backward, 1),
+        f"    return [{', '.join(listed(d) for d in deltas[1:])}]",
+        "",
+        "def epoch(p, features, targets, order, lr):",
+        *body([unpack(params, "p"), "total = 0.0", "for i in order:"], 1),
+        *body([unpack(acts[0], "features[i]"), unpack(targets, "targets[i]"), *forward,
+               *loss, *backward, *update], 2),
+        f"    p[:] = {listed(params)}",
+        "    return total",
+        "",
+    ])
 
 
 def apply_update(
@@ -497,17 +580,23 @@ def train(
             f"{data.n_classes} classes do not fit {params.spec.output_count} outputs"
         )
 
+    sizes = params.spec.layer_sizes
     classes = range(params.spec.output_count)
-    targets = [[float(c == s.label) for c in classes] for s in data.samples]
+    one_hot = [[float(c == k) for c in classes] for k in classes]
+    targets = [one_hot[s.label] for s in data.samples]
     features = data.features_matrix()
     if params._lists is None:
         kernel = _ArrayKernel(params, trainable=True)
-        step, weights, biases = kernel.step, kernel.weights, kernel.biases
-        targets = np.array(targets)
+        theta, step, targets = kernel.theta, kernel.step, np.array(targets)
+
+        def epoch(theta, features, targets, order, lr):
+            # ``step`` updates ``theta``, the kernel's own buffer, in place
+            total = 0.0
+            for i in order:
+                total += step(features[i], targets[i], lr)
+            return total
     else:
-        weights = [[list(row) for row in rows] for rows in params._lists[0]]
-        biases = [list(b) for b in params._lists[1]]
-        step = partial(_list_step, weights, biases)
+        theta, epoch = list(params._lists), params._list_fns.epoch
         features = features.tolist()
     lr = cfg.learning_rate
     rng = Rng(cfg.seed)
@@ -517,15 +606,13 @@ def train(
     for _ in range(cfg.epochs):
         if cfg.shuffle_each_epoch:
             rng.shuffle(order)
-        total = 0.0
-        for i in order:
-            total += step(features[i], targets[i], lr)
-        loss_history.append(total / len(order))
+        loss_history.append(epoch(theta, features, targets, order, lr) / len(order))
 
+    weights, biases = _layer_views(np.asarray(theta, dtype=np.float64), sizes)
     trained = replace(
         params,
-        weights=tuple(np.asarray(w, dtype=np.float64) for w in weights),
-        biases=tuple(np.asarray(b, dtype=np.float64) for b in biases),
+        weights=tuple(weights),
+        biases=tuple(biases),
         trained_epochs=params.trained_epochs + cfg.epochs,
     )
     return trained, loss_history

@@ -8,9 +8,28 @@ simulated scenarios, independent of platform or library versions.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# the same constants as numpy scalars, for the block draws of ``shuffle``
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64, _MASK64_U64, _ONE_U64 = map(
+    np.uint64, (_GOLDEN, _MIX1, _MIX2, _MASK64, 1))
+_S30, _S27, _S31 = map(np.uint64, (30, 27, 31))
+
+
+@lru_cache(maxsize=64)
+def _golden_steps(n: int) -> np.ndarray:
+    """k * golden mod 2**64 for k = 1..n, read-only: the state offsets of
+    the next n words."""
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    steps *= _GOLDEN_U64
+    steps.setflags(write=False)
+    return steps
 
 
 class Rng:
@@ -29,8 +48,8 @@ class Rng:
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
@@ -57,10 +76,47 @@ class Rng:
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates shuffle: for i from the last index down to
+        1, swap items[i] with items[randrange(i + 1)]."""
+        n = len(items)
+        if n < 2:
+            return
+        draws = self._randrange_block(np.arange(n, 1, -1, dtype=np.uint64))
+        for i, j in zip(range(n - 1, 0, -1), draws):
             items[i], items[j] = items[j], items[i]
+
+    def _randrange_block(self, bounds: np.ndarray) -> list[int]:
+        """``[self.randrange(int(m)) for m in bounds]`` for uint64 bounds,
+        leaving the stream in the same state, computed as numpy blocks.
+
+        The k-th word ahead is mix(state + k * golden), so a block of words
+        needs no loop. A word that randrange would reject ends the block at
+        that bound; the word is consumed and the next block starts by
+        drawing the same bound again.
+        """
+        draws: list[int] = []
+        while len(draws) < len(bounds):
+            m = bounds[len(draws):]
+            z = _golden_steps(len(m)) + np.uint64(self._state)
+            t = z >> _S30
+            z ^= t
+            z *= _MIX1_U64
+            np.right_shift(z, _S27, out=t)
+            z ^= t
+            z *= _MIX2_U64
+            np.right_shift(z, _S31, out=t)
+            z ^= t
+            # randrange accepts r < 2**64 - 2**64 % m, i.e. r <= MASK - 2**64 % m;
+            # 2**64 % m < m, so no word up to MASK + 1 - max(m) is rejected
+            take = len(m)
+            if int(z.max()) > _MASK64 + 1 - int(m.max()):
+                accept = z <= _MASK64_U64 - (_MASK64_U64 % m + _ONE_U64) % m
+                if not accept.all():
+                    take = int(accept.argmin())
+            draws += (z[:take] % m[:take]).tolist()
+            used = take if take == len(m) else take + 1
+            self._state = (self._state + used * _GOLDEN) & _MASK64
+        return draws
 
     def fork(self) -> "Rng":
         """Independent child stream seeded from this one."""

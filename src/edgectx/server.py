@@ -118,6 +118,11 @@ class ModelStore:
             self._versions[model_kind] = version
         return bundle
 
+    def next_version(self, model_kind: str) -> int:
+        """The version the next ``publish`` of ``model_kind`` will carry."""
+        with self._lock:
+            return self._versions.get(model_kind, 0) + 1
+
     def get(self, model_kind: str) -> ParameterBundle | None:
         with self._lock:
             return self._bundles.get(model_kind)

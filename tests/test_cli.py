@@ -300,6 +300,41 @@ class TestServeHelpers:
         finally:
             srv.stop()
 
+    def test_retrain_is_reproducible(self, tmp_path):
+        # two servers fed the same readings publish the same parameters,
+        # version after version
+        from edgectx.cli import _retrain_once
+        from edgectx.data import SensorReading
+        from edgectx.protocol import SensorBatch
+        from edgectx.server import JsonlDataSink
+
+        readings = tuple(
+            SensorReading("acc0", i, (0.1 + (i % 2) * 2.0, 0.2 * (i % 3))) for i in range(40)
+        )
+        batch = SensorBatch("c1", readings, labels=tuple(i % 2 for i in range(40)))
+
+        class Args:
+            min_rows = 8
+            epochs = 5
+
+        published = []
+        for run in ("a", "b"):
+            store = ModelStore(persist_dir=tmp_path / run / "models")
+            sink = JsonlDataSink(tmp_path / run / "readings.jsonl")
+            sink.store(batch)
+            bundles = []
+            for _ in range(2):
+                _retrain_once(store, sink, ["DCL", "CL"], Args)
+                bundles += [store.get("DCL"), store.get("CL")]
+            published.append(bundles)
+        for a, b in zip(*published):
+            assert a.model_version == b.model_version
+            for x, y in zip(a.params.weights + a.params.biases, b.params.weights + b.params.biases):
+                assert x.tobytes() == y.tobytes()
+        # a retrain of the next version draws a fresh initialisation
+        first, second = published[0][0], published[0][2]
+        assert first.params.weights[0].tobytes() != second.params.weights[0].tobytes()
+
     def test_restart_continues_versions(self, tmp_path, live_server):
         from edgectx.cli import _retrain_once
 

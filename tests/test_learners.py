@@ -168,6 +168,23 @@ class TestLclPredict:
             label = lcl_predict(cl_model_with_outputs(outs, taus), whatever)
             assert 0 <= label.class_index < k
 
+    def test_compiled_choice_matches_margin_rule(self):
+        from edgectx.learners import _lcl_choice
+
+        def reference(outs, taus):
+            margins = [o - t for o, t in zip(outs, taus)]
+            idx = margins.index(max(margins))
+            return idx if margins[idx] > 0.0 else outs.index(max(outs))
+
+        rng = Rng(78)
+        # few distinct values, so ties and zero margins are common
+        levels = (0.2, 0.4, 0.6, 0.8)
+        for n in range(1, 9):
+            for _ in range(200):
+                outs = [levels[rng.randrange(4)] for _ in range(n)]
+                taus = tuple(levels[rng.randrange(4)] for _ in range(n))
+                assert _lcl_choice(n)(outs, taus) == reference(outs, taus)
+
     def test_cl_model_validation(self):
         with pytest.raises(ValueError):
             ClModel(init_network(LayerSpec(2, (2,), 2), 1), ThresholdVector((0.5, 0.5)))

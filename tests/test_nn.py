@@ -390,11 +390,72 @@ class TestKernels:
             kernel.forward(np.array(x))
             kernel.backward(np.array(t))
             ref_acts, ref_deltas = kernel.acts, kernel.bias_grads
-            w_rows = [w.tolist() for w in p.weights]
-            acts = nn._list_activations(w_rows, [b.tolist() for b in p.biases], x)
-            deltas = nn._list_deltas(w_rows, acts, t)
+            # the numpy-kernel nets have no ``_lists``, so flatten them here
+            flat = [v for w, b in zip(p.weights, p.biases)
+                    for v in w.ravel().tolist() + b.tolist()]
+            compiled = nn._list_kernel(spec.layer_sizes)
+            acts = compiled.activations(flat, x)
+            deltas = compiled.deltas(flat, acts, t)
             for got, ref in zip(acts + deltas, ref_acts + ref_deltas):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("sizes", [(298, 1), (1, 99, 1), (13, 15, 5)],
+                             ids=["298-1", "1-99-1", "13-15-5"])
+    def test_widest_list_nets_match_numpy_kernel(self, sizes):
+        rng = Rng(sum(sizes))
+        weights = [
+            np.array([[rng.gauss(0, 0.5) for _ in range(sizes[l])]
+                      for _ in range(sizes[l + 1])])
+            for l in range(len(sizes) - 1)
+        ]
+        biases = [np.array([rng.gauss(0, 0.5) for _ in range(n)]) for n in sizes[1:]]
+        spec = LayerSpec(sizes[0], sizes[1:-1], sizes[-1])
+        p = NetworkParameters(spec, tuple(weights), tuple(biases))
+        assert nn._LIST_KERNEL_WEIGHTS - 10 <= p.weight_count < nn._LIST_KERNEL_WEIGHTS
+        assert p._lists is not None
+        samples = tuple(
+            Sample(tuple(rng.uniform() for _ in range(sizes[0])), rng.randrange(sizes[-1]))
+            for _ in range(4)
+        )
+        targets = [[float(s.label == c) for c in range(sizes[-1])] for s in samples]
+        # the list kernel folds a dot product left, numpy does not: a sum of
+        # up to 298 products may differ in its last few hundred ulps
+        tol = dict(rtol=1e-11, atol=1e-14)
+        for s, t in zip(samples, targets):
+            kernel = nn._ArrayKernel(p, gradients=True)
+            kernel.forward(np.array(s.features))
+            kernel.backward(np.array(t))
+            np.testing.assert_allclose(nn.final_outputs(p, s.features), kernel.acts[-1], **tol)
+            grads = backprop(p, s.features, t)
+            for got, ref in zip(grads.weight_grads + grads.bias_grads,
+                                kernel.weight_grads + kernel.bias_grads):
+                np.testing.assert_allclose(got, ref, **tol)
+
+        data = Dataset(samples, tuple(f"f{i}" for i in range(sizes[0])),
+                       tuple(str(c) for c in range(sizes[-1])))
+        cfg = TrainingConfig(0.3, 1, 0, shuffle_each_epoch=False)
+        trained, history = train(p, data, cfg)
+        kernel = nn._ArrayKernel(p, trainable=True)
+        total = sum(kernel.step(np.array(s.features), np.array(t), 0.3)
+                    for s, t in zip(samples, targets))
+        np.testing.assert_allclose(history, [total / len(samples)], **tol)
+        flat = np.concatenate([a.ravel() for w, b in zip(trained.weights, trained.biases)
+                               for a in (w, b)])
+        np.testing.assert_allclose(flat, kernel.theta, **tol)
+
+    def test_one_topology_shares_one_compiled_kernel(self):
+        spec = LayerSpec(3, (4,), 2)
+        a, b = random_params(spec, 1), random_params(spec, 2)
+        data = Dataset((Sample((0.1, 0.5, 0.9), 1), Sample((0.7, 0.2, 0.4), 0)),
+                       ("x", "y", "z"), ("a", "b"))
+        cfg = TrainingConfig(0.3, 2, 0)
+        train(a, data, cfg)
+        misses = nn._list_kernel.cache_info().misses
+        trained, _ = train(b, data, cfg)
+        for p in (a, b, trained):
+            nn.final_outputs(p, (0.3, 0.3, 0.3))
+            backprop(p, (0.3, 0.3, 0.3), [1.0, 0.0])
+        assert nn._list_kernel.cache_info().misses == misses
 
     @pytest.mark.parametrize("hidden", [(3,), (12, 12, 12)], ids=["2-3-2", "2-12x3-2"])
     def test_train_sees_the_outputs_forward_gives(self, hidden):
@@ -423,38 +484,51 @@ def manual_train(p, samples, cfg):
     return p, history
 
 
+def assert_concurrent_final_outputs_match_sequential(p):
+    """Two threads calling ``final_outputs`` on one net get the sequential
+    results; ``p`` takes 13 inputs."""
+    rng = Rng(12)
+    inputs = [[rng.uniform() for _ in range(13)] for _ in range(200)]
+    expected = [nn.final_outputs(p, x) for x in inputs]
+    results = [None, None]
+    barrier = threading.Barrier(2)
+
+    def work(slot, order):
+        barrier.wait(timeout=30)
+        results[slot] = [(i, nn.final_outputs(p, inputs[i])) for i in order]
+
+    threads = [
+        threading.Thread(target=work, args=(0, range(200))),
+        threading.Thread(target=work, args=(1, range(199, -1, -1))),
+    ]
+    # switch threads often, so the calls interleave inside the kernel
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 200
+        assert all(out == expected[i] for i, out in got)
+
+
 class TestNumpyKernelThreads:
     def test_concurrent_final_outputs_match_sequential(self):
         p = random_params(LayerSpec(13, (9,) * 5, 5), 3)
         assert p._lists is None
-        rng = Rng(12)
-        inputs = [[rng.uniform() for _ in range(13)] for _ in range(200)]
-        expected = [nn.final_outputs(p, x) for x in inputs]
-        results = [None, None]
-        barrier = threading.Barrier(2)
+        assert_concurrent_final_outputs_match_sequential(p)
 
-        def work(slot, order):
-            barrier.wait(timeout=30)
-            results[slot] = [(i, nn.final_outputs(p, inputs[i])) for i in order]
 
-        threads = [
-            threading.Thread(target=work, args=(0, range(200))),
-            threading.Thread(target=work, args=(1, range(199, -1, -1))),
-        ]
-        # switch threads often, so the calls interleave inside the kernel
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for got in results:
-            assert len(got) == 200
-            assert all(out == expected[i] for i, out in got)
+class TestListKernelThreads:
+    def test_concurrent_final_outputs_match_sequential(self):
+        p = random_params(LayerSpec(13, (9,), 5), 3)
+        assert p._lists is not None
+        assert_concurrent_final_outputs_match_sequential(p)
 
 
 class TestTrain:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from edgectx.rng import Rng
@@ -79,3 +80,35 @@ def test_gauss_moments():
     var = sum((x - mean) ** 2 for x in xs) / len(xs)
     assert abs(mean - 2.0) < 0.02
     assert abs(var - 0.25) < 0.02
+
+
+def fisher_yates(rng, items):
+    """The reference shuffle: one ``randrange`` per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 301, 2000])
+def test_shuffle_equals_sequential_fisher_yates(n):
+    for seed in range(50):
+        got, want = list(range(n)), list(range(n))
+        a, b = Rng(seed), Rng(seed)
+        a.shuffle(got)
+        fisher_yates(b, want)
+        assert got == want
+        assert a.next_u64() == b.next_u64()
+
+
+def test_block_draws_reject_words_like_randrange():
+    # randrange(m) for m just above 2**63 rejects about half of all words
+    bounds = [2**63 + 7919 * k + 1 for k in range(200)] + [2**64 - 1, 3, 2**63]
+    golden, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+    for seed in range(10):
+        a, b = Rng(seed), Rng(seed)
+        assert a._randrange_block(np.array(bounds, dtype=np.uint64)) == [
+            b.randrange(m) for m in bounds
+        ]
+        assert a.next_u64() == b.next_u64()
+        # more words were drawn than there are bounds
+        assert b._state != (seed + (len(bounds) + 1) * golden) & mask

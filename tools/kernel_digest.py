@@ -9,6 +9,10 @@ Each line is ``<name> <sha256>``. The names cover:
   ``perfbench/clusters.heart_like(701)`` set, 3 epochs at learning rates 0.3
   and 0.6 (the 2-input nets see its first two features and class 0 against
   the rest);
+* ``nn.final_outputs`` of the same six untrained nets (seed 1) on every
+  row of that set;
+* ``Rng.shuffle`` permutations of 2, 3, 303 and 2000 items under seeds 0-9,
+  each with the next word of the stream after it;
 * the report files of three ``edgectx train`` runs on synth-still-motion
   (DCL, CL, and a DCL sweep);
 * ``ScenarioResult.canonical_bytes()`` of ``edgectx simulate`` on
@@ -35,6 +39,7 @@ import numpy as np  # noqa: E402
 
 from edgectx import cli, nn  # noqa: E402
 from edgectx.data import Dataset, Sample  # noqa: E402
+from edgectx.rng import Rng  # noqa: E402
 from perfbench import clusters  # noqa: E402
 
 TOPOLOGIES = (
@@ -48,6 +53,8 @@ TOPOLOGIES = (
 LEARNING_RATES = (0.3, 0.6)
 EPOCHS = 3
 DATA_SEED = 701
+SHUFFLE_LENGTHS = (2, 3, 303, 2000)
+SHUFFLE_SEEDS = range(10)
 
 TRAIN_RUNS = (
     ("train-dcl-report", ["--kind", "dcl", "--epochs", "20", "--kfold", "3"]),
@@ -63,13 +70,19 @@ def _name(inputs: int, hidden: tuple[int, ...], outputs: int) -> str:
     return f"{inputs}-{hidden[0]}x{len(hidden)}-{outputs}"
 
 
-def train_digests() -> list[tuple[str, str]]:
+def _datasets() -> tuple[Dataset, Dataset]:
+    """The heart-shaped set and its two-feature, two-class narrowing."""
     heart = clusters.heart_like(DATA_SEED)
     narrow = Dataset(
         tuple(Sample(s.features[:2], min(s.label, 1)) for s in heart.samples),
         heart.feature_names[:2],
         ("0", "1-4"),
     )
+    return heart, narrow
+
+
+def train_digests() -> list[tuple[str, str]]:
+    heart, narrow = _datasets()
     out = []
     for inputs, hidden, outputs in TOPOLOGIES:
         data = heart if inputs == heart.n_features else narrow
@@ -82,6 +95,31 @@ def train_digests() -> list[tuple[str, str]]:
                 digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
             digest.update(np.asarray(history, dtype=np.float64).tobytes())
         out.append((f"nn.train.{_name(inputs, hidden, outputs)}", digest.hexdigest()))
+    return out
+
+
+def final_outputs_digests() -> list[tuple[str, str]]:
+    heart, narrow = _datasets()
+    out = []
+    for inputs, hidden, outputs in TOPOLOGIES:
+        data = heart if inputs == heart.n_features else narrow
+        params = nn.init_network(nn.LayerSpec(inputs, hidden, outputs), 1)
+        scores = [nn.final_outputs(params, s.features) for s in data.samples]
+        digest = hashlib.sha256(np.asarray(scores, dtype=np.float64).tobytes())
+        out.append((f"nn.final_outputs.{_name(inputs, hidden, outputs)}", digest.hexdigest()))
+    return out
+
+
+def shuffle_digests() -> list[tuple[str, str]]:
+    out = []
+    for n in SHUFFLE_LENGTHS:
+        digest = hashlib.sha256()
+        for seed in SHUFFLE_SEEDS:
+            rng = Rng(seed)
+            items = list(range(n))
+            rng.shuffle(items)
+            digest.update(np.asarray(items + [rng.next_u64()], dtype=np.uint64).tobytes())
+        out.append((f"rng.shuffle.{n}", digest.hexdigest()))
     return out
 
 
@@ -123,7 +161,8 @@ def outage_digest(workdir: Path) -> tuple[str, str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        lines = [*train_digests(), *report_digests(workdir), outage_digest(workdir)]
+        lines = [*train_digests(), *final_outputs_digests(), *shuffle_digests(),
+                 *report_digests(workdir), outage_digest(workdir)]
     for name, digest in lines:
         print(f"{name} {digest}")
     return 0
