@@ -5,15 +5,17 @@ the logistic function, and feeds the next layer. Training minimizes the
 summed squared error 0.5 * sum((actual - output)^2) with the update
 w <- w - learning_rate * dE/dw applied after each sample.
 
-Two kernels compute the same math. Small networks, where numpy's fixed
-cost per call outweighs the arithmetic, run on straight-line Python
-generated once per topology from the layer sizes: one function for a
-forward pass, one for the deltas and one for a whole SGD epoch, each
-reading the parameters from one flat sequence of floats, so a sample costs
-no Python call. The rest run on numpy arrays, written in place into buffers
-allocated once per call (once per ``train``, not per sample). A network's
-size alone picks its kernel, so ``forward``, ``backprop``, ``train`` and
-the predictors agree bit for bit on any one net.
+Two kernels compute the same math. Networks whose arithmetic costs less
+than numpy's fixed cost per call run on straight-line Python generated once
+per topology from the layer sizes: one function for a forward pass, one
+for the deltas and one for a whole SGD epoch, each reading the parameters
+from one flat sequence of floats, so a sample costs no Python call. The
+rest run on numpy arrays, written in place into buffers allocated once per
+call (once per ``train``, not per sample). The list kernel's cost grows
+with the weight count and the numpy kernel's with the layer count, so a
+cost model on those two picks a network's kernel, and ``forward``,
+``backprop``, ``train`` and the predictors agree bit for bit on any one
+net.
 """
 
 from __future__ import annotations
@@ -40,18 +42,45 @@ _SIG_HI = float(np.nextafter(1.0, 0.0))
 # (0, -1, 1, lower clip, upper clip): the constants of ``_sigmoid_into``
 _SIG_SCALARS = (0.0, -1.0, 1.0, _SIG_LO, _SIG_HI)
 
-# Networks with fewer weights and biases than this run on the list kernel.
-# One SGD update, generated lists against the in-place numpy kernel (2-core
-# host, Python 3.11, numpy 2.4, median of 11 interleaved epochs over 303
-# rows): 2-2 1.1 vs 21.1 us, 2-2x1-2 1.4 vs 23.1, 13-5 (70 weights) 6.5 vs
-# 19.3, 13-9-5 (176) 13.7 vs 29.2, 13-16-5 (309) 33.7 vs 40.9, 13-9x3-5
-# (356) 39.2 vs 69.4, 13-32-5 (613) 58.5 vs 38.0, 13-9x9-5 (896) 99.5 vs
-# 143. Lists cost per weight, numpy per layer and per call: one-hidden-layer
-# nets now cross between 309 and 613 weights, and 9-wide deep nets run
-# faster on lists up to 896 weights at least. The limit stays at 300
-# because moving it changes the result bits of every net between the old
-# and the new point (list and numpy agree to rounding, not bit for bit).
-_LIST_KERNEL_WEIGHTS = 300
+# The kernel cost model. A network runs on the list kernel when its weights
+# and biases number fewer than ``_LIST_KERNEL_WEIGHTS_PER_LAYER`` times its
+# weighted layers, counting at least two layers, and fewer than
+# ``_LIST_KERNEL_MAX_WEIGHTS``; see ``NetworkParameters._lists``. One SGD
+# update, generated lists against the in-place numpy kernel (2-core host,
+# Python 3.11, numpy 2.4, public ``train``, 303 rows, median of 10
+# interleaved epochs, compile excluded), in us:
+#
+#   layers  net        weights  lists  numpy
+#   1       13-5            70    8.5   25.6
+#   1       40-5           205   21.2   27.3
+#   1       60-5           305   33.5   29.5
+#   2       13-9-5         176   20.1   43.9
+#   2       13-16-5        309   35.8   44.6
+#   2       13-32-5        613   67.6   47.9
+#   4       13-9x3-5       356   48.2   79.5
+#   4       13-12x3-5      545   69.5   79.3
+#   4       13-16x3-5      853  105.6   75.1
+#   6       13-9x5-5       536   73.0  115.9
+#   6       13-12x5-5      857  109.2  115.6
+#   6       13-16x5-5     1397  175.5  116.7
+#   10      13-9x9-5       896  119.9  180.9
+#   10      13-12x9-5     1481  190.8  185.2
+#
+# Lists cost about 0.12-0.13 us per weight, numpy about 10 us per update
+# plus 17 us per layer, so the two cross near 150 weights per layer from
+# two layers on. Nets of one and two layers keep the limit of 300 weights
+# they had before the model counted layers: every net the server, the
+# simulator and the default CL and DCL train has at most two layers, so
+# none of them changes kernel (the kernels agree to float64 rounding, not
+# bit for bit). Compiling a generated kernel costs about 60 us per weight
+# (26 ms at 446 weights, 58 ms at 896, 96 ms at 1481, 208 ms at 3197). A
+# hidden layer 11 wide or narrower adds fewer than 150 weights, so such a
+# net would stay under the per-layer limit at any depth;
+# ``_LIST_KERNEL_MAX_WEIGHTS`` bounds one compile to about 60 ms and each
+# of the 64 cached kernels to 1000 weights. Near the cap the list
+# kernel saves little per update, so the cap costs little.
+_LIST_KERNEL_WEIGHTS_PER_LAYER = 150
+_LIST_KERNEL_MAX_WEIGHTS = 1000
 
 
 @dataclass(frozen=True)
@@ -66,7 +95,8 @@ class LayerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         sizes = (self.input_count, *self.hidden_sizes, self.output_count)
-        if any(int(s) != s or s < 1 for s in sizes):
+        # a bool is an int, but True is no layer width
+        if any(type(s) is bool or not isinstance(s, int) or s < 1 for s in sizes):
             raise ValueError(f"all layer sizes must be positive integers, got {sizes}")
 
     @property
@@ -128,8 +158,12 @@ class NetworkParameters:
     def _lists(self) -> tuple[float, ...] | None:
         """Every parameter as one flat tuple of floats, each layer's weight
         rows followed by its biases, built once, for networks the list
-        kernel runs; None for the numpy kernel."""
-        if self.weight_count >= _LIST_KERNEL_WEIGHTS:
+        kernel runs; None for the numpy kernel. The cost model described at
+        ``_LIST_KERNEL_WEIGHTS_PER_LAYER`` picks the kernel."""
+        if self.weight_count >= min(
+            _LIST_KERNEL_MAX_WEIGHTS,
+            _LIST_KERNEL_WEIGHTS_PER_LAYER * max(self.spec.layer_count, 2),
+        ):
             return None
         flat: list[float] = []
         for w, b in zip(self.weights, self.biases):
@@ -314,7 +348,7 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
 
 def _layer_outputs(params: NetworkParameters, x: list[float]) -> list:
     """The input followed by each layer's output, from the kernel the
-    network's size selects: lists below the crossover, arrays from it on."""
+    network's cost model selects."""
     if params._lists is None:
         kernel = _ArrayKernel(params)
         kernel.forward(np.array(x))

@@ -57,9 +57,10 @@ class Rng:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def randrange(self, n: int) -> int:
-        """Unbiased integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randrange bound must be positive")
+        """Unbiased integer in [0, n) via rejection sampling, for
+        0 < n <= 2**64: one 64-bit word cannot cover a larger range."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"randrange bound must be in (0, 2**64], got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             r = self.next_u64()

@@ -24,10 +24,11 @@ def test_digests_repeat():
     names = [line.split()[0] for line in lines]
     assert names == [
         "nn.train.2-2", "nn.train.2-2x1-2", "nn.train.13-9x1-5", "nn.train.13-9x3-5",
-        "nn.train.13-9x5-5", "nn.train.13-9x9-5",
+        "nn.train.13-9x5-5", "nn.train.13-9x9-5", "nn.train.13-32x1-5", "nn.train.13-16x3-5",
         "nn.final_outputs.2-2", "nn.final_outputs.2-2x1-2", "nn.final_outputs.13-9x1-5",
         "nn.final_outputs.13-9x3-5", "nn.final_outputs.13-9x5-5",
-        "nn.final_outputs.13-9x9-5", "rng.shuffle.2", "rng.shuffle.3", "rng.shuffle.303",
+        "nn.final_outputs.13-9x9-5", "nn.final_outputs.13-32x1-5",
+        "nn.final_outputs.13-16x3-5", "rng.shuffle.2", "rng.shuffle.3", "rng.shuffle.303",
         "rng.shuffle.2000", "train-dcl-report",
         "train-cl-report", "train-sweep-report", "outage-canonical-bytes",
     ]

@@ -126,6 +126,17 @@ class TestInit:
         with pytest.raises(ValueError):
             LayerSpec(3, (0,), 2)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [(2.0, (), 2), (2, (3.0,), 2), (2, (), np.int64(2)), (2, (), "2"),
+         (True, (), 2), (2, (True,), 2), (2, (), True)],
+        ids=["float-input", "float-hidden", "numpy-int", "str",
+             "bool-input", "bool-hidden", "bool-output"],
+    )
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError):
+            LayerSpec(*sizes)
+
 
 class TestForward:
     def test_zero_params_give_half_everywhere(self):
@@ -345,20 +356,66 @@ XOR_DATA = Dataset(
 )
 
 
-class TestKernels:
-    """Networks below the crossover run on Python lists, the rest on numpy;
-    the numpy kernel is the reference."""
+def chain_spec(weights: int, layers: int) -> LayerSpec:
+    """A topology of ``layers`` weighted layers and exactly ``weights``
+    weights and biases: a wide input into a chain of width-1 layers."""
+    return LayerSpec(weights - 1 - 2 * (layers - 1), (1,) * (layers - 1), 1)
 
-    def test_size_selects_kernel(self):
-        limit = nn._LIST_KERNEL_WEIGHTS
-        below = random_params(LayerSpec(limit - 2, (), 1), 1)
-        at = random_params(LayerSpec(limit - 1, (), 1), 1)
-        assert below.weight_count == limit - 1 and below._lists is not None
-        assert at.weight_count == limit and at._lists is None
+
+# (topology, kernel): nets the package and the benchmark train, wide nets
+# that stay on numpy, then both sides of the limit the cost model draws at
+# a given layer count
+KERNEL_TABLE = [
+    (LayerSpec(2, (), 2), "lists"),
+    (LayerSpec(2, (2,), 2), "lists"),
+    (LayerSpec(13, (), 5), "lists"),
+    (LayerSpec(13, (9,), 5), "lists"),
+    (LayerSpec(13, (9,) * 3, 5), "lists"),
+    (LayerSpec(13, (9,) * 5, 5), "lists"),
+    (LayerSpec(13, (9,) * 9, 5), "lists"),
+    (LayerSpec(13, (16,), 5), "numpy"),
+    (LayerSpec(13, (32,), 5), "numpy"),
+    (LayerSpec(13, (16,) * 3, 5), "numpy"),
+    # one and two layers: 300 weights, as before layers were counted
+    (chain_spec(299, 1), "lists"),
+    (chain_spec(300, 1), "numpy"),
+    (chain_spec(299, 2), "lists"),
+    (chain_spec(300, 2), "numpy"),
+    # from two layers on: 150 weights per layer
+    (chain_spec(449, 3), "lists"),
+    (chain_spec(450, 3), "numpy"),
+    (chain_spec(599, 4), "lists"),
+    (chain_spec(600, 4), "numpy"),
+    (chain_spec(899, 6), "lists"),
+    (chain_spec(900, 6), "numpy"),
+    # the cap of 1000 weights at any depth; 13-12x9-5 has 1481 weights,
+    # under 150 per layer
+    (LayerSpec(13, (12,) * 9, 5), "numpy"),
+    (chain_spec(999, 10), "lists"),
+    (chain_spec(1000, 10), "numpy"),
+    (chain_spec(999, 40), "lists"),
+    (chain_spec(1000, 40), "numpy"),
+]
+
+
+def on_lists(p: NetworkParameters) -> bool:
+    return p._lists is not None
+
+
+class TestKernels:
+    """The cost model puts each network on Python lists or on numpy; the
+    numpy kernel is the reference."""
+
+    def test_cost_model_selects_kernel(self):
+        for spec, kernel in KERNEL_TABLE:
+            p = random_params(spec, 1)
+            assert on_lists(p) == (kernel == "lists"), (spec.layer_sizes, p.weight_count)
+        # the chains carry exactly the weights they are named by
+        assert random_params(chain_spec(1000, 40), 1).weight_count == 1000
 
     def test_list_kernel_saturates_like_numpy(self):
         p = make_params([1, 1], [[[1.0]]], [[0.0]])
-        assert p._lists is not None
+        assert on_lists(p)
         for x in (-1e308, -1000.0, 40.0, 1000.0, 1e308):
             assert nn.final_outputs(p, [x]) == [sigmoid(x)]
             assert 0.0 < sigmoid(x) < 1.0
@@ -371,7 +428,7 @@ class TestKernels:
                 hidden = tuple(1 + rng.randrange(6) for _ in range(rng.randrange(3)))
                 spec = LayerSpec(1 + rng.randrange(5), hidden, 1 + rng.randrange(4))
             else:
-                hidden = tuple(9 + rng.randrange(6) for _ in range(3 + rng.randrange(3)))
+                hidden = tuple(16 + rng.randrange(4) for _ in range(2 + rng.randrange(3)))
                 spec = LayerSpec(10 + rng.randrange(6), hidden, 2 + rng.randrange(5))
             sizes = spec.layer_sizes
             # weights of both signs, so both sigmoid branches are taken
@@ -382,7 +439,7 @@ class TestKernels:
             ]
             biases = [np.array([rng.gauss(0, 2) for _ in range(n)]) for n in sizes[1:]]
             p = NetworkParameters(spec, tuple(weights), tuple(biases))
-            assert (p._lists is not None) == (side == "below")
+            assert on_lists(p) == (side == "below")
             x = [rng.uniform() * 2 - 0.5 for _ in range(spec.input_count)]
             t = [float(rng.randrange(2)) for _ in range(spec.output_count)]
 
@@ -399,9 +456,13 @@ class TestKernels:
             for got, ref in zip(acts + deltas, ref_acts + ref_deltas):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("sizes", [(298, 1), (1, 99, 1), (13, 15, 5)],
-                             ids=["298-1", "1-99-1", "13-15-5"])
-    def test_widest_list_nets_match_numpy_kernel(self, sizes):
+    @pytest.mark.parametrize(
+        "sizes, limit",
+        [((298, 1), 300), ((1, 99, 1), 300), ((13, 15, 5), 300),
+         ((1, 16, 16, 16, 1), 600), ((26, *(9,) * 9, 3), 1000)],
+        ids=["298-1", "1-99-1", "13-15-5", "1-16x3-1", "26-9x9-3"],
+    )
+    def test_widest_list_nets_match_numpy_kernel(self, sizes, limit):
         rng = Rng(sum(sizes))
         weights = [
             np.array([[rng.gauss(0, 0.5) for _ in range(sizes[l])]
@@ -411,8 +472,8 @@ class TestKernels:
         biases = [np.array([rng.gauss(0, 0.5) for _ in range(n)]) for n in sizes[1:]]
         spec = LayerSpec(sizes[0], sizes[1:-1], sizes[-1])
         p = NetworkParameters(spec, tuple(weights), tuple(biases))
-        assert nn._LIST_KERNEL_WEIGHTS - 10 <= p.weight_count < nn._LIST_KERNEL_WEIGHTS
-        assert p._lists is not None
+        assert limit - 10 <= p.weight_count < limit
+        assert on_lists(p)
         samples = tuple(
             Sample(tuple(rng.uniform() for _ in range(sizes[0])), rng.randrange(sizes[-1]))
             for _ in range(4)
@@ -457,9 +518,12 @@ class TestKernels:
             backprop(p, (0.3, 0.3, 0.3), [1.0, 0.0])
         assert nn._list_kernel.cache_info().misses == misses
 
-    @pytest.mark.parametrize("hidden", [(3,), (12, 12, 12)], ids=["2-3-2", "2-12x3-2"])
-    def test_train_sees_the_outputs_forward_gives(self, hidden):
+    @pytest.mark.parametrize("hidden, kernel",
+                             [((3,), "lists"), ((12,) * 3, "lists"), ((24,) * 2, "numpy")],
+                             ids=["2-3-2", "2-12x3-2", "2-24x2-2"])
+    def test_train_sees_the_outputs_forward_gives(self, hidden, kernel):
         p = random_params(LayerSpec(2, hidden, 2), 8)
+        assert on_lists(p) == (kernel == "lists")
         cfg = TrainingConfig(learning_rate=0.3, epochs=1, seed=0)
         rng = Rng(9)
         for _ in range(5):
@@ -519,30 +583,30 @@ def assert_concurrent_final_outputs_match_sequential(p):
 
 class TestNumpyKernelThreads:
     def test_concurrent_final_outputs_match_sequential(self):
-        p = random_params(LayerSpec(13, (9,) * 5, 5), 3)
-        assert p._lists is None
+        p = random_params(LayerSpec(13, (16,) * 3, 5), 3)
+        assert not on_lists(p)
         assert_concurrent_final_outputs_match_sequential(p)
 
 
 class TestListKernelThreads:
     def test_concurrent_final_outputs_match_sequential(self):
         p = random_params(LayerSpec(13, (9,), 5), 3)
-        assert p._lists is not None
+        assert on_lists(p)
         assert_concurrent_final_outputs_match_sequential(p)
 
 
 class TestTrain:
     @pytest.mark.parametrize(
-        "hidden",
-        [(), (3,), (3, 3), (12, 12, 12), (12,) * 6],
-        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2", "2-12x6-2"],
+        "hidden, kernel",
+        [((), "lists"), ((3,), "lists"), ((3, 3), "lists"), ((12,) * 3, "lists"),
+         ((12,) * 6, "lists"), ((24,) * 2, "numpy"), ((24,) * 4, "numpy")],
+        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2", "2-12x6-2", "2-24x2-2", "2-24x4-2"],
     )
-    def test_equals_backprop_then_apply_update(self, hidden):
+    def test_equals_backprop_then_apply_update(self, hidden, kernel):
         samples = (Sample((0.2, 0.7), 1), Sample((0.9, 0.1), 0), Sample((0.5, 0.4), 1))
         data = Dataset(samples, ("x", "y"), ("a", "b"))
         p = random_params(LayerSpec(2, hidden, 2), 77)
-        # the 12-wide topologies are above the crossover, the others below it
-        assert (p._lists is None) == (hidden[:1] == (12,))
+        assert on_lists(p) == (kernel == "lists")
         cfg = TrainingConfig(learning_rate=0.3, epochs=2, seed=0, shuffle_each_epoch=False)
         trained, history = train(p, data, cfg)
         manual, manual_history = manual_train(p, samples, cfg)
@@ -554,7 +618,7 @@ class TestTrain:
 
     def test_saturating_numpy_net_equals_backprop_then_apply_update(self):
         rng = Rng(31)
-        spec = LayerSpec(2, (12, 12, 12), 2)
+        spec = LayerSpec(2, (24, 24), 2)
         sizes = spec.layer_sizes
         weights = [
             np.array([[rng.gauss(0, 1000) for _ in range(sizes[l])]
@@ -563,7 +627,7 @@ class TestTrain:
         ]
         biases = [np.array([rng.gauss(0, 1000) for _ in range(n)]) for n in sizes[1:]]
         p = NetworkParameters(spec, tuple(weights), tuple(biases))
-        assert p._lists is None
+        assert not on_lists(p)
         samples = tuple(Sample((rng.uniform(), rng.uniform()), i % 2) for i in range(6))
         # net inputs beyond about -745 and +37 round to 0 and 1: both clips
         outputs = np.concatenate([np.concatenate(forward(p, s.features).outputs)
@@ -577,9 +641,12 @@ class TestTrain:
         for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("hidden", [(3,), (12, 12, 12)], ids=["2-3-2", "2-12x3-2"])
-    def test_leaves_params_alone_and_returns_fresh_arrays(self, hidden):
+    @pytest.mark.parametrize("hidden, kernel",
+                             [((3,), "lists"), ((12,) * 3, "lists"), ((24,) * 2, "numpy")],
+                             ids=["2-3-2", "2-12x3-2", "2-24x2-2"])
+    def test_leaves_params_alone_and_returns_fresh_arrays(self, hidden, kernel):
         p = random_params(LayerSpec(2, hidden, 2), 5)
+        assert on_lists(p) == (kernel == "lists")
         before = [a.tobytes() for a in p.weights + p.biases]
         data = two_cluster_data(20)
         cfg = TrainingConfig(0.3, 3, 5)

@@ -56,6 +56,27 @@ def test_randrange_bounds_and_error():
         rng.randrange(0)
 
 
+class _NoWords(Rng):
+    """A stream that fails instead of drawing, so a bound the rejection
+    loop could never satisfy fails the test instead of hanging it."""
+
+    __slots__ = ()
+
+    def next_u64(self) -> int:
+        raise AssertionError("randrange drew a word")
+
+
+def test_randrange_refuses_bounds_above_one_word():
+    # above 2**64 the rejection limit 2**64 - 2**64 % n is 0
+    for n in (2**64 + 1, 2**65, 3**50):
+        with pytest.raises(ValueError):
+            _NoWords(1).randrange(n)
+    # 2**64 itself takes every word as it is
+    a, b = Rng(4), Rng(4)
+    assert a.randrange(2**64) == b.next_u64()
+    assert a.next_u64() == b.next_u64()
+
+
 def test_shuffle_is_a_permutation_and_deterministic():
     items = list(range(50))
     a = items[:]

@@ -5,11 +5,12 @@
 Each line is ``<name> <sha256>``. The names cover:
 
 * ``nn.train`` trained weights, biases and loss history on 2-2, 2-2x1-2,
-  13-9x1-5, 13-9x3-5, 13-9x5-5 and 13-9x9-5 over the 303-row
-  ``perfbench/clusters.heart_like(701)`` set, 3 epochs at learning rates 0.3
-  and 0.6 (the 2-input nets see its first two features and class 0 against
-  the rest);
-* ``nn.final_outputs`` of the same six untrained nets (seed 1) on every
+  13-9x1-5, 13-9x3-5, 13-9x5-5, 13-9x9-5, 13-32x1-5 and 13-16x3-5 over the
+  303-row ``perfbench/clusters.heart_like(701)`` set, 3 epochs at learning
+  rates 0.3 and 0.6 (the 2-input nets see its first two features and class
+  0 against the rest); the last two are wide enough to run on the numpy
+  kernel, the others run on the list kernel;
+* ``nn.final_outputs`` of the same eight untrained nets (seed 1) on every
   row of that set;
 * ``Rng.shuffle`` permutations of 2, 3, 303 and 2000 items under seeds 0-9,
   each with the next word of the stream after it;
@@ -49,6 +50,8 @@ TOPOLOGIES = (
     (13, (9,) * 3, 5),
     (13, (9,) * 5, 5),
     (13, (9,) * 9, 5),
+    (13, (32,), 5),
+    (13, (16,) * 3, 5),
 )
 LEARNING_RATES = (0.3, 0.6)
 EPOCHS = 3
