@@ -246,7 +246,7 @@ class Uploader:
                         (str(obj["client_id"]), reading,
                          int(label) if label is not None else None)
                     )
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     log.warning("skipping corrupt spool row: %s", exc)
 
     def _save_spool(self) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +33,7 @@ class Sample:
     timestamp: int | None = None  # milliseconds since epoch, when known
 
     def __post_init__(self) -> None:
-        if not all(np.isfinite(v) for v in self.features):
+        if not all(map(math.isfinite, self.features)):
             raise ValueError("sample features must be finite")
 
 
@@ -43,7 +44,7 @@ class SensorReading:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not all(np.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("sensor reading contains non-finite values")
 
 

@@ -69,11 +69,17 @@ def recv_frame(sock: socket.socket) -> bytes | None:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Exactly n bytes; None on EOF at a frame boundary, error mid-frame."""
+    """Exactly n bytes; None on EOF or reset at a frame boundary, error
+    mid-frame."""
     chunks = []
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
+        try:
+            chunk = sock.recv(n - got)
+        except ConnectionError:
+            if got == 0:
+                return None
+            raise
         if not chunk:
             if got == 0:
                 return None
@@ -154,7 +160,7 @@ def batch_from_wire(obj: dict) -> SensorBatch:
             readings=readings,
             labels=tuple(int(x) for x in labels) if labels is not None else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed sensor batch: {exc}") from exc
 
 
@@ -163,7 +169,10 @@ class TcpTransport:
 
     Connects lazily and reconnects after failures; any socket-level problem
     surfaces as TransportError so callers can apply their own retry or
-    fallback policy.
+    fallback policy. A connection kept from an earlier call that is closed
+    or reset before any reply byte arrives (the server restarted since) is
+    retried once on a fresh connection with the same timeout; a connection
+    opened in the call itself is never retried.
     """
 
     def __init__(self, addr: tuple[str, int], timeout: float = 2.0) -> None:
@@ -173,19 +182,34 @@ class TcpTransport:
 
     def request(self, msg: dict, timeout: float | None = None) -> dict:
         deadline = self.timeout if timeout is None else timeout
+        data = encode_message(msg)
+        kept = self._sock is not None
+        payload = self._exchange(data, deadline)
+        if payload is None and kept:
+            payload = self._exchange(data, deadline)
+        if payload is None:
+            raise TransportError("server closed the connection")
+        return decode_message(payload)
+
+    def _exchange(self, data: bytes, deadline: float) -> bytes | None:
+        """The reply frame; None, with the connection closed, when the
+        server closed or reset it before any reply byte."""
         try:
             if self._sock is None:
                 self._sock = socket.create_connection(self.addr, timeout=deadline)
             self._sock.settimeout(deadline)
-            send_frame(self._sock, encode_message(msg))
-            payload = recv_frame(self._sock)
+            try:
+                send_frame(self._sock, data)
+            except ConnectionError:
+                payload = None
+            else:
+                payload = recv_frame(self._sock)
         except (OSError, ProtocolError) as exc:
             self.close()
             raise TransportError(f"request failed: {exc}") from exc
         if payload is None:
             self.close()
-            raise TransportError("server closed the connection")
-        return decode_message(payload)
+        return payload
 
     def close(self) -> None:
         if self._sock is not None:

@@ -213,7 +213,7 @@ class JsonlDataSink(MemoryDataSink):
                     row = (reading, int(label) if label is not None else None)
                     self._admit([row])
                     self._rows.append(row)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     log.warning("%s:%d: skipping row: %s", self.path, lineno, exc)
 
     def store(self, batch: SensorBatch) -> int:

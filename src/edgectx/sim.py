@@ -4,9 +4,12 @@ A virtual clock drives sensor nodes (sensor delay, duty cycles, sleep
 intervals), an edge client that predicts every reading with whatever
 parameters it currently holds, a lossy link (latency, random drops, outage
 windows applied to each direction at its send time), and a server that
-retrains on accumulated uploads and publishes versioned bundles. Everything
-except wall-clock prediction latency is a pure function of the
-configuration and seed.
+retrains on accumulated uploads and publishes versioned bundles. A published
+version is trained when a prediction first reads it, on the rows and seed it
+was published with, so a version replaced before any prediction reads it
+costs nothing and every output is the same as if it had been trained at
+publish time. Everything except wall-clock prediction latency is a pure
+function of the configuration and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import heapq
 import json
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import nn
 from .bundle import MODEL_KIND_CL, MODEL_KIND_DCL, ParameterBundle
@@ -255,14 +259,14 @@ class _ScenarioRunner:
         # server state
         self.server_rows: list[tuple[SensorReading, int]] = []
         self.server_versions: dict[str, int] = {}
-        self.server_bundles: dict[str, ParameterBundle] = {}
+        self.server_bundles: dict[str, _PendingBundle] = {}
         self.published: list[tuple[int, str, int]] = []
         self.server_received_total = 0
         self.server_seen_keys: set[tuple[str, int]] = set()
 
         # client state; upload buffer maps (sensor_id, timestamp) to
         # [reading, label, last_sent_ms], insertion-ordered (oldest first)
-        self.client_bundles: dict[str, ParameterBundle | None] = dict.fromkeys(
+        self.client_bundles: dict[str, _PendingBundle | None] = dict.fromkeys(
             self.client_kinds
         )
         self.upload_buffer: dict[tuple[str, int], list] = {}
@@ -330,18 +334,28 @@ class _ScenarioRunner:
                 )
         self.server_rows.extend(rows)
         for kind in self.server_kinds:
-            self._train_and_publish(kind, created_at=0)
+            self._publish(kind, created_at=0)
         for kind in self.client_bundles:
             self.client_bundles[kind] = self.server_bundles.get(kind)
 
-    def _train_and_publish(self, kind: str, created_at: int) -> None:
+    def _publish(self, kind: str, created_at: int) -> None:
         rows = self.server_rows[-self.max_train_rows:]
         if len(rows) < self.min_retrain_rows:
             return
-        data = dataset_from_readings(rows, self.feature_names, self.class_names)
         version = self.server_versions.get(kind, 0) + 1
         seed = self.train_rng.next_u64()
-        if kind == MODEL_KIND_DCL:
+        self.server_versions[kind] = version
+        self.server_bundles[kind] = _PendingBundle(
+            self, kind, version, created_at, seed, rows
+        )
+        self.published.append((created_at, kind, version))
+
+    def _train(self, pending: _PendingBundle) -> ParameterBundle:
+        data = dataset_from_readings(
+            pending.rows, self.feature_names, self.class_names
+        )
+        seed = pending.seed
+        if pending.kind == MODEL_KIND_DCL:
             cfg = replace(self.dcl_config, seed=seed)
             hidden = (nn.hidden_size_default(data.n_features, data.n_classes),)
             spec = LayerSpec(data.n_features, hidden, data.n_classes)
@@ -352,16 +366,13 @@ class _ScenarioRunner:
             spec = LayerSpec(data.n_features, (), data.n_classes)
             params, _ = nn.train(nn.init_network(spec, seed), data, cfg)
             thresholds = calibrate_thresholds(params, data)
-        bundle = ParameterBundle(
-            model_kind=kind,
-            params=replace(params, version=version),
-            model_version=version,
-            created_at=created_at,
+        return ParameterBundle(
+            model_kind=pending.kind,
+            params=replace(params, version=pending.model_version),
+            model_version=pending.model_version,
+            created_at=pending.created_at,
             thresholds=thresholds,
         )
-        self.server_versions[kind] = version
-        self.server_bundles[kind] = bundle
-        self.published.append((created_at, kind, version))
 
     # -- client ------------------------------------------------------------
 
@@ -369,16 +380,17 @@ class _ScenarioRunner:
         self.emitted += 1
         for algo in self.algorithms:
             if algo in _CLIENT_ALGOS:
-                bundle = self.client_bundles[_CLIENT_ALGOS[algo]]
-                staleness = None if bundle is None else t - bundle.created_at
+                pending = self.client_bundles[_CLIENT_ALGOS[algo]]
+                staleness = None if pending is None else t - pending.created_at
             else:
-                bundle = self.server_bundles.get(_SERVER_ALGOS[algo])
-                staleness = 0 if bundle is not None else None
-            if bundle is None:
+                pending = self.server_bundles.get(_SERVER_ALGOS[algo])
+                staleness = 0 if pending is not None else None
+            if pending is None:
                 self.ticks.append(
                     TickRecord(t, algo, None, None, None, None, 0.0)
                 )
                 continue
+            bundle = pending.bundle  # trains on first read, outside the timing
             t0 = time.perf_counter_ns()
             if algo in ("ADCL", "DCL"):
                 pred = adcl_predict(bundle.params, reading.values).class_index
@@ -414,6 +426,30 @@ class _ScenarioRunner:
         ):
             return False
         return True
+
+
+@dataclass(eq=False)
+class _PendingBundle:
+    """A published version, trained when a prediction first reads it.
+
+    Publishing draws the seed and takes the row window, so the trained
+    bundle is the one eager training would have made; syncs only pass the
+    record along and compare ``model_version``. A version that is replaced
+    before any prediction reads it is never trained.
+    """
+
+    runner: _ScenarioRunner
+    kind: str
+    model_version: int
+    created_at: int
+    seed: int
+    rows: list[tuple[SensorReading, int]] | None
+
+    @cached_property
+    def bundle(self) -> ParameterBundle:
+        bundle = self.runner._train(self)
+        self.rows = None
+        return bundle
 
 
 class _NodeEmit:
@@ -472,7 +508,7 @@ class _SyncServerReply:
 
 class _SyncClientApply:
     def __init__(self, runner: _ScenarioRunner, kind: str,
-                 bundle: ParameterBundle) -> None:
+                 bundle: _PendingBundle) -> None:
         self.runner = runner
         self.kind = kind
         self.bundle = bundle
@@ -547,6 +583,6 @@ class _RetrainTick:
     def __call__(self, t: int) -> None:
         r = self.runner
         for kind in r.server_kinds:
-            r._train_and_publish(kind, created_at=t)
+            r._publish(kind, created_at=t)
         if t + r.retrain_every_ms <= r.duration_ms:
             r.schedule(t + r.retrain_every_ms, self)

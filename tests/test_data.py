@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from edgectx.data import (
     DataFormatError,
     Dataset,
     Sample,
+    SensorReading,
     apply_minmax,
     apply_minmax_vector,
     load_csv,
@@ -229,6 +231,29 @@ class TestRelabel:
 def test_sample_rejects_non_finite():
     with pytest.raises(ValueError):
         Sample((float("nan"),), 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make", [
+    lambda values: Sample(values, 0),
+    lambda values: SensorReading("acc0", 0, values),
+], ids=["sample", "reading"])
+def test_non_finite_values_refused(make, bad):
+    make((0.5, np.float64(0.25)))
+    with pytest.raises(ValueError):
+        make((0.5, bad))
+    with pytest.raises(ValueError):
+        make((0.5, np.float64(bad)))
+
+
+@pytest.mark.parametrize("bad", [1 + 2j, "0.5"], ids=["complex", "string"])
+@pytest.mark.parametrize("make", [
+    lambda values: Sample(values, 0),
+    lambda values: SensorReading("acc0", 0, values),
+], ids=["sample", "reading"])
+def test_non_real_values_raise_type_error(make, bad):
+    with pytest.raises(TypeError):
+        make((0.5, bad))
 
 
 def test_fingerprint_stable_and_sensitive():

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -10,6 +11,8 @@ from edgectx.protocol import (
     FrameTooLargeError,
     ProtocolError,
     SensorBatch,
+    TcpTransport,
+    TransportError,
     batch_from_wire,
     batch_to_wire,
     decode_message,
@@ -56,6 +59,19 @@ class TestFraming:
         a.close()
         with pytest.raises(ProtocolError):
             recv_frame(b)
+
+    def test_reset_at_frame_boundary_returns_none(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        with listener:
+            a = socket.create_connection(listener.getsockname())
+            b, _ = listener.accept()
+        with a, b:
+            b.sendall(struct.pack(">I", 3) + b"abc")
+            time.sleep(0.05)
+            b.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            b.close()  # linger 0: the peer sees a reset, not a close
+            assert recv_frame(a) == b"abc"
+            assert recv_frame(a) is None
 
     def test_oversized_send_rejected(self, sock_pair):
         a, _ = sock_pair
@@ -136,8 +152,131 @@ class TestSensorBatch:
         with pytest.raises(ValueError):
             SensorBatch("c", self.readings(3), labels=(1,))
 
+    @pytest.mark.parametrize("field,value", [
+        ("values", [0.1, 10 ** 400]),
+        ("timestamp", float("inf")),
+        ("labels", [float("inf")]),
+    ])
+    def test_out_of_float_range_wire_rejected(self, field, value):
+        wire = batch_to_wire(SensorBatch("c", self.readings(1), labels=(0,)))
+        if field == "labels":
+            wire["labels"] = value
+        else:
+            wire["readings"][0][field] = value
+        with pytest.raises(ProtocolError):
+            batch_from_wire(wire)
+
     def test_malformed_wire_rejected(self):
         with pytest.raises(ProtocolError):
             batch_from_wire({"client_id": "c"})
         with pytest.raises(ProtocolError):
             batch_from_wire({"client_id": "c", "readings": [{"sensor_id": "s"}]})
+
+
+class StubServer:
+    """Plain-socket server: connection i is served by ``scripts[i]``, one
+    letter per request (R reply PONG, C close unanswered, P send half a
+    header and close, S hold the request until ``stop``); the connection
+    closes after its script, and the listener after the last script."""
+
+    def __init__(self, scripts, port=0):
+        self.listener = socket.create_server(("127.0.0.1", port))
+        self.addr = self.listener.getsockname()
+        self.scripts = list(scripts)
+        self.accepted = 0
+        self._release = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        with self.listener:
+            for script in self.scripts:
+                conn, _ = self.listener.accept()
+                self.accepted += 1
+                with conn:
+                    for step in script:
+                        if recv_frame(conn) is None:
+                            break
+                        if step == "R":
+                            send_frame(conn, encode_message({"type": "PONG"}))
+                        elif step == "P":
+                            conn.sendall(b"\x00\x00")
+                            break
+                        elif step == "S":
+                            self._release.wait(10)
+                        else:
+                            break
+
+    def stop(self):
+        self._release.set()
+        self._thread.join(timeout=10)
+
+
+PING = {"type": "PING"}
+
+
+class TestTcpTransportReconnect:
+    def test_kept_connection_closed_by_a_restart_is_retried_once(self):
+        first = StubServer(["R"])
+        tp = TcpTransport(first.addr, timeout=5.0)
+        assert tp.request(PING) == {"type": "PONG"}
+        first.stop()  # closed the connection and the listener
+        second = StubServer(["R"], port=first.addr[1])
+        try:
+            assert tp.request(PING) == {"type": "PONG"}
+            assert second.accepted == 1
+        finally:
+            tp.close()
+            second.stop()
+
+    def test_connection_opened_in_the_call_is_not_retried(self):
+        stub = StubServer(["C", "R"])
+        tp = TcpTransport(stub.addr, timeout=5.0)
+        try:
+            with pytest.raises(TransportError, match="closed"):
+                tp.request(PING)
+            assert stub.accepted == 1
+            assert tp.request(PING) == {"type": "PONG"}
+        finally:
+            tp.close()
+            stub.stop()
+
+    def test_retry_that_fails_too_is_reported_without_a_third_try(self):
+        stub = StubServer(["R", "C", "R"])
+        tp = TcpTransport(stub.addr, timeout=5.0)
+        try:
+            assert tp.request(PING) == {"type": "PONG"}
+            with pytest.raises(TransportError):
+                tp.request(PING)
+            assert stub.accepted == 2
+            assert tp.request(PING) == {"type": "PONG"}
+            assert stub.accepted == 3
+        finally:
+            tp.close()
+            stub.stop()
+
+    def test_failure_after_a_reply_byte_is_not_retried(self):
+        stub = StubServer(["RP"])
+        tp = TcpTransport(stub.addr, timeout=5.0)
+        try:
+            assert tp.request(PING) == {"type": "PONG"}
+            with pytest.raises(TransportError, match="mid-frame"):
+                tp.request(PING)
+            assert stub.accepted == 1
+        finally:
+            tp.close()
+            stub.stop()
+
+    def test_retry_keeps_the_callers_timeout(self):
+        stub = StubServer(["R", "S"])
+        tp = TcpTransport(stub.addr, timeout=30.0)
+        try:
+            assert tp.request(PING) == {"type": "PONG"}
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                tp.request(PING, timeout=0.3)
+            assert time.monotonic() - t0 < 5.0
+            assert stub.accepted == 2
+        finally:
+            tp.close()
+            stub.stop()

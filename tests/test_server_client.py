@@ -314,6 +314,27 @@ class TestJsonlSink:
         assert max(label for _, label in again.labeled_pairs()) == MAX_CLASSES - 1
 
 
+    def test_out_of_float_range_upload_refused_and_skipped_on_load(self, tmp_path):
+        path = tmp_path / "readings.jsonl"
+        sink = JsonlDataSink(path)
+        store = ModelStore()
+        huge = "1" + "0" * 400  # a JSON integer beyond the float range
+        text = ('{"type":"PUSH_DATA","batch":{"client_id":"c","readings":'
+                '[{"sensor_id":"acc0","timestamp":1,"values":[0.1,%s]}],'
+                '"labels":[0]}}' % huge)
+        response, keep = handle_request(decode_message(text.encode()), store, sink)
+        assert response["type"] == "ERROR" and response["code"] == "bad_batch"
+        assert keep and len(sink) == 0
+        push = {"type": "PUSH_DATA", "batch": batch_to_wire(make_batch(3))}
+        assert handle_request(push, store, sink)[0] == {"type": "ACK", "stored": 3}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"sensor_id":"acc0","timestamp":9,"values":[%s,0.2],"label":0}\n'
+                     % huge)
+            fh.write('{"sensor_id":"acc0","timestamp":9,"values":[0.1,0.2],"label":0}\n')
+        again = JsonlDataSink(path)
+        assert len(again) == 4
+
+
 class FakeTransport:
     """In-process transport with a switchable link."""
 
@@ -455,6 +476,36 @@ class TestUploader:
             assert len(ft.sink) == 5 + i
         assert uploader.rejected_count == 1
         assert uploader.dropped_count == 0
+
+    def test_out_of_float_range_batch_is_refused_not_replayed(self):
+        class PoisoningTransport(FakeTransport):
+            """Sends JSON text in which every 7.0 reads as a 400-digit integer."""
+
+            def request(self, msg, timeout=None):
+                text = encode_message(msg).replace(b"7.0", b"1" + b"0" * 400)
+                return super().request(decode_message(text), timeout)
+
+        ft = PoisoningTransport()
+        uploader = Uploader(ft)
+        assert uploader.upload_batch(make_batch(4)) == 4
+        poison = SensorBatch("client-1", (SensorReading("acc0", 50, (0.1, 7.0)),),
+                             labels=(0,))
+        assert uploader.upload_batch(poison) == 0
+        assert uploader.rejected_count == 1
+        assert uploader.queued_count == 0
+        assert uploader.upload_batch(make_batch(2, start=100)) == 2
+        assert len(ft.sink) == 6
+        assert uploader.rejected_count == 1
+
+    def test_out_of_float_range_spool_row_skipped(self, tmp_path):
+        spool = tmp_path / "spool.jsonl"
+        good = '{"client_id":"c","sensor_id":"acc0","timestamp":%d,"values":[0.1,%s],"label":0}\n'
+        spool.write_text(good % (1, "0.2") + good % (2, "1" + "0" * 400) + good % (3, "0.2"))
+        ft = FakeTransport()
+        revived = Uploader(ft, spool_path=spool)
+        assert revived.queued_count == 2
+        assert revived.flush() == 2
+        assert [r.timestamp for r, _ in ft.sink.labeled_pairs()] == [1, 3]
 
     def test_spool_survives_restart(self, tmp_path):
         spool = tmp_path / "spool.jsonl"

@@ -1,8 +1,17 @@
+import hashlib
+import time
+from pathlib import Path
+
 import pytest
 
+import edgectx.cli
+import edgectx.nn
 from edgectx.data import synth_still_motion
 from edgectx.nn import TrainingConfig
-from edgectx.sim import LinkConfig, SensorNodeConfig, run_scenario
+from edgectx.sim import ALGORITHMS, LinkConfig, SensorNodeConfig, run_scenario
+
+OUTAGE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "outage.json"
+KIND_OF = {"ADCL": "DCL", "DCL": "DCL", "LCL": "CL", "CL": "CL"}
 
 
 def one_node(n=600, seed=3, delay=100, **kwargs):
@@ -183,3 +192,82 @@ class TestCsvOutputs:
         assert len(ticks_lines) == 1 + len(result.ticks)
         summary_lines = result.summary_csv().splitlines()
         assert len(summary_lines) == 1 + len(result.metrics)
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Counts ``nn.train`` calls made while the test runs."""
+    calls = []
+    train = edgectx.nn.train
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].spec)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(edgectx.nn, "train", counting)
+    return calls
+
+
+def versions_read(result):
+    return {(KIND_OF[t.algorithm], t.model_version)
+            for t in result.ticks if t.correct is not None}
+
+
+class TestDeferredTraining:
+    def test_outage_scenario_trains_each_version_read_once(self, train_calls,
+                                                           monkeypatch, tmp_path):
+        captured = []
+        run = edgectx.cli.run_scenario
+
+        def capture(*args, **kwargs):
+            captured.append(run(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(edgectx.cli, "run_scenario", capture)
+        code = edgectx.cli.main(["simulate", "--scenario", str(OUTAGE_SCENARIO),
+                                 "--out-dir", str(tmp_path)])
+        assert code == 0
+        (result,) = captured
+        assert len(result.published) == 32
+        assert len(versions_read(result)) == 20
+        assert len(train_calls) == 20
+
+    # SHA-256 of canonical_bytes() from a build that trained every version
+    # when it was published
+    PINNED = {
+        (5, ALGORITHMS): "0a118c1b169ad91df1a27ac0561aa2ec47ca94456b08d73b88f09b61ec3fae02",
+        (17, ALGORITHMS): "eda86db177342cfefd7fc061ed85fe378b6ad67f043268932c20af9b24571996",
+        (5, ("ADCL", "LCL")): "edaf15eb934fa7c2593f9a118b96f86470787827b614832804790044464fc97e",
+        (17, ("ADCL", "LCL")): "80dfaeede7e524ad5016ffa976646859cf13d5e3e823baac2399fd6d582cc3b1",
+    }
+
+    @pytest.mark.parametrize("seed,algorithms", list(PINNED),
+                             ids=lambda v: "+".join(v) if isinstance(v, tuple) else str(v))
+    def test_outputs_match_training_at_publish_time(self, seed, algorithms):
+        link = LinkConfig(latency_ms=7, drop_probability=0.15,
+                          outage_windows=((3_000, 6_000), (9_000, 13_000)))
+        result = quick_scenario(link, duration=16_000, seed=seed, algorithms=algorithms)
+        digest = hashlib.sha256(result.canonical_bytes()).hexdigest()
+        assert digest == self.PINNED[seed, algorithms]
+
+    def test_superseded_unread_version_is_never_trained(self, train_calls):
+        # versions 4-8 are published inside the outage and each is replaced
+        # before a sync can deliver it; version 13 comes after the last reading
+        result = quick_scenario(LinkConfig(outage_windows=((2_100, 8_100),)),
+                                duration=12_000)
+        published = {(kind, v) for _, kind, v in result.published}
+        read = versions_read(result)
+        assert published - read == {("DCL", v) for v in (4, 5, 6, 7, 8, 13)}
+        assert len(train_calls) == len(read) < len(published)
+
+    def test_training_stays_out_of_the_timed_prediction(self, monkeypatch):
+        train = edgectx.nn.train
+
+        def slow_train(*args, **kwargs):
+            time.sleep(0.05)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(edgectx.nn, "train", slow_train)
+        result = quick_scenario(LinkConfig(), duration=3_000, algorithms=ALGORITHMS)
+        assert len(versions_read(result)) >= 4
+        assert max(t.latency_us for t in result.ticks) < 50_000
