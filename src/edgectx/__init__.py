@@ -7,8 +7,6 @@ parameter bundles and stay live on stale parameters when the link fails.
 """
 
 from .bundle import (
-    MODEL_KIND_CL,
-    MODEL_KIND_DCL,
     BundleChecksumError,
     BundleError,
     BundleFormatError,
@@ -37,6 +35,8 @@ from .data import (
     synth_still_motion,
 )
 from .learners import (
+    MODEL_KIND_CL,
+    MODEL_KIND_DCL,
     ClModel,
     ContextLabel,
     KFoldResult,
@@ -48,6 +48,7 @@ from .learners import (
     cl_train,
     dcl_train,
     evaluate,
+    fit,
     kfold_cross_validate,
     lcl_predict,
     make_cl_trainer,
@@ -70,7 +71,7 @@ from .nn import (
     train,
 )
 from .protocol import SensorBatch, TcpTransport, TransportError
-from .server import JsonlDataSink, MemoryDataSink, ModelStore, ParameterServer, server_serve
+from .server import JsonlDataSink, MemoryDataSink, ModelStore, ParameterServer
 from .sim import LinkConfig, ScenarioResult, SensorNodeConfig, run_scenario
 from .bench import bench_execution
 

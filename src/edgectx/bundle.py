@@ -14,13 +14,10 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .learners import ClModel, ThresholdVector
+from .learners import MODEL_KIND_CL, MODEL_KIND_DCL, MODEL_KINDS, ClModel, ThresholdVector
 from .nn import LayerSpec, NetworkParameters
 
 FORMAT_VERSION = 1
-MODEL_KIND_DCL = "DCL"
-MODEL_KIND_CL = "CL"
-MODEL_KINDS = (MODEL_KIND_DCL, MODEL_KIND_CL)
 
 _CHECKSUM_MARKER = ',"checksum":'
 

@@ -18,22 +18,25 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import nn
-from .bundle import MODEL_KIND_CL, MODEL_KIND_DCL, BundleError, encode_bundle
+from .bundle import BundleError, encode_bundle
 from .client import EdgeClient, SyncPolicy
 from .data import (
     DataFormatError,
     Dataset,
     dataset_from_readings,
     load_csv,
+    normalize_minmax,
     relabel,
     synth_still_motion,
 )
 from .learners import (
     CL_LEARNING_RATE,
     DCL_LEARNING_RATE,
-    calibrate_thresholds,
+    MODEL_KIND_CL,
+    MODEL_KIND_DCL,
     cl_train,
     dcl_train,
+    fit,
     kfold_cross_validate,
     make_cl_trainer,
     make_dcl_trainer,
@@ -226,23 +229,10 @@ def cmd_train(args) -> int:
     kfold_s = time.perf_counter() - t0
 
     # final model on the full dataset, shipped as the bundle
-    from .data import normalize_minmax
-
+    kind = MODEL_KIND_DCL if args.kind == "dcl" else MODEL_KIND_CL
     fitted = normalize_minmax(data)
     t0 = time.perf_counter()
-    if args.kind == "dcl":
-        use_hidden = hidden or (
-            nn.hidden_size_default(data.n_features, data.n_classes),
-        )
-        spec = LayerSpec(data.n_features, use_hidden, data.n_classes)
-        params, loss_curve = nn.train(nn.init_network(spec, args.seed), fitted, cfg)
-        thresholds = None
-        kind = MODEL_KIND_DCL
-    else:
-        spec = LayerSpec(data.n_features, (), data.n_classes)
-        params, loss_curve = nn.train(nn.init_network(spec, args.seed), fitted, cfg)
-        thresholds = calibrate_thresholds(params, fitted)
-        kind = MODEL_KIND_CL
+    params, thresholds, loss_curve = fit(kind, fitted, cfg, hidden)
     train_s = time.perf_counter() - t0
 
     if args.out:
@@ -359,13 +349,11 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args) -> None:
         # the same readings give the same bundle parameters on every run
         seed = zlib.crc32(f"{kind} v{store.next_version(kind)}".encode())
         if kind == MODEL_KIND_DCL:
-            cfg = TrainingConfig(DCL_LEARNING_RATE, args.epochs, seed)
             spec = LayerSpec(width, (nn.hidden_size_default(width, n_classes),), n_classes)
-            params = dcl_train(data, spec, cfg)
+            params = dcl_train(data, spec, TrainingConfig(DCL_LEARNING_RATE, args.epochs, seed))
             bundle = store.publish(kind, params)
         else:
-            cfg = TrainingConfig(CL_LEARNING_RATE, args.epochs, seed)
-            model = cl_train(data, cfg)
+            model = cl_train(data, TrainingConfig(CL_LEARNING_RATE, args.epochs, seed))
             bundle = store.publish(kind, model.params, model.thresholds)
         log.info("published %s v%d (trained on %d rows)", kind, bundle.model_version, len(pairs))
         print(f"published {kind} v{bundle.model_version} ({len(pairs)} rows)")

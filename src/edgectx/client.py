@@ -16,15 +16,16 @@ from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bundle import (
+from .bundle import BundleError, ParameterBundle, decode_bundle
+from .data import SensorReading
+from .learners import (
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
-    BundleError,
-    ParameterBundle,
-    decode_bundle,
+    ContextLabel,
+    NeverSyncedError,
+    adcl_predict,
+    lcl_predict,
 )
-from .data import SensorReading
-from .learners import ContextLabel, NeverSyncedError, adcl_predict, lcl_predict
 from .protocol import (
     MSG_ACK,
     MSG_ERROR,

@@ -31,6 +31,10 @@ DCL_LEARNING_RATE = 0.3
 CL_DEFAULT_CONFIG = TrainingConfig(learning_rate=CL_LEARNING_RATE, epochs=40, seed=0)
 DCL_DEFAULT_CONFIG = TrainingConfig(learning_rate=DCL_LEARNING_RATE, epochs=300, seed=0)
 
+MODEL_KIND_DCL = "DCL"
+MODEL_KIND_CL = "CL"
+MODEL_KINDS = (MODEL_KIND_DCL, MODEL_KIND_CL)
+
 THRESHOLD_FLOOR = 0.01
 THRESHOLD_CEIL = 0.99
 
@@ -96,27 +100,53 @@ class Metrics:
     fn_rate: float | None = None
 
 
+def fit(
+    kind: str,
+    data: Dataset,
+    cfg: TrainingConfig,
+    hidden: tuple[int, ...] | None = None,
+) -> tuple[NetworkParameters, ThresholdVector | None, list[float]]:
+    """Train a model of ``kind`` on ``data``; every shipped model is built here.
+
+    The network starts from ``cfg.seed``. A DCL model takes ``hidden`` as
+    its hidden-layer widths, or one layer of the default width when
+    ``hidden`` is None; a CL model has no hidden layers and gets thresholds
+    calibrated on ``data``. Returns (params, thresholds, per-epoch losses);
+    thresholds are None for DCL.
+    """
+    if kind == MODEL_KIND_DCL:
+        if hidden is None:
+            hidden = (nn.hidden_size_default(data.n_features, data.n_classes),)
+        if not hidden:
+            raise ValueError("DCL requires at least one hidden layer")
+    elif kind == MODEL_KIND_CL:
+        if hidden:
+            raise ValueError("CL model must not have hidden layers")
+        hidden = ()
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    spec = LayerSpec(data.n_features, hidden, data.n_classes)
+    params, losses = nn.train(nn.init_network(spec, cfg.seed), data, cfg)
+    thresholds = calibrate_thresholds(params, data) if kind == MODEL_KIND_CL else None
+    return params, thresholds, losses
+
+
 def dcl_train(
     data: Dataset, spec: LayerSpec, cfg: TrainingConfig = DCL_DEFAULT_CONFIG
 ) -> NetworkParameters:
     """Train the deep context learner; the returned network is exactly what
-    gets shipped to ADCL clients."""
-    if not spec.hidden_sizes:
-        raise ValueError("DCL requires at least one hidden layer")
-    params = nn.init_network(spec, cfg.seed)
-    trained, _ = nn.train(params, data, cfg)
-    return trained
+    gets shipped to ADCL clients. ``spec`` must match the data's width and
+    class count."""
+    if (spec.input_count, spec.output_count) != (data.n_features, data.n_classes):
+        raise ValueError(f"{spec} does not match the data's width and class count")
+    return fit(MODEL_KIND_DCL, data, cfg, spec.hidden_sizes)[0]
 
 
 def cl_train(data: Dataset, cfg: TrainingConfig = CL_DEFAULT_CONFIG) -> ClModel:
     """Train the single-layer context learner and calibrate its thresholds
     on the training data."""
-    if not data.samples:
-        raise ValueError("cannot train on an empty dataset")
-    spec = LayerSpec(data.n_features, (), data.n_classes)
-    params = nn.init_network(spec, cfg.seed)
-    trained, _ = nn.train(params, data, cfg)
-    return ClModel(trained, calibrate_thresholds(trained, data))
+    params, thresholds, _ = fit(MODEL_KIND_CL, data, cfg)
+    return ClModel(params, thresholds)
 
 
 def calibrate_thresholds(params: NetworkParameters, data: Dataset) -> ThresholdVector:
@@ -339,7 +369,6 @@ def _stratified_folds(data: Dataset, k: int, seed: int) -> list[set[int]]:
 def make_dcl_trainer(
     hidden_sizes: tuple[int, ...] | None = None,
     cfg: TrainingConfig = DCL_DEFAULT_CONFIG,
-    normalize: bool = True,
 ) -> Trainer:
     """Pipeline factory: min-max normalization fitted on the training fold,
     DCL training, then ADCL prediction with the stored ranges applied.
@@ -347,39 +376,28 @@ def make_dcl_trainer(
     ``hidden_sizes=None`` applies the default width rule with one hidden
     layer.
     """
-
-    def trainer(train_data: Dataset):
-        hidden = hidden_sizes
-        if hidden is None:
-            hidden = (nn.hidden_size_default(train_data.n_features, train_data.n_classes),)
-        fitted = normalize_minmax(train_data) if normalize else train_data
-        spec = LayerSpec(train_data.n_features, hidden, train_data.n_classes)
-        params = dcl_train(fitted, spec, cfg)
-        norms = fitted.normalization
-
-        def predict(features):
-            vec = apply_minmax_vector(tuple(features), norms) if norms else features
-            return adcl_predict(params, vec, train_data.class_names)
-
-        return predict
-
-    return trainer
+    return _make_trainer(MODEL_KIND_DCL, cfg, hidden_sizes)
 
 
-def make_cl_trainer(
-    cfg: TrainingConfig = CL_DEFAULT_CONFIG, normalize: bool = True
-) -> Trainer:
+def make_cl_trainer(cfg: TrainingConfig = CL_DEFAULT_CONFIG) -> Trainer:
     """Pipeline factory: normalization, CL training with threshold
     calibration, then LCL prediction."""
+    return _make_trainer(MODEL_KIND_CL, cfg)
+
+
+def _make_trainer(
+    kind: str, cfg: TrainingConfig, hidden: tuple[int, ...] | None = None
+) -> Trainer:
+    predict_with = adcl_predict if kind == MODEL_KIND_DCL else lcl_predict
 
     def trainer(train_data: Dataset):
-        fitted = normalize_minmax(train_data) if normalize else train_data
-        model = cl_train(fitted, cfg)
-        norms = fitted.normalization
+        fitted = normalize_minmax(train_data)
+        params, thresholds, _ = fit(kind, fitted, cfg, hidden)
+        model = params if thresholds is None else ClModel(params, thresholds)
+        norms, names = fitted.normalization, train_data.class_names
 
         def predict(features):
-            vec = apply_minmax_vector(tuple(features), norms) if norms else features
-            return lcl_predict(model, vec, train_data.class_names)
+            return predict_with(model, apply_minmax_vector(tuple(features), norms), names)
 
         return predict
 

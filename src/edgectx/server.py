@@ -20,15 +20,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import protocol
-from .bundle import (
-    MODEL_KINDS,
-    BundleError,
-    ParameterBundle,
-    decode_bundle,
-    encode_bundle,
-)
+from .bundle import BundleError, ParameterBundle, decode_bundle, encode_bundle
 from .data import SensorReading
-from .learners import ThresholdVector
+from .learners import MODEL_KINDS, ThresholdVector
 from .nn import NetworkParameters
 from .protocol import (
     MSG_ACK,
@@ -158,8 +152,12 @@ class MemoryDataSink:
         rows = list(zip(batch.readings, batch.labels or (None,) * len(batch.readings)))
         with self._lock:
             self._admit(rows)
+            self._persist(rows)
             self._rows.extend(rows)
         return len(rows)
+
+    def _persist(self, rows: list[tuple[SensorReading, int | None]]) -> None:
+        """Called under the lock with admitted rows, before they are held."""
 
     def _admit(self, rows: list[tuple[SensorReading, int | None]]) -> None:
         """Raise BadBatchError unless every row fits; the first row of an
@@ -216,24 +214,17 @@ class JsonlDataSink(MemoryDataSink):
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     log.warning("%s:%d: skipping row: %s", self.path, lineno, exc)
 
-    def store(self, batch: SensorBatch) -> int:
-        n = super().store(batch)
-        labels = batch.labels or (None,) * len(batch.readings)
+    def _persist(self, rows: list[tuple[SensorReading, int | None]]) -> None:
+        # under the sink lock, so the file holds rows in memory order and
+        # no other batch's write lands inside this one
+        text = "".join(
+            json.dumps({"sensor_id": r.sensor_id, "timestamp": r.timestamp,
+                        "values": list(r.values), "label": label},
+                       separators=(",", ":")) + "\n"
+            for r, label in rows
+        )
         with open(self.path, "a", encoding="utf-8") as fh:
-            for reading, label in zip(batch.readings, labels):
-                fh.write(
-                    json.dumps(
-                        {
-                            "sensor_id": reading.sensor_id,
-                            "timestamp": reading.timestamp,
-                            "values": list(reading.values),
-                            "label": label,
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-        return n
+            fh.write(text)
 
 
 def handle_request(msg: dict, store: ModelStore, sink) -> tuple[dict, bool]:
@@ -267,10 +258,17 @@ def handle_request(msg: dict, store: ModelStore, sink) -> tuple[dict, bool]:
     return error_message("bad_type", f"unknown message type {kind!r}"), True
 
 
+# A connection that sends nothing for this long is closed, so idle clients
+# cannot pin handler threads. Three of the client's default 30 s sync
+# periods, so a kept connection that syncs on that period is never cut.
+IDLE_TIMEOUT_S = 90.0
+
+
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         server: ParameterServer = self.server.ctx_server  # type: ignore[attr-defined]
         sock = self.request
+        sock.settimeout(IDLE_TIMEOUT_S)
         while True:
             try:
                 payload = protocol.recv_frame(sock)
@@ -333,9 +331,6 @@ class ParameterServer:
         self._thread.start()
         return self.address
 
-    def serve_forever(self) -> None:
-        self._tcp.serve_forever()
-
     def stop(self) -> None:
         self._tcp.shutdown()
         self._tcp.server_close()
@@ -343,16 +338,3 @@ class ParameterServer:
             self._thread.join(timeout=5.0)
             self._thread = None
 
-
-def server_serve(
-    listen_addr: tuple[str, int],
-    model_store: ModelStore,
-    data_sink: MemoryDataSink,
-) -> None:
-    """Run the parameter server on the calling thread until interrupted."""
-    server = ParameterServer(listen_addr, model_store, data_sink)
-    log.info("parameter server listening on %s:%d", *server.address)
-    try:
-        server.serve_forever()
-    finally:
-        server.stop()

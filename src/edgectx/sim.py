@@ -20,17 +20,20 @@ import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from . import nn
-from .bundle import MODEL_KIND_CL, MODEL_KIND_DCL, ParameterBundle
+from .bundle import ParameterBundle
 from .data import Dataset, dataset_from_readings, SensorReading
 from .learners import (
+    MODEL_KIND_CL,
+    MODEL_KIND_DCL,
     Metrics,
     adcl_predict,
+    # unused here, but perfbench's tracer wraps this name and fails without it
     calibrate_thresholds,
+    fit,
     lcl_predict,
     metrics_from_counts,
 )
-from .nn import LayerSpec, TrainingConfig
+from .nn import TrainingConfig
 from .rng import Rng
 
 ALGORITHMS = ("CL", "LCL", "DCL", "ADCL")
@@ -354,18 +357,8 @@ class _ScenarioRunner:
         data = dataset_from_readings(
             pending.rows, self.feature_names, self.class_names
         )
-        seed = pending.seed
-        if pending.kind == MODEL_KIND_DCL:
-            cfg = replace(self.dcl_config, seed=seed)
-            hidden = (nn.hidden_size_default(data.n_features, data.n_classes),)
-            spec = LayerSpec(data.n_features, hidden, data.n_classes)
-            params, _ = nn.train(nn.init_network(spec, seed), data, cfg)
-            thresholds = None
-        else:
-            cfg = replace(self.cl_config, seed=seed)
-            spec = LayerSpec(data.n_features, (), data.n_classes)
-            params, _ = nn.train(nn.init_network(spec, seed), data, cfg)
-            thresholds = calibrate_thresholds(params, data)
+        cfg = self.dcl_config if pending.kind == MODEL_KIND_DCL else self.cl_config
+        params, thresholds, _ = fit(pending.kind, data, replace(cfg, seed=pending.seed))
         return ParameterBundle(
             model_kind=pending.kind,
             params=replace(params, version=pending.model_version),

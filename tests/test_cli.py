@@ -1,12 +1,28 @@
 import json
+import zlib
 
 import pytest
 
-from edgectx.cli import main, resolve_dataset, _parse_sweep, UsageError
-from edgectx.data import normalize_minmax, synth_still_motion
-from edgectx.learners import dcl_train
+from edgectx.bundle import decode_bundle
+from edgectx.cli import main, resolve_dataset, _parse_sweep, _retrain_once, UsageError
+from edgectx.data import (
+    SensorReading,
+    dataset_from_readings,
+    load_csv,
+    normalize_minmax,
+    synth_still_motion,
+)
+from edgectx.learners import (
+    CL_LEARNING_RATE,
+    DCL_LEARNING_RATE,
+    MODEL_KIND_CL,
+    MODEL_KIND_DCL,
+    dcl_train,
+    fit,
+)
 from edgectx.nn import LayerSpec, TrainingConfig
-from edgectx.server import MemoryDataSink, ModelStore, ParameterServer
+from edgectx.protocol import SensorBatch
+from edgectx.server import JsonlDataSink, MemoryDataSink, ModelStore, ParameterServer
 
 
 @pytest.fixture
@@ -100,6 +116,35 @@ class TestTrainCommand:
         assert run_cli(
             "train", "seeds", "--config", cfg, "--epochs", "10", "--kfold", "3"
         ) == 0
+
+
+def assert_same_params(a, b):
+    assert a.spec == b.spec
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind, hidden_arg, hidden", [
+    ("dcl", None, None), ("dcl", "3,2", (3, 2)), ("cl", None, None),
+])
+def test_train_out_ships_the_fit_model(small_csv, tmp_path, capsys, kind, hidden_arg, hidden):
+    # the bundle holds what fit builds on the min-max-normalised rows
+    bundle_path = tmp_path / "model.bundle"
+    argv = ["train", small_csv, "--kind", kind, "--epochs", "12", "--kfold", "3",
+            "--seed", "5", "--out", bundle_path]
+    if hidden_arg:
+        argv += ["--hidden", hidden_arg]
+    assert run_cli(*argv) == 0
+    shipped = decode_bundle(bundle_path.read_bytes())
+    model_kind = MODEL_KIND_DCL if kind == "dcl" else MODEL_KIND_CL
+    lr = DCL_LEARNING_RATE if kind == "dcl" else CL_LEARNING_RATE
+    params, thresholds, losses = fit(
+        model_kind, normalize_minmax(load_csv(small_csv)), TrainingConfig(lr, 12, 5), hidden
+    )
+    assert shipped.model_kind == model_kind
+    assert_same_params(shipped.params, params)
+    assert shipped.thresholds == thresholds
+    assert json.loads(capsys.readouterr().out)["final_epoch_loss"] == losses[-1]
 
 
 class TestSweepParsing:
@@ -334,6 +379,30 @@ class TestServeHelpers:
         # a retrain of the next version draws a fresh initialisation
         first, second = published[0][0], published[0][2]
         assert first.params.weights[0].tobytes() != second.params.weights[0].tobytes()
+
+    def test_retrain_publishes_the_fit_model(self, tmp_path):
+        # the sink's labelled rows, unnormalised, with the crc32 seed of
+        # the kind and the version being published
+        readings = tuple(
+            SensorReading("acc0", i, (0.3 * (i % 3), 1.0 + (i % 2))) for i in range(30)
+        )
+        sink = JsonlDataSink(tmp_path / "readings.jsonl")
+        sink.store(SensorBatch("c1", readings, labels=tuple(i % 2 for i in range(30))))
+        store = ModelStore()
+
+        class Args:
+            min_rows = 8
+            epochs = 7
+
+        _retrain_once(store, sink, ["DCL", "CL"], Args)
+        data = dataset_from_readings(sink.labeled_pairs(), ("f0", "f1"), ("0", "1"))
+        for kind, lr in ((MODEL_KIND_DCL, DCL_LEARNING_RATE), (MODEL_KIND_CL, CL_LEARNING_RATE)):
+            seed = zlib.crc32(f"{kind} v1".encode())
+            params, thresholds, _ = fit(kind, data, TrainingConfig(lr, 7, seed))
+            bundle = store.get(kind)
+            assert bundle.model_version == 1
+            assert_same_params(bundle.params, params)
+            assert bundle.thresholds == thresholds
 
     def test_restart_continues_versions(self, tmp_path, live_server):
         from edgectx.cli import _retrain_once

@@ -5,6 +5,8 @@ import pytest
 
 from edgectx.data import Dataset, Sample, synth_still_motion
 from edgectx.learners import (
+    MODEL_KIND_CL,
+    MODEL_KIND_DCL,
     ClModel,
     ContextLabel,
     NeverSyncedError,
@@ -14,11 +16,20 @@ from edgectx.learners import (
     cl_train,
     dcl_train,
     evaluate,
+    fit,
     kfold_cross_validate,
     lcl_predict,
     make_dcl_trainer,
 )
-from edgectx.nn import LayerSpec, NetworkParameters, TrainingConfig, forward, init_network
+from edgectx.nn import (
+    LayerSpec,
+    NetworkParameters,
+    TrainingConfig,
+    forward,
+    hidden_size_default,
+    init_network,
+    train,
+)
 from edgectx.rng import Rng
 
 
@@ -364,6 +375,55 @@ class TestTrainers:
                 )
             )
             assert direct == via_pipeline.class_index
+
+
+def same_params(a: NetworkParameters, b: NetworkParameters) -> bool:
+    return a.spec == b.spec and all(
+        x.tobytes() == y.tobytes()
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases)
+    )
+
+
+class TestFit:
+    data = synth_still_motion(60, 9)
+
+    def test_dcl_default_width(self):
+        params, thresholds, losses = fit(MODEL_KIND_DCL, self.data, TrainingConfig(0.3, 4, 1))
+        width = hidden_size_default(self.data.n_features, self.data.n_classes)
+        assert params.spec == LayerSpec(2, (width,), 2)
+        assert thresholds is None
+        assert len(losses) == 4
+
+    def test_dcl_given_widths(self):
+        params, _, _ = fit(MODEL_KIND_DCL, self.data, TrainingConfig(0.3, 2, 1), (3, 4))
+        assert params.spec == LayerSpec(2, (3, 4), 2)
+
+    def test_cl_calibrates_thresholds(self):
+        params, thresholds, _ = fit(MODEL_KIND_CL, self.data, TrainingConfig(0.05, 3, 1))
+        assert params.spec == LayerSpec(2, (), 2)
+        assert thresholds == calibrate_thresholds(params, self.data)
+
+    @pytest.mark.parametrize("kind, hidden", [
+        ("XCL", None), ("dcl", None), (MODEL_KIND_CL, (2,)), (MODEL_KIND_DCL, ()),
+    ])
+    def test_refusals(self, kind, hidden):
+        with pytest.raises(ValueError):
+            fit(kind, self.data, TrainingConfig(0.3, 1, 1), hidden)
+
+    @pytest.mark.parametrize("kind, hidden", [(MODEL_KIND_DCL, (2,)), (MODEL_KIND_CL, ())])
+    def test_network_starts_from_cfg_seed(self, kind, hidden):
+        cfg = TrainingConfig(0.3, 3, 17)
+        params, _, losses = fit(kind, self.data, cfg, hidden)
+        spec = LayerSpec(2, hidden, 2)
+        expected, expected_losses = train(init_network(spec, 17), self.data, cfg)
+        assert same_params(params, expected)
+        assert losses == expected_losses
+        other, _, _ = fit(kind, self.data, TrainingConfig(0.3, 3, 18), hidden)
+        assert not same_params(params, other)
+
+    def test_dcl_train_refuses_a_spec_that_does_not_fit_the_data(self):
+        with pytest.raises(ValueError):
+            dcl_train(self.data, LayerSpec(2, (2,), 3), TrainingConfig(0.3, 1, 1))
 
 
 def test_threshold_vector_validation():

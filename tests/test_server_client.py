@@ -1,14 +1,17 @@
 """Server/client integration over real loopback TCP plus sync/upload policy
 against fake transports."""
 
+import builtins
 import json
 import os
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import edgectx.server
 from edgectx.bundle import decode_bundle, encode_bundle
 from edgectx.client import (
     EdgeClient,
@@ -333,6 +336,74 @@ class TestJsonlSink:
             fh.write('{"sensor_id":"acc0","timestamp":9,"values":[0.1,0.2],"label":0}\n')
         again = JsonlDataSink(path)
         assert len(again) == 4
+
+
+    def test_concurrent_stores_reload_in_memory_order(self, tmp_path, monkeypatch):
+        # batch a is admitted first but its file write is held back while
+        # batch b stores; the file must still list a before b
+        path = tmp_path / "readings.jsonl"
+        sink = JsonlDataSink(path)
+        a_writing, release_a = threading.Event(), threading.Event()
+
+        def held_open(*args, **kwargs):
+            if threading.current_thread().name == "store-a":
+                a_writing.set()
+                release_a.wait(5)
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(edgectx.server, "open", held_open, raising=False)
+        a = threading.Thread(target=sink.store, args=(make_batch(3, "a"),), name="store-a")
+        b = threading.Thread(target=sink.store, args=(make_batch(3, "b"),), name="store-b")
+        a.start()
+        assert a_writing.wait(5)
+        b.start()
+        b.join(0.5)  # b gets through here only if a's write is outside the lock
+        release_a.set()
+        a.join(5)
+        b.join(5)
+        monkeypatch.undo()
+        in_memory = [r.sensor_id for r, _ in sink.labeled_pairs()]
+        assert in_memory == ["a"] * 3 + ["b"] * 3
+        assert [r.sensor_id for r, _ in JsonlDataSink(path).labeled_pairs()] == in_memory
+
+
+class TestIdleTimeout:
+    @pytest.fixture
+    def short_timeout_server(self, monkeypatch):
+        monkeypatch.setattr(edgectx.server, "IDLE_TIMEOUT_S", 0.3)
+        srv = ParameterServer(("127.0.0.1", 0), ModelStore(), MemoryDataSink())
+        srv.start()
+        yield srv
+        srv.stop()
+
+    def test_idle_connection_is_closed(self, short_timeout_server):
+        sock = socket.create_connection(short_timeout_server.address, timeout=5)
+        t0 = time.monotonic()
+        try:
+            assert sock.recv(1) == b""  # the server hung up
+        except ConnectionResetError:
+            pass
+        assert time.monotonic() - t0 < 4
+        sock.close()
+
+    def test_kept_connection_used_inside_the_timeout_gets_replies(
+        self, short_timeout_server
+    ):
+        tp = TcpTransport(short_timeout_server.address, timeout=2)
+        try:
+            assert tp.request({"type": "PING"})["type"] == "PONG"
+            kept = tp._sock
+            for _ in range(8):  # 8 x 0.1 s spans the 0.3 s timeout twice
+                time.sleep(0.1)
+                assert tp.request({"type": "PING"})["type"] == "PONG"
+                assert tp._sock is kept  # served on the same connection
+        finally:
+            tp.close()
+
+    def test_default_outlasts_the_client_sync_period(self):
+        from edgectx.client import DEFAULT_SYNC_PERIOD_MS
+
+        assert edgectx.server.IDLE_TIMEOUT_S > DEFAULT_SYNC_PERIOD_MS / 1000
 
 
 class FakeTransport:
