@@ -188,13 +188,12 @@ def adcl_predict(
     """
     if params is None:
         raise NeverSyncedError("no network parameters received yet")
-    outputs = nn.final_outputs(params, features)
-    idx = _first_argmax(outputs)
-    return ContextLabel(idx, class_names[idx] if idx < len(class_names) else "")
+    idx = nn.predict_class(params, features)
+    return _labels(tuple(class_names), params.spec.output_count)[idx]
 
 
 def lcl_predict(
-    model: ClModel,
+    model: ClModel | None,
     features: Sequence[float],
     class_names: Sequence[str] = (),
 ) -> ContextLabel:
@@ -203,44 +202,23 @@ def lcl_predict(
     Among classes whose output exceeds its threshold, the one with the
     largest margin (output - threshold) wins; when none exceeds, falls back
     to plain argmax. Ties break toward the lowest index, so a prediction is
-    always produced.
+    always produced. Raises NeverSyncedError when no model has been
+    received yet.
     """
-    outputs = nn.final_outputs(model.params, features)
-    idx = _lcl_choice(len(outputs))(outputs, model.thresholds.values)
-    return ContextLabel(idx, class_names[idx] if idx < len(class_names) else "")
+    if model is None:
+        raise NeverSyncedError("no CL model received yet")
+    params = model.params
+    idx = nn.predict_class(params, features, model.thresholds.values)
+    return _labels(tuple(class_names), params.spec.output_count)[idx]
 
 
 @lru_cache(maxsize=64)
-def _lcl_choice(n: int) -> Callable[[list[float], tuple[float, ...]], int]:
-    """``lcl_predict``'s class choice for ``n`` classes as straight-line
-    Python: the first largest margin o - t when it is positive, else the
-    first largest output. The source is built from ``n`` alone; outputs and
-    thresholds arrive as arguments. A list of margins and two argmax calls
-    cost more than the hidden layer the single-layer LCL saves over ADCL on
-    a 2-2-2 net; this costs less than ADCL's argmax.
-    """
-    outs = [f"o{i}" for i in range(int(n))]
-    lines = [
-        "def choose(o, t):",
-        f"    {', '.join(outs)}, = o",
-        f"    {', '.join(f't{i}' for i in range(len(outs)))}, = t",
-        "    i, m = 0, o0 - t0",
-    ]
-    for k in range(1, len(outs)):
-        lines += [f"    if o{k} - t{k} > m:", f"        i, m = {k}, o{k} - t{k}"]
-    lines += ["    if m <= 0.0:", "        i, m = 0, o0"]
-    for k in range(1, len(outs)):
-        lines += [f"        if o{k} > m:", f"            i, m = {k}, o{k}"]
-    namespace: dict = {}
-    exec(compile("\n".join(lines + ["    return i", ""]), f"<edgectx LCL choice {n}>", "exec"),
-         namespace)
-    return namespace["choose"]
-
-
-def _first_argmax(values: list[float]) -> int:
-    """Index of the largest value; ties go to the lowest index, as with
-    ``np.argmax``."""
-    return max(range(len(values)), key=values.__getitem__)
+def _labels(class_names: tuple[str, ...], n: int) -> tuple[ContextLabel, ...]:
+    """The label of each of ``n`` class indices, named from
+    ``class_names`` where it has a name; built once, not per prediction."""
+    return tuple(
+        ContextLabel(i, class_names[i] if i < len(class_names) else "") for i in range(n)
+    )
 
 
 def evaluate(

@@ -9,7 +9,10 @@ Two kernels compute the same math. Networks whose arithmetic costs less
 than numpy's fixed cost per call run on straight-line Python generated once
 per topology from the layer sizes: one function for a forward pass, one
 for the deltas and one for a whole SGD epoch, each reading the parameters
-from one flat sequence of floats, so a sample costs no Python call. The
+from one flat sequence of floats, so a sample costs no Python call. A
+fourth, compiled apart on a net's first prediction, checks one input,
+runs the same forward pass and picks the class (``predict_class``), so a
+prediction that arrives with cold caches walks little code. The
 rest run on numpy arrays, written in place into buffers allocated once per
 call (once per ``train``, not per sample). The list kernel's cost grows
 with the weight count and the numpy kernel's with the layer count, so a
@@ -176,6 +179,12 @@ class NetworkParameters:
         """The compiled list kernel of this topology, for nets with
         ``_lists``."""
         return _list_kernel(self.spec.layer_sizes)
+
+    @cached_property
+    def _predict_fn(self) -> Callable:
+        """The generated ``predict`` of this topology, for nets with
+        ``_lists``."""
+        return _predict_kernel(self.spec.layer_sizes)
 
 
 @dataclass(frozen=True)
@@ -477,10 +486,7 @@ def _list_kernel(sizes: tuple[int, ...]) -> _ListKernel:
     network of that topology shares it. The source is built from the layer
     sizes alone, and the parameters, inputs and targets arrive as arguments,
     so no value a caller supplies is ever compiled."""
-    namespace = {"exp": math.exp, "LO": _SIG_LO, "HI": _SIG_HI}
-    name = "-".join(str(int(n)) for n in sizes)
-    code = compile(_list_kernel_source(sizes), f"<edgectx.nn list kernel {name}>", "exec")
-    exec(code, namespace)
+    namespace = _compiled(_list_kernel_source(sizes), "list kernel", sizes)
     return _ListKernel(*(namespace[f] for f in _ListKernel._fields))
 
 
@@ -489,46 +495,18 @@ def _list_kernel_source(sizes) -> str:
 
     The arithmetic is ``apply_update``'s, one operation at a time in a fixed
     order, which keeps a topology's result bits the same on every run:
-    each net input folds left from the bias, b + w0*a0 + w1*a1 + ...; the
-    sigmoid is 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below,
-    clipped to (``LO``, ``HI``); each hidden delta sum starts from zero, so
-    a -0.0 sum reads 0.0; and every delta is taken before any update
-    p -= lr * (delta * input).
+    the forward pass is the one ``_forward_lines`` writes; each hidden
+    delta sum starts from zero, so a -0.0 sum reads 0.0; and every delta is
+    taken before any update p -= lr * (delta * input).
     """
     sizes = [int(n) for n in sizes]
-    at, weights, biases = 0, [], []  # weights[l][j][k] and biases[l][j]: names in p
-    for n_in, n_out in zip(sizes, sizes[1:]):
-        weights.append([[f"p{at + j * n_in + k}" for k in range(n_in)] for j in range(n_out)])
-        at += n_out * n_in
-        biases.append([f"p{at + j}" for j in range(n_out)])
-        at += n_out
-    params = [f"p{i}" for i in range(at)]
-    acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(sizes)]
+    weights, biases, params, acts, forward = _forward_lines(sizes)
     deltas = [None, *([f"d{l}_{j}" for j in range(n)] for l, n in enumerate(sizes) if l)]
     targets = [f"t{j}" for j in range(sizes[-1])]
-
-    def unpack(names, value):
-        return f"{', '.join(names)}, = {value}"
 
     def listed(names):
         return f"[{', '.join(names)}]"
 
-    forward = []
-    for l in range(1, len(sizes)):
-        for j, a in enumerate(acts[l]):
-            terms = (f"{w} * {x}" for w, x in zip(weights[l - 1][j], acts[l - 1]))
-            forward += [
-                f"z = {' + '.join((biases[l - 1][j], *terms))}",
-                "if z >= 0.0:",
-                f"    {a} = 1.0 / (1.0 + exp(-z))",
-                f"    if {a} > HI:",
-                f"        {a} = HI",
-                "else:",
-                f"    {a} = exp(z)",
-                f"    {a} = {a} / (1.0 + {a})",
-                f"    if {a} < LO:",
-                f"        {a} = LO",
-            ]
     backward = [f"{d} = ({a} - {t}) * {a} * (1.0 - {a})"
                 for d, a, t in zip(deltas[-1], acts[-1], targets)]
     for l in range(len(sizes) - 2, 0, -1):
@@ -546,28 +524,161 @@ def _list_kernel_source(sizes) -> str:
     loss = [f"{e} = {t} - {a}" for e, t, a in zip(errors, targets, acts[-1])]
     loss.append(f"total += 0.5 * ({' + '.join(f'{e} * {e}' for e in errors)})")
 
-    def body(lines, depth):
-        return [" " * (4 * depth) + line for line in lines]
-
     return "\n".join([
         "def activations(p, x):",
-        *body([unpack(params, "p"), unpack(acts[0], "x"), *forward], 1),
+        *_indent([_unpack(params, "p"), _unpack(acts[0], "x"), *forward], 1),
         f"    return [x, {', '.join(listed(a) for a in acts[1:])}]",
         "",
         "def deltas(p, acts, t):",
-        *body([unpack(params, "p"), unpack(targets, "t")], 1),
-        *body([unpack(acts[l], f"acts[{l}]") for l in range(1, len(sizes))], 1),
-        *body(backward, 1),
+        *_indent([_unpack(params, "p"), _unpack(targets, "t")], 1),
+        *_indent([_unpack(acts[l], f"acts[{l}]") for l in range(1, len(sizes))], 1),
+        *_indent(backward, 1),
         f"    return [{', '.join(listed(d) for d in deltas[1:])}]",
         "",
         "def epoch(p, features, targets, order, lr):",
-        *body([unpack(params, "p"), "total = 0.0", "for i in order:"], 1),
-        *body([unpack(acts[0], "features[i]"), unpack(targets, "targets[i]"), *forward,
-               *loss, *backward, *update], 2),
+        *_indent([_unpack(params, "p"), "total = 0.0", "for i in order:"], 1),
+        *_indent([_unpack(acts[0], "features[i]"), _unpack(targets, "targets[i]"), *forward,
+                  *loss, *backward, *update], 2),
         f"    p[:] = {listed(params)}",
         "    return total",
         "",
     ])
+
+
+def _forward_lines(sizes: list[int]):
+    """The names the generated functions give the parameters and
+    activations of ``sizes``, and the lines of one forward pass.
+
+    Returns (weights, biases, params, acts, forward): ``weights[l][j][k]``
+    and ``biases[l][j]`` name entries of the flat parameter sequence
+    (``params`` lists them all in order), ``acts[l][j]`` names node j's
+    output of layer l (layer 0 is the input), and ``forward`` computes
+    every ``acts[l]`` from ``acts[0]``. Each net input folds left from the
+    bias, b + w0*a0 + w1*a1 + ...; the sigmoid is 1 / (1 + e^-z) for
+    z >= 0 and e^z / (1 + e^z) below, clipped to (``LO``, ``HI``).
+    """
+    at, weights, biases = 0, [], []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append([[f"p{at + j * n_in + k}" for k in range(n_in)] for j in range(n_out)])
+        at += n_out * n_in
+        biases.append([f"p{at + j}" for j in range(n_out)])
+        at += n_out
+    params = [f"p{i}" for i in range(at)]
+    acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(sizes)]
+    forward = []
+    for l in range(1, len(sizes)):
+        for j, a in enumerate(acts[l]):
+            terms = (f"{w} * {x}" for w, x in zip(weights[l - 1][j], acts[l - 1]))
+            forward += [
+                f"z = {' + '.join((biases[l - 1][j], *terms))}",
+                "if z >= 0.0:",
+                f"    {a} = 1.0 / (1.0 + exp(-z))",
+                f"    if {a} > HI:",
+                f"        {a} = HI",
+                "else:",
+                f"    {a} = exp(z)",
+                f"    {a} = {a} / (1.0 + {a})",
+                f"    if {a} < LO:",
+                f"        {a} = LO",
+            ]
+    return weights, biases, params, acts, forward
+
+
+def _choice_lines(outs: list[str]) -> list[str]:
+    """Lines that set ``i`` to the class the outputs named ``outs`` pick.
+
+    With thresholds ``t`` None: the first largest output, the index
+    ``max(range(n), key=outputs.__getitem__)`` gives. Otherwise LCL's margin
+    rule: the first largest margin o - t when it is positive, else the
+    first largest output. A list of margins and two argmax calls would cost
+    more than the hidden layer the single-layer LCL saves over ADCL on a
+    2-2-2 net.
+    """
+    lines = [
+        "if t is not None:",
+        f"    {', '.join(f't{k}' for k in range(len(outs)))}, = t",
+        f"    i, m = 0, {outs[0]} - t0",
+    ]
+    for k, o in enumerate(outs[1:], start=1):
+        lines += [f"    if {o} - t{k} > m:", f"        i, m = {k}, {o} - t{k}"]
+    lines += ["if t is None or m <= 0.0:", f"    i, m = 0, {outs[0]}"]
+    for k, o in enumerate(outs[1:], start=1):
+        lines += [f"    if {o} > m:", f"        i, m = {k}, {o}"]
+    return lines
+
+
+def _predict_source(sizes) -> str:
+    """Python source of ``predict(p, t, x)`` for ``sizes``: ``x`` as
+    floats, refused when any is not finite, through the forward pass to the
+    class ``_choice_lines`` picks with thresholds ``t``."""
+    sizes = [int(n) for n in sizes]
+    _, _, params, acts, forward = _forward_lines(sizes)
+    x = acts[0]
+    # x - x is 0.0 for every finite x and NaN for NaN and +-inf
+    finite = " + ".join(f"({a} - {a})" for a in x)
+    return "\n".join([
+        "def predict(p, t, x):",
+        *_indent([_unpack(params, "p"), _unpack(x, "x"), *(f"{a} = float({a})" for a in x),
+                  f"if {finite} != 0.0:",
+                  "    raise ValueError('input contains non-finite values')",
+                  *forward, *_choice_lines(acts[-1]), "return i"], 1),
+        "",
+    ])
+
+
+@lru_cache(maxsize=64)
+def _predict_kernel(sizes: tuple[int, ...]) -> Callable:
+    """The generated ``predict`` for ``sizes``, compiled once per topology
+    on the first prediction, apart from the training kernel."""
+    return _compiled(_predict_source(sizes), "predict", sizes)["predict"]
+
+
+@lru_cache(maxsize=64)
+def _class_choice(n: int) -> Callable[[list[float], tuple[float, ...] | None], int]:
+    """``choose(o, t)``: the class ``_choice_lines`` picks from ``n``
+    outputs ``o`` with thresholds ``t``, for nets off the list kernel."""
+    outs = [f"o{k}" for k in range(int(n))]
+    source = "\n".join(["def choose(o, t):",
+                        *_indent([_unpack(outs, "o"), *_choice_lines(outs), "return i"], 1), ""])
+    return _compiled(source, "class choice", (n,))["choose"]
+
+
+def predict_class(params: NetworkParameters, features, thresholds=None) -> int:
+    """The class ``final_outputs(params, features)`` picks: the first
+    largest output, or with ``thresholds`` (one per output) the first
+    largest positive margin output - threshold, else the first largest
+    output.
+
+    A tuple or list on a list-kernel net runs one generated function;
+    anything else, and any input that function refuses (a wrong width
+    among them), goes through ``final_outputs``, which raises what it
+    always raised.
+    """
+    lists = params._lists
+    if lists is not None and type(features) in (tuple, list):
+        try:
+            return params._predict_fn(lists, thresholds, features)
+        except (TypeError, ValueError):
+            pass
+    outputs = final_outputs(params, features)
+    return _class_choice(len(outputs))(outputs, thresholds)
+
+
+def _unpack(names, value) -> str:
+    return f"{', '.join(names)}, = {value}"
+
+
+def _indent(lines, depth: int) -> list[str]:
+    return [" " * (4 * depth) + line for line in lines]
+
+
+def _compiled(source: str, what: str, sizes) -> dict:
+    """The namespace ``source``, generated for ``sizes``, defines its
+    functions in."""
+    namespace = {"exp": math.exp, "LO": _SIG_LO, "HI": _SIG_HI}
+    name = "-".join(str(int(n)) for n in sizes)
+    exec(compile(source, f"<edgectx.nn {what} {name}>", "exec"), namespace)
+    return namespace
 
 
 def apply_update(

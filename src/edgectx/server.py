@@ -4,7 +4,8 @@ The store keeps one immutable bundle per model kind; publishing swaps the
 reference under a lock, so readers always see a complete old or new bundle,
 never a mix. Versions increase by exactly one per publish and survive
 restarts when a persist directory is configured; there, a bundle is on disk
-before any client can receive it.
+before any client can receive it, and the newest ``KEEP_BUNDLE_FILES`` files
+of each kind stay on disk.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .protocol import (
 log = logging.getLogger(__name__)
 
 _BUNDLE_FILE = re.compile(r"bundle-(DCL|CL)-v(\d+)\.json$")
+# Bundle files kept per model kind. A restart serves the newest of them that
+# decodes; each publish deletes the older ones once its own file is in place.
+KEEP_BUNDLE_FILES = 5
 
 
 def now_ms() -> int:
@@ -48,34 +52,54 @@ def now_ms() -> int:
 
 
 class ModelStore:
-    """Latest published bundle per model kind, with monotonic versions."""
+    """Latest published bundle per model kind, with monotonic versions.
+
+    Each bundle is held with its encoded text, which requests are served
+    from: the text is made once, when the bundle is published or read back
+    from its file at start.
+    """
 
     def __init__(self, persist_dir: str | Path | None = None) -> None:
         self._lock = threading.Lock()
-        self._bundles: dict[str, ParameterBundle] = {}
+        self._bundles: dict[str, tuple[ParameterBundle, str]] = {}
         self._versions: dict[str, int] = {}
         self._persist_dir = Path(persist_dir) if persist_dir is not None else None
         if self._persist_dir is not None:
             self._persist_dir.mkdir(parents=True, exist_ok=True)
             self._load_persisted()
 
-    def _load_persisted(self) -> None:
+    def _bundle_files(self) -> dict[str, list[tuple[int, Path]]]:
+        """The persisted bundle files of each kind, newest first."""
         assert self._persist_dir is not None
         files: dict[str, list[tuple[int, Path]]] = {}
         for path in self._persist_dir.iterdir():
             m = _BUNDLE_FILE.match(path.name)
             if m:
                 files.setdefault(m.group(1), []).append((int(m.group(2)), path))
-        for kind, found in files.items():
+        for found in files.values():
             found.sort(reverse=True)
+        return files
+
+    def _load_persisted(self) -> None:
+        for kind, found in self._bundle_files().items():
             # the next publish must not reuse even a corrupt file's number
             self._versions[kind] = found[0][0]
             for _, path in found:
+                raw = path.read_bytes()
                 try:
-                    self._bundles[kind] = decode_bundle(path.read_bytes())
+                    self._bundles[kind] = (decode_bundle(raw), raw.decode("utf-8"))
                     break
                 except BundleError as exc:
                     log.warning("skipping corrupt bundle file %s: %s", path, exc)
+
+    def _prune(self, model_kind: str) -> None:
+        """Delete all but the newest ``KEEP_BUNDLE_FILES`` files of
+        ``model_kind``."""
+        for _, path in self._bundle_files().get(model_kind, [])[KEEP_BUNDLE_FILES:]:
+            try:
+                path.unlink()
+            except OSError as exc:
+                log.warning("could not delete old bundle file %s: %s", path, exc)
 
     def publish(
         self,
@@ -95,6 +119,7 @@ class ModelStore:
                 created_at=now_ms() if created_at is None else created_at,
                 thresholds=thresholds,
             )
+            encoded = encode_bundle(bundle)
             if self._persist_dir is not None:
                 path = self._persist_dir / f"bundle-{model_kind}-v{version}.json"
                 # a reader or a restart sees the old file set or the new
@@ -102,14 +127,16 @@ class ModelStore:
                 # no temp file
                 tmp = path.with_suffix(".json.tmp")
                 try:
-                    tmp.write_bytes(encode_bundle(bundle))
+                    tmp.write_bytes(encoded)
                     os.replace(tmp, path)
                 finally:
                     tmp.unlink(missing_ok=True)
             # served only once on disk, so a restart never reissues a
             # version number that some client already holds
-            self._bundles[model_kind] = bundle
+            self._bundles[model_kind] = (bundle, encoded.decode("utf-8"))
             self._versions[model_kind] = version
+            if self._persist_dir is not None:
+                self._prune(model_kind)
         return bundle
 
     def next_version(self, model_kind: str) -> int:
@@ -118,6 +145,11 @@ class ModelStore:
             return self._versions.get(model_kind, 0) + 1
 
     def get(self, model_kind: str) -> ParameterBundle | None:
+        served = self.get_encoded(model_kind)
+        return None if served is None else served[0]
+
+    def get_encoded(self, model_kind: str) -> tuple[ParameterBundle, str] | None:
+        """The bundle served for ``model_kind`` and its encoded text."""
         with self._lock:
             return self._bundles.get(model_kind)
 
@@ -236,18 +268,19 @@ def handle_request(msg: dict, store: ModelStore, sink) -> tuple[dict, bool]:
         model_kind = msg.get("model_kind")
         if model_kind not in MODEL_KINDS:
             return error_message("bad_model_kind", f"unknown model kind {model_kind!r}"), True
-        bundle = store.get(model_kind)
-        if bundle is None:
+        served = store.get_encoded(model_kind)
+        if served is None:
             return {
                 "type": MSG_NOT_READY,
                 "model_kind": model_kind,
                 "available": store.kinds(),
             }, True
+        bundle, text = served
         return {
             "type": MSG_PARAMS,
             "model_kind": model_kind,
             "model_version": bundle.model_version,
-            "bundle": encode_bundle(bundle).decode("utf-8"),
+            "bundle": text,
         }, True
     if kind == MSG_PUSH_DATA:
         try:

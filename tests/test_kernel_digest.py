@@ -28,8 +28,12 @@ def test_digests_repeat():
         "nn.final_outputs.2-2", "nn.final_outputs.2-2x1-2", "nn.final_outputs.13-9x1-5",
         "nn.final_outputs.13-9x3-5", "nn.final_outputs.13-9x5-5",
         "nn.final_outputs.13-9x9-5", "nn.final_outputs.13-32x1-5",
-        "nn.final_outputs.13-16x3-5", "rng.shuffle.2", "rng.shuffle.3", "rng.shuffle.303",
-        "rng.shuffle.2000", "train-dcl-report",
+        "nn.final_outputs.13-16x3-5", "learners.adcl_predict.2-2",
+        "learners.adcl_predict.2-2x1-2", "learners.adcl_predict.13-9x1-5",
+        "learners.adcl_predict.13-9x3-5", "learners.adcl_predict.13-9x5-5",
+        "learners.adcl_predict.13-9x9-5", "learners.adcl_predict.13-32x1-5",
+        "learners.adcl_predict.13-16x3-5", "learners.lcl_predict.2-2", "rng.shuffle.2",
+        "rng.shuffle.3", "rng.shuffle.303", "rng.shuffle.2000", "train-dcl-report",
         "train-cl-report", "train-sweep-report", "outage-canonical-bytes",
     ]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

@@ -141,6 +141,22 @@ class TestAdclPredict:
         label = adcl_predict(params, whatever, ("still", "motion"))
         assert label == ContextLabel(1, "motion")
 
+    def test_labels_for_every_class_and_name_list(self):
+        model = cl_model_with_outputs([0.2, 0.3, 0.9], [0.5, 0.5, 0.5])
+        for names, expected in (
+            ((), ContextLabel(2, "")),
+            (("a", "b"), ContextLabel(2, "")),  # fewer names than classes
+            (("a", "b", "c"), ContextLabel(2, "c")),
+            (["a", "b", "c"], ContextLabel(2, "c")),
+            (("a", "b", "c", "d"), ContextLabel(2, "c")),
+        ):
+            assert adcl_predict(model.params, whatever, names) == expected
+            assert lcl_predict(model, whatever, names) == expected
+        low = single_layer_with_outputs([0.9, 0.3, 0.2])
+        assert adcl_predict(low, whatever, ("a", "b", "c")) == ContextLabel(0, "a")
+        # built once per names and class count, not per prediction
+        assert adcl_predict(low, whatever) is adcl_predict(low, [1.0])
+
 
 def cl_model_with_outputs(outputs, thresholds):
     return ClModel(single_layer_with_outputs(outputs), ThresholdVector(tuple(thresholds)))
@@ -180,7 +196,7 @@ class TestLclPredict:
             assert 0 <= label.class_index < k
 
     def test_compiled_choice_matches_margin_rule(self):
-        from edgectx.learners import _lcl_choice
+        from edgectx.nn import _class_choice
 
         def reference(outs, taus):
             margins = [o - t for o, t in zip(outs, taus)]
@@ -194,7 +210,13 @@ class TestLclPredict:
             for _ in range(200):
                 outs = [levels[rng.randrange(4)] for _ in range(n)]
                 taus = tuple(levels[rng.randrange(4)] for _ in range(n))
-                assert _lcl_choice(n)(outs, taus) == reference(outs, taus)
+                assert _class_choice(n)(outs, taus) == reference(outs, taus)
+                # without thresholds: the first largest output
+                assert _class_choice(n)(outs, None) == outs.index(max(outs))
+
+    def test_never_synced(self):
+        with pytest.raises(NeverSyncedError):
+            lcl_predict(None, whatever)
 
     def test_cl_model_validation(self):
         with pytest.raises(ValueError):

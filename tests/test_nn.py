@@ -548,18 +548,18 @@ def manual_train(p, samples, cfg):
     return p, history
 
 
-def assert_concurrent_final_outputs_match_sequential(p):
-    """Two threads calling ``final_outputs`` on one net get the sequential
-    results; ``p`` takes 13 inputs."""
+def assert_concurrent_calls_match_sequential(call):
+    """Two threads calling ``call`` on the same 13-value inputs get the
+    sequential results."""
     rng = Rng(12)
     inputs = [[rng.uniform() for _ in range(13)] for _ in range(200)]
-    expected = [nn.final_outputs(p, x) for x in inputs]
+    expected = [call(x) for x in inputs]
     results = [None, None]
     barrier = threading.Barrier(2)
 
     def work(slot, order):
         barrier.wait(timeout=30)
-        results[slot] = [(i, nn.final_outputs(p, inputs[i])) for i in order]
+        results[slot] = [(i, call(inputs[i])) for i in order]
 
     threads = [
         threading.Thread(target=work, args=(0, range(200))),
@@ -585,14 +585,139 @@ class TestNumpyKernelThreads:
     def test_concurrent_final_outputs_match_sequential(self):
         p = random_params(LayerSpec(13, (16,) * 3, 5), 3)
         assert not on_lists(p)
-        assert_concurrent_final_outputs_match_sequential(p)
+        assert_concurrent_calls_match_sequential(lambda x: nn.final_outputs(p, x))
 
 
 class TestListKernelThreads:
     def test_concurrent_final_outputs_match_sequential(self):
         p = random_params(LayerSpec(13, (9,), 5), 3)
         assert on_lists(p)
-        assert_concurrent_final_outputs_match_sequential(p)
+        assert_concurrent_calls_match_sequential(lambda x: nn.final_outputs(p, x))
+
+    def test_concurrent_predict_class_match_sequential(self):
+        p = signed_params(LayerSpec(13, (9,), 5), 3)
+        taus = (0.3, 0.5, 0.7, 0.5, 0.3)
+        for thresholds in (None, taus):
+            assert_concurrent_calls_match_sequential(
+                lambda x: nn.predict_class(p, x, thresholds))
+
+
+def signed_params(spec: LayerSpec, seed: int) -> NetworkParameters:
+    """Weights and biases uniform in [-2, 2), so that, unlike with
+    ``init_network``'s [0, 1), the class a net picks varies with its input."""
+    rng = Rng(seed)
+    sizes = spec.layer_sizes
+    return make_params(
+        sizes,
+        [[[4.0 * rng.uniform() - 2.0 for _ in range(n_in)] for _ in range(n_out)]
+         for n_in, n_out in zip(sizes, sizes[1:])],
+        [[4.0 * rng.uniform() - 2.0 for _ in range(n)] for n in sizes[1:]],
+    )
+
+
+def first_argmax(outputs):
+    return max(range(len(outputs)), key=outputs.__getitem__)
+
+
+def margin_choice(outputs, thresholds):
+    """LCL's rule as a loop: the first largest margin o - t when positive,
+    else the first largest output."""
+    i, m = 0, outputs[0] - thresholds[0]
+    for k in range(1, len(outputs)):
+        if outputs[k] - thresholds[k] > m:
+            i, m = k, outputs[k] - thresholds[k]
+    if m <= 0.0:
+        i = first_argmax(outputs)
+    return i
+
+
+def reference_class(p, x, thresholds=None):
+    outputs = nn.final_outputs(p, x)
+    return first_argmax(outputs) if thresholds is None else margin_choice(outputs, thresholds)
+
+
+def raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+class TestPredictClass:
+    """``predict_class`` against ``final_outputs`` and the choice rules
+    written as loops."""
+
+    def test_matches_reference_on_random_list_topologies(self):
+        rng = Rng(91)
+        # saturating and overflowing inputs next to ordinary ones
+        extremes = (0.0, -0.0, 1e-300, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308)
+        for trial in range(60):
+            hidden = tuple(1 + rng.randrange(6) for _ in range(rng.randrange(4)))
+            spec = LayerSpec(1 + rng.randrange(8), hidden, 1 + rng.randrange(6))
+            p = signed_params(spec, trial)
+            taus = tuple(0.05 + 0.9 * rng.uniform() for _ in range(spec.output_count))
+            for _ in range(20):
+                x = [extremes[rng.randrange(len(extremes))] if rng.uniform() < 0.3
+                     else 4.0 * rng.uniform() - 2.0 for _ in range(spec.input_count)]
+                for thresholds in (None, taus):
+                    for vec in (x, tuple(x)):
+                        assert nn.predict_class(p, vec, thresholds) == \
+                            reference_class(p, x, thresholds), (spec, x, thresholds)
+            assert "_predict_fn" in vars(p)  # the generated function ran
+
+    def test_exact_output_ties_go_to_the_lowest_index(self):
+        # outputs 1 and 2 identical, output 0 lower; then all three equal
+        for w0 in ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4]], [[0.3, 0.4]] * 3):
+            p = make_params([2, 3], [w0], [[0.0, 0.0, 0.0]])
+            for x in ([0.5, 0.5], [1e308, 1e308], [-1e308, -1e308], [2.0, -3.0]):
+                outputs = nn.final_outputs(p, x)
+                assert outputs[1] == outputs[2]
+                assert nn.predict_class(p, x) == first_argmax(outputs)
+                for taus in ((0.5, 0.2, 0.2), (0.9, 0.99, 0.99), (0.1, 0.5, 0.3)):
+                    assert nn.predict_class(p, x, taus) == margin_choice(outputs, taus)
+
+    @pytest.mark.parametrize("spec", [LayerSpec(3, (2,), 2), LayerSpec(3, (16,) * 3, 2)])
+    def test_refuses_what_final_outputs_refuses(self, spec):
+        p = random_params(spec, 4)
+        inf, nan = float("inf"), float("nan")
+        bad = [
+            [0.1, 0.2], (0.1, 0.2, 0.3, 0.4), [],  # wrong width
+            np.zeros((1, 3)), np.zeros((3, 1)),  # 2-D arrays
+            [[0.1], [0.2], [0.3]], [0.1, [0.2], 0.3],  # nested lists
+            5, None, 0.5,  # not iterable
+            ["a", "0.2", "0.3"], "abc", (b"x", 0.2, 0.3),  # not numbers
+            [nan, 0.2, 0.3], (0.1, inf, 0.3), [0.1, 0.2, -inf], ["nan", 0.2, 0.3],
+            [1e308 * 10, 0.0, 0.0], [10**400, 0.0, 0.0],
+        ]
+        for x in bad:
+            expected = raised(nn.final_outputs, p, x)
+            assert raised(nn.predict_class, p, x) == expected, x
+            assert raised(nn.predict_class, p, x, (0.5, 0.5)) == expected, x
+
+    def test_accepts_what_final_outputs_accepts(self):
+        p = random_params(LayerSpec(3, (2,), 2), 4)
+        for x in (["1.5", 0.2, "-3"], "123", [True, 0, 2], np.array([0.1, 0.2, 0.3]),
+                  [np.float32(0.5), np.int64(2), 0.1], range(3)):
+            assert nn.predict_class(p, x) == reference_class(p, x)
+
+    def test_numpy_kernel_nets_take_the_reference_path(self):
+        p = random_params(LayerSpec(13, (16,) * 3, 5), 6)
+        assert not on_lists(p)
+        rng = Rng(7)
+        for _ in range(50):
+            x = [rng.uniform() for _ in range(13)]
+            assert nn.predict_class(p, x) == reference_class(p, x)
+        assert "_predict_fn" not in vars(p)
+
+    def test_compiled_on_first_predict_apart_from_training(self):
+        spec = LayerSpec(3, (4, 2), 2)  # a topology no other test compiles
+        nn._predict_kernel.cache_clear()
+        data = Dataset(tuple(Sample((0.1 * i, 0.2, 0.3), i % 2) for i in range(4)),
+                       ("a", "b", "c"), ("0", "1"))
+        p, _ = train(random_params(spec, 1), data, TrainingConfig(epochs=2))
+        assert nn._predict_kernel.cache_info().currsize == 0
+        nn.predict_class(p, [0.1, 0.2, 0.3])
+        assert nn._predict_kernel.cache_info().currsize == 1
+        assert vars(p)["_predict_fn"] is nn._predict_kernel(spec.layer_sizes)
 
 
 class TestTrain:

@@ -218,6 +218,71 @@ class TestModelStorePersistence:
         assert ModelStore(persist_dir=tmp_path).publish("DCL", trained_dcl).model_version == 2
         assert store.publish("DCL", trained_dcl).model_version == 2
 
+    def test_keeps_the_newest_files_per_kind(self, tmp_path, trained_dcl, trained_cl):
+        keep = edgectx.server.KEEP_BUNDLE_FILES
+        store = ModelStore(persist_dir=tmp_path)
+        for _ in range(keep + 3):
+            store.publish("DCL", trained_dcl)
+            store.publish("CL", trained_cl.params, trained_cl.thresholds)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"bundle-{kind}-v{v}.json" for kind in ("CL", "DCL")
+            for v in range(4, keep + 4)
+        )
+
+    def test_restart_after_pruning_falls_back_and_counts_on(self, tmp_path, trained_dcl):
+        keep = edgectx.server.KEEP_BUNDLE_FILES
+        store = ModelStore(persist_dir=tmp_path)
+        for _ in range(keep + 3):
+            previous = store.get("DCL")
+            store.publish("DCL", trained_dcl)
+        newest = tmp_path / f"bundle-DCL-v{keep + 3}.json"
+        newest.write_bytes(newest.read_bytes()[:-20])
+        reloaded = ModelStore(persist_dir=tmp_path)
+        assert reloaded.get("DCL").model_version == keep + 2
+        assert encode_bundle(reloaded.get("DCL")) == encode_bundle(previous)
+        assert reloaded.publish("DCL", trained_dcl).model_version == keep + 4
+        assert len(list(tmp_path.iterdir())) == keep
+
+    def test_old_files_stay_when_the_new_file_is_not_in_place(
+        self, tmp_path, trained_dcl, monkeypatch
+    ):
+        keep = edgectx.server.KEEP_BUNDLE_FILES
+        store = ModelStore(persist_dir=tmp_path)
+        for _ in range(keep):
+            store.publish("DCL", trained_dcl)
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        def no_rename(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError):
+            store.publish("DCL", trained_dcl)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_served_text_is_the_encoded_bundle(self, tmp_path, trained_dcl, trained_cl,
+                                               monkeypatch):
+        encodes = []
+
+        def counted(bundle):
+            encodes.append(bundle.model_kind)
+            return encode_bundle(bundle)
+
+        monkeypatch.setattr(edgectx.server, "encode_bundle", counted)
+        store = ModelStore(persist_dir=tmp_path)
+        for _ in range(2):
+            store.publish("DCL", trained_dcl)
+            store.publish("CL", trained_cl.params, trained_cl.thresholds)
+        for current in (store, ModelStore(persist_dir=tmp_path)):
+            for kind in ("DCL", "CL"):
+                for _ in range(3):
+                    reply, _ = handle_request(
+                        {"type": "GET_PARAMS", "model_kind": kind}, current, MemoryDataSink())
+                    assert reply["bundle"] == encode_bundle(current.get(kind)).decode("utf-8")
+                    assert reply["model_version"] == 2
+        # once per publish, never per request
+        assert encodes == ["DCL", "CL", "DCL", "CL"]
+
 
 class TestJsonlSink:
     def test_rows_survive_restart(self, tmp_path):

@@ -12,6 +12,11 @@ Each line is ``<name> <sha256>``. The names cover:
   kernel, the others run on the list kernel;
 * ``nn.final_outputs`` of the same eight untrained nets (seed 1) on every
   row of that set;
+* the class index ``learners.adcl_predict`` gives for every row of that set
+  on each of the eight nets trained at both learning rates, and the one
+  ``learners.lcl_predict`` gives on the single-layer net with thresholds
+  calibrated on the set (the deeper nets, 3 epochs in, answer one class
+  for every row);
 * ``Rng.shuffle`` permutations of 2, 3, 303 and 2000 items under seeds 0-9,
   each with the next word of the stream after it;
 * the report files of three ``edgectx train`` runs on synth-still-motion
@@ -38,7 +43,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from edgectx import cli, nn  # noqa: E402
+from edgectx import cli, learners, nn  # noqa: E402
 from edgectx.data import Dataset, Sample  # noqa: E402
 from edgectx.rng import Rng  # noqa: E402
 from perfbench import clusters  # noqa: E402
@@ -84,6 +89,11 @@ def _datasets() -> tuple[Dataset, Dataset]:
     return heart, narrow
 
 
+def _train(spec: nn.LayerSpec, data: Dataset, lr: float):
+    cfg = nn.TrainingConfig(learning_rate=lr, epochs=EPOCHS, seed=1)
+    return nn.train(nn.init_network(spec, 1), data, cfg)
+
+
 def train_digests() -> list[tuple[str, str]]:
     heart, narrow = _datasets()
     out = []
@@ -92,8 +102,7 @@ def train_digests() -> list[tuple[str, str]]:
         spec = nn.LayerSpec(inputs, hidden, outputs)
         digest = hashlib.sha256()
         for lr in LEARNING_RATES:
-            cfg = nn.TrainingConfig(learning_rate=lr, epochs=EPOCHS, seed=1)
-            trained, history = nn.train(nn.init_network(spec, 1), data, cfg)
+            trained, history = _train(spec, data, lr)
             for arr in (*trained.weights, *trained.biases):
                 digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
             digest.update(np.asarray(history, dtype=np.float64).tobytes())
@@ -111,6 +120,28 @@ def final_outputs_digests() -> list[tuple[str, str]]:
         digest = hashlib.sha256(np.asarray(scores, dtype=np.float64).tobytes())
         out.append((f"nn.final_outputs.{_name(inputs, hidden, outputs)}", digest.hexdigest()))
     return out
+
+
+def predict_digests() -> list[tuple[str, str]]:
+    heart, narrow = _datasets()
+    adcl, lcl = [], []
+    for inputs, hidden, outputs in TOPOLOGIES:
+        data = heart if inputs == heart.n_features else narrow
+        rows = [s.features for s in data.samples]
+        adcl_digest, lcl_digest = hashlib.sha256(), hashlib.sha256()
+        for lr in LEARNING_RATES:
+            params, _ = _train(nn.LayerSpec(inputs, hidden, outputs), data, lr)
+            classes = [learners.adcl_predict(params, x).class_index for x in rows]
+            adcl_digest.update(np.asarray(classes, dtype=np.int64).tobytes())
+            if not hidden:
+                model = learners.ClModel(params, learners.calibrate_thresholds(params, data))
+                classes = [learners.lcl_predict(model, x).class_index for x in rows]
+                lcl_digest.update(np.asarray(classes, dtype=np.int64).tobytes())
+        name = _name(inputs, hidden, outputs)
+        adcl.append((f"learners.adcl_predict.{name}", adcl_digest.hexdigest()))
+        if not hidden:
+            lcl.append((f"learners.lcl_predict.{name}", lcl_digest.hexdigest()))
+    return adcl + lcl
 
 
 def shuffle_digests() -> list[tuple[str, str]]:
@@ -164,7 +195,8 @@ def outage_digest(workdir: Path) -> tuple[str, str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        lines = [*train_digests(), *final_outputs_digests(), *shuffle_digests(),
+        lines = [*train_digests(), *final_outputs_digests(), *predict_digests(),
+                 *shuffle_digests(),
                  *report_digests(workdir), outage_digest(workdir)]
     for name, digest in lines:
         print(f"{name} {digest}")
