@@ -16,10 +16,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import nn
 from .bundle import BundleError, encode_bundle
-from .client import EdgeClient, SyncPolicy
 from .data import (
     DataFormatError,
     Dataset,
@@ -44,7 +42,9 @@ from .learners import (
 from .nn import LayerSpec, TrainingConfig
 from .protocol import MSG_NOT_READY, TcpTransport, TransportError
 from .server import JsonlDataSink, ModelStore, ParameterServer
-from .sim import LinkConfig, SensorNodeConfig, run_scenario
+
+# `simulate`, `client` and `bench` import the simulator, the edge client and
+# the benchmark when they run, so `serve` starts without them
 
 log = logging.getLogger(__name__)
 
@@ -360,6 +360,8 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args) -> None:
 
 
 def cmd_client(args) -> int:
+    from .client import EdgeClient, SyncPolicy
+
     addr = _parse_addr(args.server or os.environ.get(ENV_SERVER_ADDR, ""))
     period = args.sync_period_ms or int(os.environ.get(ENV_SYNC_PERIOD, "0")) or 30_000
     kind = MODEL_KIND_DCL if args.algorithm == "adcl" else MODEL_KIND_CL
@@ -406,7 +408,8 @@ def cmd_client(args) -> int:
                 outfile.flush()
                 continue
             try:
-                label = client.predict(features)
+                # the version reported is the one that made the prediction
+                label = state.predict(features)
             except (ValueError, BundleError) as exc:
                 outfile.write(f"{now},{feat_text},,,,ERROR\n")
                 log.warning("prediction failed: %s", exc)
@@ -427,10 +430,12 @@ def cmd_client(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = bench_mod.bench_execution(
+    from . import bench
+
+    rows = bench.bench_execution(
         repetitions=args.repetitions, dataset_size=args.dataset_size, seed=args.seed
     )
-    csv_text = bench_mod.rows_to_csv(rows)
+    csv_text = bench.rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     print(csv_text, end="")
@@ -450,7 +455,16 @@ def _scenario_source(obj: dict) -> Dataset:
     raise UsageError(f"unknown scenario source kind {kind!r}")
 
 
+def run_scenario(*args, **kwargs):
+    """``sim.run_scenario``, with the simulator imported on the call."""
+    from .sim import run_scenario as run
+
+    return run(*args, **kwargs)
+
+
 def cmd_simulate(args) -> int:
+    from .sim import LinkConfig, SensorNodeConfig
+
     with open(args.scenario, encoding="utf-8") as fh:
         cfg = json.load(fh)
     nodes = [

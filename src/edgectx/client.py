@@ -73,6 +73,15 @@ class SyncState:
     def model_version(self) -> int | None:
         return self.current_bundle.model_version if self.current_bundle else None
 
+    def predict(self, features) -> ContextLabel:
+        """The label the held bundle gives ``features``."""
+        bundle = self.current_bundle
+        if bundle is None:
+            raise NeverSyncedError("no parameters synced yet")
+        if bundle.model_kind == MODEL_KIND_CL:
+            return lcl_predict(bundle.as_cl_model, features)
+        return adcl_predict(bundle.params, features)
+
 
 def client_sync_tick(
     state: SyncState,
@@ -174,7 +183,7 @@ class Uploader:
     def _replay(self) -> int | None:
         """Deliver the whole queue in order; acked count when it fully
         drains, None when the link gives out part-way."""
-        acked = 0
+        acked, changed = 0, False
         while self._queue:
             # one wire batch per run of same client and label presence
             rows = [self._queue.popleft()]
@@ -185,10 +194,13 @@ class Uploader:
             if sent is None:
                 for row in reversed(rows):
                     self._queue.appendleft(row)
-                self._save_spool()
+                if changed:
+                    self._save_spool()
                 return None
             acked += sent
-        self._save_spool()
+            changed = True
+        if changed:
+            self._save_spool()
         return acked
 
     def _send_rows(
@@ -304,13 +316,7 @@ class EdgeClient:
         return self._state
 
     def predict(self, features) -> ContextLabel:
-        snapshot = self._state
-        if snapshot.current_bundle is None:
-            raise NeverSyncedError("no parameters synced yet")
-        bundle = snapshot.current_bundle
-        if bundle.model_kind == MODEL_KIND_CL:
-            return lcl_predict(bundle.as_cl_model, features)
-        return adcl_predict(bundle.params, features)
+        return self._state.predict(features)
 
     def start_sync_loop(self) -> None:
         if self._thread is not None:

@@ -8,7 +8,6 @@ appearance, so row order defines the class numbering.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import zlib
@@ -114,6 +113,8 @@ def load_csv(
     Rows containing ``missing_token`` in any cell are dropped (the count is
     logged).
     """
+    import csv  # here, so that the server, which reads no CSV, starts without it
+
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]

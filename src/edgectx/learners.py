@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import pstdev
 from typing import Callable, Sequence
 
 import numpy as np
@@ -320,6 +319,10 @@ def kfold_cross_validate(
         test_ds = Dataset(test_samples, data.feature_names, data.class_names)
         predict_fn = trainer(train_ds)
         accuracies.append(evaluate(predict_fn, test_ds).accuracy)
+    # imported here: statistics pulls in fractions and decimal, which no
+    # other path needs
+    from statistics import pstdev
+
     return KFoldResult(
         mean_accuracy=sum(accuracies) / k,
         std_accuracy=pstdev(accuracies),

@@ -17,6 +17,8 @@ import re
 import socketserver
 import threading
 import time
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,6 +169,23 @@ class BadBatchError(ValueError):
     """Uploaded rows that could not be trained on with the rows already held."""
 
 
+def _fitting_width(rows: list[tuple[SensorReading, int | None]], width: int | None) -> int:
+    """The reading width of ``rows``: ``width``, or the first row's when it
+    is None. Raise BadBatchError unless every row has that width and a
+    label that is absent or in [0, ``MAX_CLASSES``)."""
+    width = len(rows[0][0].values) if width is None else width
+    if width < 1:
+        raise BadBatchError("readings carry no values")
+    for reading, label in rows:
+        if len(reading.values) != width:
+            raise BadBatchError(
+                f"reading width {len(reading.values)} does not match {width}"
+            )
+        if label is not None and not 0 <= label < MAX_CLASSES:
+            raise BadBatchError(f"label {label} is outside [0, {MAX_CLASSES})")
+    return width
+
+
 class MemoryDataSink:
     """Thread-safe accumulator of uploaded (reading, label) pairs.
 
@@ -183,50 +202,54 @@ class MemoryDataSink:
     def store(self, batch: SensorBatch) -> int:
         rows = list(zip(batch.readings, batch.labels or (None,) * len(batch.readings)))
         with self._lock:
-            self._admit(rows)
-            self._persist(rows)
-            self._rows.extend(rows)
+            # the first row of an empty sink fixes the width
+            self._width = _fitting_width(rows, self._width)
+            self._keep(rows)
         return len(rows)
 
-    def _persist(self, rows: list[tuple[SensorReading, int | None]]) -> None:
-        """Called under the lock with admitted rows, before they are held."""
+    def _keep(self, rows: list[tuple[SensorReading, int | None]]) -> None:
+        """Hold admitted rows; called under the lock."""
+        self._rows.extend(rows)
 
-    def _admit(self, rows: list[tuple[SensorReading, int | None]]) -> None:
-        """Raise BadBatchError unless every row fits; the first row of an
-        empty sink fixes the width."""
-        width = len(rows[0][0].values) if self._width is None else self._width
-        if width < 1:
-            raise BadBatchError("readings carry no values")
-        for reading, label in rows:
-            if len(reading.values) != width:
-                raise BadBatchError(
-                    f"reading width {len(reading.values)} does not match {width}"
-                )
-            if label is not None and not 0 <= label < MAX_CLASSES:
-                raise BadBatchError(f"label {label} is outside [0, {MAX_CLASSES})")
-        self._width = width
+    def _held(self) -> list[tuple[SensorReading, int | None]]:
+        """Every row held, in the order stored; called under the lock."""
+        return self._rows
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._rows)
+            return len(self._held())
 
     def labeled_pairs(self) -> list[tuple[SensorReading, int]]:
         with self._lock:
-            return [(r, lab) for r, lab in self._rows if lab is not None]
+            return [(r, lab) for r, lab in self._held() if lab is not None]
 
 
 class JsonlDataSink(MemoryDataSink):
     """MemoryDataSink that also appends rows to a JSON-lines file and
-    reloads them on startup."""
+    reloads them after a restart.
+
+    A new sink reads its file only up to the first row that fits, which
+    fixes the width uploads are checked against, so a restarted server
+    listens before it has read its upload log. The first ``len()`` or
+    ``labeled_pairs()`` reads the whole file, rows stored since included,
+    and from then on the rows are held in memory too.
+    """
 
     def __init__(self, path: str | Path) -> None:
         super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
-            self._load()
+        self._loaded = not self.path.exists()
+        if not self._loaded:
+            with closing(self._file_rows(warn=False)) as rows:
+                first = next(rows, None)
+            if first is not None:
+                self._width = _fitting_width([first], None)
 
-    def _load(self) -> None:
+    def _file_rows(self, warn: bool) -> Iterator[tuple[SensorReading, int | None]]:
+        """Each row of the file that fits the rows before it, in file order;
+        the first such row fixes the width, as the first row stored does."""
+        width = None
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -241,12 +264,23 @@ class JsonlDataSink(MemoryDataSink):
                     )
                     label = obj.get("label")
                     row = (reading, int(label) if label is not None else None)
-                    self._admit([row])
-                    self._rows.append(row)
+                    width = _fitting_width([row], width)
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    log.warning("%s:%d: skipping row: %s", self.path, lineno, exc)
+                    if warn:
+                        log.warning("%s:%d: skipping row: %s", self.path, lineno, exc)
+                    continue
+                yield row
 
-    def _persist(self, rows: list[tuple[SensorReading, int | None]]) -> None:
+    def _held(self) -> list[tuple[SensorReading, int | None]]:
+        if not self._loaded:
+            t0 = time.perf_counter()
+            self._rows = list(self._file_rows(warn=True))
+            self._loaded = True
+            log.info("read %d rows from %s in %.1f ms", len(self._rows), self.path,
+                     (time.perf_counter() - t0) * 1e3)
+        return self._rows
+
+    def _keep(self, rows: list[tuple[SensorReading, int | None]]) -> None:
         # under the sink lock, so the file holds rows in memory order and
         # no other batch's write lands inside this one
         text = "".join(
@@ -257,6 +291,8 @@ class JsonlDataSink(MemoryDataSink):
         )
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(text)
+        if self._loaded:
+            self._rows.extend(rows)
 
 
 def handle_request(msg: dict, store: ModelStore, sink) -> tuple[dict, bool]:

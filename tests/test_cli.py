@@ -1,10 +1,14 @@
 import json
 import zlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from edgectx.bundle import decode_bundle
+import edgectx.cli
+from edgectx.bundle import ParameterBundle, decode_bundle
 from edgectx.cli import main, resolve_dataset, _parse_sweep, _retrain_once, UsageError
+from edgectx.client import EdgeClient
 from edgectx.data import (
     SensorReading,
     dataset_from_readings,
@@ -17,6 +21,7 @@ from edgectx.learners import (
     DCL_LEARNING_RATE,
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
+    adcl_predict,
     dcl_train,
     fit,
 )
@@ -235,6 +240,42 @@ class TestClientCommand:
         finally:
             srv.stop()
 
+    def test_row_reports_the_version_that_predicted(self, live_server, tmp_path, monkeypatch):
+        # a sync lands between the command's read of the state and its
+        # prediction: the row must pair the prediction with the version
+        # that made it
+        real_state = EdgeClient.state
+
+        def newer(bundle, features):
+            """The next version, answering the other class on ``features``."""
+            other = 1 - adcl_predict(bundle.params, features).class_index
+            biases = list(bundle.params.biases)
+            biases[-1] = np.where(np.arange(2) == other, 100.0, -100.0)
+            params = replace(bundle.params, biases=tuple(biases))
+            return ParameterBundle(bundle.model_kind, params, bundle.model_version + 1,
+                                   bundle.created_at)
+
+        synced = []
+
+        def state_then_sync(client):
+            held = real_state.fget(client)
+            if held.model_version == 1:
+                synced.append(held.current_bundle)
+                client._state = replace(held, current_bundle=newer(held.current_bundle,
+                                                                   (0.1, 0.1)))
+            return held
+
+        monkeypatch.setattr(EdgeClient, "start_sync_loop", lambda client: None)
+        monkeypatch.setattr(EdgeClient, "state", property(state_then_sync))
+        infile = tmp_path / "input.txt"
+        infile.write_text("0.1,0.1\n", encoding="utf-8")
+        outfile = tmp_path / "out.csv"
+        assert run_cli("client", "--server", live_server, "--input", infile,
+                       "--out", outfile) == 0
+        row = outfile.read_text().splitlines()[1].split(",")
+        expected = adcl_predict(synced[0].params, (0.1, 0.1)).class_index
+        assert (row[2], row[3], row[-1]) == (str(expected), "1", "OK")
+
     def test_bad_address_is_usage_error(self, tmp_path):
         infile = tmp_path / "x.txt"
         infile.write_text("1,2\n")
@@ -414,6 +455,69 @@ class TestServeHelpers:
         store.publish("DCL", params)
         fresh = ModelStore(persist_dir=tmp_path)
         assert fresh.publish("DCL", params).model_version == 2
+
+
+class TestPerfbenchHooks:
+    """perfbench traces and replaces these names on ``edgectx.cli``, so the
+    commands must look them up there when they run."""
+
+    @staticmethod
+    def record(monkeypatch, names):
+        """Wrap each of ``names`` on ``edgectx.cli``; returns the list the
+        wrappers append their name to when called."""
+        calls = []
+
+        def recording(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(edgectx.cli, name, recording(name, getattr(edgectx.cli, name)))
+        return calls
+
+    def test_simulate_calls_run_scenario(self, tmp_path, monkeypatch):
+        calls = self.record(monkeypatch, ["run_scenario"])
+        scenario = TestSimulateCommand().scenario_file(tmp_path, duration_ms=1_000)
+        assert run_cli("simulate", "--scenario", scenario, "--out-dir", tmp_path / "o") == 0
+        assert calls == ["run_scenario"]
+
+    def test_retrain_calls_the_trainers(self, monkeypatch):
+        calls = self.record(monkeypatch, ["dcl_train", "cl_train"])
+        sink = MemoryDataSink()
+        sink.store(SensorBatch("c1", tuple(
+            SensorReading("acc0", i, (0.1 + 2.0 * (i % 2), 0.2)) for i in range(20)),
+            labels=tuple(i % 2 for i in range(20))))
+
+        class Args:
+            min_rows = 8
+            epochs = 2
+
+        _retrain_once(ModelStore(), sink, ["DCL", "CL"], Args)
+        assert calls == ["dcl_train", "cl_train"]
+
+    def test_serve_builds_its_store_and_sink_and_retrains(self, tmp_path, monkeypatch, capsys):
+        rows = [{"sensor_id": "acc0", "timestamp": i, "values": [0.1 + 2.0 * (i % 2), 0.2],
+                 "label": i % 2} for i in range(20)]
+        (tmp_path / "readings.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        calls = self.record(monkeypatch, ["ModelStore", "JsonlDataSink", "dcl_train",
+                                          "cl_train"])
+        sleeps = []
+
+        def sleep(seconds):
+            # the first retrain runs; the second sleep stops the loop
+            sleeps.append(seconds)
+            if len(sleeps) > 1:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(edgectx.cli.time, "sleep", sleep)
+        assert run_cli("serve", "--addr", "127.0.0.1:0", "--data-dir", tmp_path,
+                       "--retrain-every", "1", "--epochs", "2") == 0
+        assert calls == ["ModelStore", "JsonlDataSink", "dcl_train", "cl_train"]
+        out = capsys.readouterr().out
+        assert "listening on 127.0.0.1:" in out
+        assert "published DCL v1 (20 rows)" in out and "published CL v1 (20 rows)" in out
 
 
 def test_usage_error_exit_code():

@@ -1,0 +1,121 @@
+"""What importing the package loads, checked in a fresh interpreter each."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every public name ``import edgectx`` has offered since the package
+# re-exported its submodules' names eagerly, with the submodule defining it
+EXPORTS = {
+    **dict.fromkeys(("bench", "bundle", "client", "data", "learners", "nn", "protocol",
+                     "rng", "server", "sim")),
+    "bench_execution": "bench",
+    **dict.fromkeys(("BundleChecksumError", "BundleError", "BundleFormatError",
+                     "BundleShapeError", "BundleVersionError", "ParameterBundle",
+                     "decode_bundle", "encode_bundle"), "bundle"),
+    **dict.fromkeys(("EdgeClient", "SyncPolicy", "SyncState", "Uploader",
+                     "client_sync_tick"), "client"),
+    **dict.fromkeys(("DataFormatError", "Dataset", "Sample", "SensorReading", "apply_minmax",
+                     "load_csv", "normalize_minmax", "stratified_split",
+                     "synth_still_motion"), "data"),
+    **dict.fromkeys(("MODEL_KIND_CL", "MODEL_KIND_DCL", "ClModel", "ContextLabel",
+                     "KFoldResult", "Metrics", "NeverSyncedError", "ThresholdVector",
+                     "adcl_predict", "calibrate_thresholds", "cl_train", "dcl_train",
+                     "evaluate", "fit", "kfold_cross_validate", "lcl_predict",
+                     "make_cl_trainer", "make_dcl_trainer"), "learners"),
+    **dict.fromkeys(("ActivationTrace", "DimensionError", "GradientSet", "LayerSpec",
+                     "NetworkParameters", "TrainingConfig", "apply_update", "backprop",
+                     "forward", "hidden_size_default", "init_network", "sigmoid",
+                     "squared_error", "train"), "nn"),
+    **dict.fromkeys(("SensorBatch", "TcpTransport", "TransportError"), "protocol"),
+    **dict.fromkeys(("JsonlDataSink", "MemoryDataSink", "ModelStore", "ParameterServer"),
+                    "server"),
+    **dict.fromkeys(("LinkConfig", "ScenarioResult", "SensorNodeConfig", "run_scenario"),
+                    "sim"),
+}
+NOT_SERVED = ("edgectx.sim", "edgectx.client", "edgectx.bench")
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with the package on its path;
+    returns its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_after(code: str) -> set[str]:
+    out = run_fresh(f"{code}\nimport json\nprint(json.dumps(sorted(sys.modules)))")
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_cli_import_leaves_out_what_serve_does_not_use():
+    loaded = loaded_after("import edgectx.cli")
+    assert "edgectx.server" in loaded
+    assert not loaded & set(NOT_SERVED)
+    assert "statistics" not in loaded and "csv" not in loaded
+
+
+def test_serve_through_a_retrain_leaves_out_what_it_does_not_use(tmp_path):
+    rows = [{"sensor_id": "acc0", "timestamp": i, "values": [0.1 + 2.0 * (i % 2), 0.2],
+             "label": i % 2} for i in range(20)]
+    (tmp_path / "readings.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    # the first sleep returns, so one retrain runs; the second stops the loop
+    loaded = loaded_after(f"""
+import time
+import edgectx.cli
+sleeps = []
+def sleep(seconds):
+    sleeps.append(seconds)
+    if len(sleeps) > 1:
+        raise KeyboardInterrupt
+time.sleep = sleep
+code = edgectx.cli.main(["serve", "--addr", "127.0.0.1:0", "--data-dir", {str(tmp_path)!r},
+                         "--retrain-every", "1", "--epochs", "2"])
+assert code == 0 and len(sleeps) == 2, code
+""")
+    assert not loaded & set(NOT_SERVED)
+    assert sorted(p.name for p in tmp_path.glob("bundle-*.json")) == [
+        "bundle-CL-v1.json", "bundle-DCL-v1.json"]
+
+
+def test_every_export_resolves():
+    # a submodule's entry is None: the name is the submodule itself
+    out = run_fresh(f"""
+import importlib
+import edgectx
+for name, module in {EXPORTS!r}.items():
+    namespace = {{}}
+    exec(f"from edgectx import {{name}}", namespace)
+    if module is None:
+        assert namespace[name] is importlib.import_module(f"edgectx.{{name}}"), name
+    else:
+        assert namespace[name] is getattr(importlib.import_module(f"edgectx.{{module}}"),
+                                          name), name
+print(sorted(set({sorted(EXPORTS)!r}) - (set(dir(edgectx)) & set(edgectx.__all__))))
+""")
+    assert out.strip() == "[]"
+
+
+def test_submodule_is_an_attribute_of_the_package():
+    out = run_fresh("import edgectx\nprint(edgectx.sim.__name__, edgectx.sim.run_scenario is "
+                    "edgectx.run_scenario)")
+    assert out.split() == ["edgectx.sim", "True"]
+
+
+def test_unknown_name_is_an_attribute_error():
+    run_fresh("""
+import edgectx
+try:
+    edgectx.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("no AttributeError")
+""")

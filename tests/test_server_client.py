@@ -3,10 +3,12 @@ against fake transports."""
 
 import builtins
 import json
+import logging
 import os
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -432,6 +434,82 @@ class TestJsonlSink:
         assert [r.sensor_id for r, _ in JsonlDataSink(path).labeled_pairs()] == in_memory
 
 
+class TestJsonlSinkRestart:
+    """A sink over an existing file reads it only up to the first row that
+    fits at start, and the whole of it on the first read of its rows."""
+
+    @staticmethod
+    def log_rows(path, widths, bad_first=False):
+        lines = ['{"sensor_id": "acc0", "timestamp": 0, "values": [0.1'] if bad_first else []
+        lines += [json.dumps({"sensor_id": "log", "timestamp": i, "values": [0.5] * width,
+                              "label": i % 2}) for i, width in enumerate(widths)]
+        path.write_text("".join(line + "\n" for line in lines))
+
+    def test_start_parses_no_row_past_the_first_that_fits(self, tmp_path, monkeypatch,
+                                                           caplog):
+        path = tmp_path / "readings.jsonl"
+        self.log_rows(path, [3] + [2] * 30, bad_first=True)
+        parsed = []
+
+        def loads(text):
+            parsed.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(edgectx.server, "json", SimpleNamespace(loads=loads,
+                                                                    dumps=json.dumps))
+        with caplog.at_level(logging.INFO, logger="edgectx.server"):
+            sink = JsonlDataSink(path)
+            assert len(parsed) == 2
+            assert not caplog.records
+            assert len(sink) == 1
+        assert len(parsed) == 2 + 32
+        # the skipped rows are warned about once, when the file is read
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("skipping row" in m for m in messages) == 31
+        reads = [m for m in messages if m.startswith("read ")]
+        assert len(reads) == 1 and reads[0].startswith(f"read 1 rows from {path} in ")
+
+    def test_first_read_holds_logged_rows_then_rows_stored_since(self, tmp_path, caplog):
+        path = tmp_path / "readings.jsonl"
+        JsonlDataSink(path).store(make_batch(5, "old"))
+        sink = JsonlDataSink(path)
+        sink.store(make_batch(3, "new", start=5))
+        with caplog.at_level(logging.INFO, logger="edgectx.server"):
+            pairs = sink.labeled_pairs()
+            sink.store(make_batch(2, "later", start=8))
+            assert len(sink) == 10
+        assert [(r.sensor_id, r.timestamp) for r, _ in pairs] == (
+            [("old", i) for i in range(5)] + [("new", 5 + i) for i in range(3)])
+        assert [r.getMessage().split(" in ")[0] for r in caplog.records] == [
+            f"read 8 rows from {path}"]
+        assert sink.labeled_pairs() == JsonlDataSink(path).labeled_pairs()
+        assert [r.sensor_id for r, _ in sink.labeled_pairs()][-2:] == ["later"] * 2
+
+    def test_corrupt_first_line_takes_the_width_from_the_first_valid_row(self, tmp_path):
+        path = tmp_path / "readings.jsonl"
+        self.log_rows(path, [3, 3], bad_first=True)
+        sink = JsonlDataSink(path)
+        with pytest.raises(edgectx.server.BadBatchError):
+            sink.store(make_batch(2))
+        wide = SensorBatch("client-1", (SensorReading("acc0", 9, (0.1, 0.2, 0.3)),),
+                           labels=(1,))
+        assert sink.store(wide) == 1
+        assert [len(r.values) for r, _ in sink.labeled_pairs()] == [3, 3, 3]
+
+    def test_wrong_width_refused_before_the_first_retrain(self, tmp_path):
+        path = tmp_path / "readings.jsonl"
+        JsonlDataSink(path).store(make_batch(4))
+        sink = JsonlDataSink(path)
+        before = path.read_bytes()
+        wide = SensorBatch("client-1", (SensorReading("acc0", 9, (0.1, 0.2, 0.3)),),
+                           labels=(1,))
+        push = {"type": "PUSH_DATA", "batch": batch_to_wire(wide)}
+        response, _ = handle_request(push, ModelStore(), sink)
+        assert response["type"] == "ERROR" and response["code"] == "bad_batch"
+        assert path.read_bytes() == before
+        assert len(sink) == 4
+
+
 class TestIdleTimeout:
     @pytest.fixture
     def short_timeout_server(self, monkeypatch):
@@ -642,6 +720,30 @@ class TestUploader:
         assert revived.queued_count == 2
         assert revived.flush() == 2
         assert [r.timestamp for r, _ in ft.sink.labeled_pairs()] == [1, 3]
+
+    def test_spool_written_only_when_the_queue_changes(self, tmp_path, monkeypatch):
+        spool = tmp_path / "spool.jsonl"
+        ft = FakeTransport()
+        uploader = Uploader(ft, retries=0, spool_path=spool)
+        saves = []
+        save = Uploader._save_spool
+
+        def counted(up):
+            saves.append(up.queued_count)
+            save(up)
+
+        monkeypatch.setattr(Uploader, "_save_spool", counted)
+        for i in range(5):
+            assert uploader.upload_batch(make_batch(2, start=10 * i)) == 2
+        assert uploader.flush() == 0
+        assert saves == [] and not spool.exists()
+        ft.down = True
+        assert uploader.upload_batch(make_batch(4, start=100)) == 0
+        assert uploader.flush() == 0
+        assert saves == [4]  # the enqueue; a replay that moved nothing saves nothing
+        ft.down = False
+        assert uploader.flush() == 4
+        assert saves == [4, 0] and spool.read_text() == ""
 
     def test_spool_survives_restart(self, tmp_path):
         spool = tmp_path / "spool.jsonl"

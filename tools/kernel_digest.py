@@ -17,6 +17,10 @@ Each line is ``<name> <sha256>``. The names cover:
   ``learners.lcl_predict`` gives on the single-layer net with thresholds
   calibrated on the set (the deeper nets, 3 epochs in, answer one class
   for every row);
+* the same class indices with each net's first two outputs made equal
+  (``learners.*_predict.ties``, all nets in one line per predictor; for
+  LCL with every threshold set to the first), so that every row is an
+  exact tie and a change to the tie rule moves these lines;
 * ``Rng.shuffle`` permutations of 2, 3, 303 and 2000 items under seeds 0-9,
   each with the next word of the stream after it;
 * the report files of three ``edgectx train`` runs on synth-still-motion
@@ -36,6 +40,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,26 +127,47 @@ def final_outputs_digests() -> list[tuple[str, str]]:
     return out
 
 
+def _tied(params: nn.NetworkParameters) -> nn.NetworkParameters:
+    """``params`` with the second output's weights and bias copied from the
+    first, so that those two outputs are equal on every row."""
+    weights, biases = list(params.weights), list(params.biases)
+    weights[-1] = np.vstack([weights[-1][:1], weights[-1][:1], weights[-1][2:]])
+    biases[-1] = np.concatenate([biases[-1][:1], biases[-1][:1], biases[-1][2:]])
+    return replace(params, weights=tuple(weights), biases=tuple(biases))
+
+
+def _classes(predict, model, rows) -> bytes:
+    return np.asarray([predict(model, x).class_index for x in rows], dtype=np.int64).tobytes()
+
+
 def predict_digests() -> list[tuple[str, str]]:
     heart, narrow = _datasets()
     adcl, lcl = [], []
+    # the same nets with their first two outputs tied, and for LCL its
+    # thresholds too: every row is an exact tie
+    adcl_ties, lcl_ties = hashlib.sha256(), hashlib.sha256()
     for inputs, hidden, outputs in TOPOLOGIES:
         data = heart if inputs == heart.n_features else narrow
         rows = [s.features for s in data.samples]
         adcl_digest, lcl_digest = hashlib.sha256(), hashlib.sha256()
         for lr in LEARNING_RATES:
             params, _ = _train(nn.LayerSpec(inputs, hidden, outputs), data, lr)
-            classes = [learners.adcl_predict(params, x).class_index for x in rows]
-            adcl_digest.update(np.asarray(classes, dtype=np.int64).tobytes())
+            tied = _tied(params)
+            adcl_digest.update(_classes(learners.adcl_predict, params, rows))
+            adcl_ties.update(_classes(learners.adcl_predict, tied, rows))
             if not hidden:
-                model = learners.ClModel(params, learners.calibrate_thresholds(params, data))
-                classes = [learners.lcl_predict(model, x).class_index for x in rows]
-                lcl_digest.update(np.asarray(classes, dtype=np.int64).tobytes())
+                thresholds = learners.calibrate_thresholds(params, data)
+                model = learners.ClModel(params, thresholds)
+                lcl_digest.update(_classes(learners.lcl_predict, model, rows))
+                same = learners.ThresholdVector((thresholds.values[0],) * outputs)
+                lcl_ties.update(_classes(learners.lcl_predict, learners.ClModel(tied, same),
+                                         rows))
         name = _name(inputs, hidden, outputs)
         adcl.append((f"learners.adcl_predict.{name}", adcl_digest.hexdigest()))
         if not hidden:
             lcl.append((f"learners.lcl_predict.{name}", lcl_digest.hexdigest()))
-    return adcl + lcl
+    return [*adcl, *lcl, ("learners.adcl_predict.ties", adcl_ties.hexdigest()),
+            ("learners.lcl_predict.ties", lcl_ties.hexdigest())]
 
 
 def shuffle_digests() -> list[tuple[str, str]]:
