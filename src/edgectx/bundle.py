@@ -73,6 +73,7 @@ class ParameterBundle:
 def encode_bundle(bundle: ParameterBundle) -> bytes:
     """Canonical bytes for a bundle; bit-stable across runs and platforms."""
     p = bundle.params
+    weights, biases = p.layers()
     doc = {
         "format_version": bundle.format_version,
         "model_kind": bundle.model_kind,
@@ -85,8 +86,8 @@ def encode_bundle(bundle: ParameterBundle) -> bytes:
             "activation": p.activation,
             "version": p.version,
             "trained_epochs": p.trained_epochs,
-            "weights": [[[float(v) for v in row] for row in w] for w in p.weights],
-            "biases": [[float(v) for v in b] for b in p.biases],
+            "weights": weights,
+            "biases": biases,
         },
         "thresholds": list(bundle.thresholds.values) if bundle.thresholds else None,
     }
@@ -127,61 +128,81 @@ def decode_bundle(raw: bytes) -> ParameterBundle:
         raise BundleFormatError(f"invalid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise BundleFormatError("document is not an object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise BundleVersionError(
-            f"unknown format_version {doc.get('format_version')!r}"
-        )
+    if _integer(doc.get("format_version"), "format_version") != FORMAT_VERSION:
+        raise BundleVersionError(f"unknown format_version {doc['format_version']!r}")
     try:
         kind = doc["model_kind"]
         pdoc = doc["params"]
         spec = LayerSpec(
-            int(pdoc["input_count"]),
-            tuple(int(h) for h in pdoc["hidden_sizes"]),
-            int(pdoc["output_count"]),
+            _integer(pdoc["input_count"], "input_count"),
+            tuple(_integer(h, "hidden_sizes") for h in pdoc["hidden_sizes"]),
+            _integer(pdoc["output_count"], "output_count"),
         )
-        weights = tuple(
-            _matrix(w, f"weights[{i}]") for i, w in enumerate(pdoc["weights"])
-        )
-        biases = tuple(
-            _vector(b, f"biases[{i}]") for i, b in enumerate(pdoc["biases"])
-        )
+        flat = _flat_parameters(pdoc["weights"], pdoc["biases"], spec.layer_sizes)
         activation = pdoc["activation"]
-        version = int(pdoc["version"])
-        trained_epochs = int(pdoc["trained_epochs"])
-        model_version = int(doc["model_version"])
-        created_at = int(doc["created_at"])
+        version = _integer(pdoc["version"], "version")
+        trained_epochs = _integer(pdoc["trained_epochs"], "trained_epochs")
+        model_version = _integer(doc["model_version"], "model_version")
+        created_at = _integer(doc["created_at"], "created_at")
         thresholds = doc["thresholds"]
+        if thresholds is not None:
+            thresholds = tuple(_numbers(thresholds, "thresholds"))
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleFormatError(f"schema violation: {exc}") from exc
     try:
         params = NetworkParameters(
-            spec=spec,
-            weights=weights,
-            biases=biases,
+            spec,
             activation=activation,
             version=version,
             trained_epochs=trained_epochs,
+            flat=flat,
         )
         return ParameterBundle(
             model_kind=kind,
             params=params,
             model_version=model_version,
             created_at=created_at,
-            thresholds=ThresholdVector(tuple(thresholds)) if thresholds is not None else None,
+            thresholds=ThresholdVector(thresholds) if thresholds is not None else None,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BundleShapeError(f"shape or invariant violation: {exc}") from exc
 
 
-def _matrix(obj, name: str) -> list[list[float]]:
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise BundleFormatError(f"{name} is not a matrix")
-    return [[float(v) for v in row] for row in obj]
+def _integer(value, name: str) -> int:
+    """``value`` when it is an int, as the encoder writes every count,
+    version and timestamp; a bool or an integral float is not."""
+    if type(value) is not int:
+        raise BundleFormatError(f"{name} is not an integer: {value!r}")
+    return value
 
 
-def _vector(obj, name: str) -> list[float]:
+def _numbers(obj, name: str) -> list:
+    """The list ``obj`` when every item is an int or a float; a bool or a
+    string is not a number here, though ``float()`` would take it."""
     if not isinstance(obj, list):
-        raise BundleFormatError(f"{name} is not a vector")
-    return [float(v) for v in obj]
+        raise BundleFormatError(f"{name} is not a list")
+    if not set(map(type, obj)) <= {float, int}:
+        raise BundleFormatError(f"{name} holds a value that is not a number")
+    return obj
+
+
+def _flat_parameters(weights, biases, sizes) -> list:
+    """The weights and biases of a document as one list in the order of
+    ``NetworkParameters.flat``, checked against the layer ``sizes``."""
+    if not isinstance(weights, list) or not isinstance(biases, list):
+        raise BundleFormatError("weights and biases are not lists")
+    if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
+        raise BundleShapeError("layer count does not match spec")
+    flat: list = []
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        if not isinstance(w, list) or not all(isinstance(row, list) for row in w):
+            raise BundleFormatError(f"weights[{l}] is not a matrix")
+        if (len(w) != sizes[l + 1] or any(len(row) != sizes[l] for row in w)
+                or not isinstance(b, list) or len(b) != sizes[l + 1]):
+            raise BundleShapeError(f"layer {l} does not match spec ({sizes[l + 1]}, {sizes[l]})")
+        for row in w:
+            flat += row
+        flat += b
+    return _numbers(flat, "weights and biases")

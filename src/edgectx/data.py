@@ -13,10 +13,12 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .rng import Rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -78,9 +80,11 @@ class Dataset:
         return len(self.class_names)
 
     def features_matrix(self) -> np.ndarray:
+        import numpy as np
         return np.array([s.features for s in self.samples], dtype=np.float64)
 
     def label_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([s.label for s in self.samples], dtype=np.int64)
 
     def class_counts(self) -> list[int]:

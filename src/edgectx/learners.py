@@ -9,12 +9,11 @@ Clients never learn; they only consume parameters.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import nn
 from .data import Dataset, apply_minmax_vector, normalize_minmax
@@ -159,6 +158,8 @@ def calibrate_thresholds(params: NetworkParameters, data: Dataset) -> ThresholdV
         raise ValueError("thresholds are calibrated for single-layer models only")
     if not data.samples:
         raise ValueError("cannot calibrate on an empty dataset")
+    import numpy as np
+
     outputs = np.array(nn.dataset_outputs(params, data))
     labels = data.label_array()
     thresholds = []
@@ -255,7 +256,7 @@ def metrics_from_counts(
         raise ValueError("no predictions to summarize")
     correct = sum(confusion[i][i] for i in range(k))
     lats = sorted(latencies_us)
-    p95 = lats[min(len(lats) - 1, max(0, int(np.ceil(0.95 * len(lats))) - 1))] if lats else 0.0
+    p95 = lats[min(len(lats) - 1, max(0, math.ceil(0.95 * len(lats)) - 1))] if lats else 0.0
     rates: dict[str, float | None] = dict.fromkeys(
         ("tp_rate", "tn_rate", "fp_rate", "fn_rate")
     )

@@ -5,20 +5,25 @@ the logistic function, and feeds the next layer. Training minimizes the
 summed squared error 0.5 * sum((actual - output)^2) with the update
 w <- w - learning_rate * dE/dw applied after each sample.
 
+A network's parameters are stored as one flat tuple of floats: each layer's
+weight rows, then its biases. Building, checking, encoding and predicting
+with a network on the list kernel need no numpy; only the code that works
+on arrays imports it, so an edge client or a starting server never does.
+
 Two kernels compute the same math. Networks whose arithmetic costs less
 than numpy's fixed cost per call run on straight-line Python generated once
 per topology from the layer sizes: one function for a forward pass, one
 for the deltas and one for a whole SGD epoch, each reading the parameters
-from one flat sequence of floats, so a sample costs no Python call. A
+from that flat tuple, so a sample costs no Python call. A
 fourth, compiled apart on a net's first prediction, checks one input,
 runs the same forward pass and picks the class (``predict_class``), so a
 prediction that arrives with cold caches walks little code. The
-rest run on numpy arrays, written in place into buffers allocated once per
-call (once per ``train``, not per sample). The list kernel's cost grows
-with the weight count and the numpy kernel's with the layer count, so a
-cost model on those two picks a network's kernel, and ``forward``,
-``backprop``, ``train`` and the predictors agree bit for bit on any one
-net.
+rest run on numpy arrays (``edgectx.numpy_kernel``), written in place into
+buffers allocated once per call (once per ``train``, not per sample). The
+list kernel's cost grows with the weight count and the numpy kernel's with
+the layer count, so a cost model on those two picks a network's kernel,
+and ``forward``, ``backprop``, ``train`` and the predictors agree bit for
+bit on any one net.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .data import Dataset
 from .rng import Rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DimensionError(ValueError):
@@ -40,15 +46,13 @@ class DimensionError(ValueError):
 
 # sigmoid saturates to the nearest representable doubles inside (0, 1)
 # instead of returning exactly 0 or 1 at extreme inputs.
-_SIG_LO = float(np.nextafter(0.0, 1.0))
-_SIG_HI = float(np.nextafter(1.0, 0.0))
-# (0, -1, 1, lower clip, upper clip): the constants of ``_sigmoid_into``
-_SIG_SCALARS = (0.0, -1.0, 1.0, _SIG_LO, _SIG_HI)
+_SIG_LO = math.nextafter(0.0, 1.0)
+_SIG_HI = math.nextafter(1.0, 0.0)
 
 # The kernel cost model. A network runs on the list kernel when its weights
 # and biases number fewer than ``_LIST_KERNEL_WEIGHTS_PER_LAYER`` times its
 # weighted layers, counting at least two layers, and fewer than
-# ``_LIST_KERNEL_MAX_WEIGHTS``; see ``NetworkParameters._lists``. One SGD
+# ``_LIST_KERNEL_MAX_WEIGHTS``; see ``NetworkParameters._on_lists``. One SGD
 # update, generated lists against the in-place numpy kernel (2-core host,
 # Python 3.11, numpy 2.4, public ``train``, 303 rows, median of 10
 # interleaved epochs, compile excluded), in us:
@@ -112,79 +116,115 @@ class LayerSpec:
         return len(self.hidden_sizes) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkParameters:
     """Complete weight/bias snapshot; the unit shipped server to client.
 
-    weights[l] has shape (to_count, from_count); biases[l] has shape
-    (to_count,). Arrays are read-only: operations return new snapshots.
+    ``flat`` holds every parameter as one tuple of floats: per layer, its
+    weight rows, then its biases. ``weights[l]`` (shape (to_count,
+    from_count)) and ``biases[l]`` are read-only numpy views of it, built
+    on first use. Built from nested ``weights`` and ``biases`` or from
+    ``flat``; layers given with ``flat`` replace the ones it holds, so
+    ``dataclasses.replace`` takes either. Snapshots compare by value.
     """
 
     spec: LayerSpec
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    flat: tuple[float, ...]
     activation: str = "sigmoid"
     version: int = 0
     trained_epochs: int = 0
 
-    def __post_init__(self) -> None:
-        if self.activation != "sigmoid":
-            raise ValueError(f"unsupported activation {self.activation!r}")
-        if self.version < 0 or self.trained_epochs < 0:
+    def __init__(self, spec: LayerSpec, weights=None, biases=None,
+                 activation: str = "sigmoid", version: int = 0, trained_epochs: int = 0,
+                 *, flat=None) -> None:
+        if activation != "sigmoid":
+            raise ValueError(f"unsupported activation {activation!r}")
+        if version < 0 or trained_epochs < 0:
             raise ValueError("version and trained_epochs must be non-negative")
-        sizes = self.spec.layer_sizes
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise DimensionError("layer count does not match spec")
-        frozen_w, frozen_b = [], []
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
-                raise DimensionError(
-                    f"layer {l} shapes {w.shape}/{b.shape} do not match spec "
-                    f"({sizes[l + 1]}, {sizes[l]})"
-                )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l} contains non-finite parameters")
-            w.setflags(write=False)
-            b.setflags(write=False)
-            frozen_w.append(w)
-            frozen_b.append(b)
-        object.__setattr__(self, "weights", tuple(frozen_w))
-        object.__setattr__(self, "biases", tuple(frozen_b))
+        sizes = spec.layer_sizes
+        if weights is not None or biases is not None:
+            # the layers not given are the ones ``flat`` holds
+            held_w, held_b = _layer_views(() if flat is None else tuple(flat), sizes)
+            flat = _flattened(held_w if weights is None else weights,
+                              held_b if biases is None else biases, sizes)
+        elif flat is None:
+            raise TypeError("NetworkParameters needs weights and biases, or flat")
+        flat = tuple(map(float, flat))
+        count = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+        if len(flat) != count:
+            raise DimensionError(f"{len(flat)} parameters do not match spec ({count})")
+        if not all(map(math.isfinite, flat)):
+            raise ValueError("network contains non-finite parameters")
+        vars(self).update(spec=spec, flat=flat, activation=activation, version=version,
+                          trained_epochs=trained_epochs)
 
-    @cached_property
+    @property
     def weight_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return len(self.flat)
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._arrays[0]
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._arrays[1]
+
+    def layers(self) -> tuple[list[list[tuple[float, ...]]], list[tuple[float, ...]]]:
+        """(weights, biases) as tuples of floats sliced from ``flat``:
+        ``weights[l][j]`` is row j of layer l."""
+        return _layer_views(self.flat, self.spec.layer_sizes)
 
     @cached_property
-    def _lists(self) -> tuple[float, ...] | None:
-        """Every parameter as one flat tuple of floats, each layer's weight
-        rows followed by its biases, built once, for networks the list
-        kernel runs; None for the numpy kernel. The cost model described at
-        ``_LIST_KERNEL_WEIGHTS_PER_LAYER`` picks the kernel."""
-        if self.weight_count >= min(
+    def _arrays(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        import numpy as np
+
+        flat = np.array(self.flat, dtype=np.float64)
+        flat.setflags(write=False)
+        weights, biases = _layer_views(flat, self.spec.layer_sizes)
+        return tuple(weights), tuple(biases)
+
+    @cached_property
+    def _on_lists(self) -> bool:
+        """Whether the list kernel runs this network, by the cost model
+        described at ``_LIST_KERNEL_WEIGHTS_PER_LAYER``."""
+        return self.weight_count < min(
             _LIST_KERNEL_MAX_WEIGHTS,
             _LIST_KERNEL_WEIGHTS_PER_LAYER * max(self.spec.layer_count, 2),
-        ):
-            return None
-        flat: list[float] = []
-        for w, b in zip(self.weights, self.biases):
-            flat += w.ravel().tolist()
-            flat += b.tolist()
-        return tuple(flat)
+        )
 
     @cached_property
     def _list_fns(self) -> _ListKernel:
-        """The compiled list kernel of this topology, for nets with
-        ``_lists``."""
+        """The compiled list kernel of this topology, for nets ``_on_lists``."""
         return _list_kernel(self.spec.layer_sizes)
 
     @cached_property
     def _predict_fn(self) -> Callable:
-        """The generated ``predict`` of this topology, for nets with
-        ``_lists``."""
+        """The generated ``predict`` of this topology, for nets ``_on_lists``."""
         return _predict_kernel(self.spec.layer_sizes)
+
+
+def _flattened(weights, biases, sizes) -> list:
+    """Per-layer ``weights`` and ``biases`` of ``sizes``, numpy arrays or
+    nested sequences, as one list in the order of ``flat``."""
+    if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
+        raise DimensionError("layer count does not match spec")
+    flat: list = []
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        # an array becomes nested lists in one call
+        w, b = (x.tolist() if hasattr(x, "tolist") else x for x in (w, b))
+        try:
+            fits = len(w) == len(b) == sizes[l + 1] and all(len(r) == sizes[l] for r in w)
+        except TypeError:  # a number where a row or a layer belongs
+            fits = False
+        if not fits:
+            raise DimensionError(f"layer {l} shapes do not match spec ({sizes[l + 1]}, {sizes[l]})")
+        for row in w:
+            flat += row
+        flat += b
+    if any(hasattr(v, "__len__") for v in flat):
+        raise DimensionError("parameters nest deeper than the spec's layers")
+    return flat
 
 
 @dataclass(frozen=True)
@@ -230,37 +270,13 @@ def sigmoid(x):
     Accepts a scalar or array; finite inputs never produce NaN, and results
     saturate just inside (0, 1) at the extremes.
     """
+    import numpy as np
+
+    from .numpy_kernel import SIG_SCALARS, sigmoid_into
+
     out = np.array(x, dtype=np.float64, ndmin=1)
-    _sigmoid_into(out, np.empty(out.shape, dtype=bool), np.empty_like(out), _SIG_SCALARS)
+    sigmoid_into(out, np.empty(out.shape, dtype=bool), np.empty_like(out), SIG_SCALARS)
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-@lru_cache(maxsize=64)
-def _sigmoid_consts(width: int) -> tuple[np.ndarray, ...]:
-    """``_SIG_SCALARS`` as read-only arrays of ``width`` elements; a ufunc
-    takes an array operand faster than a Python float."""
-    consts = tuple(np.full(width, c) for c in _SIG_SCALARS)
-    for c in consts:
-        c.setflags(write=False)
-    return consts
-
-
-def _sigmoid_into(z: np.ndarray, mask: np.ndarray, den: np.ndarray, consts) -> None:
-    """Overwrite ``z`` with its sigmoid, using ``mask`` and ``den`` as scratch.
-
-    1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, clipped to
-    (``_SIG_LO``, ``_SIG_HI``): exp only ever sees -|z|, so it cannot
-    overflow.
-    """
-    zero, neg_one, one, lo, hi = consts
-    np.greater_equal(z, zero, out=mask)
-    np.copysign(z, neg_one, out=z)
-    np.exp(z, out=z)
-    np.add(one, z, out=den)
-    np.copyto(z, one, where=mask)
-    np.divide(z, den, out=z)
-    np.maximum(z, lo, out=z)
-    np.minimum(z, hi, out=z)
 
 
 def hidden_size_default(input_count: int, output_count: int) -> int:
@@ -279,21 +295,14 @@ def init_network(spec: LayerSpec, seed: int) -> NetworkParameters:
     """
     rng = Rng(seed)
     sizes = spec.layer_sizes
-    weights, biases = [], []
-    for l in range(1, len(sizes)):
-        n_out, n_in = sizes[l], sizes[l - 1]
-        w = np.empty((n_out, n_in))
-        for j in range(n_out):
-            for k in range(n_in):
-                w[j, k] = rng.uniform()
-        b = np.array([rng.uniform() for _ in range(n_out)])
-        weights.append(w)
-        biases.append(b)
-    return NetworkParameters(spec, tuple(weights), tuple(biases))
+    count = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+    return NetworkParameters(spec, flat=[rng.uniform() for _ in range(count)])
 
 
 def forward(params: NetworkParameters, features) -> ActivationTrace:
     """Propagate one feature vector through every layer."""
+    import numpy as np
+
     acts = _layer_outputs(params, _check_input(params, features))
     outs = [np.asarray(a) for a in acts[1:]]
     for a in outs:
@@ -316,12 +325,14 @@ def dataset_outputs(params: NetworkParameters, data: Dataset) -> list[list[float
             f"dataset width {data.n_features} does not match input count "
             f"{params.spec.input_count}"
         )
-    outs = [_layer_outputs(params, x)[-1] for x in data.features_matrix().tolist()]
-    return outs if params._lists is not None else [o.tolist() for o in outs]
+    outs = [_layer_outputs(params, s.features)[-1] for s in data.samples]
+    return outs if params._on_lists else [o.tolist() for o in outs]
 
 
 def squared_error(actual, predicted) -> float:
     """Summed squared error 0.5 * sum((actual - predicted)^2)."""
+    import numpy as np
+
     a = np.asarray(actual, dtype=np.float64)
     o = np.asarray(predicted, dtype=np.float64)
     if a.shape != o.shape:
@@ -336,18 +347,22 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
     deltas chain back through the transposed weights. Does not mutate
     ``params``.
     """
+    import numpy as np
+
+    from .numpy_kernel import ArrayKernel
+
     x = _check_input(params, features)
     t = _vector(target, params.spec.output_count, "target")
     if not all(0.0 <= v <= 1.0 for v in t):
         raise ValueError("targets must lie in [0, 1]")
-    if params._lists is None:
-        kernel = _ArrayKernel(params, gradients=True)
+    if not params._on_lists:
+        kernel = ArrayKernel(params, gradients=True)
         kernel.forward(np.array(x))
         kernel.backward(np.array(t))
         w_grads, b_grads = kernel.weight_grads, kernel.bias_grads
     else:
-        acts = params._list_fns.activations(params._lists, x)
-        deltas = params._list_fns.deltas(params._lists, acts, t)
+        acts = params._list_fns.activations(params.flat, x)
+        deltas = params._list_fns.deltas(params.flat, acts, t)
         w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
         b_grads = [np.array(d, dtype=np.float64) for d in deltas]
     for g in w_grads + b_grads:
@@ -358,115 +373,35 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
 def _layer_outputs(params: NetworkParameters, x: list[float]) -> list:
     """The input followed by each layer's output, from the kernel the
     network's cost model selects."""
-    if params._lists is None:
-        kernel = _ArrayKernel(params)
-        kernel.forward(np.array(x))
-        return kernel.acts
-    return params._list_fns.activations(params._lists, x)
+    if params._on_lists:
+        return params._list_fns.activations(params.flat, x)
+    import numpy as np
+
+    from .numpy_kernel import ArrayKernel
+
+    kernel = ArrayKernel(params)
+    kernel.forward(np.array(x))
+    return kernel.acts
 
 
-def _layer_views(flat: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into one flat buffer that holds each
-    layer's weight rows followed by its biases."""
+def _layer_views(flat, sizes) -> tuple[list, list]:
+    """Per-layer weights and biases of a flat sequence that holds each
+    layer's weight rows followed by its biases: views into a numpy array,
+    weights shaped (n_out, n_in), or slices of a tuple, one per row."""
     weights, biases, at = [], [], 0
     for n_in, n_out in zip(sizes, sizes[1:]):
-        weights.append(flat[at:at + n_out * n_in].reshape(n_out, n_in))
+        w = flat[at:at + n_out * n_in]
+        weights.append(w.reshape(n_out, n_in) if hasattr(w, "reshape") else
+                       [w[k:k + n_in] for k in range(0, n_out * n_in, n_in)])
         at += n_out * n_in
         biases.append(flat[at:at + n_out])
         at += n_out
     return weights, biases
 
 
-class _ArrayKernel:
-    """The numpy kernel for one network: every pass writes into buffers made
-    with the kernel, so a sample allocates no array.
-
-    ``acts`` holds the input and each layer's output. With ``gradients``,
-    ``backward`` writes each layer's deltas into its bias-gradient view of
-    the flat ``grad`` buffer and its weight gradients next to them. With
-    ``trainable``, the kernel also owns a writable flat copy of the
-    parameters (``theta``, laid out like ``grad``) and ``step`` updates it.
-    Buffers are never shared: a kernel belongs to one call.
-    """
-
-    def __init__(self, params: NetworkParameters, *, gradients: bool = False,
-                 trainable: bool = False) -> None:
-        sizes = params.spec.layer_sizes
-        if trainable:
-            self.theta = np.empty(params.weight_count)
-            self.weights, self.biases = _layer_views(self.theta, sizes)
-            for dst, src in zip(self.weights + self.biases, params.weights + params.biases):
-                np.copyto(dst, src)
-        else:
-            self.weights, self.biases = params.weights, params.biases
-        widths = sizes[1:]
-        # (mask, scratch, sigmoid constants) per width: a pass finishes with
-        # one layer before it starts the next, so layers of a width share them
-        scratch = {n: (np.empty(n, dtype=bool), np.empty(n), _sigmoid_consts(n))
-                   for n in set(widths)}
-        self.acts = [None, *(np.empty(n) for n in widths)]
-        self._scratch = [scratch[n] for n in widths]
-        self._layers = [
-            (w, b, z, *scratch[n])
-            for w, b, z, n in zip(self.weights, self.biases, self.acts[1:], widths)
-        ]
-        if gradients or trainable:
-            self.grad = np.empty(params.weight_count)
-            self.weight_grads, self.bias_grads = _layer_views(self.grad, sizes)
-            self._delta_cols = [d[:, None] for d in self.bias_grads]
-            self._weights_t = [w.T for w in self.weights]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Fill ``acts`` for input ``x``; returns the final layer's output."""
-        self.acts[0] = prev = x
-        for w, b, z, mask, den, consts in self._layers:
-            np.matmul(w, prev, out=z)
-            z += b
-            _sigmoid_into(z, mask, den, consts)
-            prev = z
-        return prev
-
-    def backward(self, target: np.ndarray) -> None:
-        """dE/dnet of each layer into ``bias_grads`` and dE/dw into
-        ``weight_grads``, for the activations ``forward`` left in ``acts``."""
-        acts, deltas, scratch = self.acts, self.bias_grads, self._scratch
-        final, delta = acts[-1], deltas[-1]
-        _, tmp, (_, _, one, _, _) = scratch[-1]
-        # (o - t) * o * (1 - o), then (W^T d) * a * (1 - a) back through
-        # the hidden layers
-        np.subtract(final, target, out=delta)
-        delta *= final
-        np.subtract(one, final, out=tmp)
-        delta *= tmp
-        for l in range(len(deltas) - 1, 0, -1):
-            prev, delta = acts[l], deltas[l - 1]
-            _, tmp, (_, _, one, _, _) = scratch[l - 1]
-            np.matmul(self._weights_t[l], deltas[l], out=delta)
-            delta *= prev
-            np.subtract(one, prev, out=tmp)
-            delta *= tmp
-        for col, prev, gw in zip(self._delta_cols, acts, self.weight_grads):
-            np.multiply(col, prev, out=gw)
-
-    def step(self, x: np.ndarray, target: np.ndarray, lr: float) -> float:
-        """One in-place SGD update of ``theta``; returns the sample's loss.
-        Each parameter becomes p - (delta * input) * lr, the bits of
-        ``apply_update``'s p - lr * (delta * input)."""
-        final = self.forward(x)
-        tmp = self._scratch[-1][1]
-        np.subtract(target, final, out=tmp)
-        tmp *= tmp
-        loss = 0.5 * float(tmp.sum())
-        self.backward(target)
-        grad = self.grad
-        grad *= lr
-        self.theta -= grad
-        return loss
-
-
 class _ListKernel(NamedTuple):
     """Straight-line Python for one topology, all reading the flat
-    parameter sequence of ``NetworkParameters._lists``.
+    parameter tuple ``NetworkParameters.flat``.
 
     ``activations(p, x)`` returns the input and each layer's output;
     ``deltas(p, acts, t)`` returns dE/dnet of each layer, so dE/dw of layer
@@ -654,10 +589,9 @@ def predict_class(params: NetworkParameters, features, thresholds=None) -> int:
     among them), goes through ``final_outputs``, which raises what it
     always raised.
     """
-    lists = params._lists
-    if lists is not None and type(features) in (tuple, list):
+    if params._on_lists and type(features) in (tuple, list):
         try:
-            return params._predict_fn(lists, thresholds, features)
+            return params._predict_fn(params.flat, thresholds, features)
         except (TypeError, ValueError):
             pass
     outputs = final_outputs(params, features)
@@ -686,6 +620,8 @@ def apply_update(
 ) -> NetworkParameters:
     """One gradient-descent step: each parameter y becomes
     y - learning_rate * dE/dy. Version bookkeeping is left to the sync layer."""
+    import numpy as np
+
     if learning_rate <= 0.0:
         raise ValueError("learning_rate must be positive")
     if len(grads.weight_grads) != len(params.weights):
@@ -725,14 +661,20 @@ def train(
             f"{data.n_classes} classes do not fit {params.spec.output_count} outputs"
         )
 
-    sizes = params.spec.layer_sizes
     classes = range(params.spec.output_count)
     one_hot = [[float(c == k) for c in classes] for k in classes]
     targets = [one_hot[s.label] for s in data.samples]
-    features = data.features_matrix()
-    if params._lists is None:
-        kernel = _ArrayKernel(params, trainable=True)
+    if params._on_lists:
+        theta, epoch = list(params.flat), params._list_fns.epoch
+        features = [s.features for s in data.samples]
+    else:
+        import numpy as np
+
+        from .numpy_kernel import ArrayKernel
+
+        kernel = ArrayKernel(params, trainable=True)
         theta, step, targets = kernel.theta, kernel.step, np.array(targets)
+        features = data.features_matrix()
 
         def epoch(theta, features, targets, order, lr):
             # ``step`` updates ``theta``, the kernel's own buffer, in place
@@ -740,9 +682,6 @@ def train(
             for i in order:
                 total += step(features[i], targets[i], lr)
             return total
-    else:
-        theta, epoch = list(params._lists), params._list_fns.epoch
-        features = features.tolist()
     lr = cfg.learning_rate
     rng = Rng(cfg.seed)
     order = list(range(len(data.samples)))
@@ -753,19 +692,14 @@ def train(
             rng.shuffle(order)
         loss_history.append(epoch(theta, features, targets, order, lr) / len(order))
 
-    weights, biases = _layer_views(np.asarray(theta, dtype=np.float64), sizes)
-    trained = replace(
-        params,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        trained_epochs=params.trained_epochs + cfg.epochs,
-    )
+    trained = replace(params, flat=theta, trained_epochs=params.trained_epochs + cfg.epochs)
     return trained, loss_history
 
 
 def _vector(values, width: int, what: str) -> list[float]:
     """``values`` as a list of exactly ``width`` floats."""
-    if isinstance(values, np.ndarray) and values.ndim != 1:
+    # an array of other than one dimension iterates as rows, not numbers
+    if getattr(values, "ndim", 1) != 1:
         raise DimensionError(f"{what} shape {values.shape} is not a vector")
     try:
         vec = [float(v) for v in values]

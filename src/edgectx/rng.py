@@ -9,25 +9,33 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# the same constants as numpy scalars, for the block draws of ``shuffle``
-_GOLDEN_U64, _MIX1_U64, _MIX2_U64, _MASK64_U64, _ONE_U64 = map(
-    np.uint64, (_GOLDEN, _MIX1, _MIX2, _MASK64, 1))
-_S30, _S27, _S31 = map(np.uint64, (30, 27, 31))
+
+
+@lru_cache(maxsize=1)
+def _block_constants() -> tuple:
+    """(golden, mix1, mix2, 2**64 - 1, 1, 30, 27, 31) as numpy uint64
+    scalars, for the block draws of ``shuffle``."""
+    import numpy as np
+    return tuple(map(np.uint64, (_GOLDEN, _MIX1, _MIX2, _MASK64, 1, 30, 27, 31)))
 
 
 @lru_cache(maxsize=64)
 def _golden_steps(n: int) -> np.ndarray:
     """k * golden mod 2**64 for k = 1..n, read-only: the state offsets of
     the next n words."""
+    import numpy as np
+
     steps = np.arange(1, n + 1, dtype=np.uint64)
-    steps *= _GOLDEN_U64
+    steps *= _block_constants()[0]
     steps.setflags(write=False)
     return steps
 
@@ -82,6 +90,8 @@ class Rng:
         n = len(items)
         if n < 2:
             return
+        import numpy as np
+
         draws = self._randrange_block(np.arange(n, 1, -1, dtype=np.uint64))
         for i, j in zip(range(n - 1, 0, -1), draws):
             items[i], items[j] = items[j], items[i]
@@ -95,23 +105,26 @@ class Rng:
         that bound; the word is consumed and the next block starts by
         drawing the same bound again.
         """
+        import numpy as np
+
+        _, mix1, mix2, mask, one, s30, s27, s31 = _block_constants()
         draws: list[int] = []
         while len(draws) < len(bounds):
             m = bounds[len(draws):]
             z = _golden_steps(len(m)) + np.uint64(self._state)
-            t = z >> _S30
+            t = z >> s30
             z ^= t
-            z *= _MIX1_U64
-            np.right_shift(z, _S27, out=t)
+            z *= mix1
+            np.right_shift(z, s27, out=t)
             z ^= t
-            z *= _MIX2_U64
-            np.right_shift(z, _S31, out=t)
+            z *= mix2
+            np.right_shift(z, s31, out=t)
             z ^= t
             # randrange accepts r < 2**64 - 2**64 % m, i.e. r <= MASK - 2**64 % m;
             # 2**64 % m < m, so no word up to MASK + 1 - max(m) is rejected
             take = len(m)
             if int(z.max()) > _MASK64 + 1 - int(m.max()):
-                accept = z <= _MASK64_U64 - (_MASK64_U64 % m + _ONE_U64) % m
+                accept = z <= mask - (mask % m + one) % m
                 if not accept.all():
                     take = int(accept.argmin())
             draws += (z[:take] % m[:take]).tolist()

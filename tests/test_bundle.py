@@ -1,4 +1,6 @@
+import math
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,11 @@ class TestGolden:
         assert bundle.model_kind == "CL"
         assert bundle.thresholds.values == (0.4375, 0.5625)
 
+    @pytest.mark.parametrize("name", ["bundle_cl_golden.json", "bundle_dcl_mini.json"])
+    def test_golden_reencodes_byte_for_byte(self, name):
+        raw = (GOLDEN_DIR / name).read_bytes()
+        assert encode_bundle(decode_bundle(raw)) == raw
+
 
 class TestCorruption:
     def test_every_single_byte_corruption_detected(self):
@@ -190,8 +197,52 @@ class TestSchemaErrors:
                 thresholds=ThresholdVector((0.5,)),
             )
 
+    # values the canonical encoder never writes, each resealed with a valid
+    # checksum; ``float()`` or ``int()`` would have taken every one of them
+    @pytest.mark.parametrize("old, new", [
+        (b"0.6227655366461097", b'"0.6227655366461097"'),
+        (b"0.6227655366461097", b"true"),
+        (b"0.5963441875299105]", b'"0.5963441875299105"]'),
+        (b"0.4375", b'"0.4375"'),
+        (b"0.4375", b"true"),
+        (b'"version":5', b'"version":1.9'),
+        (b'"version":5', b'"version":true'),
+        (b'"model_version":5', b'"model_version":true'),
+        (b'"model_version":5', b'"model_version":5.0'),
+        (b'"trained_epochs":40', b'"trained_epochs":40.5'),
+        (b'"created_at":1700000100000', b'"created_at":1700000100000.5'),
+        (b'"created_at":1700000100000', b'"created_at":false'),
+        (b'"format_version":1', b'"format_version":true'),
+        (b'"input_count":3', b'"input_count":3.0'),
+    ], ids=["weight-string", "weight-bool", "bias-string", "threshold-string",
+            "threshold-bool", "version-float", "version-bool", "model-version-bool",
+            "model-version-float", "epochs-float", "created-at-float", "created-at-bool",
+            "format-version-bool", "input-count-float"])
+    def test_non_canonical_value_rejected(self, old, new):
+        raw = _rewire((GOLDEN_DIR / "bundle_cl_golden.json").read_bytes(), old, new)
+        with pytest.raises(BundleFormatError):
+            decode_bundle(raw)
+
     def test_unknown_model_kind_rejected(self):
         raw = _rewire(encode_bundle(mini_bundle()), b'"model_kind":"DCL"',
                       b'"model_kind":"XXX"')
         with pytest.raises(BundleError):
             decode_bundle(raw)
+
+
+class TestEquality:
+    def test_equal_after_a_round_trip(self):
+        for make in (mini_bundle, cl_bundle, dcl_bundle):
+            once = decode_bundle(encode_bundle(make()))
+            twice = decode_bundle(encode_bundle(once))
+            assert once == twice and once.params == twice.params
+            assert hash(once) == hash(twice) and hash(once.params) == hash(twice.params)
+            assert once.params == make().params
+
+    def test_one_ulp_makes_a_difference(self):
+        b = cl_bundle()
+        flat = list(b.params.flat)
+        flat[3] = math.nextafter(flat[3], 1.0)
+        nudged = replace(b, params=replace(b.params, flat=flat))
+        assert nudged.params != b.params and nudged != b
+        assert nudged == decode_bundle(encode_bundle(nudged))

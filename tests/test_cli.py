@@ -1,15 +1,21 @@
+import importlib
 import json
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import edgectx.cli
+import edgectx.client
+import edgectx.sim
 from edgectx.bundle import ParameterBundle, decode_bundle
 from edgectx.cli import main, resolve_dataset, _parse_sweep, _retrain_once, UsageError
 from edgectx.client import EdgeClient
 from edgectx.data import (
+    Dataset,
+    Sample,
     SensorReading,
     dataset_from_readings,
     load_csv,
@@ -25,7 +31,7 @@ from edgectx.learners import (
     dcl_train,
     fit,
 )
-from edgectx.nn import LayerSpec, TrainingConfig
+from edgectx.nn import LayerSpec, TrainingConfig, init_network
 from edgectx.protocol import SensorBatch
 from edgectx.server import JsonlDataSink, MemoryDataSink, ModelStore, ParameterServer
 
@@ -518,6 +524,44 @@ class TestPerfbenchHooks:
         out = capsys.readouterr().out
         assert "listening on 127.0.0.1:" in out
         assert "published DCL v1 (20 rows)" in out and "published CL v1 (20 rows)" in out
+
+    def test_every_traced_layer_is_still_a_callable_attribute(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        layers = importlib.import_module("layers")
+        wrapped = []
+
+        class Recorder:
+            def wrap(self, owner, attr, name, **options):
+                wrapped.append((owner, attr))
+
+        layers.install_client_side(Recorder())
+        layers.install_server_side(Recorder())
+        client, learners, server, sim = (edgectx.client, edgectx.learners, edgectx.server,
+                                         edgectx.sim)
+        table = [
+            (edgectx.nn, "train"), (edgectx.rng.Rng, "shuffle"),
+            (learners, "kfold_cross_validate"), (learners, "evaluate"),
+            (learners, "normalize_minmax"), (learners, "calibrate_thresholds"),
+            (sim, "calibrate_thresholds"),
+            *((owner, f"{algo}_predict") for owner in (learners, sim, client)
+              for algo in ("adcl", "lcl")),
+            (sim, "dataset_from_readings"), (edgectx.cli, "run_scenario"),
+            (client, "decode_bundle"), (edgectx.protocol.TcpTransport, "request"),
+            (client.EdgeClient, "sync_tick"), (client.Uploader, "upload_batch"),
+            (client.Uploader, "flush"),
+            (server, "handle_request"), (server, "encode_bundle"), (server, "decode_bundle"),
+            (server.ModelStore, "publish"), (edgectx.cli, "dcl_train"),
+            (edgectx.cli, "cl_train"), (edgectx.cli, "ModelStore"),
+            (edgectx.cli, "JsonlDataSink"),
+        ]
+        assert sorted(map(repr, wrapped)) == sorted(map(repr, table))
+        for owner, attr in table:
+            assert callable(getattr(owner, attr, None)), (owner, attr)
+        # what ``nn.train``'s span reads from its arguments
+        params = init_network(LayerSpec(13, (9,), 5), 1)
+        data = Dataset((Sample((0.5,) * 13, 0),) * 3, tuple("abcdefghijklm"), ("a", "b"))
+        assert layers._train_attrs((params, data, TrainingConfig(epochs=2)), {}, None, None,
+                                   None) == {"topo": "13-9x1-5", "weights": 176, "updates": 6}
 
 
 def test_usage_error_exit_code():

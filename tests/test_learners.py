@@ -20,6 +20,7 @@ from edgectx.learners import (
     kfold_cross_validate,
     lcl_predict,
     make_dcl_trainer,
+    metrics_from_counts,
 )
 from edgectx.nn import (
     LayerSpec,
@@ -274,6 +275,12 @@ class TestEvaluate:
         metrics = evaluate(lambda f: 0, self.balanced_binary(10))
         assert metrics.mean_latency_us > 0.0
         assert metrics.p95_latency_us >= 0.0
+
+    def test_p95_picks_the_index_the_numpy_formula_picked(self):
+        # latencies equal to their own sorted index, so p95 reads the index
+        for n in range(1, 1001):
+            picked = metrics_from_counts([[n]], [float(i) for i in range(n)]).p95_latency_us
+            assert picked == min(n - 1, max(0, int(np.ceil(0.95 * n)) - 1)), n
 
 
 def memorizing_trainer(train_data: Dataset):

@@ -23,6 +23,7 @@ from edgectx.nn import (
     squared_error,
     train,
 )
+from edgectx.numpy_kernel import ArrayKernel
 from edgectx.rng import Rng
 
 
@@ -52,6 +53,10 @@ class TestSigmoid:
         mp.mp.dps = 50
         expected = float(1 / (1 + mp.e ** -2))
         assert abs(sigmoid(2.0) - expected) < 1e-15
+
+    def test_clip_bounds_are_the_neighbours_numpy_gives(self):
+        assert nn._SIG_LO.hex() == float(np.nextafter(0.0, 1.0)).hex() == "0x0.0000000000001p-1022"
+        assert nn._SIG_HI.hex() == float(np.nextafter(1.0, 0.0)).hex() == "0x1.fffffffffffffp-1"
 
     def test_open_interval_at_extremes(self):
         for x in (-1e308, -1000.0, -40.0, 40.0, 1000.0, 1e308):
@@ -399,7 +404,7 @@ KERNEL_TABLE = [
 
 
 def on_lists(p: NetworkParameters) -> bool:
-    return p._lists is not None
+    return p._on_lists
 
 
 class TestKernels:
@@ -443,16 +448,13 @@ class TestKernels:
             x = [rng.uniform() * 2 - 0.5 for _ in range(spec.input_count)]
             t = [float(rng.randrange(2)) for _ in range(spec.output_count)]
 
-            kernel = nn._ArrayKernel(p, gradients=True)
+            kernel = ArrayKernel(p, gradients=True)
             kernel.forward(np.array(x))
             kernel.backward(np.array(t))
             ref_acts, ref_deltas = kernel.acts, kernel.bias_grads
-            # the numpy-kernel nets have no ``_lists``, so flatten them here
-            flat = [v for w, b in zip(p.weights, p.biases)
-                    for v in w.ravel().tolist() + b.tolist()]
             compiled = nn._list_kernel(spec.layer_sizes)
-            acts = compiled.activations(flat, x)
-            deltas = compiled.deltas(flat, acts, t)
+            acts = compiled.activations(p.flat, x)
+            deltas = compiled.deltas(p.flat, acts, t)
             for got, ref in zip(acts + deltas, ref_acts + ref_deltas):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
 
@@ -483,7 +485,7 @@ class TestKernels:
         # up to 298 products may differ in its last few hundred ulps
         tol = dict(rtol=1e-11, atol=1e-14)
         for s, t in zip(samples, targets):
-            kernel = nn._ArrayKernel(p, gradients=True)
+            kernel = ArrayKernel(p, gradients=True)
             kernel.forward(np.array(s.features))
             kernel.backward(np.array(t))
             np.testing.assert_allclose(nn.final_outputs(p, s.features), kernel.acts[-1], **tol)
@@ -496,7 +498,7 @@ class TestKernels:
                        tuple(str(c) for c in range(sizes[-1])))
         cfg = TrainingConfig(0.3, 1, 0, shuffle_each_epoch=False)
         trained, history = train(p, data, cfg)
-        kernel = nn._ArrayKernel(p, trainable=True)
+        kernel = ArrayKernel(p, trainable=True)
         total = sum(kernel.step(np.array(s.features), np.array(t), 0.3)
                     for s, t in zip(samples, targets))
         np.testing.assert_allclose(history, [total / len(samples)], **tol)

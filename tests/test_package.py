@@ -5,7 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from edgectx.bundle import ParameterBundle, encode_bundle
+from edgectx.learners import ThresholdVector
+from edgectx.nn import LayerSpec, init_network
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_CL = Path(__file__).resolve().parent / "golden" / "bundle_cl_golden.json"
 
 # every public name ``import edgectx`` has offered since the package
 # re-exported its submodules' names eagerly, with the submodule defining it
@@ -66,23 +71,66 @@ def test_serve_through_a_retrain_leaves_out_what_it_does_not_use(tmp_path):
     rows = [{"sensor_id": "acc0", "timestamp": i, "values": [0.1 + 2.0 * (i % 2), 0.2],
              "label": i % 2} for i in range(20)]
     (tmp_path / "readings.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
-    # the first sleep returns, so one retrain runs; the second stops the loop
-    loaded = loaded_after(f"""
-import time
+    for kind, hidden, thresholds in (("DCL", (2,), None),
+                                     ("CL", (), ThresholdVector((0.5, 0.5)))):
+        bundle = ParameterBundle(kind, init_network(LayerSpec(2, hidden, 2), 3), 1, 0,
+                                 thresholds)
+        (tmp_path / f"bundle-{kind}-v1.json").write_bytes(encode_bundle(bundle))
+    # the first sleep stands for the wait before the first retrain: it talks
+    # to the server, then returns, so one retrain runs; the second sleep
+    # stops the loop
+    out = run_fresh(f"""
+import contextlib, io, json, time
 import edgectx.cli
-sleeps = []
+from edgectx.protocol import TcpTransport
+printed, seen, sleeps = io.StringIO(), {{}}, []
 def sleep(seconds):
     sleeps.append(seconds)
     if len(sleeps) > 1:
+        seen["after_retrain"] = "numpy" in sys.modules
         raise KeyboardInterrupt
+    host, port = printed.getvalue().split("listening on ")[1].split()[0].rsplit(":", 1)
+    link = TcpTransport((host, int(port)))
+    replies = [link.request({{"type": "PING"}})]
+    replies += [link.request({{"type": "GET_PARAMS", "model_kind": k}}) for k in ("DCL", "CL")]
+    replies.append(link.request({{"type": "PUSH_DATA", "batch": {{
+        "client_id": "c1", "labels": [0, 1],
+        "readings": [{{"sensor_id": "acc0", "timestamp": 99, "values": [0.1, 0.2]}},
+                     {{"sensor_id": "acc0", "timestamp": 99, "values": [2.1, 0.2]}}]}}}}))
+    link.close()
+    seen["replies"] = [r["type"] for r in replies]
+    seen["before_retrain"] = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 time.sleep = sleep
-code = edgectx.cli.main(["serve", "--addr", "127.0.0.1:0", "--data-dir", {str(tmp_path)!r},
-                         "--retrain-every", "1", "--epochs", "2"])
+with contextlib.redirect_stdout(printed):
+    code = edgectx.cli.main(["serve", "--addr", "127.0.0.1:0", "--data-dir", {str(tmp_path)!r},
+                             "--retrain-every", "1", "--epochs", "2"])
 assert code == 0 and len(sleeps) == 2, code
+seen["loaded"] = sorted(sys.modules)
+print(json.dumps(seen))
 """)
-    assert not loaded & set(NOT_SERVED)
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["replies"] == ["PONG", "PARAMS", "PARAMS", "ACK"]
+    assert seen["before_retrain"] == []
+    assert seen["after_retrain"] is True
+    assert not set(seen["loaded"]) & set(NOT_SERVED)
     assert sorted(p.name for p in tmp_path.glob("bundle-*.json")) == [
-        "bundle-CL-v1.json", "bundle-DCL-v1.json"]
+        "bundle-CL-v1.json", "bundle-CL-v2.json", "bundle-DCL-v1.json", "bundle-DCL-v2.json"]
+
+
+def test_edge_path_leaves_out_numpy():
+    # a client import, decoding both bundle kinds and predicting with each
+    dcl = encode_bundle(ParameterBundle("DCL", init_network(LayerSpec(4, (3,), 3), 7), 1, 0))
+    loaded = loaded_after(f"""
+import edgectx.client
+from edgectx.bundle import decode_bundle
+from edgectx.learners import adcl_predict, lcl_predict
+cl = decode_bundle(open({str(GOLDEN_CL)!r}, "rb").read())
+dcl = decode_bundle({dcl!r})
+assert lcl_predict(cl.as_cl_model, [0.1, 0.5, 0.9]).class_index in (0, 1)
+assert adcl_predict(dcl.params, [0.1, 0.5, 0.9, 0.3]).class_index in (0, 1, 2)
+""")
+    assert "edgectx.client" in loaded
+    assert "numpy" not in loaded
 
 
 def test_every_export_resolves():
