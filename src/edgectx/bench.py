@@ -12,8 +12,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import nn
 from .data import normalize_minmax, synth_still_motion
 from .learners import (
@@ -23,6 +21,7 @@ from .learners import (
     cl_train,
     dcl_train,
     lcl_predict,
+    p95,
 )
 from .nn import LayerSpec
 
@@ -101,14 +100,14 @@ def bench_execution(
 
     train_lats = _time_runs_interleaved([fn for _, fn, _ in trainers], train_reps)
     rows = [
-        BenchRow(name, "train", _mean(lats), _p95(lats), train_reps, size)
+        BenchRow(name, "train", _mean(lats), p95(lats), train_reps, size)
         for (name, _, size), lats in zip(trainers, train_lats)
     ]
     predict_lats = _time_calls_interleaved(
         [fn for _, fn, _ in predictors], inputs, repetitions
     )
     predict_rows = [
-        BenchRow(name, "predict", _mean(lats), _p95(lats), len(lats), size)
+        BenchRow(name, "predict", _mean(lats), p95(lats), len(lats), size)
         for (name, _, size), lats in zip(predictors, predict_lats)
     ]
     # report in the conventional order: CL, LCL, DCL, ADCL
@@ -177,8 +176,3 @@ def _time_runs_interleaved(fns, repetitions: int) -> list[list[float]]:
 
 def _mean(lats: list[float]) -> float:
     return sum(lats) / len(lats)
-
-
-def _p95(lats: list[float]) -> float:
-    s = sorted(lats)
-    return s[min(len(s) - 1, max(0, int(np.ceil(0.95 * len(s))) - 1))]

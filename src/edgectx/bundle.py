@@ -10,16 +10,23 @@ single-byte corruption is detected before the payload is trusted.
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
+from .data import json_integer, json_numbers
 from .learners import MODEL_KIND_CL, MODEL_KIND_DCL, MODEL_KINDS, ClModel, ThresholdVector
 from .nn import LayerSpec, NetworkParameters
 
 FORMAT_VERSION = 1
 
 _CHECKSUM_MARKER = ',"checksum":'
+_CHECKSUM_DIGITS = re.compile("0|[1-9][0-9]*")  # as str() writes a CRC-32
+_DOC_KEYS = {"format_version", "model_kind", "model_version", "created_at", "params",
+             "thresholds"}
+_PARAMS_KEYS = {"input_count", "hidden_sizes", "output_count", "activation", "version",
+                "trained_epochs", "weights", "biases"}
 
 
 class BundleError(ValueError):
@@ -113,10 +120,10 @@ def decode_bundle(raw: bytes) -> ParameterBundle:
     if idx < 0 or not text.endswith("}"):
         raise BundleFormatError("missing checksum field")
     payload = text[:idx] + "}"
-    try:
-        declared = int(text[idx + len(_CHECKSUM_MARKER) : -1])
-    except ValueError as exc:
-        raise BundleFormatError("malformed checksum field") from exc
+    digits = text[idx + len(_CHECKSUM_MARKER) : -1]
+    if not _CHECKSUM_DIGITS.fullmatch(digits):
+        raise BundleFormatError("malformed checksum field")
+    declared = int(digits)
     actual = zlib.crc32(payload.encode("utf-8"))
     if actual != declared:
         raise BundleChecksumError(
@@ -128,25 +135,27 @@ def decode_bundle(raw: bytes) -> ParameterBundle:
         raise BundleFormatError(f"invalid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise BundleFormatError("document is not an object")
-    if _integer(doc.get("format_version"), "format_version") != FORMAT_VERSION:
-        raise BundleVersionError(f"unknown format_version {doc['format_version']!r}")
     try:
-        kind = doc["model_kind"]
+        if json_integer(doc.get("format_version"), "format_version") != FORMAT_VERSION:
+            raise BundleVersionError(f"unknown format_version {doc['format_version']!r}")
         pdoc = doc["params"]
+        if doc.keys() != _DOC_KEYS or not isinstance(pdoc, dict) or pdoc.keys() != _PARAMS_KEYS:
+            raise BundleFormatError("fields differ from the ones the encoder writes")
+        kind = doc["model_kind"]
         spec = LayerSpec(
-            _integer(pdoc["input_count"], "input_count"),
-            tuple(_integer(h, "hidden_sizes") for h in pdoc["hidden_sizes"]),
-            _integer(pdoc["output_count"], "output_count"),
+            json_integer(pdoc["input_count"], "input_count"),
+            tuple(json_integer(h, "hidden_sizes") for h in pdoc["hidden_sizes"]),
+            json_integer(pdoc["output_count"], "output_count"),
         )
         flat = _flat_parameters(pdoc["weights"], pdoc["biases"], spec.layer_sizes)
         activation = pdoc["activation"]
-        version = _integer(pdoc["version"], "version")
-        trained_epochs = _integer(pdoc["trained_epochs"], "trained_epochs")
-        model_version = _integer(doc["model_version"], "model_version")
-        created_at = _integer(doc["created_at"], "created_at")
+        version = json_integer(pdoc["version"], "version")
+        trained_epochs = json_integer(pdoc["trained_epochs"], "trained_epochs")
+        model_version = json_integer(doc["model_version"], "model_version")
+        created_at = json_integer(doc["created_at"], "created_at")
         thresholds = doc["thresholds"]
         if thresholds is not None:
-            thresholds = tuple(_numbers(thresholds, "thresholds"))
+            thresholds = tuple(json_numbers(thresholds, "thresholds"))
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -170,24 +179,6 @@ def decode_bundle(raw: bytes) -> ParameterBundle:
         raise BundleShapeError(f"shape or invariant violation: {exc}") from exc
 
 
-def _integer(value, name: str) -> int:
-    """``value`` when it is an int, as the encoder writes every count,
-    version and timestamp; a bool or an integral float is not."""
-    if type(value) is not int:
-        raise BundleFormatError(f"{name} is not an integer: {value!r}")
-    return value
-
-
-def _numbers(obj, name: str) -> list:
-    """The list ``obj`` when every item is an int or a float; a bool or a
-    string is not a number here, though ``float()`` would take it."""
-    if not isinstance(obj, list):
-        raise BundleFormatError(f"{name} is not a list")
-    if not set(map(type, obj)) <= {float, int}:
-        raise BundleFormatError(f"{name} holds a value that is not a number")
-    return obj
-
-
 def _flat_parameters(weights, biases, sizes) -> list:
     """The weights and biases of a document as one list in the order of
     ``NetworkParameters.flat``, checked against the layer ``sizes``."""
@@ -205,4 +196,4 @@ def _flat_parameters(weights, biases, sizes) -> list:
         for row in w:
             flat += row
         flat += b
-    return _numbers(flat, "weights and biases")
+    return json_numbers(flat, "weights and biases")

@@ -49,6 +49,25 @@ class SensorReading:
             raise ValueError("sensor reading contains non-finite values")
 
 
+def json_integer(value, name: str) -> int:
+    """``value`` when it is a JSON integer; a bool or a float, integral or
+    not, raises TypeError, though ``int()`` would take it."""
+    if type(value) is not int:
+        raise TypeError(f"{name} is not an integer: {value!r}")
+    return value
+
+
+def json_numbers(obj, name: str) -> list:
+    """The list ``obj`` when every item is a JSON number, an int or a
+    float; a bool or a string raises TypeError, though ``float()`` would
+    take it."""
+    if not isinstance(obj, list):
+        raise TypeError(f"{name} is not a list")
+    if not set(map(type, obj)) <= {float, int}:
+        raise TypeError(f"{name} holds a value that is not a number")
+    return obj
+
+
 @dataclass(frozen=True)
 class Dataset:
     samples: tuple[Sample, ...]

@@ -246,6 +246,13 @@ def evaluate(
     return metrics_from_counts(confusion, latencies_us)
 
 
+def p95(values: Sequence[float]) -> float:
+    """The nearest-rank 95th percentile: the value at index
+    ``ceil(0.95 n) - 1`` of the sorted values; 0.0 for none."""
+    s = sorted(values)
+    return s[min(len(s) - 1, max(0, math.ceil(0.95 * len(s)) - 1))] if s else 0.0
+
+
 def metrics_from_counts(
     confusion: Sequence[Sequence[int]], latencies_us: Sequence[float]
 ) -> Metrics:
@@ -256,7 +263,6 @@ def metrics_from_counts(
         raise ValueError("no predictions to summarize")
     correct = sum(confusion[i][i] for i in range(k))
     lats = sorted(latencies_us)
-    p95 = lats[min(len(lats) - 1, max(0, math.ceil(0.95 * len(lats)) - 1))] if lats else 0.0
     rates: dict[str, float | None] = dict.fromkeys(
         ("tp_rate", "tn_rate", "fp_rate", "fn_rate")
     )
@@ -271,7 +277,7 @@ def metrics_from_counts(
         confusion=tuple(tuple(int(c) for c in row) for row in confusion),
         sample_count=n,
         mean_latency_us=sum(lats) / len(lats) if lats else 0.0,
-        p95_latency_us=p95,
+        p95_latency_us=p95(lats),
         **rates,
     )
 

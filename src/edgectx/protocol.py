@@ -19,7 +19,7 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from .data import SensorReading
+from .data import SensorReading, json_integer, json_numbers
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 _HEADER = struct.Struct(">I")
@@ -149,8 +149,8 @@ def batch_from_wire(obj: dict) -> SensorBatch:
         readings = tuple(
             SensorReading(
                 sensor_id=str(r["sensor_id"]),
-                timestamp=int(r["timestamp"]),
-                values=tuple(float(v) for v in r["values"]),
+                timestamp=json_integer(r["timestamp"], "timestamp"),
+                values=tuple(map(float, json_numbers(r["values"], "values"))),
             )
             for r in obj["readings"]
         )
@@ -158,7 +158,8 @@ def batch_from_wire(obj: dict) -> SensorBatch:
         return SensorBatch(
             client_id=str(obj["client_id"]),
             readings=readings,
-            labels=tuple(int(x) for x in labels) if labels is not None else None,
+            labels=(tuple(json_integer(x, "label") for x in labels)
+                    if labels is not None else None),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed sensor batch: {exc}") from exc

@@ -17,7 +17,8 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
 
 from .bundle import ParameterBundle
@@ -39,6 +40,9 @@ from .rng import Rng
 ALGORITHMS = ("CL", "LCL", "DCL", "ADCL")
 _CLIENT_ALGOS = {"ADCL": MODEL_KIND_DCL, "LCL": MODEL_KIND_CL}
 _SERVER_ALGOS = {"DCL": MODEL_KIND_DCL, "CL": MODEL_KIND_CL}
+QUEUE_CAPACITY = 10_000  # readings the edge holds for upload; the oldest go first
+ROLLING_WINDOW = 100  # predictions behind each TickRecord.rolling_accuracy
+MIN_RETRAIN_ROWS = 8  # the server publishes no version trained on fewer rows
 
 
 @dataclass(frozen=True)
@@ -162,101 +166,75 @@ class ScenarioResult:
         return "\n".join(lines) + "\n"
 
 
-def run_scenario(
-    nodes: list[SensorNodeConfig],
-    link: LinkConfig,
-    retrain_every_ms: int,
-    algorithms: tuple[str, ...],
-    duration_ms: int,
-    seed: int,
-    *,
-    sync_period_ms: int = 1_000,
-    upload_every_ms: int = 500,
-    warm_start: bool = True,
-    warmup_samples: int = 200,
-    rolling_window: int = 100,
-    queue_capacity: int = 10_000,
-    min_retrain_rows: int = 8,
-    max_train_rows: int = 2_000,
-    dcl_config: TrainingConfig = TrainingConfig(learning_rate=0.3, epochs=30, seed=0),
-    cl_config: TrainingConfig = TrainingConfig(learning_rate=0.05, epochs=30, seed=0),
-    drain_ticks: int = 200,
-) -> ScenarioResult:
+def run_scenario(*args, **kwargs) -> ScenarioResult:
     """Discrete-event run of the sensor/edge/server loop.
 
-    With ``warm_start`` the server trains version 1 on a bootstrap slice of
-    the node sources before the run and the client begins fully synced, so
-    every reading receives a real prediction. After ``duration_ms`` the
-    client keeps retrying queued uploads for up to ``drain_ticks`` more
-    upload periods (no new readings), so delivery can complete once an
-    outage ends.
+    Takes the fields of ``_ScenarioRunner``: the first six by position or
+    name, the rest by name only. With ``warm_start`` the server trains
+    version 1 on a bootstrap slice of the node sources before the run and
+    the client begins fully synced, so every reading receives a real
+    prediction. After ``duration_ms`` the client keeps retrying queued
+    uploads for up to ``drain_ticks`` more upload periods (no new
+    readings), so delivery can complete once an outage ends.
     """
-    if duration_ms <= 0:
-        raise ValueError("duration must be positive")
-    if not nodes:
-        raise ValueError("at least one sensor node is required")
-    if not algorithms:
-        raise ValueError("at least one algorithm is required")
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
-    if retrain_every_ms < 1 or sync_period_ms < 1 or upload_every_ms < 1:
-        raise ValueError("periods must be positive")
-    first = nodes[0].source
-    for node in nodes:
-        if (node.source.feature_names != first.feature_names
-                or node.source.class_names != first.class_names):
-            raise ValueError("all node sources must share features and classes")
-
-    runner = _ScenarioRunner(
-        nodes, link, retrain_every_ms, tuple(algorithms), duration_ms, seed,
-        sync_period_ms=sync_period_ms, upload_every_ms=upload_every_ms,
-        warm_start=warm_start, warmup_samples=warmup_samples,
-        rolling_window=rolling_window, queue_capacity=queue_capacity,
-        min_retrain_rows=min_retrain_rows, max_train_rows=max_train_rows,
-        dcl_config=dcl_config, cl_config=cl_config, drain_ticks=drain_ticks,
-    )
-    return runner.run()
+    return _ScenarioRunner(*args, **kwargs).run()
 
 
+@dataclass(eq=False)
 class _ScenarioRunner:
-    def __init__(self, nodes, link, retrain_every_ms, algorithms, duration_ms,
-                 seed, *, sync_period_ms, upload_every_ms, warm_start,
-                 warmup_samples, rolling_window, queue_capacity,
-                 min_retrain_rows, max_train_rows, dcl_config, cl_config,
-                 drain_ticks) -> None:
-        self.nodes = nodes
-        self.link = link
-        self.retrain_every_ms = retrain_every_ms
-        self.algorithms = algorithms
-        self.duration_ms = duration_ms
-        self.sync_period_ms = sync_period_ms
-        self.upload_every_ms = upload_every_ms
-        self.warm_start = warm_start
-        self.warmup_samples = warmup_samples
-        self.rolling_window = rolling_window
-        self.queue_capacity = queue_capacity
-        self.min_retrain_rows = min_retrain_rows
-        self.max_train_rows = max_train_rows
-        self.dcl_config = dcl_config
-        self.cl_config = cl_config
-        self.drain_ticks = drain_ticks
+    """One scenario: its parameters, its state, and its events, each a
+    method run at virtual time ``t``."""
 
-        master = Rng(seed)
-        self.node_rngs = {n.sensor_id: master.fork() for n in nodes}
+    nodes: list[SensorNodeConfig]
+    link: LinkConfig
+    retrain_every_ms: int
+    algorithms: tuple[str, ...]
+    duration_ms: int
+    seed: int
+    _: KW_ONLY
+    sync_period_ms: int = 1_000
+    upload_every_ms: int = 500
+    warm_start: bool = True
+    warmup_samples: int = 200
+    max_train_rows: int = 2_000
+    dcl_config: TrainingConfig = TrainingConfig(learning_rate=0.3, epochs=30, seed=0)
+    cl_config: TrainingConfig = TrainingConfig(learning_rate=0.05, epochs=30, seed=0)
+    drain_ticks: int = 200  # counts down as the drain runs
+
+    def __post_init__(self) -> None:
+        self.algorithms = tuple(self.algorithms)
+        if self.duration_ms <= 0:
+            raise ValueError("duration must be positive")
+        if not self.nodes:
+            raise ValueError("at least one sensor node is required")
+        if not self.algorithms:
+            raise ValueError("at least one algorithm is required")
+        for a in self.algorithms:
+            if a not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {a!r}")
+        if min(self.retrain_every_ms, self.sync_period_ms, self.upload_every_ms) < 1:
+            raise ValueError("periods must be positive")
+        first = self.nodes[0].source
+        for node in self.nodes:
+            if (node.source.feature_names != first.feature_names
+                    or node.source.class_names != first.class_names):
+                raise ValueError("all node sources must share features and classes")
+
+        master = Rng(self.seed)
+        self.node_rngs = {n.sensor_id: master.fork() for n in self.nodes}
         self.link_rng = master.fork()
         self.train_rng = master.fork()
 
-        self.feature_names = nodes[0].source.feature_names
-        self.class_names = nodes[0].source.class_names
-        self.n_classes = len(self.class_names)
+        self.feature_names = first.feature_names
+        self.class_names = first.class_names
+        n_classes = len(self.class_names)
 
         self.client_kinds = sorted(
-            {_CLIENT_ALGOS[a] for a in algorithms if a in _CLIENT_ALGOS}
+            {_CLIENT_ALGOS[a] for a in self.algorithms if a in _CLIENT_ALGOS}
         )
         self.server_kinds = sorted(
             set(self.client_kinds)
-            | {_SERVER_ALGOS[a] for a in algorithms if a in _SERVER_ALGOS}
+            | {_SERVER_ALGOS[a] for a in self.algorithms if a in _SERVER_ALGOS}
         )
 
         # server state
@@ -279,35 +257,35 @@ class _ScenarioRunner:
         # results
         self.ticks: list[TickRecord] = []
         self.confusion = {
-            a: [[0] * self.n_classes for _ in range(self.n_classes)]
-            for a in algorithms
+            a: [[0] * n_classes for _ in range(n_classes)] for a in self.algorithms
         }
-        self.latencies = {a: [] for a in algorithms}
-        self.rolling = {a: [] for a in algorithms}
+        self.latencies = {a: [] for a in self.algorithms}
+        self.rolling = {a: deque(maxlen=ROLLING_WINDOW) for a in self.algorithms}
         self.emitted = 0
 
-        self.heap: list[tuple[int, int, object]] = []
+        self.heap: list[tuple] = []
         self.seq = 0
-        self.drain_budget = drain_ticks
-        self.resend_after_ms = max(upload_every_ms, 2 * link.latency_ms + 1)
+        self.resend_after_ms = max(self.upload_every_ms, 2 * self.link.latency_ms + 1)
 
     # -- event plumbing ----------------------------------------------------
 
-    def schedule(self, t: int, fn) -> None:
+    def schedule(self, t: int, fn, *args) -> None:
+        """Runs ``fn(*args, t)`` at time ``t``, after every event already
+        scheduled for ``t``."""
         self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, fn))
+        heapq.heappush(self.heap, (t, self.seq, fn, args))
 
     def run(self) -> ScenarioResult:
         if self.warm_start:
             self._bootstrap()
         for node in self.nodes:
-            self.schedule(0, _NodeEmit(self, node, emitted_in_cycle=0))
-        self.schedule(self.sync_period_ms, _SyncTick(self))
-        self.schedule(self.upload_every_ms, _UploadTick(self))
-        self.schedule(self.retrain_every_ms, _RetrainTick(self))
+            self.schedule(0, self._emit, node, 0)
+        self.schedule(self.sync_period_ms, self._sync_tick)
+        self.schedule(self.upload_every_ms, self._upload_tick)
+        self.schedule(self.retrain_every_ms, self._retrain_tick)
         while self.heap:
-            t, _, fn = heapq.heappop(self.heap)
-            fn(t)
+            t, _, fn, args = heapq.heappop(self.heap)
+            fn(*args, t)
         metrics = {
             a: metrics_from_counts(self.confusion[a], self.latencies[a])
             for a in self.algorithms
@@ -343,7 +321,7 @@ class _ScenarioRunner:
 
     def _publish(self, kind: str, created_at: int) -> None:
         rows = self.server_rows[-self.max_train_rows:]
-        if len(rows) < self.min_retrain_rows:
+        if len(rows) < MIN_RETRAIN_ROWS:
             return
         version = self.server_versions.get(kind, 0) + 1
         seed = self.train_rng.next_u64()
@@ -395,8 +373,6 @@ class _ScenarioRunner:
             self.latencies[algo].append(latency_us)
             window = self.rolling[algo]
             window.append(correct)
-            if len(window) > self.rolling_window:
-                window.pop(0)
             self.ticks.append(
                 TickRecord(
                     t, algo, bundle.model_version, staleness, correct,
@@ -406,7 +382,7 @@ class _ScenarioRunner:
         self.upload_buffer[(reading.sensor_id, reading.timestamp)] = [
             reading, label, -1_000_000_000,
         ]
-        while len(self.upload_buffer) > self.queue_capacity:
+        while len(self.upload_buffer) > QUEUE_CAPACITY:
             oldest = next(iter(self.upload_buffer))
             del self.upload_buffer[oldest]
             self.dropped_from_queue += 1
@@ -419,6 +395,78 @@ class _ScenarioRunner:
         ):
             return False
         return True
+
+    # -- events --------------------------------------------------------------
+
+    def _emit(self, node: SensorNodeConfig, emitted_in_cycle: int, t: int) -> None:
+        rng = self.node_rngs[node.sensor_id]
+        sample = node.source.samples[rng.randrange(len(node.source.samples))]
+        reading = SensorReading(node.sensor_id, t, sample.features)
+        self.record_prediction(t, reading, sample.label)
+        emitted_in_cycle += 1
+        if emitted_in_cycle >= node.duty_length:
+            next_t = t + node.sleep_interval_ms + node.sensor_delay_ms
+            emitted_in_cycle = 0
+        else:
+            next_t = t + node.sensor_delay_ms
+        if next_t < self.duration_ms:
+            self.schedule(next_t, self._emit, node, emitted_in_cycle)
+
+    def _sync_tick(self, t: int) -> None:
+        for kind in self.client_kinds:
+            if self.link_delivers(t):  # request leg
+                self.schedule(t + self.link.latency_ms, self._sync_reply, kind)
+        if t + self.sync_period_ms <= self.duration_ms:
+            self.schedule(t + self.sync_period_ms, self._sync_tick)
+
+    def _sync_reply(self, kind: str, t: int) -> None:
+        bundle = self.server_bundles.get(kind)
+        if bundle is not None and self.link_delivers(t):  # response leg
+            self.schedule(t + self.link.latency_ms, self._sync_apply, kind, bundle)
+
+    def _sync_apply(self, kind: str, bundle: _PendingBundle, t: int) -> None:
+        held = self.client_bundles[kind]
+        if held is None or bundle.model_version > held.model_version:
+            self.client_bundles[kind] = bundle
+
+    def _upload_tick(self, t: int) -> None:
+        due = [
+            key for key, row in self.upload_buffer.items()
+            if t - row[2] >= self.resend_after_ms
+        ][:500]  # batch cap per tick
+        if due:
+            batch = []
+            for key in due:
+                row = self.upload_buffer[key]
+                row[2] = t
+                self.client_sent_keys.add(key)
+                batch.append((key, row[0], row[1]))
+            if self.link_delivers(t):
+                self.schedule(t + self.link.latency_ms, self._upload_receive, batch)
+        if t + self.upload_every_ms <= self.duration_ms:
+            self.schedule(t + self.upload_every_ms, self._upload_tick)
+        elif self.upload_buffer and self.drain_ticks > 0:
+            self.drain_ticks -= 1
+            self.schedule(t + self.upload_every_ms, self._upload_tick)
+
+    def _upload_receive(self, batch: list, t: int) -> None:
+        for key, reading, label in batch:
+            self.server_received_total += 1
+            if key not in self.server_seen_keys:
+                self.server_seen_keys.add(key)
+                self.server_rows.append((reading, label))
+        if self.link_delivers(t):  # ack leg
+            self.schedule(t + self.link.latency_ms, self._upload_ack, batch)
+
+    def _upload_ack(self, batch: list, t: int) -> None:
+        for key, _, _ in batch:
+            self.upload_buffer.pop(key, None)
+
+    def _retrain_tick(self, t: int) -> None:
+        for kind in self.server_kinds:
+            self._publish(kind, created_at=t)
+        if t + self.retrain_every_ms <= self.duration_ms:
+            self.schedule(t + self.retrain_every_ms, self._retrain_tick)
 
 
 @dataclass(eq=False)
@@ -443,139 +491,3 @@ class _PendingBundle:
         bundle = self.runner._train(self)
         self.rows = None
         return bundle
-
-
-class _NodeEmit:
-    def __init__(self, runner: _ScenarioRunner, node: SensorNodeConfig,
-                 emitted_in_cycle: int) -> None:
-        self.runner = runner
-        self.node = node
-        self.emitted_in_cycle = emitted_in_cycle
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        node = self.node
-        rng = r.node_rngs[node.sensor_id]
-        sample = node.source.samples[rng.randrange(len(node.source.samples))]
-        reading = SensorReading(node.sensor_id, t, sample.features)
-        r.record_prediction(t, reading, sample.label)
-        self.emitted_in_cycle += 1
-        if self.emitted_in_cycle >= node.duty_length:
-            next_t = t + node.sleep_interval_ms + node.sensor_delay_ms
-            self.emitted_in_cycle = 0
-        else:
-            next_t = t + node.sensor_delay_ms
-        if next_t < r.duration_ms:
-            r.schedule(next_t, self)
-
-
-class _SyncTick:
-    def __init__(self, runner: _ScenarioRunner) -> None:
-        self.runner = runner
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        for kind in r.client_kinds:
-            if r.link_delivers(t):  # request leg
-                arrive = t + r.link.latency_ms
-                r.schedule(arrive, _SyncServerReply(r, kind))
-        if t + r.sync_period_ms <= r.duration_ms:
-            r.schedule(t + r.sync_period_ms, self)
-
-
-class _SyncServerReply:
-    def __init__(self, runner: _ScenarioRunner, kind: str) -> None:
-        self.runner = runner
-        self.kind = kind
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        bundle = r.server_bundles.get(self.kind)
-        if bundle is None:
-            return
-        if r.link_delivers(t):  # response leg
-            r.schedule(
-                t + r.link.latency_ms, _SyncClientApply(r, self.kind, bundle)
-            )
-
-
-class _SyncClientApply:
-    def __init__(self, runner: _ScenarioRunner, kind: str,
-                 bundle: _PendingBundle) -> None:
-        self.runner = runner
-        self.kind = kind
-        self.bundle = bundle
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        held = r.client_bundles[self.kind]
-        if held is None or self.bundle.model_version > held.model_version:
-            r.client_bundles[self.kind] = self.bundle
-
-
-class _UploadTick:
-    def __init__(self, runner: _ScenarioRunner) -> None:
-        self.runner = runner
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        due = [
-            key for key, row in r.upload_buffer.items()
-            if t - row[2] >= r.resend_after_ms
-        ][:500]  # batch cap per tick
-        if due:
-            sent_rows = []
-            for key in due:
-                row = r.upload_buffer[key]
-                row[2] = t
-                r.client_sent_keys.add(key)
-                sent_rows.append((row[0], row[1]))
-            if r.link_delivers(t):
-                r.schedule(
-                    t + r.link.latency_ms, _UploadServerReceive(r, sent_rows, due)
-                )
-        if t + r.upload_every_ms <= r.duration_ms:
-            r.schedule(t + r.upload_every_ms, self)
-        elif r.upload_buffer and r.drain_budget > 0:
-            r.drain_budget -= 1
-            r.schedule(t + r.upload_every_ms, self)
-
-
-class _UploadServerReceive:
-    def __init__(self, runner, rows, keys) -> None:
-        self.runner = runner
-        self.rows = rows
-        self.keys = keys
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        for (reading, label), key in zip(self.rows, self.keys):
-            r.server_received_total += 1
-            if key not in r.server_seen_keys:
-                r.server_seen_keys.add(key)
-                r.server_rows.append((reading, label))
-        if r.link_delivers(t):  # ack leg
-            r.schedule(t + r.link.latency_ms, _UploadClientAck(r, self.keys))
-
-
-class _UploadClientAck:
-    def __init__(self, runner, keys) -> None:
-        self.runner = runner
-        self.keys = set(keys)
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        for key in self.keys:
-            r.upload_buffer.pop(key, None)
-
-
-class _RetrainTick:
-    def __init__(self, runner: _ScenarioRunner) -> None:
-        self.runner = runner
-
-    def __call__(self, t: int) -> None:
-        r = self.runner
-        for kind in r.server_kinds:
-            r._publish(kind, created_at=t)
-        if t + r.retrain_every_ms <= r.duration_ms:
-            r.schedule(t + r.retrain_every_ms, self)

@@ -223,6 +223,24 @@ class TestSchemaErrors:
         with pytest.raises(BundleFormatError):
             decode_bundle(raw)
 
+    # int() took each of these checksum texts
+    @pytest.mark.parametrize("text", [b"02830431279", b"+2830431279", b" 2830431279",
+                                      b"2_830431279"])
+    def test_non_canonical_checksum_text_rejected(self, text):
+        raw = (GOLDEN_DIR / "bundle_cl_golden.json").read_bytes()
+        assert raw.endswith(b'"checksum":2830431279}')
+        with pytest.raises(BundleFormatError):
+            decode_bundle(raw[:-len(b"2830431279}")] + text + b"}")
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"thresholds"', b'"extra":[1,2],"thresholds"'),
+        (b'"weights"', b'"extra":[1,2],"weights"'),
+    ], ids=["document", "params"])
+    def test_field_the_encoder_never_writes_rejected(self, old, new):
+        raw = _rewire((GOLDEN_DIR / "bundle_cl_golden.json").read_bytes(), old, new)
+        with pytest.raises(BundleFormatError):
+            decode_bundle(raw)
+
     def test_unknown_model_kind_rejected(self):
         raw = _rewire(encode_bundle(mini_bundle()), b'"model_kind":"DCL"',
                       b'"model_kind":"XXX"')

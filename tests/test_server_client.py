@@ -321,6 +321,32 @@ class TestJsonlSink:
         finally:
             srv.stop()
 
+    # int() and float() took each of these values
+    @pytest.mark.parametrize("field, value", [
+        ("labels", [1.7]),
+        ("labels", [True]),
+        ("timestamp", 1.9),
+        ("timestamp", True),
+        ("values", ["1.5", 0.2]),
+        ("values", [True, 0.2]),
+    ], ids=["label-float", "label-bool", "timestamp-float", "timestamp-bool",
+            "value-string", "value-bool"])
+    def test_wrong_type_upload_refused(self, tmp_path, field, value):
+        path = tmp_path / "readings.jsonl"
+        sink = JsonlDataSink(path)
+        sink.store(make_batch(4))
+        before = path.read_bytes()
+        wire = batch_to_wire(make_batch(1, start=4))
+        if field == "labels":
+            wire["labels"] = value
+        else:
+            wire["readings"][0][field] = value
+        push = decode_message(encode_message({"type": "PUSH_DATA", "batch": wire}))
+        response, _ = handle_request(push, ModelStore(), sink)
+        assert response["type"] == "ERROR" and response["code"] == "bad_batch"
+        assert path.read_bytes() == before
+        assert len(sink) == 4
+
     def test_stored_bad_rows_are_skipped_on_load_and_retrain_runs(self, tmp_path):
         from edgectx.cli import _retrain_once
 

@@ -8,7 +8,7 @@ import edgectx.cli
 import edgectx.nn
 from edgectx.data import synth_still_motion
 from edgectx.nn import TrainingConfig
-from edgectx.sim import ALGORITHMS, LinkConfig, SensorNodeConfig, run_scenario
+from edgectx.sim import ALGORITHMS, QUEUE_CAPACITY, LinkConfig, SensorNodeConfig, run_scenario
 
 OUTAGE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "outage.json"
 KIND_OF = {"ADCL": "DCL", "DCL": "DCL", "LCL": "CL", "CL": "CL"}
@@ -93,6 +93,14 @@ class TestOutage:
         assert {t.model_version for t in ticks} == {1}  # warm-start bundle only
         assert all(t.correct is not None for t in ticks)
 
+    def test_full_queue_drops_the_oldest_readings(self):
+        # 1 ms readings and a link that never delivers, drain included
+        link = LinkConfig(outage_windows=((0, 10**9),))
+        result = run_scenario([one_node(delay=1)], link, 1_000, ("ADCL",), 12_000, 11)
+        assert result.emitted_readings == 12_000
+        assert result.dropped_from_queue == result.emitted_readings - QUEUE_CAPACITY
+        assert result.server_received_total == 0
+
     def test_staleness_grows_linearly_during_outage(self):
         link = LinkConfig(outage_windows=((2_000, 8_000),))
         result = quick_scenario(link, duration=9_000)
@@ -159,6 +167,11 @@ class TestValidation:
     def test_no_nodes_rejected(self):
         with pytest.raises(ValueError):
             run_scenario([], LinkConfig(), 1_000, ("ADCL",), 5_000, 1)
+
+    @pytest.mark.parametrize("name", ["queue_capacity", "rolling_window", "min_retrain_rows"])
+    def test_constants_are_not_options(self, name):
+        with pytest.raises(TypeError):
+            run_scenario([one_node()], LinkConfig(), 1_000, ("ADCL",), 5_000, 1, **{name: 8})
 
     def test_zero_rate_node_rejected(self):
         with pytest.raises(ValueError):
