@@ -8,7 +8,6 @@ cost is accuracy, never availability.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
@@ -33,9 +32,12 @@ from .protocol import (
     MSG_NOT_READY,
     MSG_PARAMS,
     MSG_PUSH_DATA,
+    ProtocolError,
     SensorBatch,
     TransportError,
     batch_to_wire,
+    row_from_line,
+    row_line,
 )
 
 log = logging.getLogger(__name__)
@@ -73,6 +75,15 @@ class SyncState:
     def model_version(self) -> int | None:
         return self.current_bundle.model_version if self.current_bundle else None
 
+    def synced(self, bundle: ParameterBundle | None, t: int) -> SyncState:
+        """The state after a sync at ``t`` that reached the server and got
+        ``bundle`` (None when it had none): a newer model_version replaces
+        the held bundle; any other answer only refreshes last_sync_at."""
+        held = self.model_version
+        if bundle is not None and (held is None or bundle.model_version > held):
+            return SyncState(current_bundle=bundle, last_sync_at=t)
+        return replace(self, last_sync_at=t, consecutive_failures=0)
+
     def predict(self, features) -> ContextLabel:
         """The label the held bundle gives ``features``."""
         bundle = self.current_bundle
@@ -92,10 +103,9 @@ def client_sync_tick(
 ) -> SyncState:
     """One poll of the server for parameters of ``model_kind``.
 
-    Success with a newer model_version swaps the bundle; success with the
-    same (or older) version just refreshes last_sync_at. Any failure leaves
-    the current bundle untouched and bumps consecutive_failures, so
-    prediction stays available throughout.
+    A reply applies by ``SyncState.synced``. Any failure leaves the current
+    bundle untouched and bumps consecutive_failures, so prediction stays
+    available throughout.
     """
     t = int(time.time() * 1000) if now_ms is None else now_ms
     try:
@@ -104,22 +114,18 @@ def client_sync_tick(
         )
     except TransportError as exc:
         log.debug("sync failed (%s); keeping current parameters", exc)
-        return replace(state, consecutive_failures=state.consecutive_failures + 1)
+        response = {}
     if response.get("type") == MSG_NOT_READY:
-        return replace(state, last_sync_at=t, consecutive_failures=0)
-    if response.get("type") != MSG_PARAMS:
-        return replace(state, consecutive_failures=state.consecutive_failures + 1)
-    try:
-        bundle = decode_bundle(str(response.get("bundle", "")).encode("utf-8"))
-    except BundleError as exc:
-        log.warning("received undecodable bundle: %s", exc)
-        return replace(state, consecutive_failures=state.consecutive_failures + 1)
-    if bundle.model_kind != model_kind:
-        return replace(state, consecutive_failures=state.consecutive_failures + 1)
-    held = state.model_version
-    if held is not None and bundle.model_version <= held:
-        return replace(state, last_sync_at=t, consecutive_failures=0)
-    return SyncState(current_bundle=bundle, last_sync_at=t, consecutive_failures=0)
+        return state.synced(None, t)
+    if response.get("type") == MSG_PARAMS:
+        try:
+            bundle = decode_bundle(str(response.get("bundle", "")).encode("utf-8"))
+        except BundleError as exc:
+            log.warning("received undecodable bundle: %s", exc)
+        else:
+            if bundle.model_kind == model_kind:
+                return state.synced(bundle, t)
+    return replace(state, consecutive_failures=state.consecutive_failures + 1)
 
 
 class Uploader:
@@ -161,19 +167,10 @@ class Uploader:
         """Deliver queued readings, then this batch. Returns the number of
         readings acknowledged by the server during this call."""
         replayed = self._replay()
-        if replayed is None:
-            self._enqueue(batch)
-            return 0
-        sent = self._send_rows(
-            [
-                (batch.client_id, r, batch.labels[i] if batch.labels else None)
-                for i, r in enumerate(batch.readings)
-            ]
-        )
+        sent = None if replayed is None else self._send(batch)
         if sent is None:
             self._enqueue(batch)
-            return replayed
-        return replayed + sent
+        return (replayed or 0) + (sent or 0)
 
     def flush(self) -> int:
         """Try to deliver everything queued; returns readings acknowledged."""
@@ -185,40 +182,37 @@ class Uploader:
         drains, None when the link gives out part-way."""
         acked, changed = 0, False
         while self._queue:
-            # one wire batch per run of same client and label presence
-            rows = [self._queue.popleft()]
-            key = (rows[0][0], rows[0][2] is not None)
-            while self._queue and (self._queue[0][0], self._queue[0][2] is not None) == key:
-                rows.append(self._queue.popleft())
-            sent = self._send_rows(rows)
+            # one wire batch per run of one client and label presence in
+            # which each sensor's readings stay in time order
+            client_id, labeled = self._queue[0][0], self._queue[0][2] is not None
+            rows, last = [], {}
+            for row in self._queue:
+                reading = row[1]
+                if ((row[0], row[2] is not None) != (client_id, labeled)
+                        or reading.timestamp < last.get(reading.sensor_id, reading.timestamp)):
+                    break
+                last[reading.sensor_id] = reading.timestamp
+                rows.append(row)
+            sent = self._send(SensorBatch(
+                client_id, tuple(reading for _, reading, _ in rows),
+                tuple(label for _, _, label in rows) if labeled else None))
             if sent is None:
-                for row in reversed(rows):
-                    self._queue.appendleft(row)
-                if changed:
-                    self._save_spool()
-                return None
+                break
+            for _ in rows:
+                self._queue.popleft()
             acked += sent
             changed = True
         if changed:
             self._save_spool()
-        return acked
+        return None if self._queue else acked
 
-    def _send_rows(
-        self, rows: list[tuple[str, SensorReading, int | None]]
-    ) -> int | None:
+    def _send(self, batch: SensorBatch) -> int | None:
         """Send one batch; acked count (0 when the server refuses it as
         bad), or None on link failure."""
-        labeled = all(label is not None for _, _, label in rows)
-        batch = SensorBatch(
-            client_id=rows[0][0],
-            readings=tuple(r for _, r, _ in rows),
-            labels=tuple(label for _, _, label in rows) if labeled else None,
-        )
+        msg = {"type": MSG_PUSH_DATA, "batch": batch_to_wire(batch)}
         for _ in range(self._retries + 1):
             try:
-                response = self._transport.request(
-                    {"type": MSG_PUSH_DATA, "batch": batch_to_wire(batch)}
-                )
+                response = self._transport.request(msg)
             except TransportError:
                 continue
             if response.get("type") == MSG_ACK:
@@ -245,21 +239,11 @@ class Uploader:
         assert self._spool_path is not None
         with open(self._spool_path, encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
-                    reading = SensorReading(
-                        str(obj["sensor_id"]), int(obj["timestamp"]),
-                        tuple(float(v) for v in obj["values"]),
-                    )
-                    label = obj.get("label")
-                    self._queue.append(
-                        (str(obj["client_id"]), reading,
-                         int(label) if label is not None else None)
-                    )
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    self._queue.append(row_from_line(line, "client_id"))
+                except ProtocolError as exc:
                     log.warning("skipping corrupt spool row: %s", exc)
 
     def _save_spool(self) -> None:
@@ -267,20 +251,8 @@ class Uploader:
             return
         tmp = self._spool_path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            for client_id, reading, label in self._queue:
-                fh.write(
-                    json.dumps(
-                        {
-                            "client_id": client_id,
-                            "sensor_id": reading.sensor_id,
-                            "timestamp": reading.timestamp,
-                            "values": list(reading.values),
-                            "label": label,
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+            fh.writelines(row_line(reading, label, client_id=client_id)
+                          for client_id, reading, label in self._queue)
         tmp.replace(self._spool_path)
 
 

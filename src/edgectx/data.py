@@ -49,6 +49,14 @@ class SensorReading:
             raise ValueError("sensor reading contains non-finite values")
 
 
+def json_string(value, name: str) -> str:
+    """``value`` when it is a JSON string; a number, a list or an object
+    raises TypeError, though ``str()`` would take it."""
+    if type(value) is not str:
+        raise TypeError(f"{name} is not a string: {value!r}")
+    return value
+
+
 def json_integer(value, name: str) -> int:
     """``value`` when it is a JSON integer; a bool or a float, integral or
     not, raises TypeError, though ``int()`` would take it."""

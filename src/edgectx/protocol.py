@@ -10,6 +10,10 @@ Message types:
   PUSH_DATA  {batch}                 -> ACK {stored}
   PING                               -> PONG
   anything malformed                 -> ERROR {code, message}
+
+A reading is one JSON record, ``{sensor_id, timestamp, values}``: a string,
+an integer and numbers. Batches, the client's spool and the server's upload
+log carry it, and only this module reads or writes it.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from .data import SensorReading, json_integer, json_numbers
+from .data import SensorReading, json_integer, json_numbers, json_string
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 _HEADER = struct.Struct(">I")
+# made once: json.dumps with separators builds an encoder on every call
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 MSG_GET_PARAMS = "GET_PARAMS"
 MSG_PARAMS = "PARAMS"
@@ -133,36 +139,61 @@ class SensorBatch:
         return len(self.readings)
 
 
+def reading_to_wire(reading: SensorReading) -> dict:
+    """The JSON object of one reading, keys in the order every row has."""
+    return {"sensor_id": reading.sensor_id, "timestamp": reading.timestamp,
+            "values": list(reading.values)}
+
+
+def reading_from_wire(obj: dict) -> SensorReading:
+    """The reading in ``obj``; TypeError when a field has another JSON type,
+    though a cast would take it."""
+    return SensorReading(
+        sensor_id=json_string(obj["sensor_id"], "sensor_id"),
+        timestamp=json_integer(obj["timestamp"], "timestamp"),
+        values=tuple(map(float, json_numbers(obj["values"], "values"))),
+    )
+
+
 def batch_to_wire(batch: SensorBatch) -> dict:
     return {
         "client_id": batch.client_id,
-        "readings": [
-            {"sensor_id": r.sensor_id, "timestamp": r.timestamp, "values": list(r.values)}
-            for r in batch.readings
-        ],
+        "readings": [reading_to_wire(r) for r in batch.readings],
         "labels": list(batch.labels) if batch.labels is not None else None,
     }
 
 
 def batch_from_wire(obj: dict) -> SensorBatch:
     try:
-        readings = tuple(
-            SensorReading(
-                sensor_id=str(r["sensor_id"]),
-                timestamp=json_integer(r["timestamp"], "timestamp"),
-                values=tuple(map(float, json_numbers(r["values"], "values"))),
-            )
-            for r in obj["readings"]
-        )
+        readings = tuple(map(reading_from_wire, obj["readings"]))
         labels = obj.get("labels")
         return SensorBatch(
-            client_id=str(obj["client_id"]),
+            client_id=json_string(obj["client_id"], "client_id"),
             readings=readings,
             labels=(tuple(json_integer(x, "label") for x in labels)
                     if labels is not None else None),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed sensor batch: {exc}") from exc
+
+
+def row_line(reading: SensorReading, label: int | None, **head: str) -> str:
+    """One JSON-lines row: the ``head`` fields, the reading, then its label."""
+    return _ROW_ENCODER.encode({**head, **reading_to_wire(reading), "label": label}) + "\n"
+
+
+def row_from_line(line: str, *head: str) -> tuple:
+    """The ``head`` fields (JSON strings), the reading and the label (None
+    when null or absent) of a ``row_line`` row; ProtocolError if malformed."""
+    try:
+        obj = json.loads(line)
+        fields = tuple(json_string(obj[name], name) for name in head)
+        reading = reading_from_wire(obj)
+        label = obj.get("label")
+        return (*fields, reading,
+                json_integer(label, "label") if label is not None else None)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed row: {exc}") from exc
 
 
 class TcpTransport:

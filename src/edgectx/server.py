@@ -10,7 +10,6 @@ of each kind stay on disk.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -39,6 +38,8 @@ from .protocol import (
     SensorBatch,
     batch_from_wire,
     error_message,
+    row_from_line,
+    row_line,
 )
 
 log = logging.getLogger(__name__)
@@ -252,20 +253,12 @@ class JsonlDataSink(MemoryDataSink):
         width = None
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
-                    reading = SensorReading(
-                        sensor_id=str(obj["sensor_id"]),
-                        timestamp=int(obj["timestamp"]),
-                        values=tuple(float(v) for v in obj["values"]),
-                    )
-                    label = obj.get("label")
-                    row = (reading, int(label) if label is not None else None)
+                    row = row_from_line(line)
                     width = _fitting_width([row], width)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except (ProtocolError, BadBatchError) as exc:
                     if warn:
                         log.warning("%s:%d: skipping row: %s", self.path, lineno, exc)
                     continue
@@ -283,12 +276,7 @@ class JsonlDataSink(MemoryDataSink):
     def _keep(self, rows: list[tuple[SensorReading, int | None]]) -> None:
         # under the sink lock, so the file holds rows in memory order and
         # no other batch's write lands inside this one
-        text = "".join(
-            json.dumps({"sensor_id": r.sensor_id, "timestamp": r.timestamp,
-                        "values": list(r.values), "label": label},
-                       separators=(",", ":")) + "\n"
-            for r, label in rows
-        )
+        text = "".join(row_line(reading, label) for reading, label in rows)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(text)
         if self._loaded:

@@ -22,6 +22,7 @@ from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
 
 from .bundle import ParameterBundle
+from .client import SyncState
 from .data import Dataset, dataset_from_readings, SensorReading
 from .learners import (
     MODEL_KIND_CL,
@@ -245,14 +246,13 @@ class _ScenarioRunner:
         self.server_received_total = 0
         self.server_seen_keys: set[tuple[str, int]] = set()
 
-        # client state; upload buffer maps (sensor_id, timestamp) to
+        # client state: one sync state per kind, holding _PendingBundle
+        # records; upload buffer maps (sensor_id, timestamp) to
         # [reading, label, last_sent_ms], insertion-ordered (oldest first)
-        self.client_bundles: dict[str, _PendingBundle | None] = dict.fromkeys(
-            self.client_kinds
-        )
+        self.client_states = {kind: SyncState() for kind in self.client_kinds}
         self.upload_buffer: dict[tuple[str, int], list] = {}
         self.client_sent_keys: set[tuple[str, int]] = set()
-        self.dropped_from_queue = 0
+        self.evicted_keys: set[tuple[str, int]] = set()
 
         # results
         self.ticks: list[TickRecord] = []
@@ -298,7 +298,8 @@ class _ScenarioRunner:
             client_sent_readings=len(self.client_sent_keys),
             server_received_total=self.server_received_total,
             server_received_distinct=len(self.server_seen_keys),
-            dropped_from_queue=self.dropped_from_queue,
+            # an evicted reading that an upload in flight delivered is not lost
+            dropped_from_queue=len(self.evicted_keys - self.server_seen_keys),
             published=self.published,
         )
 
@@ -316,8 +317,8 @@ class _ScenarioRunner:
         self.server_rows.extend(rows)
         for kind in self.server_kinds:
             self._publish(kind, created_at=0)
-        for kind in self.client_bundles:
-            self.client_bundles[kind] = self.server_bundles.get(kind)
+        for kind, state in self.client_states.items():
+            self.client_states[kind] = state.synced(self.server_bundles.get(kind), 0)
 
     def _publish(self, kind: str, created_at: int) -> None:
         rows = self.server_rows[-self.max_train_rows:]
@@ -351,8 +352,8 @@ class _ScenarioRunner:
         self.emitted += 1
         for algo in self.algorithms:
             if algo in _CLIENT_ALGOS:
-                pending = self.client_bundles[_CLIENT_ALGOS[algo]]
-                staleness = None if pending is None else t - pending.created_at
+                state = self.client_states[_CLIENT_ALGOS[algo]]
+                pending, staleness = state.current_bundle, state.staleness_ms(t)
             else:
                 pending = self.server_bundles.get(_SERVER_ALGOS[algo])
                 staleness = 0 if pending is not None else None
@@ -385,7 +386,7 @@ class _ScenarioRunner:
         while len(self.upload_buffer) > QUEUE_CAPACITY:
             oldest = next(iter(self.upload_buffer))
             del self.upload_buffer[oldest]
-            self.dropped_from_queue += 1
+            self.evicted_keys.add(oldest)
 
     def link_delivers(self, t: int) -> bool:
         if self.link.in_outage(t):
@@ -425,9 +426,7 @@ class _ScenarioRunner:
             self.schedule(t + self.link.latency_ms, self._sync_apply, kind, bundle)
 
     def _sync_apply(self, kind: str, bundle: _PendingBundle, t: int) -> None:
-        held = self.client_bundles[kind]
-        if held is None or bundle.model_version > held.model_version:
-            self.client_bundles[kind] = bundle
+        self.client_states[kind] = self.client_states[kind].synced(bundle, t)
 
     def _upload_tick(self, t: int) -> None:
         due = [

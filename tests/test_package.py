@@ -1,6 +1,7 @@
 """What importing the package loads, checked in a fresh interpreter each."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from edgectx.nn import LayerSpec, init_network
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_CL = Path(__file__).resolve().parent / "golden" / "bundle_cl_golden.json"
+GOLDEN_SPOOL = GOLDEN_CL.with_name("spool.jsonl")
 
 # every public name ``import edgectx`` has offered since the package
 # re-exported its submodules' names eagerly, with the submodule defining it
@@ -117,20 +119,34 @@ print(json.dumps(seen))
         "bundle-CL-v1.json", "bundle-CL-v2.json", "bundle-DCL-v1.json", "bundle-DCL-v2.json"]
 
 
-def test_edge_path_leaves_out_numpy():
-    # a client import, decoding both bundle kinds and predicting with each
+def test_edge_path_leaves_out_numpy(tmp_path):
+    # a client import, decoding both bundle kinds and predicting with each,
+    # then an uploader that loads a spool, fails an upload and saves again
     dcl = encode_bundle(ParameterBundle("DCL", init_network(LayerSpec(4, (3,), 3), 7), 1, 0))
+    spool = tmp_path / "spool.jsonl"
+    shutil.copy(GOLDEN_SPOOL, spool)
     loaded = loaded_after(f"""
 import edgectx.client
 from edgectx.bundle import decode_bundle
+from edgectx.data import SensorReading
 from edgectx.learners import adcl_predict, lcl_predict
+from edgectx.protocol import SensorBatch, TransportError
 cl = decode_bundle(open({str(GOLDEN_CL)!r}, "rb").read())
 dcl = decode_bundle({dcl!r})
 assert lcl_predict(cl.as_cl_model, [0.1, 0.5, 0.9]).class_index in (0, 1)
 assert adcl_predict(dcl.params, [0.1, 0.5, 0.9, 0.3]).class_index in (0, 1, 2)
+class Down:
+    def request(self, msg, timeout=None):
+        raise TransportError("link down")
+uploader = edgectx.client.Uploader(Down(), spool_path={str(spool)!r})
+assert uploader.queued_count == 7
+batch = SensorBatch("edge-2", (SensorReading("acc0", 5000, (0.1, 0.2, 0.3)),), labels=(1,))
+assert uploader.upload_batch(batch) == 0 and uploader.queued_count == 8
 """)
     assert "edgectx.client" in loaded
     assert "numpy" not in loaded
+    assert "edgectx.server" not in loaded
+    assert len(spool.read_bytes().splitlines()) == 8
 
 
 def test_every_export_resolves():

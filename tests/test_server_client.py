@@ -8,11 +8,13 @@ import os
 import socket
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import edgectx.protocol
 import edgectx.server
 from edgectx.bundle import decode_bundle, encode_bundle
 from edgectx.client import (
@@ -73,6 +75,27 @@ def make_batch(n=5, sensor="acc0", start=0):
         tuple(SensorReading(sensor, start + i, (0.1, 0.2)) for i in range(n)),
         labels=tuple(i % 2 for i in range(n)),
     )
+
+
+def row_file(path, bad_fields, **head):
+    """Three two-value rows, timestamps 0-2, with ``bad_fields`` set on the
+    second; ``head`` leads each row, as the spool's client id does."""
+    rows = [{**head, "sensor_id": "acc0", "timestamp": t, "values": [0.5, 0.5], "label": 1}
+            for t in range(3)]
+    rows[1].update(bad_fields)
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+# row fields of a type the wire refuses, though str(), int() or float() took
+# each; the last row once loaded as ('7', 1, (0.5, 1.0)), label 1
+WRONG_TYPE_ROWS = {
+    "sensor-int": {"sensor_id": 7},
+    "timestamp-float": {"timestamp": 1.9},
+    "value-string": {"values": ["0.5", 0.5]},
+    "label-bool": {"label": True},
+    "every-field": {"sensor_id": 7, "timestamp": 1.9, "values": ["0.5", True],
+                    "label": True},
+}
 
 
 class TestServer:
@@ -321,7 +344,7 @@ class TestJsonlSink:
         finally:
             srv.stop()
 
-    # int() and float() took each of these values
+    # str(), int() and float() took each of these values
     @pytest.mark.parametrize("field, value", [
         ("labels", [1.7]),
         ("labels", [True]),
@@ -329,16 +352,19 @@ class TestJsonlSink:
         ("timestamp", True),
         ("values", ["1.5", 0.2]),
         ("values", [True, 0.2]),
+        ("client_id", [1]),
+        ("sensor_id", {"x": 1}),
+        ("sensor_id", 7),
     ], ids=["label-float", "label-bool", "timestamp-float", "timestamp-bool",
-            "value-string", "value-bool"])
+            "value-string", "value-bool", "client-list", "sensor-object", "sensor-int"])
     def test_wrong_type_upload_refused(self, tmp_path, field, value):
         path = tmp_path / "readings.jsonl"
         sink = JsonlDataSink(path)
         sink.store(make_batch(4))
         before = path.read_bytes()
         wire = batch_to_wire(make_batch(1, start=4))
-        if field == "labels":
-            wire["labels"] = value
+        if field in ("labels", "client_id"):
+            wire[field] = value
         else:
             wire["readings"][0][field] = value
         push = decode_message(encode_message({"type": "PUSH_DATA", "batch": wire}))
@@ -346,6 +372,17 @@ class TestJsonlSink:
         assert response["type"] == "ERROR" and response["code"] == "bad_batch"
         assert path.read_bytes() == before
         assert len(sink) == 4
+
+    @pytest.mark.parametrize("bad_fields", list(WRONG_TYPE_ROWS.values()),
+                             ids=list(WRONG_TYPE_ROWS))
+    def test_wrong_type_row_skipped_on_load(self, tmp_path, caplog, bad_fields):
+        path = tmp_path / "readings.jsonl"
+        row_file(path, bad_fields)
+        with caplog.at_level(logging.WARNING, logger="edgectx.server"):
+            sink = JsonlDataSink(path)
+            assert [r.timestamp for r, _ in sink.labeled_pairs()] == [0, 2]
+        skipped = [m for m in caplog.messages if "skipping row" in m]
+        assert len(skipped) == 1 and skipped[0].startswith(f"{path}:2: ")
 
     def test_stored_bad_rows_are_skipped_on_load_and_retrain_runs(self, tmp_path):
         from edgectx.cli import _retrain_once
@@ -481,8 +518,8 @@ class TestJsonlSinkRestart:
             parsed.append(text)
             return json.loads(text)
 
-        monkeypatch.setattr(edgectx.server, "json", SimpleNamespace(loads=loads,
-                                                                    dumps=json.dumps))
+        monkeypatch.setattr(edgectx.protocol, "json", SimpleNamespace(loads=loads,
+                                                                      dumps=json.dumps))
         with caplog.at_level(logging.INFO, logger="edgectx.server"):
             sink = JsonlDataSink(path)
             assert len(parsed) == 2
@@ -661,6 +698,20 @@ class TestClientSync:
         with pytest.raises(NeverSyncedError):
             client.predict((0.1, 0.2))
 
+    def test_synced_keeps_the_newest_bundle(self, trained_dcl):
+        ft = FakeTransport()
+        v1 = ft.store.publish("DCL", trained_dcl)
+        v2 = ft.store.publish("DCL", trained_dcl)
+        state = SyncState(consecutive_failures=2).synced(v1, 10)
+        assert (state.current_bundle, state.last_sync_at, state.consecutive_failures) == (
+            v1, 10, 0)
+        state = state.synced(v2, 20)
+        assert state.current_bundle is v2 and state.last_sync_at == 20
+        for answer in (v1, v2, None):  # older, the same, or nothing published
+            stale = replace(state, consecutive_failures=3).synced(answer, 30)
+            assert stale.current_bundle is v2
+            assert (stale.last_sync_at, stale.consecutive_failures) == (30, 0)
+
     def test_lcl_client_path(self, trained_cl):
         ft = FakeTransport()
         ft.store.publish("CL", trained_cl.params, trained_cl.thresholds)
@@ -691,6 +742,18 @@ class TestUploader:
         assert uploader.queued_count == 0
         timestamps = [r.timestamp for r, _ in ft.sink.labeled_pairs()]
         assert timestamps == sorted(timestamps)
+
+    def test_replay_splits_where_a_sensor_goes_back_in_time(self):
+        ft = FakeTransport()
+        uploader = Uploader(ft, retries=0)
+        ft.down = True
+        for start in (100, 50, 60):
+            assert uploader.upload_batch(make_batch(2, start=start)) == 0
+        ft.down = False
+        requests = ft.requests
+        assert uploader.flush() == 6
+        assert ft.requests - requests == 2
+        assert [r.timestamp for r, _ in ft.sink.labeled_pairs()] == [100, 101, 50, 51, 60, 61]
 
     def test_capacity_drops_oldest(self):
         ft = FakeTransport()
@@ -746,6 +809,19 @@ class TestUploader:
         assert revived.queued_count == 2
         assert revived.flush() == 2
         assert [r.timestamp for r, _ in ft.sink.labeled_pairs()] == [1, 3]
+
+    @pytest.mark.parametrize("bad_fields", [*WRONG_TYPE_ROWS.values(), {"client_id": [1]}],
+                             ids=[*WRONG_TYPE_ROWS, "client-list"])
+    def test_wrong_type_spool_row_skipped(self, tmp_path, caplog, bad_fields):
+        spool = tmp_path / "spool.jsonl"
+        row_file(spool, bad_fields, client_id="c")
+        ft = FakeTransport()
+        with caplog.at_level(logging.WARNING, logger="edgectx.client"):
+            revived = Uploader(ft, spool_path=spool)
+        assert revived.queued_count == 2
+        assert sum("skipping corrupt spool row" in m for m in caplog.messages) == 1
+        assert revived.flush() == 2
+        assert [r.timestamp for r, _ in ft.sink.labeled_pairs()] == [0, 2]
 
     def test_spool_written_only_when_the_queue_changes(self, tmp_path, monkeypatch):
         spool = tmp_path / "spool.jsonl"

@@ -101,6 +101,15 @@ class TestOutage:
         assert result.dropped_from_queue == result.emitted_readings - QUEUE_CAPACITY
         assert result.server_received_total == 0
 
+    def test_reading_evicted_while_its_upload_is_in_flight_is_not_dropped(self):
+        # the outage ends with the queue full; an upload in flight delivers
+        # a reading that a later emit evicts from the queue
+        link = LinkConfig(outage_windows=((0, 12_000),))
+        result = run_scenario([one_node(delay=1)], link, 1_000, ("ADCL",), 12_500, 11)
+        assert result.emitted_readings == 12_500
+        assert result.server_received_distinct == 10_500
+        assert result.dropped_from_queue == 2_000
+
     def test_staleness_grows_linearly_during_outage(self):
         link = LinkConfig(outage_windows=((2_000, 8_000),))
         result = quick_scenario(link, duration=9_000)
