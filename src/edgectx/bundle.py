@@ -68,6 +68,12 @@ class ParameterBundle:
         if self.thresholds is not None and len(self.thresholds) != self.params.spec.output_count:
             raise ValueError("threshold count must equal output count")
 
+    @property
+    def model(self) -> NetworkParameters | ClModel:
+        """What the bundle's client predictor reads: the network for ADCL,
+        ``as_cl_model`` for LCL."""
+        return self.as_cl_model if self.model_kind == MODEL_KIND_CL else self.params
+
     @cached_property
     def as_cl_model(self) -> ClModel:
         """The bundle as an LCL predictor, built once per bundle."""

@@ -23,6 +23,7 @@ from .learners import (
     ContextLabel,
     NeverSyncedError,
     adcl_predict,
+    classifier,
     lcl_predict,
 )
 from .protocol import (
@@ -103,8 +104,9 @@ def client_sync_tick(
 ) -> SyncState:
     """One poll of the server for parameters of ``model_kind``.
 
-    A reply applies by ``SyncState.synced``. Any failure leaves the current
-    bundle untouched and bumps consecutive_failures, so prediction stays
+    A reply applies by ``SyncState.synced``; a bundle it takes gets its
+    classifier bound before the state is returned. Any failure leaves the
+    current bundle untouched and bumps consecutive_failures, so prediction stays
     available throughout.
     """
     t = int(time.time() * 1000) if now_ms is None else now_ms
@@ -124,7 +126,11 @@ def client_sync_tick(
             log.warning("received undecodable bundle: %s", exc)
         else:
             if bundle.model_kind == model_kind:
-                return state.synced(bundle, t)
+                state = state.synced(bundle, t)
+                if state.current_bundle is bundle:
+                    # bound here, on the sync thread, not by the first prediction
+                    classifier(bundle.model)
+                return state
     return replace(state, consecutive_failures=state.consecutive_failures + 1)
 
 
@@ -166,20 +172,20 @@ class Uploader:
     def upload_batch(self, batch: SensorBatch) -> int:
         """Deliver queued readings, then this batch. Returns the number of
         readings acknowledged by the server during this call."""
-        replayed = self._replay()
-        sent = None if replayed is None else self._send(batch)
+        acked = self._replay()
+        # a batch waits behind readings the link could not deliver
+        sent = None if self._queue else self._send(batch)
         if sent is None:
             self._enqueue(batch)
-        return (replayed or 0) + (sent or 0)
+        return acked + (sent or 0)
 
     def flush(self) -> int:
         """Try to deliver everything queued; returns readings acknowledged."""
-        replayed = self._replay()
-        return 0 if replayed is None else replayed
+        return self._replay()
 
-    def _replay(self) -> int | None:
-        """Deliver the whole queue in order; acked count when it fully
-        drains, None when the link gives out part-way."""
+    def _replay(self) -> int:
+        """Deliver the queue in order until it drains or the link gives out;
+        returns the readings acknowledged."""
         acked, changed = 0, False
         while self._queue:
             # one wire batch per run of one client and label presence in
@@ -204,7 +210,7 @@ class Uploader:
             changed = True
         if changed:
             self._save_spool()
-        return None if self._queue else acked
+        return acked
 
     def _send(self, batch: SensorBatch) -> int | None:
         """Send one batch; acked count (0 when the server refuses it as

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import nn
@@ -75,6 +74,8 @@ class ClModel:
             raise ValueError("CL model must not have hidden layers")
         if len(self.thresholds) != self.params.spec.output_count:
             raise ValueError("threshold count must equal output count")
+        # classifiers bound to this model by ``classifier``, by class-name tuple
+        object.__setattr__(self, "_classifiers", {})
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,11 @@ def adcl_predict(
     """
     if params is None:
         raise NeverSyncedError("no network parameters received yet")
-    idx = nn.predict_class(params, features)
-    return _labels(tuple(class_names), params.spec.output_count)[idx]
+    try:
+        classify = params._classifiers[class_names]
+    except (KeyError, TypeError):  # not bound yet, or names in a list
+        classify = classifier(params, class_names)
+    return classify(features)
 
 
 def lcl_predict(
@@ -207,18 +211,31 @@ def lcl_predict(
     """
     if model is None:
         raise NeverSyncedError("no CL model received yet")
-    params = model.params
-    idx = nn.predict_class(params, features, model.thresholds.values)
-    return _labels(tuple(class_names), params.spec.output_count)[idx]
+    try:
+        classify = model._classifiers[class_names]
+    except (KeyError, TypeError):  # not bound yet, or names in a list
+        classify = classifier(model, class_names)
+    return classify(features)
 
 
-@lru_cache(maxsize=64)
-def _labels(class_names: tuple[str, ...], n: int) -> tuple[ContextLabel, ...]:
-    """The label of each of ``n`` class indices, named from
-    ``class_names`` where it has a name; built once, not per prediction."""
-    return tuple(
-        ContextLabel(i, class_names[i] if i < len(class_names) else "") for i in range(n)
-    )
+def classifier(
+    model: NetworkParameters | ClModel, class_names: Sequence[str] = ()
+) -> Callable[[Sequence[float]], ContextLabel]:
+    """The classifier ``adcl_predict`` (for a network) or ``lcl_predict``
+    (for a ClModel) calls: features to the ContextLabel, named from
+    ``class_names`` where a class has a name. Bound once per model and
+    class-name tuple and kept on the model, so a prediction is one call."""
+    names = tuple(class_names)
+    bound = model._classifiers.get(names)
+    if bound is None:
+        if isinstance(model, ClModel):
+            params, thresholds = model.params, model.thresholds.values
+        else:
+            params, thresholds = model, None
+        labels = tuple(ContextLabel(i, names[i] if i < len(names) else "")
+                       for i in range(params.spec.output_count))
+        bound = model._classifiers[names] = nn.bind_classifier(params, labels, thresholds)
+    return bound
 
 
 def evaluate(
@@ -383,6 +400,7 @@ def _make_trainer(
         params, thresholds, _ = fit(kind, fitted, cfg, hidden)
         model = params if thresholds is None else ClModel(params, thresholds)
         norms, names = fitted.normalization, train_data.class_names
+        classifier(model, names)
 
         def predict(features):
             return predict_with(model, apply_minmax_vector(tuple(features), norms), names)

@@ -567,3 +567,68 @@ class TestPerfbenchHooks:
 def test_usage_error_exit_code():
     assert main(["train"]) == 1  # missing dataset argument
     assert main(["no-such-command"]) == 1
+
+
+class TestPredictHooks:
+    """perfbench's ``learners.*_predict`` spans wrap ``adcl_predict`` and
+    ``lcl_predict`` on the module each caller looks them up in: the client
+    on ``edgectx.client``, the simulator on ``edgectx.sim`` and the sweep's
+    trainers on ``edgectx.learners``. Each caller must still go through
+    those names, or the traced metrics read 0."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+
+        def recording(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((owner.__name__, name))
+                return real(*args, **kwargs)
+            return wrapper
+
+        for owner in (edgectx.client, edgectx.sim, edgectx.learners):
+            for name in ("adcl_predict", "lcl_predict"):
+                monkeypatch.setattr(owner, name, recording(owner, name))
+        return calls
+
+    def test_edge_client_predict(self, monkeypatch):
+        from edgectx.server import handle_request
+
+        data = synth_still_motion(60, 3)
+        store = ModelStore()
+        for kind in (MODEL_KIND_DCL, MODEL_KIND_CL):
+            params, thresholds, _ = fit(kind, data, TrainingConfig(0.3, 2, 0))
+            store.publish(kind, params, thresholds)
+
+        class StoreTransport:
+            def request(self, msg, timeout=None):
+                return handle_request(msg, store, MemoryDataSink())[0]
+
+        calls = self.record(monkeypatch)
+        for kind, name in ((MODEL_KIND_DCL, "adcl_predict"), (MODEL_KIND_CL, "lcl_predict")):
+            client = EdgeClient(StoreTransport(), kind)
+            client.sync_tick(now_ms=0)
+            client.predict((0.1, 0.2))
+            assert calls.pop() == ("edgectx.client", name)
+        assert calls == []
+
+    def test_run_scenario(self, tmp_path, monkeypatch):
+        calls = self.record(monkeypatch)
+        scenario = TestSimulateCommand().scenario_file(tmp_path, duration_ms=1_000)
+        assert run_cli("simulate", "--scenario", scenario, "--out-dir", tmp_path / "o") == 0
+        assert set(calls) == {("edgectx.sim", "adcl_predict"), ("edgectx.sim", "lcl_predict")}
+
+    def test_trainer_predictors(self, monkeypatch):
+        from edgectx.learners import make_cl_trainer, make_dcl_trainer
+
+        calls = self.record(monkeypatch)
+        data = synth_still_motion(60, 3)
+        cfg = TrainingConfig(0.3, 2, 0)
+        for make, name in ((lambda: make_dcl_trainer((2,), cfg), "adcl_predict"),
+                           (lambda: make_cl_trainer(cfg), "lcl_predict")):
+            predict = make()(data)
+            predict(data.samples[0].features)
+            assert calls == [("edgectx.learners", name)]
+            calls.clear()

@@ -644,38 +644,87 @@ def raised(call, *args):
     return type(info.value), str(info.value)
 
 
+class BoundPicker:
+    """The class index of the label one classifier, bound once per net and
+    thresholds and then reused, returns; checks it returns one of the label
+    objects it was bound with, not a copy."""
+
+    def __init__(self):
+        self.bound = {}
+
+    def __call__(self, p, x, thresholds=None):
+        key = (id(p), thresholds)
+        if key not in self.bound:
+            labels = tuple(object() for _ in range(p.spec.output_count))
+            self.bound[key] = (p, labels, nn.bind_classifier(p, labels, thresholds))
+        _, labels, classify = self.bound[key]
+        label = classify(x)
+        (i,) = [k for k, each in enumerate(labels) if each is label]
+        return i
+
+
+def pickers():
+    """``predict_class``, which binds on every call, and a bound classifier
+    reused across calls."""
+    return (nn.predict_class, BoundPicker())
+
+
+def generated(classify) -> bool:
+    """Whether ``classify`` is the function generated for its topology."""
+    return classify.__code__.co_filename.startswith("<edgectx.nn classifier ")
+
+
+def with_tied_outputs(p: NetworkParameters) -> NetworkParameters:
+    """``p`` with output nodes 1 and 2 given node 1's weights and bias, so
+    their outputs are equal bit for bit."""
+    weights, biases = p.layers()
+    weights[-1][2], biases[-1] = weights[-1][1], (*biases[-1][:2], biases[-1][1], *biases[-1][3:])
+    return NetworkParameters(p.spec, weights, biases)
+
+
 class TestPredictClass:
-    """``predict_class`` against ``final_outputs`` and the choice rules
-    written as loops."""
+    """``predict_class`` and classifiers from ``bind_classifier`` against
+    ``final_outputs`` and the choice rules written as loops."""
 
     def test_matches_reference_on_random_list_topologies(self):
         rng = Rng(91)
         # saturating and overflowing inputs next to ordinary ones
         extremes = (0.0, -0.0, 1e-300, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308)
-        for trial in range(60):
-            hidden = tuple(1 + rng.randrange(6) for _ in range(rng.randrange(4)))
-            spec = LayerSpec(1 + rng.randrange(8), hidden, 1 + rng.randrange(6))
-            p = signed_params(spec, trial)
-            taus = tuple(0.05 + 0.9 * rng.uniform() for _ in range(spec.output_count))
-            for _ in range(20):
-                x = [extremes[rng.randrange(len(extremes))] if rng.uniform() < 0.3
-                     else 4.0 * rng.uniform() - 2.0 for _ in range(spec.input_count)]
-                for thresholds in (None, taus):
-                    for vec in (x, tuple(x)):
-                        assert nn.predict_class(p, vec, thresholds) == \
-                            reference_class(p, x, thresholds), (spec, x, thresholds)
-            assert "_predict_fn" in vars(p)  # the generated function ran
+        for pick in pickers():
+            for trial in range(60):
+                hidden = tuple(1 + rng.randrange(6) for _ in range(rng.randrange(4)))
+                spec = LayerSpec(1 + rng.randrange(8), hidden, 1 + rng.randrange(6))
+                p = signed_params(spec, trial)
+                taus = tuple(0.05 + 0.9 * rng.uniform() for _ in range(spec.output_count))
+                for _ in range(20):
+                    x = [extremes[rng.randrange(len(extremes))] if rng.uniform() < 0.3
+                         else 4.0 * rng.uniform() - 2.0 for _ in range(spec.input_count)]
+                    for thresholds in (None, taus):
+                        for vec in (x, tuple(x)):
+                            assert pick(p, vec, thresholds) == \
+                                reference_class(p, x, thresholds), (spec, x, thresholds)
+                for thresholds in (None, taus):  # the generated function ran
+                    assert generated(nn.bind_classifier(p, range(spec.output_count), thresholds))
 
     def test_exact_output_ties_go_to_the_lowest_index(self):
         # outputs 1 and 2 identical, output 0 lower; then all three equal
-        for w0 in ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4]], [[0.3, 0.4]] * 3):
-            p = make_params([2, 3], [w0], [[0.0, 0.0, 0.0]])
-            for x in ([0.5, 0.5], [1e308, 1e308], [-1e308, -1e308], [2.0, -3.0]):
-                outputs = nn.final_outputs(p, x)
-                assert outputs[1] == outputs[2]
-                assert nn.predict_class(p, x) == first_argmax(outputs)
-                for taus in ((0.5, 0.2, 0.2), (0.9, 0.99, 0.99), (0.1, 0.5, 0.3)):
-                    assert nn.predict_class(p, x, taus) == margin_choice(outputs, taus)
+        nets = [make_params([2, 3], [w0], [[0.0, 0.0, 0.0]])
+                for w0 in ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4]], [[0.3, 0.4]] * 3)]
+        xs = [[0.5, 0.5], [1e308, 1e308], [-1e308, -1e308], [2.0, -3.0]]
+        deep = with_tied_outputs(signed_params(LayerSpec(13, (16,) * 3, 4), 5))
+        assert not on_lists(deep)
+        rng = Rng(3)
+        deep_xs = [[4.0 * rng.uniform() - 2.0 for _ in range(13)] for _ in range(20)]
+        for pick in pickers():
+            for p, inputs in [*((net, xs) for net in nets), (deep, deep_xs)]:
+                n = p.spec.output_count
+                for x in inputs:
+                    outputs = nn.final_outputs(p, x)
+                    assert outputs[1] == outputs[2]
+                    assert pick(p, x) == first_argmax(outputs)
+                    for taus in ((0.5, 0.2, 0.2, 0.4), (0.9, 0.99, 0.99, 0.9),
+                                 (0.1, 0.5, 0.3, 0.2)):
+                        assert pick(p, x, taus[:n]) == margin_choice(outputs, taus[:n])
 
     @pytest.mark.parametrize("spec", [LayerSpec(3, (2,), 2), LayerSpec(3, (16,) * 3, 2)])
     def test_refuses_what_final_outputs_refuses(self, spec):
@@ -690,36 +739,75 @@ class TestPredictClass:
             [nan, 0.2, 0.3], (0.1, inf, 0.3), [0.1, 0.2, -inf], ["nan", 0.2, 0.3],
             [1e308 * 10, 0.0, 0.0], [10**400, 0.0, 0.0],
         ]
-        for x in bad:
-            expected = raised(nn.final_outputs, p, x)
-            assert raised(nn.predict_class, p, x) == expected, x
-            assert raised(nn.predict_class, p, x, (0.5, 0.5)) == expected, x
+        for pick in pickers():
+            for x in bad:
+                expected = raised(nn.final_outputs, p, x)
+                assert raised(pick, p, x) == expected, x
+                assert raised(pick, p, x, (0.5, 0.5)) == expected, x
+            # a one-shot iterator of the wrong width is read once, by the check
+            for thresholds in (None, (0.5, 0.5)):
+                assert raised(pick, p, iter([0.1, 0.2]), thresholds) == \
+                    (DimensionError, "input length 2 does not match 3")
 
     def test_accepts_what_final_outputs_accepts(self):
+        from decimal import Decimal
+        from fractions import Fraction
+
         p = random_params(LayerSpec(3, (2,), 2), 4)
-        for x in (["1.5", 0.2, "-3"], "123", [True, 0, 2], np.array([0.1, 0.2, 0.3]),
-                  [np.float32(0.5), np.int64(2), 0.1], range(3)):
-            assert nn.predict_class(p, x) == reference_class(p, x)
+        for pick in pickers():
+            for x in (["1.5", 0.2, "-3"], "123", [True, 0, 2], np.array([0.1, 0.2, 0.3]),
+                      [np.float32(0.5), np.int64(2), 0.1], range(3),
+                      [Decimal("0.1"), Fraction(1, 3), 2**60 + 1], (np.float32(0.1),) * 3):
+                assert pick(p, x) == reference_class(p, x)
+            # a one-shot iterator is read once
+            assert pick(p, iter([0.5, 0.25, 2])) == reference_class(p, [0.5, 0.25, 2])
 
     def test_numpy_kernel_nets_take_the_reference_path(self):
         p = random_params(LayerSpec(13, (16,) * 3, 5), 6)
         assert not on_lists(p)
         rng = Rng(7)
-        for _ in range(50):
-            x = [rng.uniform() for _ in range(13)]
-            assert nn.predict_class(p, x) == reference_class(p, x)
-        assert "_predict_fn" not in vars(p)
+        for pick in pickers():
+            for _ in range(50):
+                x = [rng.uniform() for _ in range(13)]
+                assert pick(p, x) == reference_class(p, x)
+        assert not generated(nn.bind_classifier(p, range(5)))
 
     def test_compiled_on_first_predict_apart_from_training(self):
         spec = LayerSpec(3, (4, 2), 2)  # a topology no other test compiles
-        nn._predict_kernel.cache_clear()
+        nn._classifier_kernel.cache_clear()
         data = Dataset(tuple(Sample((0.1 * i, 0.2, 0.3), i % 2) for i in range(4)),
                        ("a", "b", "c"), ("0", "1"))
         p, _ = train(random_params(spec, 1), data, TrainingConfig(epochs=2))
-        assert nn._predict_kernel.cache_info().currsize == 0
+        assert nn._classifier_kernel.cache_info().currsize == 0
         nn.predict_class(p, [0.1, 0.2, 0.3])
-        assert nn._predict_kernel.cache_info().currsize == 1
-        assert vars(p)["_predict_fn"] is nn._predict_kernel(spec.layer_sizes)
+        assert nn._classifier_kernel.cache_info().currsize == 1
+        nn.predict_class(p, [0.1, 0.2, 0.3])
+        nn.predict_class(random_params(spec, 2), [0.1, 0.2, 0.3])
+        assert nn._classifier_kernel.cache_info().misses == 1  # once per topology
+        nn.predict_class(p, [0.1, 0.2, 0.3], (0.5, 0.5))
+        assert nn._classifier_kernel.cache_info().currsize == 2  # and choice rule
+
+    @pytest.mark.parametrize("hidden", [(2,), (16,) * 3], ids=["lists", "numpy"])
+    def test_learner_labels_carry_the_class_names(self, hidden):
+        from edgectx.learners import (
+            ClModel, ContextLabel, ThresholdVector, adcl_predict, classifier, lcl_predict,
+        )
+
+        names = ("still", "walk", "run")
+        dcl = signed_params(LayerSpec(3, hidden, 3), 8)
+        cl = ClModel(signed_params(LayerSpec(3, (), 3), 9), ThresholdVector((0.3, 0.6, 0.5)))
+        assert on_lists(dcl) == (hidden == (2,))
+        rng = Rng(5)
+        for _ in range(30):
+            x = [4.0 * rng.uniform() - 2.0 for _ in range(3)]
+            for predict, model, params, taus in ((adcl_predict, dcl, dcl, None),
+                                                 (lcl_predict, cl, cl.params, cl.thresholds.values)):
+                ref = reference_class(params, x, taus)
+                for given in ((), names, list(names), names[:2]):
+                    label = predict(model, x, given)
+                    assert label == ContextLabel(ref, given[ref] if ref < len(given) else "")
+                    assert label is classifier(model, given)(x)  # one label object per class
+        assert set(dcl._classifiers) == set(cl._classifiers) == {(), names, names[:2]}
 
 
 class TestTrain:

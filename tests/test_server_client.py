@@ -712,6 +712,37 @@ class TestClientSync:
             assert stale.current_bundle is v2
             assert (stale.last_sync_at, stale.consecutive_failures) == (30, 0)
 
+    @pytest.mark.parametrize("kind", ["DCL", "CL"])
+    def test_new_version_is_bound_by_the_sync(self, kind, trained_dcl, trained_cl, monkeypatch):
+        import edgectx.nn
+
+        def publish():
+            if kind == "DCL":
+                return ft.store.publish(kind, trained_dcl)
+            return ft.store.publish(kind, trained_cl.params, trained_cl.thresholds)
+
+        builds = []
+        real = edgectx.nn.bind_classifier
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(edgectx.nn, "bind_classifier", counting)
+        ft = FakeTransport()
+        publish()
+        state = client_sync_tick(SyncState(), ft, kind, now_ms=0)
+        assert len(builds) == 1 and () in state.current_bundle.model._classifiers
+        state.predict((0.1, 0.2))
+        state = client_sync_tick(state, ft, kind, now_ms=10)  # the same version
+        state.predict((0.3, 0.2))
+        assert len(builds) == 1
+        publish()
+        state = client_sync_tick(state, ft, kind, now_ms=20)
+        assert state.model_version == 2 and len(builds) == 2
+        state.predict((0.1, 0.4))
+        assert len(builds) == 2  # no build landed on the prediction
+
     def test_lcl_client_path(self, trained_cl):
         ft = FakeTransport()
         ft.store.publish("CL", trained_cl.params, trained_cl.thresholds)
@@ -754,6 +785,30 @@ class TestUploader:
         assert uploader.flush() == 6
         assert ft.requests - requests == 2
         assert [r.timestamp for r, _ in ft.sink.labeled_pairs()] == [100, 101, 50, 51, 60, 61]
+
+    @pytest.mark.parametrize("call", ["flush", "upload_batch"])
+    def test_partial_replay_counts_what_was_acknowledged(self, call):
+        class LinkFailsForClientB(FakeTransport):
+            def request(self, msg, timeout=None):
+                if msg["batch"]["client_id"] == "b":
+                    self.requests += 1
+                    raise TransportError("link down")
+                return super().request(msg, timeout)
+
+        ft = LinkFailsForClientB()
+        uploader = Uploader(ft, retries=0)
+        ft.down = True
+        for client_id, n, start in (("a", 1, 0), ("b", 2, 10)):
+            assert uploader.upload_batch(
+                replace(make_batch(n, start=start), client_id=client_id)) == 0
+        ft.down = False
+        if call == "flush":
+            acked = uploader.flush()
+        else:  # a new batch waits behind client b's queued readings
+            acked = uploader.upload_batch(replace(make_batch(1, start=20), client_id="a"))
+        # client a's queued reading was delivered, then the link failed
+        assert acked == len(ft.sink) == 1
+        assert uploader.queued_count == (2 if call == "flush" else 3)
 
     def test_capacity_drops_oldest(self):
         ft = FakeTransport()
