@@ -13,7 +13,7 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import nn
@@ -32,14 +32,17 @@ from .learners import (
     DCL_LEARNING_RATE,
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
+    Candidate,
     cl_train,
     dcl_train,
     fit,
     kfold_cross_validate,
     make_cl_trainer,
     make_dcl_trainer,
+    model_spec,
+    retrain,
 )
-from .nn import LayerSpec, TrainingConfig
+from .nn import TrainingConfig
 from .protocol import MSG_NOT_READY, TcpTransport, TransportError
 from .server import JsonlDataSink, ModelStore, ParameterServer
 
@@ -322,17 +325,31 @@ def cmd_serve(args) -> int:
     host, port = server.start()
     log.info("serving on %s:%d, retraining every %ds", host, port, args.retrain_every)
     print(f"listening on {host}:{port}")
+    marks = RetrainMarks()
     try:
         while True:
             time.sleep(args.retrain_every)
-            _retrain_once(store, sink, kinds, args)
+            _retrain_once(store, sink, kinds, args, marks)
     except KeyboardInterrupt:
         return 0
     finally:
         server.stop()
 
 
-def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args) -> None:
+@dataclass
+class RetrainMarks:
+    """What ``serve``'s retrains remember within one process: for each
+    model kind, the labelled rows held when its served version was
+    published, and how many candidates the guard refused."""
+
+    published_rows: dict[str, int] = field(default_factory=dict)
+    refused: dict[str, int] = field(default_factory=dict)
+
+
+def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
+                  marks: RetrainMarks | None = None) -> None:
+    """One retrain step (``learners.retrain``) per kind in ``kinds`` on every
+    labelled row ``sink`` holds; without ``marks`` no publish is on record."""
     pairs = sink.labeled_pairs()
     if len(pairs) < args.min_rows:
         log.info("only %d labeled readings; skipping retrain", len(pairs))
@@ -345,18 +362,49 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args) -> None:
     feature_names = tuple(f"f{i}" for i in range(width))
     class_names = tuple(str(i) for i in range(n_classes))
     data = dataset_from_readings(pairs, feature_names, class_names)
+    marks = RetrainMarks() if marks is None else marks
     for kind in kinds:
-        # the same readings give the same bundle parameters on every run
+        served = store.get(kind)
+        published_rows = marks.published_rows.get(kind)
+        # the same readings and the same served version give the same bundle
         seed = zlib.crc32(f"{kind} v{store.next_version(kind)}".encode())
-        if kind == MODEL_KIND_DCL:
-            spec = LayerSpec(width, (nn.hidden_size_default(width, n_classes),), n_classes)
-            params = dcl_train(data, spec, TrainingConfig(DCL_LEARNING_RATE, args.epochs, seed))
-            bundle = store.publish(kind, params)
-        else:
-            model = cl_train(data, TrainingConfig(CL_LEARNING_RATE, args.epochs, seed))
-            bundle = store.publish(kind, model.params, model.thresholds)
-        log.info("published %s v%d (trained on %d rows)", kind, bundle.model_version, len(pairs))
-        print(f"published {kind} v{bundle.model_version} ({len(pairs)} rows)")
+        lr = DCL_LEARNING_RATE if kind == MODEL_KIND_DCL else CL_LEARNING_RATE
+        candidate = retrain(
+            kind, data, TrainingConfig(lr, args.epochs, seed),
+            served=None if served is None else served.model,
+            new_rows=None if published_rows is None else len(pairs) - published_rows,
+            train=_trainer(kind),
+        )
+        if candidate is None:
+            log.info("no %s rows since v%d; nothing to retrain", kind, served.model_version)
+            continue
+        if not candidate.accepted:
+            marks.refused[kind] = marks.refused.get(kind, 0) + 1
+            print(f"refused {kind} candidate ({len(pairs)} rows): {_outline(candidate)}; "
+                  f"{marks.refused[kind]} refused in all")
+            continue
+        bundle = store.publish(kind, candidate.params, candidate.thresholds)
+        marks.published_rows[kind] = len(pairs)
+        print(f"published {kind} v{bundle.model_version} ({len(pairs)} rows): "
+              f"{_outline(candidate)}")
+
+
+def _trainer(kind: str):
+    """``learners.retrain``'s ``train`` for ``kind``, through ``dcl_train`` and
+    ``cl_train`` as this module holds them when it runs."""
+    if kind == MODEL_KIND_DCL:
+        return lambda data, cfg, start: dcl_train(data, model_spec(kind, data), cfg, start=start)
+    return lambda data, cfg, start: cl_train(data, cfg, start=start)
+
+
+def _outline(candidate: Candidate) -> str:
+    """What a publish or refusal line tells after the row count."""
+    new = "all" if candidate.new_rows is None else candidate.new_rows
+    start = "continued" if candidate.continued else "fresh"
+    served = "none" if candidate.served_score is None else f"{candidate.served_score:.3f}"
+    epochs = f"{candidate.epochs} epoch{'s' * (candidate.epochs != 1)}"
+    return (f"{new} new, {start} {epochs} in {candidate.train_ms:.1f} ms, "
+            f"score {candidate.score:.3f}, served {served}")
 
 
 def cmd_client(args) -> int:
@@ -505,6 +553,7 @@ def cmd_simulate(args) -> int:
         "client_sent": result.client_sent_readings,
         "server_received_distinct": result.server_received_distinct,
         "publishes": len(result.published),
+        "refused": len(result.refused),
         "accuracy": {a: m.accuracy for a, m in result.metrics.items()},
         "out_dir": str(out_dir),
     }))
@@ -540,7 +589,9 @@ def build_parser() -> _Parser:
     p.add_argument("--retrain-every", type=int, default=30, metavar="SECONDS")
     p.add_argument("--data-dir", default="edgectx-data")
     p.add_argument("--kinds", default="DCL,CL")
-    p.add_argument("--epochs", type=int, default=60)
+    p.add_argument("--epochs", type=int, default=60,
+                   help="epochs of a fresh version; one continued from the served "
+                        "version trains a sixth of them, at least 1")
     p.add_argument("--min-rows", type=int, default=8)
     p.set_defaults(func=cmd_serve)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import nn
@@ -34,6 +34,15 @@ MODEL_KINDS = (MODEL_KIND_DCL, MODEL_KIND_CL)
 
 THRESHOLD_FLOOR = 0.01
 THRESHOLD_CEIL = 0.99
+
+# A retrain that continues from the served version trains this fraction of
+# the epochs a fresh version trains, and at least one: 5 of the simulator's
+# 30, 10 of serve's default 60.
+CONTINUE_EPOCH_DIVISOR = 6
+# A candidate is published only if its accuracy on the rows that arrived
+# since the served version was published is at least the served version's
+# minus this margin.
+GUARD_MARGIN = 0.02
 
 
 class NeverSyncedError(RuntimeError):
@@ -104,15 +113,29 @@ def fit(
     data: Dataset,
     cfg: TrainingConfig,
     hidden: tuple[int, ...] | None = None,
+    start: NetworkParameters | None = None,
 ) -> tuple[NetworkParameters, ThresholdVector | None, list[float]]:
     """Train a model of ``kind`` on ``data``; every shipped model is built here.
 
-    The network starts from ``cfg.seed``. A DCL model takes ``hidden`` as
-    its hidden-layer widths, or one layer of the default width when
-    ``hidden`` is None; a CL model has no hidden layers and gets thresholds
-    calibrated on ``data``. Returns (params, thresholds, per-epoch losses);
-    thresholds are None for DCL.
+    The network continues from ``start`` when given, which must have the
+    model's topology, and otherwise starts fresh from ``cfg.seed``. A DCL
+    model takes ``hidden`` as its hidden-layer widths, or one layer of the
+    default width when ``hidden`` is None; a CL model has no hidden layers
+    and gets thresholds calibrated on ``data``. Returns (params,
+    thresholds, per-epoch losses); thresholds are None for DCL.
     """
+    spec = model_spec(kind, data, hidden)
+    if start is None:
+        start = nn.init_network(spec, cfg.seed)
+    elif start.spec != spec:
+        raise ValueError(f"cannot continue a {start.spec} network as {spec}")
+    params, losses = nn.train(start, data, cfg)
+    thresholds = calibrate_thresholds(params, data) if kind == MODEL_KIND_CL else None
+    return params, thresholds, losses
+
+
+def model_spec(kind: str, data: Dataset, hidden: tuple[int, ...] | None = None) -> LayerSpec:
+    """The topology ``fit`` gives a model of ``kind`` on ``data``."""
     if kind == MODEL_KIND_DCL:
         if hidden is None:
             hidden = (nn.hidden_size_default(data.n_features, data.n_classes),)
@@ -124,28 +147,119 @@ def fit(
         hidden = ()
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    spec = LayerSpec(data.n_features, hidden, data.n_classes)
-    params, losses = nn.train(nn.init_network(spec, cfg.seed), data, cfg)
-    thresholds = calibrate_thresholds(params, data) if kind == MODEL_KIND_CL else None
-    return params, thresholds, losses
+    return LayerSpec(data.n_features, hidden, data.n_classes)
 
 
 def dcl_train(
-    data: Dataset, spec: LayerSpec, cfg: TrainingConfig = DCL_DEFAULT_CONFIG
+    data: Dataset,
+    spec: LayerSpec,
+    cfg: TrainingConfig = DCL_DEFAULT_CONFIG,
+    start: NetworkParameters | None = None,
 ) -> NetworkParameters:
     """Train the deep context learner; the returned network is exactly what
     gets shipped to ADCL clients. ``spec`` must match the data's width and
-    class count."""
+    class count; ``start`` is as for ``fit``."""
     if (spec.input_count, spec.output_count) != (data.n_features, data.n_classes):
         raise ValueError(f"{spec} does not match the data's width and class count")
-    return fit(MODEL_KIND_DCL, data, cfg, spec.hidden_sizes)[0]
+    return fit(MODEL_KIND_DCL, data, cfg, spec.hidden_sizes, start)[0]
 
 
-def cl_train(data: Dataset, cfg: TrainingConfig = CL_DEFAULT_CONFIG) -> ClModel:
+def cl_train(
+    data: Dataset,
+    cfg: TrainingConfig = CL_DEFAULT_CONFIG,
+    start: NetworkParameters | None = None,
+) -> ClModel:
     """Train the single-layer context learner and calibrate its thresholds
-    on the training data."""
-    params, thresholds, _ = fit(MODEL_KIND_CL, data, cfg)
+    on the training data; ``start`` is as for ``fit``."""
+    params, thresholds, _ = fit(MODEL_KIND_CL, data, cfg, start=start)
     return ClModel(params, thresholds)
+
+
+Model = NetworkParameters | ClModel
+# builds a model from (data, cfg, the network to continue or None)
+ModelTrainer = Callable[[Dataset, TrainingConfig, NetworkParameters | None], Model]
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A retrained version before it is published, and the guard's scores.
+
+    ``score`` and ``served_score`` are the accuracies of the candidate and
+    of the served version on the rows that arrived since the served version
+    was published, or on the whole window when that is not known;
+    ``served_score`` is None when no version is served.
+    """
+
+    model: Model
+    continued: bool  # trained on from the served version's parameters
+    epochs: int
+    new_rows: int | None  # None when it is not known which rows are new
+    score: float
+    served_score: float | None
+    train_ms: float
+
+    @property
+    def accepted(self) -> bool:
+        return self.served_score is None or self.score >= self.served_score - GUARD_MARGIN
+
+    @property
+    def params(self) -> NetworkParameters:
+        return self.model.params if isinstance(self.model, ClModel) else self.model
+
+    @property
+    def thresholds(self) -> ThresholdVector | None:
+        return self.model.thresholds if isinstance(self.model, ClModel) else None
+
+
+def retrain(
+    kind: str,
+    data: Dataset,
+    cfg: TrainingConfig,
+    served: Model | None = None,
+    new_rows: int | None = None,
+    train: ModelTrainer | None = None,
+) -> Candidate | None:
+    """The retrain step of ``serve`` and of the simulator: the next version
+    of ``kind`` on the window ``data``, whose last ``new_rows`` rows arrived
+    since ``served`` was published (None when that is not known).
+
+    No new rows, no candidate: returns None when ``new_rows`` is 0. A
+    served version with the topology ``fit`` gives ``data`` is continued
+    for ``max(1, cfg.epochs // CONTINUE_EPOCH_DIVISOR)`` epochs. Otherwise
+    (the first version, or a new class that widens the output layer) the
+    candidate starts fresh from ``cfg.seed`` for ``cfg.epochs``. CL
+    thresholds are calibrated on ``data`` either way. ``train`` builds the
+    model (default: ``fit``). The candidate and the served version are
+    then scored through their bound classifiers; see ``Candidate``.
+    """
+    if new_rows == 0:
+        return None
+    start = served.params if isinstance(served, ClModel) else served
+    if start is not None and start.spec != model_spec(kind, data):
+        start = None
+    if start is not None:
+        cfg = replace(cfg, epochs=max(1, cfg.epochs // CONTINUE_EPOCH_DIVISOR))
+    t0 = time.perf_counter()
+    model = (train or _fitted(kind))(data, cfg, start)
+    train_ms = (time.perf_counter() - t0) * 1e3
+    scored = data.samples if new_rows is None else data.samples[-new_rows:]
+    return Candidate(
+        model, start is not None, cfg.epochs, new_rows, _accuracy(model, scored),
+        None if served is None else _accuracy(served, scored), train_ms,
+    )
+
+
+def _fitted(kind: str) -> ModelTrainer:
+    def train(data: Dataset, cfg: TrainingConfig, start: NetworkParameters | None) -> Model:
+        params, thresholds, _ = fit(kind, data, cfg, start=start)
+        return params if thresholds is None else ClModel(params, thresholds)
+
+    return train
+
+
+def _accuracy(model: Model, samples: Sequence) -> float:
+    classify = classifier(model)
+    return sum(classify(s.features).class_index == s.label for s in samples) / len(samples)
 
 
 def calibrate_thresholds(params: NetworkParameters, data: Dataset) -> ThresholdVector:

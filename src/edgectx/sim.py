@@ -4,12 +4,12 @@ A virtual clock drives sensor nodes (sensor delay, duty cycles, sleep
 intervals), an edge client that predicts every reading with whatever
 parameters it currently holds, a lossy link (latency, random drops, outage
 windows applied to each direction at its send time), and a server that
-retrains on accumulated uploads and publishes versioned bundles. A published
-version is trained when a prediction first reads it, on the rows and seed it
-was published with, so a version replaced before any prediction reads it
-costs nothing and every output is the same as if it had been trained at
-publish time. Everything except wall-clock prediction latency is a pure
-function of the configuration and seed.
+retrains on accumulated uploads and publishes versioned bundles. Each
+retrain tick runs ``learners.retrain``, the retrain step of ``edgectx
+serve``: no rows since the last publish, no candidate; a candidate
+continues from the served version, and is published only if it scores no
+worse on the new rows. Everything except wall-clock prediction latency is a
+pure function of the configuration and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import time
 from collections import deque
 from dataclasses import KW_ONLY, dataclass, replace
-from functools import cached_property
 
 from .bundle import ParameterBundle
 from .client import SyncState
@@ -32,9 +31,9 @@ from .learners import (
     classifier,
     # unused here, but perfbench's tracer wraps this name and fails without it
     calibrate_thresholds,
-    fit,
     lcl_predict,
     metrics_from_counts,
+    retrain,
 )
 from .nn import TrainingConfig
 from .rng import Rng
@@ -118,6 +117,7 @@ class ScenarioResult:
     server_received_distinct: int
     dropped_from_queue: int
     published: list[tuple[int, str, int]]  # (sim_time, kind, version)
+    refused: list[tuple[int, str]]  # (sim_time, kind) of each candidate the guard refused
 
     def canonical_bytes(self) -> bytes:
         """Deterministic serialization: everything driven by the virtual
@@ -136,6 +136,7 @@ class ScenarioResult:
             "received_distinct": self.server_received_distinct,
             "dropped": self.dropped_from_queue,
             "published": self.published,
+            "refused": self.refused,
         }
         return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
@@ -239,17 +240,19 @@ class _ScenarioRunner:
             | {_SERVER_ALGOS[a] for a in self.algorithms if a in _SERVER_ALGOS}
         )
 
-        # server state
+        # server state; published_rows holds len(server_rows) at each
+        # kind's last publish
         self.server_rows: list[tuple[SensorReading, int]] = []
-        self.server_versions: dict[str, int] = {}
-        self.server_bundles: dict[str, _PendingBundle] = {}
+        self.server_bundles: dict[str, ParameterBundle] = {}
+        self.published_rows: dict[str, int] = {}
         self.published: list[tuple[int, str, int]] = []
+        self.refused: list[tuple[int, str]] = []
         self.server_received_total = 0
         self.server_seen_keys: set[tuple[str, int]] = set()
 
-        # client state: one sync state per kind, holding _PendingBundle
-        # records; upload buffer maps (sensor_id, timestamp) to
-        # [reading, label, last_sent_ms], insertion-ordered (oldest first)
+        # client state: one sync state per kind; upload buffer maps
+        # (sensor_id, timestamp) to [reading, label, last_sent_ms],
+        # insertion-ordered (oldest first)
         self.client_states = {kind: SyncState() for kind in self.client_kinds}
         self.upload_buffer: dict[tuple[str, int], list] = {}
         self.client_sent_keys: set[tuple[str, int]] = set()
@@ -302,6 +305,7 @@ class _ScenarioRunner:
             # an evicted reading that an upload in flight delivered is not lost
             dropped_from_queue=len(self.evicted_keys - self.server_seen_keys),
             published=self.published,
+            refused=self.refused,
         )
 
     # -- server ------------------------------------------------------------
@@ -316,36 +320,45 @@ class _ScenarioRunner:
                     (SensorReading(node.sensor_id, 0, s.features), s.label)
                 )
         self.server_rows.extend(rows)
-        for kind in self.server_kinds:
-            self._publish(kind, created_at=0)
+        self._retrain(created_at=0)
         for kind, state in self.client_states.items():
             self.client_states[kind] = state.synced(self.server_bundles.get(kind), 0)
 
-    def _publish(self, kind: str, created_at: int) -> None:
+    def _retrain(self, created_at: int) -> None:
+        """Each server kind's retrain step on the last ``max_train_rows``
+        rows; a candidate the guard accepts becomes the next version."""
         rows = self.server_rows[-self.max_train_rows:]
-        if len(rows) < MIN_RETRAIN_ROWS:
-            return
-        version = self.server_versions.get(kind, 0) + 1
-        seed = self.train_rng.next_u64()
-        self.server_versions[kind] = version
-        self.server_bundles[kind] = _PendingBundle(
-            self, kind, version, created_at, seed, rows
-        )
-        self.published.append((created_at, kind, version))
-
-    def _train(self, pending: _PendingBundle) -> ParameterBundle:
-        data = dataset_from_readings(
-            pending.rows, self.feature_names, self.class_names
-        )
-        cfg = self.dcl_config if pending.kind == MODEL_KIND_DCL else self.cl_config
-        params, thresholds, _ = fit(pending.kind, data, replace(cfg, seed=pending.seed))
-        return ParameterBundle(
-            model_kind=pending.kind,
-            params=replace(params, version=pending.model_version),
-            model_version=pending.model_version,
-            created_at=pending.created_at,
-            thresholds=thresholds,
-        )
+        held = len(self.server_rows)
+        if len(rows) < MIN_RETRAIN_ROWS or all(
+                self.published_rows.get(kind) == held for kind in self.server_kinds):
+            return  # too few rows, or none since any kind's last publish
+        data = dataset_from_readings(rows, self.feature_names, self.class_names)
+        for kind in self.server_kinds:
+            served = self.server_bundles.get(kind)
+            published_rows = self.published_rows.get(kind)
+            cfg = self.dcl_config if kind == MODEL_KIND_DCL else self.cl_config
+            candidate = retrain(
+                kind, data, replace(cfg, seed=self.train_rng.next_u64()),
+                served=None if served is None else served.model,
+                new_rows=None if published_rows is None else held - published_rows,
+            )
+            if candidate is None:
+                continue
+            if not candidate.accepted:
+                self.refused.append((created_at, kind))
+                continue
+            version = 1 if served is None else served.model_version + 1
+            bundle = ParameterBundle(
+                model_kind=kind,
+                params=replace(candidate.params, version=version),
+                model_version=version,
+                created_at=created_at,
+                thresholds=candidate.thresholds,
+            )
+            classifier(bundle.model)  # bound before a timed prediction reads it
+            self.server_bundles[kind] = bundle
+            self.published_rows[kind] = held
+            self.published.append((created_at, kind, version))
 
     # -- client ------------------------------------------------------------
 
@@ -354,16 +367,15 @@ class _ScenarioRunner:
         for algo in self.algorithms:
             if algo in _CLIENT_ALGOS:
                 state = self.client_states[_CLIENT_ALGOS[algo]]
-                pending, staleness = state.current_bundle, state.staleness_ms(t)
+                bundle, staleness = state.current_bundle, state.staleness_ms(t)
             else:
-                pending = self.server_bundles.get(_SERVER_ALGOS[algo])
-                staleness = 0 if pending is not None else None
-            if pending is None:
+                bundle = self.server_bundles.get(_SERVER_ALGOS[algo])
+                staleness = 0 if bundle is not None else None
+            if bundle is None:
                 self.ticks.append(
                     TickRecord(t, algo, None, None, None, None, 0.0)
                 )
                 continue
-            bundle = pending.bundle  # trains on first read, outside the timing
             t0 = time.perf_counter_ns()
             if algo in ("ADCL", "DCL"):
                 pred = adcl_predict(bundle.params, reading.values).class_index
@@ -426,7 +438,7 @@ class _ScenarioRunner:
         if bundle is not None and self.link_delivers(t):  # response leg
             self.schedule(t + self.link.latency_ms, self._sync_apply, kind, bundle)
 
-    def _sync_apply(self, kind: str, bundle: _PendingBundle, t: int) -> None:
+    def _sync_apply(self, kind: str, bundle: ParameterBundle, t: int) -> None:
         self.client_states[kind] = self.client_states[kind].synced(bundle, t)
 
     def _upload_tick(self, t: int) -> None:
@@ -463,32 +475,7 @@ class _ScenarioRunner:
             self.upload_buffer.pop(key, None)
 
     def _retrain_tick(self, t: int) -> None:
-        for kind in self.server_kinds:
-            self._publish(kind, created_at=t)
+        self._retrain(created_at=t)
         if t + self.retrain_every_ms <= self.duration_ms:
             self.schedule(t + self.retrain_every_ms, self._retrain_tick)
 
-
-@dataclass(eq=False)
-class _PendingBundle:
-    """A published version, trained when a prediction first reads it.
-
-    Publishing draws the seed and takes the row window, so the trained
-    bundle is the one eager training would have made; syncs only pass the
-    record along and compare ``model_version``. A version that is replaced
-    before any prediction reads it is never trained.
-    """
-
-    runner: _ScenarioRunner
-    kind: str
-    model_version: int
-    created_at: int
-    seed: int
-    rows: list[tuple[SensorReading, int]] | None
-
-    @cached_property
-    def bundle(self) -> ParameterBundle:
-        bundle = self.runner._train(self)
-        classifier(bundle.model)  # bound with the training, outside the timing
-        self.rows = None
-        return bundle

@@ -11,7 +11,14 @@ import edgectx.cli
 import edgectx.client
 import edgectx.sim
 from edgectx.bundle import ParameterBundle, decode_bundle
-from edgectx.cli import main, resolve_dataset, _parse_sweep, _retrain_once, UsageError
+from edgectx.cli import (
+    RetrainMarks,
+    UsageError,
+    _parse_sweep,
+    _retrain_once,
+    main,
+    resolve_dataset,
+)
 from edgectx.client import EdgeClient
 from edgectx.data import (
     Dataset,
@@ -400,32 +407,42 @@ class TestServeHelpers:
         from edgectx.protocol import SensorBatch
         from edgectx.server import JsonlDataSink
 
-        readings = tuple(
-            SensorReading("acc0", i, (0.1 + (i % 2) * 2.0, 0.2 * (i % 3))) for i in range(40)
-        )
-        batch = SensorBatch("c1", readings, labels=tuple(i % 2 for i in range(40)))
+        batches = [SensorBatch("c1", tuple(
+            SensorReading("acc0", i, (0.1 + (i % 2) * 2.0, 0.2 * (i % 3))) for i in range(a, b)),
+            labels=tuple(i % 2 for i in range(a, b))) for a, b in ((0, 40), (40, 60))]
 
         class Args:
             min_rows = 8
-            epochs = 5
+            epochs = 6
 
         published = []
         for run in ("a", "b"):
             store = ModelStore(persist_dir=tmp_path / run / "models")
             sink = JsonlDataSink(tmp_path / run / "readings.jsonl")
-            sink.store(batch)
+            marks = RetrainMarks()
             bundles = []
-            for _ in range(2):
-                _retrain_once(store, sink, ["DCL", "CL"], Args)
+            for batch in batches:
+                sink.store(batch)
+                _retrain_once(store, sink, ["DCL", "CL"], Args, marks)
                 bundles += [store.get("DCL"), store.get("CL")]
             published.append(bundles)
         for a, b in zip(*published):
             assert a.model_version == b.model_version
             for x, y in zip(a.params.weights + a.params.biases, b.params.weights + b.params.biases):
                 assert x.tobytes() == y.tobytes()
-        # a retrain of the next version draws a fresh initialisation
-        first, second = published[0][0], published[0][2]
-        assert first.params.weights[0].tobytes() != second.params.weights[0].tobytes()
+        # the next version continues from the served one for 6 // 6 epochs,
+        # on every row, with the crc32 seed of its own version
+        data = dataset_from_readings(sink.labeled_pairs(), ("f0", "f1"), ("0", "1"))
+        for first, second, lr in zip(published[0][:2], published[0][2:],
+                                     (DCL_LEARNING_RATE, CL_LEARNING_RATE)):
+            kind = first.model_kind
+            assert (first.model_version, second.model_version) == (1, 2)
+            assert second.params.trained_epochs == first.params.trained_epochs + 1
+            seed = zlib.crc32(f"{kind} v2".encode())
+            params, thresholds, _ = fit(kind, data, TrainingConfig(lr, 1, seed),
+                                        start=first.params)
+            assert_same_params(second.params, params)
+            assert second.thresholds == thresholds
 
     def test_retrain_publishes_the_fit_model(self, tmp_path):
         # the sink's labelled rows, unnormalised, with the crc32 seed of
@@ -461,6 +478,118 @@ class TestServeHelpers:
         store.publish("DCL", params)
         fresh = ModelStore(persist_dir=tmp_path)
         assert fresh.publish("DCL", params).model_version == 2
+
+
+def rows_batch(start, stop, label=lambda i: i % 2):
+    """Readings ``start`` to ``stop`` of two (or more) clusters apart, each
+    at the value of its label."""
+    labels = tuple(label(i) for i in range(start, stop))
+    return SensorBatch("c1", tuple(
+        SensorReading("acc0", i, (0.1 + 2.0 * lab, 0.2 + 0.1 * (i % 3)))
+        for i, lab in zip(range(start, stop), labels)), labels=labels)
+
+
+class RetrainArgs:
+    min_rows = 8
+    epochs = 30
+
+
+class StoreTransport:
+    """A client transport that answers from ``store`` in process."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def request(self, msg, timeout=None):
+        from edgectx.server import handle_request
+
+        return handle_request(msg, self.store, MemoryDataSink())[0]
+
+
+class TestRetrainStep:
+    """``serve``'s retrains: no new rows, no candidate; a candidate
+    continues from the served version and is published only if it scores
+    no worse on the rows since that version's publish."""
+
+    def test_restart_between_retrains_publishes_the_same_bundles(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr(edgectx.server, "now_ms", lambda: 1_000)
+        for run in ("straight", "restarted"):
+            data_dir = tmp_path / run
+            store, sink = ModelStore(persist_dir=data_dir), JsonlDataSink(data_dir / "r.jsonl")
+            marks = RetrainMarks()
+            sink.store(rows_batch(0, 40))
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+            if run == "restarted":
+                served = [store.get(kind) for kind in ("DCL", "CL")]
+                store, sink = ModelStore(persist_dir=data_dir), JsonlDataSink(data_dir / "r.jsonl")
+                marks = RetrainMarks()
+                # version 1 decodes exactly, so it is the same warm start
+                assert [store.get(kind) for kind in ("DCL", "CL")] == served
+            sink.store(rows_batch(40, 60))
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+        out = capsys.readouterr().out
+        # with no record of v1's publish, the restarted server scores on all rows
+        assert "published DCL v2 (60 rows): 20 new, continued 5 epochs" in out
+        assert "published DCL v2 (60 rows): all new, continued 5 epochs" in out
+        names = sorted(p.name for p in (tmp_path / "straight").glob("bundle-*.json"))
+        assert names == ["bundle-CL-v1.json", "bundle-CL-v2.json", "bundle-DCL-v1.json",
+                         "bundle-DCL-v2.json"]
+        for name in names:
+            assert ((tmp_path / "straight" / name).read_bytes()
+                    == (tmp_path / "restarted" / name).read_bytes())
+
+    def test_new_class_publishes_a_fresh_wider_net_that_clients_receive(self, capsys):
+        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        sink.store(rows_batch(0, 40))
+        _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+        clients = [EdgeClient(StoreTransport(store), kind) for kind in ("DCL", "CL")]
+        for client in clients:
+            client.sync_tick(now_ms=0)
+        sink.store(rows_batch(40, 70, label=lambda i: i % 3))
+        _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+        out = capsys.readouterr().out
+        for kind, client in zip(("DCL", "CL"), clients):
+            assert f"published {kind} v2 (70 rows): 30 new, fresh 30 epochs" in out
+            assert client.state.current_bundle.params.spec.output_count == 2
+            client.sync_tick(now_ms=1)
+            assert client.state.model_version == 2
+            assert client.state.current_bundle.params.spec.output_count == 3
+
+    def test_worse_candidate_is_refused_without_using_a_version(self, monkeypatch, capsys):
+        real, candidates = edgectx.cli.dcl_train, []
+
+        def spoiled(data, spec, cfg, start=None):
+            params = real(data, spec, cfg, start=start)
+            candidates.append(start is not None)
+            if len(candidates) == 2:
+                # the first continued candidate answers class 1 for every row
+                return replace(params, flat=(0.0,) * (len(params.flat) - 2) + (-5.0, 5.0))
+            return params
+
+        monkeypatch.setattr(edgectx.cli, "dcl_train", spoiled)
+        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        for stop in (40, 60, 80):
+            sink.store(rows_batch(stop - 20 if stop > 40 else 0, stop))
+            _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        lines = capsys.readouterr().out.splitlines()
+        assert candidates == [False, True, True]
+        assert lines[0].startswith("published DCL v1 (40 rows): all new, fresh 30 epochs")
+        assert lines[1].startswith("refused DCL candidate (60 rows): 20 new, continued 5 epochs")
+        assert lines[1].endswith("score 0.500, served 1.000; 1 refused in all")
+        # the rows since v1 include the refused candidate's
+        assert lines[2].startswith("published DCL v2 (80 rows): 40 new, continued 5 epochs")
+        assert marks.refused == {"DCL": 1} and store.get("DCL").model_version == 2
+
+    def test_unchanged_rows_publish_nothing(self, monkeypatch, capsys):
+        calls = TestPerfbenchHooks.record(monkeypatch, ["dcl_train", "cl_train"])
+        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        sink.store(rows_batch(0, 40))
+        for _ in range(3):
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+        assert calls == ["dcl_train", "cl_train"]
+        assert [store.get(kind).model_version for kind in ("DCL", "CL")] == [1, 1]
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 class TestPerfbenchHooks:

@@ -33,7 +33,8 @@ def test_digests_repeat():
         "learners.adcl_predict.13-9x3-5", "learners.adcl_predict.13-9x5-5",
         "learners.adcl_predict.13-9x9-5", "learners.adcl_predict.13-32x1-5",
         "learners.adcl_predict.13-16x3-5", "learners.lcl_predict.2-2",
-        "learners.adcl_predict.ties", "learners.lcl_predict.ties", "rng.shuffle.2",
+        "learners.adcl_predict.ties", "learners.lcl_predict.ties", "learners.retrain.chain",
+        "rng.shuffle.2",
         "rng.shuffle.3", "rng.shuffle.303", "rng.shuffle.2000", "train-dcl-report",
         "train-cl-report", "train-sweep-report", "outage-canonical-bytes",
     ]

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from edgectx.data import Dataset, Sample, synth_still_motion
 from edgectx.learners import (
+    GUARD_MARGIN,
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
     ClModel,
@@ -21,6 +23,7 @@ from edgectx.learners import (
     lcl_predict,
     make_dcl_trainer,
     metrics_from_counts,
+    retrain,
 )
 from edgectx.nn import (
     LayerSpec,
@@ -453,6 +456,60 @@ class TestFit:
     def test_dcl_train_refuses_a_spec_that_does_not_fit_the_data(self):
         with pytest.raises(ValueError):
             dcl_train(self.data, LayerSpec(2, (2,), 3), TrainingConfig(0.3, 1, 1))
+
+
+    @pytest.mark.parametrize("kind", [MODEL_KIND_DCL, MODEL_KIND_CL])
+    def test_continues_from_start(self, kind):
+        first, _, _ = fit(kind, self.data, TrainingConfig(0.3, 3, 1))
+        params, _, losses = fit(kind, self.data, TrainingConfig(0.3, 2, 5), start=first)
+        assert same_params(params, train(first, self.data, TrainingConfig(0.3, 2, 5))[0])
+        assert params.trained_epochs == 5 and len(losses) == 2
+
+    def test_refuses_a_start_of_another_topology(self):
+        with pytest.raises(ValueError):
+            fit(MODEL_KIND_DCL, self.data, TrainingConfig(0.3, 1, 1),
+                start=init_network(LayerSpec(2, (3,), 2), 1))
+
+
+class TestRetrain:
+    data = synth_still_motion(80, 4)
+    cfg = TrainingConfig(0.3, 30, 7)
+
+    def test_no_new_rows_no_candidate(self):
+        served, _, _ = fit(MODEL_KIND_DCL, self.data, self.cfg)
+        assert retrain(MODEL_KIND_DCL, self.data, self.cfg, served, new_rows=0) is None
+
+    @pytest.mark.parametrize("kind", [MODEL_KIND_DCL, MODEL_KIND_CL])
+    def test_continues_the_served_version_for_a_sixth_of_the_epochs(self, kind):
+        first = retrain(kind, self.data, self.cfg)
+        assert not first.continued and first.epochs == 30 and first.served_score is None
+        assert first.accepted
+        second = retrain(kind, self.data, TrainingConfig(0.3, 30, 8), first.model, new_rows=20)
+        assert second.continued and second.epochs == 5
+        params, thresholds, _ = fit(kind, self.data, TrainingConfig(0.3, 5, 8),
+                                    start=first.params)
+        assert same_params(second.params, params) and second.thresholds == thresholds
+        # both are scored on the last 20 rows
+        tail = Dataset(self.data.samples[-20:], self.data.feature_names, self.data.class_names)
+        predict = adcl_predict if kind == MODEL_KIND_DCL else lcl_predict
+        for model, score in ((second.model, second.score), (first.model, second.served_score)):
+            assert score == evaluate(lambda x, m=model: predict(m, x), tail).accuracy
+
+    def test_a_new_class_starts_fresh(self):
+        served, _, _ = fit(MODEL_KIND_DCL, self.data, self.cfg)
+        wider = Dataset(self.data.samples + (Sample((5.0, 5.0), 2),), self.data.feature_names,
+                        self.data.class_names + ("far",))
+        candidate = retrain(MODEL_KIND_DCL, wider, self.cfg, served, new_rows=1)
+        assert not candidate.continued and candidate.epochs == 30
+        assert candidate.params.spec.output_count == 3
+        assert candidate.served_score == 0.0
+
+    def test_the_guard_allows_the_margin_and_no_more(self):
+        served, _, _ = fit(MODEL_KIND_DCL, self.data, self.cfg)
+        candidate = retrain(MODEL_KIND_DCL, self.data, self.cfg, served)
+        for served_score, accepted in ((candidate.score + GUARD_MARGIN, True),
+                                       (candidate.score + GUARD_MARGIN + 1e-9, False)):
+            assert replace(candidate, served_score=served_score).accepted is accepted
 
 
 def test_threshold_vector_validation():

@@ -1,5 +1,6 @@
 import hashlib
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,29 @@ class TestServerSideAlgorithms:
         assert all(t.staleness_ms == 0 for t in dcl)
 
 
+class TestRetrainGuard:
+    def test_worse_candidate_is_refused_and_counted(self, monkeypatch):
+        train, continued = edgectx.nn.train, []
+
+        def spoiled(params, data, cfg):
+            trained, losses = train(params, data, cfg)
+            if params.spec.hidden_sizes and params.trained_epochs:
+                continued.append(cfg.epochs)
+                if len(continued) == 2:
+                    # this candidate answers class 1 (motion) for every row
+                    flat = (0.0,) * (len(trained.flat) - 2) + (-5.0, 5.0)
+                    return replace(trained, flat=flat), losses
+            return trained, losses
+
+        monkeypatch.setattr(edgectx.nn, "train", spoiled)
+        result = quick_scenario(LinkConfig(), duration=5_000)
+        assert result.refused == [(2_000, "DCL")]
+        # the refusal consumes no version number
+        assert result.published == [(t, "DCL", v) for t, v in
+                                     ((0, 1), (1_000, 2), (3_000, 3), (4_000, 4), (5_000, 5))]
+        assert b'"refused":[[2000,"DCL"]]' in result.canonical_bytes()
+
+
 class TestLossyLink:
     def test_random_drops_slow_but_do_not_stop_sync(self):
         result = quick_scenario(
@@ -218,12 +242,14 @@ class TestCsvOutputs:
 
 @pytest.fixture
 def train_calls(monkeypatch):
-    """Counts ``nn.train`` calls made while the test runs."""
+    """Records (spec, epochs, rows) of each ``nn.train`` call made while the
+    test runs."""
     calls = []
     train = edgectx.nn.train
 
     def counting(*args, **kwargs):
-        calls.append(args[0].spec)
+        params, data, cfg = args
+        calls.append((params.spec, cfg.epochs, len(data.samples)))
         return train(*args, **kwargs)
 
     monkeypatch.setattr(edgectx.nn, "train", counting)
@@ -236,8 +262,8 @@ def versions_read(result):
 
 
 class TestDeferredTraining:
-    def test_outage_scenario_trains_each_version_read_once(self, train_calls,
-                                                           monkeypatch, tmp_path):
+    def test_outage_scenario_trains_once_per_publish(self, train_calls, monkeypatch,
+                                                     tmp_path):
         captured = []
         run = edgectx.cli.run_scenario
 
@@ -250,17 +276,25 @@ class TestDeferredTraining:
                                  "--out-dir", str(tmp_path)])
         assert code == 0
         (result,) = captured
-        assert len(result.published) == 32
-        assert len(versions_read(result)) == 20
-        assert len(train_calls) == 20
+        # no upload arrives in the 10-20 s outage, so its retrains publish
+        # nothing; the last one before it does
+        times = [t for t, _, _ in result.published]
+        assert len(times) == 22 and 10_000 in times
+        assert not [t for t in times if 10_000 < t <= 20_000]
+        assert result.refused == []
+        # v1 of each kind is fresh (30 epochs), every later version
+        # continues from the one before it for 5
+        assert [epochs for _, epochs, _ in train_calls] == [30] * 2 + [5] * 20
+        # 195 300 updates when every version read trained fresh
+        assert sum(epochs * rows for _, epochs, rows in train_calls) == 47_500
 
-    # SHA-256 of canonical_bytes() from a build that trained every version
-    # when it was published
+    # SHA-256 of canonical_bytes(); they move whenever what a seed trains,
+    # publishes or refuses moves
     PINNED = {
-        (5, ALGORITHMS): "0a118c1b169ad91df1a27ac0561aa2ec47ca94456b08d73b88f09b61ec3fae02",
-        (17, ALGORITHMS): "eda86db177342cfefd7fc061ed85fe378b6ad67f043268932c20af9b24571996",
-        (5, ("ADCL", "LCL")): "edaf15eb934fa7c2593f9a118b96f86470787827b614832804790044464fc97e",
-        (17, ("ADCL", "LCL")): "80dfaeede7e524ad5016ffa976646859cf13d5e3e823baac2399fd6d582cc3b1",
+        (5, ALGORITHMS): "ce76b3f6fe9d14a163b8fb552c8b2a6ba863881d870b685e27d2b4a00a5e8df7",
+        (17, ALGORITHMS): "e1003309a58c24fd5c466704c36f0066c211b9ad69c69da658d89a4763b1761a",
+        (5, ("ADCL", "LCL")): "63b0a71007e4a97c4caf28ee0b539eeec935c7ef3a083adc168379323bcaa849",
+        (17, ("ADCL", "LCL")): "463f6bc1cb3b76c7c4347cb35a1b357f88b0efb555e8b5662365b2daf584c2c1",
     }
 
     @pytest.mark.parametrize("seed,algorithms", list(PINNED),
@@ -272,15 +306,14 @@ class TestDeferredTraining:
         digest = hashlib.sha256(result.canonical_bytes()).hexdigest()
         assert digest == self.PINNED[seed, algorithms]
 
-    def test_superseded_unread_version_is_never_trained(self, train_calls):
-        # versions 4-8 are published inside the outage and each is replaced
-        # before a sync can deliver it; version 13 comes after the last reading
+    def test_retrains_without_new_rows_publish_nothing(self, train_calls):
+        # no upload arrives between 2 100 and 8 100, so the retrains at 4 000
+        # to 8 000 find no rows since the last publish and train nothing
         result = quick_scenario(LinkConfig(outage_windows=((2_100, 8_100),)),
                                 duration=12_000)
-        published = {(kind, v) for _, kind, v in result.published}
-        read = versions_read(result)
-        assert published - read == {("DCL", v) for v in (4, 5, 6, 7, 8, 13)}
-        assert len(train_calls) == len(read) < len(published)
+        assert [t for t, _, _ in result.published] == [
+            0, 1_000, 2_000, 3_000, 9_000, 10_000, 11_000, 12_000]
+        assert len(train_calls) == len(result.published) and result.refused == []
 
     def test_training_stays_out_of_the_timed_prediction(self, monkeypatch):
         train = edgectx.nn.train

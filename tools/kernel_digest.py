@@ -21,6 +21,12 @@ Each line is ``<name> <sha256>``. The names cover:
   (``learners.*_predict.ties``, all nets in one line per predictor; for
   LCL with every threshold set to the first), so that every row is an
   exact tie and a change to the tie rule moves these lines;
+* a chain of three versions of each kind through ``learners.retrain``
+  (``learners.retrain.chain``): a fresh v1 on the first 101 rows of that
+  set, then v2 and v3 continued from the version before on the first 202
+  and on all 303 rows (12 epochs fresh, 2 continued), each candidate's
+  parameters, thresholds, guard scores and verdict (the DCL v3 candidate
+  is refused, so the served version stays v2);
 * ``Rng.shuffle`` permutations of 2, 3, 303 and 2000 items under seeds 0-9,
   each with the next word of the stream after it;
 * the report files of three ``edgectx train`` runs on synth-still-motion
@@ -170,6 +176,27 @@ def predict_digests() -> list[tuple[str, str]]:
             ("learners.lcl_predict.ties", lcl_ties.hexdigest())]
 
 
+def retrain_chain_digest() -> tuple[str, str]:
+    heart, _ = _datasets()
+    cfg = nn.TrainingConfig(learning_rate=0.3, epochs=4 * EPOCHS, seed=1)
+    digest = hashlib.sha256()
+    for kind in learners.MODEL_KINDS:
+        served = None
+        for version, rows in enumerate((101, 202, 303), start=1):
+            window = Dataset(heart.samples[:rows], heart.feature_names, heart.class_names)
+            candidate = learners.retrain(kind, window, replace(cfg, seed=version), served,
+                                         None if served is None else 101)
+            if candidate.accepted:
+                served = candidate.model
+            digest.update(np.asarray(candidate.params.flat, dtype=np.float64).tobytes())
+            thresholds = candidate.thresholds.values if candidate.thresholds else ()
+            scores = (candidate.score, -1.0 if candidate.served_score is None
+                      else candidate.served_score, candidate.epochs, candidate.accepted,
+                      *thresholds)
+            digest.update(np.asarray(scores, dtype=np.float64).tobytes())
+    return "learners.retrain.chain", digest.hexdigest()
+
+
 def shuffle_digests() -> list[tuple[str, str]]:
     out = []
     for n in SHUFFLE_LENGTHS:
@@ -222,7 +249,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         lines = [*train_digests(), *final_outputs_digests(), *predict_digests(),
-                 *shuffle_digests(),
+                 retrain_chain_digest(), *shuffle_digests(),
                  *report_digests(workdir), outage_digest(workdir)]
     for name, digest in lines:
         print(f"{name} {digest}")
