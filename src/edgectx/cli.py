@@ -340,10 +340,12 @@ def cmd_serve(args) -> int:
 class RetrainMarks:
     """What ``serve``'s retrains remember within one process: for each
     model kind, the labelled rows held when its served version was
-    published, and how many candidates the guard refused."""
+    published, how many candidates the guard refused, and the labelled
+    rows held at its last refusal."""
 
     published_rows: dict[str, int] = field(default_factory=dict)
     refused: dict[str, int] = field(default_factory=dict)
+    refused_rows: dict[str, int] = field(default_factory=dict)
 
 
 def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
@@ -364,6 +366,10 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
     data = dataset_from_readings(pairs, feature_names, class_names)
     marks = RetrainMarks() if marks is None else marks
     for kind in kinds:
+        if marks.refused_rows.get(kind) == len(pairs):
+            # the same rows and served version would train the refused candidate again
+            log.info("no %s rows since its refused candidate; nothing to retrain", kind)
+            continue
         served = store.get(kind)
         published_rows = marks.published_rows.get(kind)
         # the same readings and the same served version give the same bundle
@@ -380,6 +386,7 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
             continue
         if not candidate.accepted:
             marks.refused[kind] = marks.refused.get(kind, 0) + 1
+            marks.refused_rows[kind] = len(pairs)
             print(f"refused {kind} candidate ({len(pairs)} rows): {_outline(candidate)}; "
                   f"{marks.refused[kind]} refused in all")
             continue

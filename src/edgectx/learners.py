@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import nn
-from .data import Dataset, apply_minmax_vector, normalize_minmax
+from .data import Dataset, normalize_minmax
 from .nn import LayerSpec, NetworkParameters, TrainingConfig
 from .rng import Rng
 
@@ -333,14 +333,20 @@ def lcl_predict(
 
 
 def classifier(
-    model: NetworkParameters | ClModel, class_names: Sequence[str] = ()
+    model: NetworkParameters | ClModel,
+    class_names: Sequence[str] = (),
+    normalization: tuple[tuple[float, float], ...] | None = None,
 ) -> Callable[[Sequence[float]], ContextLabel]:
     """The classifier ``adcl_predict`` (for a network) or ``lcl_predict``
     (for a ClModel) calls: features to the ContextLabel, named from
-    ``class_names`` where a class has a name. Bound once per model and
-    class-name tuple and kept on the model, so a prediction is one call."""
+    ``class_names`` where a class has a name. With ``normalization`` (a
+    fitted ``Dataset.normalization``) it takes raw features and scales them
+    first, as ``apply_minmax_vector`` does (``nn.bind_classifier``). Bound
+    once per model, class-name tuple and normalization and kept on the
+    model, so a prediction is one call."""
     names = tuple(class_names)
-    bound = model._classifiers.get(names)
+    key = names if normalization is None else (names, normalization)
+    bound = model._classifiers.get(key)
     if bound is None:
         if isinstance(model, ClModel):
             params, thresholds = model.params, model.thresholds.values
@@ -348,7 +354,8 @@ def classifier(
             params, thresholds = model, None
         labels = tuple(ContextLabel(i, names[i] if i < len(names) else "")
                        for i in range(params.spec.output_count))
-        bound = model._classifiers[names] = nn.bind_classifier(params, labels, thresholds)
+        bound = model._classifiers[key] = nn.bind_classifier(params, labels, thresholds,
+                                                             normalization)
     return bound
 
 
@@ -490,35 +497,33 @@ def make_dcl_trainer(
     cfg: TrainingConfig = DCL_DEFAULT_CONFIG,
 ) -> Trainer:
     """Pipeline factory: min-max normalization fitted on the training fold,
-    DCL training, then ADCL prediction with the stored ranges applied.
+    DCL training, then ADCL prediction on raw features with the fitted
+    ranges applied.
 
     ``hidden_sizes=None`` applies the default width rule with one hidden
-    layer.
+    layer. The predictor is the model's classifier bound with those ranges
+    (``classifier``), so a prediction is one call from raw features to the
+    label: the scaling is written into the function generated for the
+    topology, and it labels every input as ``adcl_predict`` on
+    ``apply_minmax_vector(tuple(features), ranges)`` would.
     """
     return _make_trainer(MODEL_KIND_DCL, cfg, hidden_sizes)
 
 
 def make_cl_trainer(cfg: TrainingConfig = CL_DEFAULT_CONFIG) -> Trainer:
     """Pipeline factory: normalization, CL training with threshold
-    calibration, then LCL prediction."""
+    calibration, then LCL prediction on raw features, one call each as
+    for ``make_dcl_trainer``."""
     return _make_trainer(MODEL_KIND_CL, cfg)
 
 
 def _make_trainer(
     kind: str, cfg: TrainingConfig, hidden: tuple[int, ...] | None = None
 ) -> Trainer:
-    predict_with = adcl_predict if kind == MODEL_KIND_DCL else lcl_predict
-
     def trainer(train_data: Dataset):
         fitted = normalize_minmax(train_data)
         params, thresholds, _ = fit(kind, fitted, cfg, hidden)
         model = params if thresholds is None else ClModel(params, thresholds)
-        norms, names = fitted.normalization, train_data.class_names
-        classifier(model, names)
-
-        def predict(features):
-            return predict_with(model, apply_minmax_vector(tuple(features), norms), names)
-
-        return predict
+        return classifier(model, train_data.class_names, fitted.normalization)
 
     return trainer

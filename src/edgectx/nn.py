@@ -25,8 +25,17 @@ arrives with cold caches walks little code: on a 2-core VM (Python
 3.11), with a 1.5 ms sleep before each call, a 13-9-5 ADCL prediction
 took about 41 us and a 13-5 LCL one 31 us, against 52 and 43 us when a
 generated function returned the class index and a cached lookup its
-label; in a tight loop 7.3 and 3.7 us, against 8.1 and 4.4. The
-rest run on numpy arrays (``edgectx.numpy_kernel``), written in place into
+label; in a tight loop 7.3 and 3.7 us, against 8.1 and 4.4. Bound
+with the min-max ranges of a fitted ``Dataset.normalization``, the same
+function first scales raw features (``_minmax_lines``, the ranges
+bound as closure variables, one compile per topology, choice rule and
+constant-feature mask), so a k-fold predictor is one call from raw
+features to label. On ``heart_like(42)``, 6-epoch nets, 13-9x1-5 and
+13-9x9-5 ADCL took about 24 and 65 us cold against 49 and 92 through
+``apply_minmax_vector`` and ``adcl_predict``, and 8.4 and 29 us warm
+against 16.6 and 34; the scaling adds about 0.2 us to the unscaled
+classifier's call. The
+other networks run on numpy arrays (``edgectx.numpy_kernel``), written in place into
 buffers allocated once per call (once per ``train``, not per sample). The
 list kernel's cost grows with the weight count and the numpy kernel's with
 the layer count, so a cost model on those two picks a network's kernel,
@@ -41,7 +50,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .data import Dataset
+from .data import Dataset, apply_minmax_vector
 from .rng import Rng
 
 if TYPE_CHECKING:
@@ -548,46 +557,92 @@ def _choice_lines(outs: list[str], margins: bool) -> list[str]:
             "if m <= 0.0:", *_indent(first_largest(outs), 1)]
 
 
-def _classifier_source(sizes, margins: bool) -> str:
-    """Python source of ``bind(p, t, labels, fallback)`` for ``sizes``.
+def _minmax_ranges(
+    normalization: tuple[tuple[float, float], ...],
+) -> tuple[tuple[bool, ...], tuple[float, ...]]:
+    """(constant, bounds) of ``normalization`` for ``_minmax_lines``:
+    whether each feature is constant, and lo, hi - lo of each other feature
+    in order, the values its ``lo<j>, r<j>`` names take."""
+    constant = tuple(hi <= lo for lo, hi in normalization)
+    bounds = tuple(v for (lo, hi), c in zip(normalization, constant) if not c
+                   for v in (lo, hi - lo))
+    return constant, bounds
+
+
+def _minmax_lines(names: list[str], constant: tuple[bool, ...]) -> tuple[list[str], list[str]]:
+    """(bound names, lines): lines that min-max scale the value held in each
+    of ``names`` in place, as ``apply_minmax_vector`` does, reading the
+    bounds ``_minmax_ranges`` gives, in the order of the bound names.
+
+    A constant feature becomes 0.0 without being read. Any other becomes
+    y = (v - lo) / r, then 0.0 unless y > 0.0, else 1.0 unless y < 1.0:
+    the value ``min(1.0, max(0.0, y))`` takes bit for bit, -0.0, NaN and
+    +-inf included. A value the arithmetic refuses raises what it raises
+    there.
+    """
+    bounds, lines = [], []
+    for j, (v, c) in enumerate(zip(names, constant)):
+        if c:
+            lines.append(f"{v} = 0.0")
+            continue
+        bounds += [f"lo{j}", f"r{j}"]
+        lines += [f"{v} = ({v} - lo{j}) / r{j}",
+                  f"if not {v} > 0.0:", f"    {v} = 0.0",
+                  f"elif not {v} < 1.0:", f"    {v} = 1.0"]
+    return bounds, lines
+
+
+def _classifier_source(sizes, margins: bool, constant: tuple[bool, ...] | None) -> str:
+    """Python source of ``bind(p, t, s, labels, fallback)`` for ``sizes``.
 
     ``bind`` unpacks the parameters ``p`` and, with ``margins``, the
     thresholds ``t`` once, and returns ``predict(x)``: a tuple or list ``x``
-    as floats, refused when any is not finite, through the forward pass to
-    ``labels[i]`` of the class ``_choice_lines`` picks. Any other ``x``, and
-    any it refuses, goes to ``fallback(x)``.
+    through the forward pass to ``labels[i]`` of the class
+    ``_choice_lines`` picks. Without ``constant``, ``x`` is read as floats
+    and refused when any is not finite. With it (one flag per input),
+    ``x`` is first min-max scaled by ``_minmax_lines``, reading the bounds
+    ``s`` unpacked once, and each scaled value, which lies in [0, 1], is
+    read as a float. Any other ``x``, and any the scaling or the reading
+    refuses, goes to ``fallback(x)``.
     """
     sizes = [int(n) for n in sizes]
     _, _, params, acts, forward = _forward_lines(sizes)
     x = acts[0]
-    # x - x is 0.0 for every finite x and NaN for NaN and +-inf
-    finite = " + ".join(f"({a} - {a})" for a in x)
     thresholds = [f"t{k}" for k in range(sizes[-1])]
+    as_floats = [f"{a} = float({a})" for a in x]
+    if constant is None:
+        bounds = []
+        # x - x is 0.0 for every finite x and NaN for NaN and +-inf
+        finite = " + ".join(f"({a} - {a})" for a in x)
+        read = ["try:", *_indent([_unpack(x, "x"), *as_floats], 1),
+                "except (TypeError, ValueError):", "    return fallback(x)",
+                f"if {finite} != 0.0:", "    return fallback(x)"]
+    else:
+        bounds, scaling = _minmax_lines(x, constant)
+        # the fallback raises what the reference raises; anything else the
+        # arithmetic raises, it raises on the same value
+        read = ["try:", *_indent([_unpack(x, "x"), *scaling, *as_floats], 1),
+                "except (TypeError, ValueError, ArithmeticError):", "    return fallback(x)"]
     return "\n".join([
-        "def bind(p, t, labels, fallback):",
+        "def bind(p, t, s, labels, fallback):",
         *_indent([_unpack(params, "p"), *([_unpack(thresholds, "t")] if margins else []),
-                  "def predict(x):"], 1),
+                  *([_unpack(bounds, "s")] if bounds else []), "def predict(x):"], 1),
         *_indent([
             "if type(x) is not tuple and type(x) is not list:",
             "    return fallback(x)",
-            "try:",
-            *_indent([_unpack(x, "x"), *(f"{a} = float({a})" for a in x)], 1),
-            "except (TypeError, ValueError):",
-            "    return fallback(x)",
-            f"if {finite} != 0.0:",
-            "    return fallback(x)",
-            *forward, *_choice_lines(acts[-1], margins), "return labels[i]"], 2),
+            *read, *forward, *_choice_lines(acts[-1], margins), "return labels[i]"], 2),
         "    return predict",
         "",
     ])
 
 
 @lru_cache(maxsize=128)
-def _classifier_kernel(sizes: tuple[int, ...], margins: bool) -> Callable:
-    """The generated ``bind`` for ``sizes``, compiled once per topology and
-    choice rule on the first classifier bound, apart from the training
-    kernel."""
-    return _compiled(_classifier_source(sizes, margins), "classifier", sizes)["bind"]
+def _classifier_kernel(sizes: tuple[int, ...], margins: bool,
+                       constant: tuple[bool, ...] | None = None) -> Callable:
+    """The generated ``bind`` for ``sizes``, compiled once per topology,
+    choice rule and constant-feature mask on the first classifier bound,
+    apart from the training kernel."""
+    return _compiled(_classifier_source(sizes, margins, constant), "classifier", sizes)["bind"]
 
 
 @lru_cache(maxsize=64)
@@ -608,28 +663,49 @@ def _class_choice(n: int) -> Callable[[list[float], tuple[float, ...] | None], i
     return _compiled(source, "class choice", (n,))["choose"]
 
 
-def bind_classifier(params: NetworkParameters, labels, thresholds=None) -> Callable:
+def bind_classifier(params: NetworkParameters, labels, thresholds=None,
+                    normalization=None) -> Callable:
     """``classify(features)``: ``labels[i]`` of the class
     ``final_outputs(params, features)`` picks, the first largest output,
     or with ``thresholds`` (one per output) the first largest positive
     margin output - threshold, else the first largest output.
 
+    With ``normalization``, the (min, max) range of each input that
+    ``Dataset.normalization`` holds, ``features`` are first scaled as
+    ``apply_minmax_vector(tuple(features), normalization)`` scales them.
+
     On a list-kernel net, a tuple or list of features runs one function
-    generated per topology, with the parameters and thresholds bound when
-    this is called. Any other input, any input that function refuses (a
-    wrong width among them), and every input of a numpy-kernel net go
-    through ``final_outputs``, which raises what it always raised. The
-    class is the same either way.
+    generated per topology, choice rule and constant-feature mask, with the
+    parameters, thresholds and ranges bound when this is called. Any other
+    input, any input that function refuses (a wrong width among them), and
+    every input of a numpy-kernel net go through the reference: without
+    ``normalization``, ``final_outputs``; with it, ``apply_minmax_vector``
+    and then the classifier bound without it. Either way it raises what
+    the reference raises, and the class is the same.
     """
-    choose = _class_choice(params.spec.output_count)
+    if normalization is None:
+        choose = _class_choice(params.spec.output_count)
+        bounds = constant = None
 
-    def fallback(features):
-        return labels[choose(final_outputs(params, features), thresholds)]
+        def fallback(features):
+            return labels[choose(final_outputs(params, features), thresholds)]
+    else:
+        constant, bounds = _minmax_ranges(normalization)
 
+        # bound on the first fallback: most classifiers never need it
+        @lru_cache(maxsize=None)
+        def unscaled():
+            return bind_classifier(params, labels, thresholds)
+
+        def fallback(features):
+            return unscaled()(apply_minmax_vector(tuple(features), normalization))
+
+        if len(constant) != params.spec.input_count:
+            return fallback
     if not params._on_lists:
         return fallback
-    bind = _classifier_kernel(params.spec.layer_sizes, thresholds is not None)
-    return bind(params.flat, thresholds, labels, fallback)
+    bind = _classifier_kernel(params.spec.layer_sizes, thresholds is not None, constant)
+    return bind(params.flat, thresholds, bounds, labels, fallback)
 
 
 def predict_class(params: NetworkParameters, features, thresholds=None) -> int:

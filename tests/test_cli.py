@@ -581,6 +581,36 @@ class TestRetrainStep:
         assert lines[2].startswith("published DCL v2 (80 rows): 40 new, continued 5 epochs")
         assert marks.refused == {"DCL": 1} and store.get("DCL").model_version == 2
 
+    def test_refused_candidate_is_not_retrained_on_unchanged_rows(self, monkeypatch, capsys):
+        real, starts = edgectx.cli.dcl_train, []
+
+        def spoiled(data, spec, cfg, start=None):
+            params = real(data, spec, cfg, start=start)
+            starts.append(start is not None)
+            if start is not None:
+                # every continued candidate answers class 1 for every row
+                return replace(params, flat=(0.0,) * (len(params.flat) - 2) + (-5.0, 5.0))
+            return params
+
+        monkeypatch.setattr(edgectx.cli, "dcl_train", spoiled)
+        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        sink.store(rows_batch(0, 40))
+        _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        sink.store(rows_batch(40, 60))
+        _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        lines = capsys.readouterr().out.splitlines()
+        assert starts == [False, True] and len(lines) == 2
+        assert lines[1].startswith("refused DCL candidate (60 rows): 20 new")
+        # the same rows and served version would train the same candidate
+        for _ in range(2):
+            _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        assert starts == [False, True] and capsys.readouterr().out == ""
+        sink.store(rows_batch(60, 61))
+        _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        assert starts == [False, True, True]
+        assert capsys.readouterr().out.startswith("refused DCL candidate (61 rows): 21 new")
+        assert marks.refused == {"DCL": 2} and store.get("DCL").model_version == 1
+
     def test_unchanged_rows_publish_nothing(self, monkeypatch, capsys):
         calls = TestPerfbenchHooks.record(monkeypatch, ["dcl_train", "cl_train"])
         store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
@@ -701,9 +731,10 @@ def test_usage_error_exit_code():
 class TestPredictHooks:
     """perfbench's ``learners.*_predict`` spans wrap ``adcl_predict`` and
     ``lcl_predict`` on the module each caller looks them up in: the client
-    on ``edgectx.client``, the simulator on ``edgectx.sim`` and the sweep's
-    trainers on ``edgectx.learners``. Each caller must still go through
-    those names, or the traced metrics read 0."""
+    on ``edgectx.client`` and the simulator on ``edgectx.sim``. Each caller
+    must still go through those names, or the traced metrics read 0. The
+    k-fold trainers' predictors are bound classifiers that scale raw
+    features themselves, so they go through neither name."""
 
     @staticmethod
     def record(monkeypatch):
@@ -755,9 +786,8 @@ class TestPredictHooks:
         calls = self.record(monkeypatch)
         data = synth_still_motion(60, 3)
         cfg = TrainingConfig(0.3, 2, 0)
-        for make, name in ((lambda: make_dcl_trainer((2,), cfg), "adcl_predict"),
-                           (lambda: make_cl_trainer(cfg), "lcl_predict")):
+        for make in (lambda: make_dcl_trainer((2,), cfg), lambda: make_cl_trainer(cfg)):
             predict = make()(data)
             predict(data.samples[0].features)
-            assert calls == [("edgectx.learners", name)]
-            calls.clear()
+            assert predict.__code__.co_filename.startswith("<edgectx.nn classifier ")
+        assert calls == []

@@ -1,10 +1,22 @@
+import importlib.util
 import math
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgectx.data import Dataset, Sample, synth_still_motion
+from edgectx import nn
+from edgectx.data import (
+    Dataset,
+    Sample,
+    apply_minmax,
+    apply_minmax_vector,
+    normalize_minmax,
+    synth_still_motion,
+)
 from edgectx.learners import (
     GUARD_MARGIN,
     MODEL_KIND_CL,
@@ -16,11 +28,13 @@ from edgectx.learners import (
     adcl_predict,
     calibrate_thresholds,
     cl_train,
+    classifier,
     dcl_train,
     evaluate,
     fit,
     kfold_cross_validate,
     lcl_predict,
+    make_cl_trainer,
     make_dcl_trainer,
     metrics_from_counts,
     retrain,
@@ -510,6 +524,202 @@ class TestRetrain:
         for served_score, accepted in ((candidate.score + GUARD_MARGIN, True),
                                        (candidate.score + GUARD_MARGIN + 1e-9, False)):
             assert replace(candidate, served_score=served_score).accepted is accepted
+
+
+def heart_like(seed: int) -> Dataset:
+    """``perfbench/clusters.heart_like``: 303 rows, 13 features, 5 classes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "clusters.py"
+    spec = importlib.util.spec_from_file_location("clusters", path)
+    clusters = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(clusters)
+    return clusters.heart_like(seed)
+
+
+def signed_params(spec: LayerSpec, seed: int) -> NetworkParameters:
+    """Weights and biases uniform in [-2, 2), so the class varies with the input."""
+    rng = Rng(seed)
+    sizes = spec.layer_sizes
+    count = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+    return NetworkParameters(spec, flat=[4.0 * rng.uniform() - 2.0 for _ in range(count)])
+
+
+def outcome(call, x):
+    """What ``call(x)`` returns, or the type and text of what it raises."""
+    try:
+        return call(x)
+    except Exception as exc:  # every exception is compared, not handled
+        return type(exc), str(exc)
+
+
+def generated(classify) -> bool:
+    return classify.__code__.co_filename.startswith("<edgectx.nn classifier ")
+
+
+class TestScaledClassifier:
+    """A classifier bound with min-max ranges takes raw features: it gives
+    the label, or raises what, ``adcl_predict`` or ``lcl_predict`` gives on
+    ``apply_minmax_vector(tuple(x), normalization)``."""
+
+    heart = heart_like(7)
+    CONSTANT = 3  # the feature made constant in ``constant_heart``
+
+    @classmethod
+    def constant_heart(cls) -> Dataset:
+        return Dataset(tuple(replace(s, features=s.features[:cls.CONSTANT] + (0.25,)
+                                     + s.features[cls.CONSTANT + 1:])
+                             for s in cls.heart.samples),
+                       cls.heart.feature_names, cls.heart.class_names)
+
+    @classmethod
+    def inputs(cls, norms) -> list:
+        rows = [s.features for s in cls.heart.samples]
+        row = rows[0]
+        out = list(rows)
+        for j, (lo, hi) in enumerate(norms):
+            # below lo, above hi, and exactly at each end
+            for v in (lo - 1.0, hi + 1.0, lo, hi, 2 * hi - lo, lo - 1e-12):
+                out.append(row[:j] + (v,) + row[j + 1:])
+        for j in (0, cls.CONSTANT, len(row) - 1):
+            for v in (-0.0, 0.0, math.nan, math.inf, -math.inf, 0, 1, -3, True, False,
+                      10**400, "0.5", "x", b"1", None, [0.5], Decimal("0.5"),
+                      Fraction(1, 3), np.float64(0.4), np.float32(0.4), np.int64(1),
+                      complex(0.5, 0.0)):
+                out += [row[:j] + (v,) + row[j + 1:], list(row[:j]) + [v] + list(row[j + 1:])]
+        out += [
+            tuple(int(v > 0.5) for v in row), tuple(v > 0.5 for v in row),
+            (-0.0,) * len(row), (math.nan,) * len(row),
+            tuple(np.float32(v) for v in row), tuple(np.float64(v) for v in row),
+            list(row), np.array(row), np.array([row]), row[:-1], row + (0.5,), (), [],
+            "abc", "0.5" * len(row), None, 5, 0.5, range(len(row)), {"a": 1},
+        ]
+        return out
+
+    @staticmethod
+    def models(fitted: Dataset):
+        """(name, model) of ADCL on a list-kernel and a numpy-kernel net and
+        of LCL on a single-layer net, trained on ``fitted``; the numpy-kernel
+        net is drawn with signed weights, as trained it answers one class."""
+        cfg = TrainingConfig(0.6, 30, 1)
+        dcl_lists, _, _ = fit(MODEL_KIND_DCL, fitted, cfg, (9,))
+        dcl_numpy = signed_params(LayerSpec(13, (32,), 5), 2)
+        cl = ClModel(*fit(MODEL_KIND_CL, fitted, cfg)[:2])
+        assert dcl_lists._on_lists and not dcl_numpy._on_lists and cl.params._on_lists
+        return [("lists", dcl_lists), ("numpy", dcl_numpy), ("lcl", cl)]
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["ranges", "constant"])
+    def test_same_outcome_as_the_reference_for_every_input(self, constant):
+        data = self.constant_heart() if constant else self.heart
+        # ranges fitted on a part of the rows, so the rest fall outside
+        fitted = normalize_minmax(Dataset(data.samples[:100], data.feature_names,
+                                          data.class_names))
+        norms = fitted.normalization
+        assert (norms[self.CONSTANT][0] == norms[self.CONSTANT][1]) is constant
+        names = data.class_names
+        cases = self.inputs(norms)
+        for name, model in self.models(fitted):
+            predict = adcl_predict if isinstance(model, NetworkParameters) else lcl_predict
+            scaled = classifier(model, names, norms)
+            assert generated(scaled) is (name != "numpy")
+            labels = set()
+            for x in cases:
+                got = outcome(scaled, x)
+                assert got == outcome(
+                    lambda x: predict(model, apply_minmax_vector(tuple(x), norms), names), x
+                ), (name, x)
+                labels.add(got)
+            # a one-shot iterator is read once
+            row = data.samples[5].features
+            assert scaled(iter(row)) == predict(model, apply_minmax_vector(row, norms), names)
+            # the nets answer more than one class, and some inputs raise
+            assert len({lab for lab in labels if isinstance(lab, ContextLabel)}) > 1, name
+            assert any(isinstance(lab, tuple) for lab in labels), name
+
+    def test_both_choice_rules_on_both_kernels(self):
+        norms = normalize_minmax(self.heart).normalization
+        labels = tuple(ContextLabel(i) for i in range(5))
+        cases = self.inputs(norms)[::3]
+        for p in (signed_params(LayerSpec(13, (9,), 5), 4),
+                  signed_params(LayerSpec(13, (32,), 5), 5)):
+            for thresholds in (None, (0.3, 0.6, 0.5, 0.2, 0.7)):
+                scaled = nn.bind_classifier(p, labels, thresholds, norms)
+                unscaled = nn.bind_classifier(p, labels, thresholds)
+                for x in cases:
+                    assert outcome(scaled, x) == outcome(
+                        lambda x: unscaled(apply_minmax_vector(tuple(x), norms)), x), x
+
+    def test_compiled_once_per_constant_feature_mask(self):
+        spec = LayerSpec(4, (3, 2), 2)  # a topology no other test compiles
+        norms = ((0.0, 1.0), (2.0, 5.0), (1.0, 1.0), (-1.0, 0.0))
+        before = nn._classifier_kernel.cache_info().misses
+        for seed in (1, 2):
+            classify = classifier(signed_params(spec, seed), (), norms)
+            classify((0.5, 3.0, 1.0, -0.5))
+        # other ranges with the same constant feature
+        classifier(signed_params(spec, 3), (), tuple((lo - 1.0, hi + 2.0) if lo < hi
+                                                      else (lo, hi) for lo, hi in norms))
+        assert nn._classifier_kernel.cache_info().misses == before + 1
+        # the first fallback binds the unscaled classifier
+        with pytest.raises(ValueError):
+            classify((0.5, 3.0, 1.0))
+        assert nn._classifier_kernel.cache_info().misses == before + 2
+        classifier(signed_params(spec, 4), (), ((0.0, 1.0),) * 4)
+        assert nn._classifier_kernel.cache_info().misses == before + 3
+
+    def test_ranges_of_another_width_take_the_reference_path(self):
+        p = signed_params(LayerSpec(13, (9,), 5), 7)
+        norms = normalize_minmax(self.heart).normalization[:-1]
+        scaled = classifier(p, (), norms)
+        assert not generated(scaled)
+        row = self.heart.samples[0].features
+        for x in (row, row[:-1]):
+            assert outcome(scaled, x) == outcome(
+                lambda x: adcl_predict(p, apply_minmax_vector(tuple(x), norms)), x)
+
+    def test_bound_once_per_model_and_ranges(self):
+        p = signed_params(LayerSpec(13, (9,), 5), 6)
+        norms = normalize_minmax(self.heart).normalization
+        scaled = classifier(p, ("a",), norms)
+        assert classifier(p, ("a",), norms) is scaled
+        assert classifier(p, ("a",)) is not scaled
+        assert classifier(p, ("a",), norms[::-1]) is not scaled
+
+    @pytest.mark.parametrize("kind", [MODEL_KIND_DCL, MODEL_KIND_CL])
+    def test_kfold_predictors_label_raw_rows_as_the_reference(self, kind):
+        cfg = TrainingConfig(0.6, 30, 1)
+        hidden = (9,) if kind == MODEL_KIND_DCL else None
+        train_data = Dataset(self.heart.samples[:200], self.heart.feature_names,
+                             self.heart.class_names)
+        make = make_dcl_trainer(hidden, cfg) if hidden else make_cl_trainer(cfg)
+        predict = make(train_data)
+        assert generated(predict)
+        fitted = normalize_minmax(train_data)
+        params, thresholds, _ = fit(kind, fitted, cfg, hidden)
+        model = params if thresholds is None else ClModel(params, thresholds)
+        ref = adcl_predict if thresholds is None else lcl_predict
+        for x in self.inputs(fitted.normalization):
+            assert outcome(predict, x) == outcome(
+                lambda x: ref(model, apply_minmax_vector(tuple(x), fitted.normalization),
+                              train_data.class_names), x), x
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["ranges", "constant"])
+    def test_apply_minmax_rows_match_the_reference_bit_for_bit(self, constant):
+        data = self.constant_heart() if constant else self.heart
+        fitted = normalize_minmax(Dataset(data.samples[:100], data.feature_names,
+                                          data.class_names)).normalization
+        # ranges from 0.0, where -0.0 - 0.0 is -0.0
+        unit = tuple((0.0, 1.0) if lo < hi else (lo, hi) for lo, hi in fitted)
+        row = data.samples[0].features
+        for norms in (fitted, unit):
+            extra = tuple(Sample(row[:j] + (v,) + row[j + 1:], 0) for j in range(len(row))
+                          for v in (-0.0, 0.0, 0, 1, True, False, norms[j][0], norms[j][1],
+                                    -1e308, 1e308, 5e-324))
+            held = replace(data, samples=data.samples + extra)
+            applied = apply_minmax(held, norms)
+            assert applied.normalization == norms
+            for s, a in zip(held.samples, applied.samples):
+                assert (a.label, a.timestamp) == (s.label, s.timestamp)
+                assert [float.hex(v) for v in a.features] == \
+                    [float.hex(v) for v in apply_minmax_vector(s.features, norms)]
 
 
 def test_threshold_vector_validation():

@@ -149,6 +149,32 @@ assert uploader.upload_batch(batch) == 0 and uploader.queued_count == 8
     assert len(spool.read_bytes().splitlines()) == 8
 
 
+def test_scaled_classifier_leaves_out_numpy():
+    # binding ADCL and LCL classifiers with min-max ranges and predicting on
+    # raw features, through the generated function and through the fallback
+    loaded = loaded_after("""
+from edgectx.learners import ClModel, ThresholdVector, classifier
+from edgectx.nn import LayerSpec, NetworkParameters
+norms = ((0.0, 2.0), (1.0, 1.0), (-1.0, 3.0))
+dcl = NetworkParameters(LayerSpec(3, (2,), 2), flat=[0.1 * i - 0.7 for i in range(14)])
+cl = ClModel(NetworkParameters(LayerSpec(3, (), 2), flat=[0.3 - 0.1 * i for i in range(8)]),
+             ThresholdVector((0.4, 0.6)))
+for model in (dcl, cl):
+    classify = classifier(model, ("a", "b"), norms)
+    assert classify.__code__.co_filename.startswith("<edgectx.nn classifier ")
+    for x in ([0.5, 7.0, 9.0], (-1.0, 1.0, float("nan")), (True, "x", 2), iter([1, 1, 1])):
+        assert classify(x).name in ("a", "b")
+    try:
+        classify(("0.5", 1.0, 2.0))
+    except TypeError:
+        pass
+    else:
+        raise SystemExit("a string was scaled")
+""")
+    assert "edgectx.learners" in loaded
+    assert "numpy" not in loaded
+
+
 def test_every_export_resolves():
     # a submodule's entry is None: the name is the submodule itself
     out = run_fresh(f"""

@@ -21,6 +21,12 @@ Each line is ``<name> <sha256>``. The names cover:
   (``learners.*_predict.ties``, all nets in one line per predictor; for
   LCL with every threshold set to the first), so that every row is an
   exact tie and a change to the tie rule moves these lines;
+* the class index the predictors of ``learners.make_dcl_trainer`` (on
+  13-9x1-5, a list-kernel net, and 13-24x1-5, a numpy-kernel one) and
+  ``learners.make_cl_trainer`` give, trained on that set (30 epochs at
+  learning rate 0.6), for every raw row of it, for the ends of the fitted
+  ranges and for each row with one feature far outside its range
+  (``learners.kfold_predict``);
 * a chain of three versions of each kind through ``learners.retrain``
   (``learners.retrain.chain``): a fresh v1 on the first 101 rows of that
   set, then v2 and v3 continued from the version before on the first 202
@@ -176,6 +182,28 @@ def predict_digests() -> list[tuple[str, str]]:
             ("learners.lcl_predict.ties", lcl_ties.hexdigest())]
 
 
+def kfold_predict_digest() -> tuple[str, str]:
+    heart, _ = _datasets()
+    rows = [s.features for s in heart.samples]
+    lo, hi = (list(map(end, zip(*rows))) for end in (min, max))
+    # every range's ends, then each row with one feature four range widths
+    # below its range (even rows) or above it (odd rows)
+    far = []
+    for i, row in enumerate(rows):
+        j = i % len(row)
+        far.append(row[:j] + (hi[j] + 4.0 * (hi[j] - lo[j]) if i % 2 else
+                              lo[j] - 4.0 * (hi[j] - lo[j]),) + row[j + 1:])
+    rows += [tuple(lo), tuple(hi), *far]
+    cfg = nn.TrainingConfig(learning_rate=0.6, epochs=10 * EPOCHS, seed=1)
+    digest = hashlib.sha256()
+    for trainer in (learners.make_dcl_trainer((9,), cfg), learners.make_dcl_trainer((24,), cfg),
+                    learners.make_cl_trainer(cfg)):
+        predict = trainer(heart)
+        digest.update(np.asarray([predict(x).class_index for x in rows],
+                                 dtype=np.int64).tobytes())
+    return "learners.kfold_predict", digest.hexdigest()
+
+
 def retrain_chain_digest() -> tuple[str, str]:
     heart, _ = _datasets()
     cfg = nn.TrainingConfig(learning_rate=0.3, epochs=4 * EPOCHS, seed=1)
@@ -249,7 +277,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         lines = [*train_digests(), *final_outputs_digests(), *predict_digests(),
-                 retrain_chain_digest(), *shuffle_digests(),
+                 kfold_predict_digest(), retrain_chain_digest(), *shuffle_digests(),
                  *report_digests(workdir), outage_digest(workdir)]
     for name, digest in lines:
         print(f"{name} {digest}")
