@@ -351,7 +351,9 @@ class RetrainMarks:
 def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
                   marks: RetrainMarks | None = None) -> None:
     """One retrain step (``learners.retrain``) per kind in ``kinds`` on every
-    labelled row ``sink`` holds; without ``marks`` no publish is on record."""
+    labelled row ``sink`` holds; without ``marks`` no publish is on record.
+    A kind whose rows have not changed since its last publish or refusal
+    is skipped, and the rows become a Dataset only when some kind trains."""
     pairs = sink.labeled_pairs()
     if len(pairs) < args.min_rows:
         log.info("only %d labeled readings; skipping retrain", len(pairs))
@@ -361,15 +363,23 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
     if n_classes < 2:
         log.info("only one class seen so far; skipping retrain")
         return
-    feature_names = tuple(f"f{i}" for i in range(width))
-    class_names = tuple(str(i) for i in range(n_classes))
-    data = dataset_from_readings(pairs, feature_names, class_names)
     marks = RetrainMarks() if marks is None else marks
+    due = []
     for kind in kinds:
         if marks.refused_rows.get(kind) == len(pairs):
             # the same rows and served version would train the refused candidate again
             log.info("no %s rows since its refused candidate; nothing to retrain", kind)
-            continue
+        elif marks.published_rows.get(kind) == len(pairs):
+            log.info("no %s rows since v%d; nothing to retrain", kind,
+                     store.get(kind).model_version)
+        else:
+            due.append(kind)
+    if not due:
+        return
+    feature_names = tuple(f"f{i}" for i in range(width))
+    class_names = tuple(str(i) for i in range(n_classes))
+    data = dataset_from_readings(pairs, feature_names, class_names)
+    for kind in due:
         served = store.get(kind)
         published_rows = marks.published_rows.get(kind)
         # the same readings and the same served version give the same bundle
@@ -381,9 +391,6 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
             new_rows=None if published_rows is None else len(pairs) - published_rows,
             train=_trainer(kind),
         )
-        if candidate is None:
-            log.info("no %s rows since v%d; nothing to retrain", kind, served.model_version)
-            continue
         if not candidate.accepted:
             marks.refused[kind] = marks.refused.get(kind, 0) + 1
             marks.refused_rows[kind] = len(pairs)

@@ -6,16 +6,26 @@ summed squared error 0.5 * sum((actual - output)^2) with the update
 w <- w - learning_rate * dE/dw applied after each sample.
 
 A network's parameters are stored as one flat tuple of floats: each layer's
-weight rows, then its biases. Building, checking, encoding and predicting
-with a network on the list kernel need no numpy; only the code that works
+weight rows, then its biases. Building, checking, encoding, training and
+predicting with a network need no numpy; only the code that works
 on arrays imports it, so an edge client or a starting server never does.
 
-Two kernels compute the same math. Networks whose arithmetic costs less
-than numpy's fixed cost per call run on straight-line Python generated once
-per topology from the layer sizes: one function for a forward pass, one
-for the deltas and one for a whole SGD epoch, each reading the parameters
-from that flat tuple, so a sample costs no Python call. A
-fourth, compiled apart when a net's first classifier is bound
+One kernel computes the math: straight-line Python generated once per
+topology from the layer sizes, one function for a forward pass, one for
+the deltas and one for a whole SGD epoch, each reading the parameters
+from that flat tuple, so a sample of a net of small layers costs no
+Python call. A layer of more than ``_ROW_FORM_WEIGHTS`` (150) weights
+and biases is not written out weight by weight: it runs row by row, one
+call per row into three functions generated once per input width
+(``_row_functions``), a dot product, the column sum a hidden delta needs
+and a row's update. They do the same float operations in the same order
+as the straight-line code, so a net's bits do not depend on which form
+runs a layer, and a kernel's source grows with the layer widths, not
+with the weight count. ``forward``, ``final_outputs``, ``backprop``,
+``train`` and the classifiers all run the one kernel, so they agree bit
+for bit on any net.
+
+A fourth function, compiled apart when a net's first classifier is bound
 (``bind_classifier``), takes the parameters, the labels and LCL's
 thresholds once per net and returns one function that checks an input,
 runs the same forward pass and returns the label of the class it picks.
@@ -34,13 +44,7 @@ features to label. On ``heart_like(42)``, 6-epoch nets, 13-9x1-5 and
 13-9x9-5 ADCL took about 24 and 65 us cold against 49 and 92 through
 ``apply_minmax_vector`` and ``adcl_predict``, and 8.4 and 29 us warm
 against 16.6 and 34; the scaling adds about 0.2 us to the unscaled
-classifier's call. The
-other networks run on numpy arrays (``edgectx.numpy_kernel``), written in place into
-buffers allocated once per call (once per ``train``, not per sample). The
-list kernel's cost grows with the weight count and the numpy kernel's with
-the layer count, so a cost model on those two picks a network's kernel,
-and ``forward``, ``backprop``, ``train`` and the predictors agree bit for
-bit on any one net.
+classifier's call.
 """
 
 from __future__ import annotations
@@ -66,45 +70,11 @@ class DimensionError(ValueError):
 _SIG_LO = math.nextafter(0.0, 1.0)
 _SIG_HI = math.nextafter(1.0, 0.0)
 
-# The kernel cost model. A network runs on the list kernel when its weights
-# and biases number fewer than ``_LIST_KERNEL_WEIGHTS_PER_LAYER`` times its
-# weighted layers, counting at least two layers, and fewer than
-# ``_LIST_KERNEL_MAX_WEIGHTS``; see ``NetworkParameters._on_lists``. One SGD
-# update, generated lists against the in-place numpy kernel (2-core host,
-# Python 3.11, numpy 2.4, public ``train``, 303 rows, median of 10
-# interleaved epochs, compile excluded), in us:
-#
-#   layers  net        weights  lists  numpy
-#   1       13-5            70    8.5   25.6
-#   1       40-5           205   21.2   27.3
-#   1       60-5           305   33.5   29.5
-#   2       13-9-5         176   20.1   43.9
-#   2       13-16-5        309   35.8   44.6
-#   2       13-32-5        613   67.6   47.9
-#   4       13-9x3-5       356   48.2   79.5
-#   4       13-12x3-5      545   69.5   79.3
-#   4       13-16x3-5      853  105.6   75.1
-#   6       13-9x5-5       536   73.0  115.9
-#   6       13-12x5-5      857  109.2  115.6
-#   6       13-16x5-5     1397  175.5  116.7
-#   10      13-9x9-5       896  119.9  180.9
-#   10      13-12x9-5     1481  190.8  185.2
-#
-# Lists cost about 0.12-0.13 us per weight, numpy about 10 us per update
-# plus 17 us per layer, so the two cross near 150 weights per layer from
-# two layers on. Nets of one and two layers keep the limit of 300 weights
-# they had before the model counted layers: every net the server, the
-# simulator and the default CL and DCL train has at most two layers, so
-# none of them changes kernel (the kernels agree to float64 rounding, not
-# bit for bit). Compiling a generated kernel costs about 60 us per weight
-# (26 ms at 446 weights, 58 ms at 896, 96 ms at 1481, 208 ms at 3197). A
-# hidden layer 11 wide or narrower adds fewer than 150 weights, so such a
-# net would stay under the per-layer limit at any depth;
-# ``_LIST_KERNEL_MAX_WEIGHTS`` bounds one compile to about 60 ms and each
-# of the 64 cached kernels to 1000 weights. Near the cap the list
-# kernel saves little per update, so the cap costs little.
-_LIST_KERNEL_WEIGHTS_PER_LAYER = 150
-_LIST_KERNEL_MAX_WEIGHTS = 1000
+# A layer with more weights and biases than this runs row by row
+# (``_row_functions``). Straight-line code costs about 60 us a weight to
+# compile, so this bounds a straight-line layer's compile to about 9 ms;
+# every layer the benchmark's workloads train has at most 126.
+_ROW_FORM_WEIGHTS = 150
 
 
 @dataclass(frozen=True)
@@ -204,17 +174,8 @@ class NetworkParameters:
         return tuple(weights), tuple(biases)
 
     @cached_property
-    def _on_lists(self) -> bool:
-        """Whether the list kernel runs this network, by the cost model
-        described at ``_LIST_KERNEL_WEIGHTS_PER_LAYER``."""
-        return self.weight_count < min(
-            _LIST_KERNEL_MAX_WEIGHTS,
-            _LIST_KERNEL_WEIGHTS_PER_LAYER * max(self.spec.layer_count, 2),
-        )
-
-    @cached_property
     def _list_fns(self) -> _ListKernel:
-        """The compiled list kernel of this topology, for nets ``_on_lists``."""
+        """The compiled kernel of this topology."""
         return _list_kernel(self.spec.layer_sizes)
 
 
@@ -282,15 +243,20 @@ def sigmoid(x):
     """Logistic activation 1 / (1 + exp(-x)).
 
     Accepts a scalar or array; finite inputs never produce NaN, and results
-    saturate just inside (0, 1) at the extremes.
+    saturate just inside (0, 1) at the extremes. Each value is the output
+    of the generated kernel's 1-1 net with weight 1 and bias 0, whose net
+    input is exactly x, so it is the value any network's node computes.
     """
+    from numbers import Real
+
+    unit = _list_kernel((1, 1)).activations
+    if isinstance(x, Real):
+        return unit((1.0, 0.0), [float(x)])[1][0]
     import numpy as np
 
-    from .numpy_kernel import SIG_SCALARS, sigmoid_into
-
-    out = np.array(x, dtype=np.float64, ndmin=1)
-    sigmoid_into(out, np.empty(out.shape, dtype=bool), np.empty_like(out), SIG_SCALARS)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    values = np.asarray(x, dtype=np.float64)
+    out = np.array([unit((1.0, 0.0), [v])[1][0] for v in values.ravel().tolist()])
+    return float(out[0]) if values.ndim == 0 else out.reshape(values.shape)
 
 
 def hidden_size_default(input_count: int, output_count: int) -> int:
@@ -317,7 +283,7 @@ def forward(params: NetworkParameters, features) -> ActivationTrace:
     """Propagate one feature vector through every layer."""
     import numpy as np
 
-    acts = _layer_outputs(params, _check_input(params, features))
+    acts = params._list_fns.activations(params.flat, _check_input(params, features))
     outs = [np.asarray(a) for a in acts[1:]]
     for a in outs:
         a.setflags(write=False)
@@ -327,8 +293,7 @@ def forward(params: NetworkParameters, features) -> ActivationTrace:
 def final_outputs(params: NetworkParameters, features) -> list[float]:
     """The class scores ``forward(params, features).final_outputs`` holds,
     as a list, without building the per-layer trace."""
-    out = _layer_outputs(params, _check_input(params, features))[-1]
-    return out if isinstance(out, list) else out.tolist()
+    return params._list_fns.activations(params.flat, _check_input(params, features))[-1]
 
 
 def dataset_outputs(params: NetworkParameters, data: Dataset) -> list[list[float]]:
@@ -339,19 +304,21 @@ def dataset_outputs(params: NetworkParameters, data: Dataset) -> list[list[float
             f"dataset width {data.n_features} does not match input count "
             f"{params.spec.input_count}"
         )
-    outs = [_layer_outputs(params, s.features)[-1] for s in data.samples]
-    return outs if params._on_lists else [o.tolist() for o in outs]
+    activations = params._list_fns.activations
+    return [activations(params.flat, s.features)[-1] for s in data.samples]
 
 
 def squared_error(actual, predicted) -> float:
-    """Summed squared error 0.5 * sum((actual - predicted)^2)."""
-    import numpy as np
-
-    a = np.asarray(actual, dtype=np.float64)
-    o = np.asarray(predicted, dtype=np.float64)
-    if a.shape != o.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {o.shape}")
-    return float(0.5 * np.sum((a - o) ** 2))
+    """Summed squared error 0.5 * sum((actual - predicted)^2), the squares
+    added in order from the first, as ``train`` adds a sample's loss."""
+    a, o = list(actual), list(predicted)
+    if len(a) != len(o):
+        raise DimensionError(f"length mismatch: {len(a)} vs {len(o)}")
+    total = 0.0
+    for t, y in zip(a, o):
+        e = float(t) - float(y)
+        total += e * e
+    return 0.5 * total
 
 
 def backprop(params: NetworkParameters, features, target) -> GradientSet:
@@ -363,39 +330,17 @@ def backprop(params: NetworkParameters, features, target) -> GradientSet:
     """
     import numpy as np
 
-    from .numpy_kernel import ArrayKernel
-
     x = _check_input(params, features)
     t = _vector(target, params.spec.output_count, "target")
     if not all(0.0 <= v <= 1.0 for v in t):
         raise ValueError("targets must lie in [0, 1]")
-    if not params._on_lists:
-        kernel = ArrayKernel(params, gradients=True)
-        kernel.forward(np.array(x))
-        kernel.backward(np.array(t))
-        w_grads, b_grads = kernel.weight_grads, kernel.bias_grads
-    else:
-        acts = params._list_fns.activations(params.flat, x)
-        deltas = params._list_fns.deltas(params.flat, acts, t)
-        w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
-        b_grads = [np.array(d, dtype=np.float64) for d in deltas]
+    acts = params._list_fns.activations(params.flat, x)
+    deltas = params._list_fns.deltas(params.flat, acts, t)
+    w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
+    b_grads = [np.array(d, dtype=np.float64) for d in deltas]
     for g in w_grads + b_grads:
         g.setflags(write=False)
     return GradientSet(tuple(w_grads), tuple(b_grads))
-
-
-def _layer_outputs(params: NetworkParameters, x: list[float]) -> list:
-    """The input followed by each layer's output, from the kernel the
-    network's cost model selects."""
-    if params._on_lists:
-        return params._list_fns.activations(params.flat, x)
-    import numpy as np
-
-    from .numpy_kernel import ArrayKernel
-
-    kernel = ArrayKernel(params)
-    kernel.forward(np.array(x))
-    return kernel.acts
 
 
 def _layer_views(flat, sizes) -> tuple[list, list]:
@@ -414,8 +359,8 @@ def _layer_views(flat, sizes) -> tuple[list, list]:
 
 
 class _ListKernel(NamedTuple):
-    """Straight-line Python for one topology, all reading the flat
-    parameter tuple ``NetworkParameters.flat``.
+    """Generated Python for one topology, all reading the flat parameter
+    tuple ``NetworkParameters.flat``.
 
     ``activations(p, x)`` returns the input and each layer's output;
     ``deltas(p, acts, t)`` returns dE/dnet of each layer, so dE/dw of layer
@@ -431,12 +376,45 @@ class _ListKernel(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _list_kernel(sizes: tuple[int, ...]) -> _ListKernel:
-    """The list kernel for ``sizes``, generated once per topology; every
+    """The kernel for ``sizes``, generated once per topology; every
     network of that topology shares it. The source is built from the layer
     sizes alone, and the parameters, inputs and targets arrive as arguments,
     so no value a caller supplies is ever compiled."""
     namespace = _compiled(_list_kernel_source(sizes), "list kernel", sizes)
     return _ListKernel(*(namespace[f] for f in _ListKernel._fields))
+
+
+def _row_form(sizes) -> list[bool]:
+    """For each weighted layer of ``sizes``, whether it runs row by row."""
+    return [n_out * (n_in + 1) > _ROW_FORM_WEIGHTS for n_in, n_out in zip(sizes, sizes[1:])]
+
+
+@lru_cache(maxsize=64)
+def _row_functions(n: int) -> dict[str, Callable]:
+    """The functions a layer of ``n`` inputs that runs row by row calls,
+    under the names the generated code gives them: ``dot<n>(b, w, x)``,
+    the net input b + w0*x0 + w1*x1 + ..., folded left from the bias;
+    ``col<n>(c, w, d)``, each c_k + w_k*d, which adds a row to the column
+    sums of a hidden delta; and ``upd<n>(w, d, x, lr)``, each
+    w_k - lr * (d * x_k). These are the operations of the straight-line
+    code, in its order, and no ``sum``, which Python 3.12 compensates."""
+    w, x, c = ([f"{v}{k}" for k in range(n)] for v in "wxc")
+    source = "\n".join([
+        "def dot(b, w, x):",
+        *_indent([_unpack(w, "w"), _unpack(x, "x")], 1),
+        f"    return {' + '.join(('b', *(f'{wk} * {xk}' for wk, xk in zip(w, x))))}",
+        "",
+        "def col(c, w, d):",
+        *_indent([_unpack(c, "c"), _unpack(w, "w")], 1),
+        f"    return ({', '.join(f'{ck} + {wk} * d' for ck, wk in zip(c, w))},)",
+        "",
+        "def upd(w, d, x, lr):",
+        *_indent([_unpack(w, "w"), _unpack(x, "x")], 1),
+        f"    return ({', '.join(f'{wk} - lr * (d * {xk})' for wk, xk in zip(w, x))},)",
+        "",
+    ])
+    namespace = _compiled(source, "row functions", (n,))
+    return {f"{f}{n}": namespace[f] for f in ("dot", "col", "upd")}
 
 
 def _list_kernel_source(sizes) -> str:
@@ -446,10 +424,13 @@ def _list_kernel_source(sizes) -> str:
     order, which keeps a topology's result bits the same on every run:
     the forward pass is the one ``_forward_lines`` writes; each hidden
     delta sum starts from zero, so a -0.0 sum reads 0.0; and every delta is
-    taken before any update p -= lr * (delta * input).
+    taken before any update p -= lr * (delta * input). A layer that runs
+    row by row adds a row of the next layer to its delta sums with one
+    ``col<n>`` call, and updates a row with one ``upd<n>`` call.
     """
     sizes = [int(n) for n in sizes]
-    weights, biases, params, acts, forward = _forward_lines(sizes)
+    rows = _row_form(sizes)
+    weights, biases, load, store, acts, forward = _forward_lines(sizes)
     deltas = [None, *([f"d{l}_{j}" for j in range(n)] for l, n in enumerate(sizes) if l)]
     targets = [f"t{j}" for j in range(sizes[-1])]
 
@@ -459,13 +440,27 @@ def _list_kernel_source(sizes) -> str:
     backward = [f"{d} = ({a} - {t}) * {a} * (1.0 - {a})"
                 for d, a, t in zip(deltas[-1], acts[-1], targets)]
     for l in range(len(sizes) - 2, 0, -1):
+        if rows[l]:
+            sums = [f"c{k}" for k in range(sizes[l])]
+            backward.append(f"c = (0.0,) * {sizes[l]}")
+            backward += [f"c = col{sizes[l]}(c, {w}, {dn})"
+                         for w, dn in zip(weights[l], deltas[l + 1])]
+            backward.append(_unpack(sums, "c"))
+            backward += [f"{d} = {c} * {a} * (1.0 - {a})"
+                         for d, a, c in zip(deltas[l], acts[l], sums)]
+            continue
         for k, (d, a) in enumerate(zip(deltas[l], acts[l])):
             terms = (f"{row[k]} * {dn}" for row, dn in zip(weights[l], deltas[l + 1]))
             backward.append(f"{d} = ({' + '.join(('0.0', *terms))}) * {a} * (1.0 - {a})")
     update = []
     for l in range(1, len(sizes)):
         for j, d in enumerate(deltas[l]):
-            update += [f"{w} -= lr * ({d} * {x})" for w, x in zip(weights[l - 1][j], acts[l - 1])]
+            if rows[l - 1]:
+                w = weights[l - 1][j]
+                update.append(f"{w} = upd{sizes[l - 1]}({w}, {d}, v{l - 1}, lr)")
+            else:
+                update += [f"{w} -= lr * ({d} * {x})"
+                           for w, x in zip(weights[l - 1][j], acts[l - 1])]
             update.append(f"{biases[l - 1][j]} -= lr * {d}")
     # each sample's loss sums the squared errors from the first: a square
     # is never -0.0, so starting from 0.0 would not change a bit
@@ -475,20 +470,20 @@ def _list_kernel_source(sizes) -> str:
 
     return "\n".join([
         "def activations(p, x):",
-        *_indent([_unpack(params, "p"), _unpack(acts[0], "x"), *forward], 1),
+        *_indent([*load, _unpack(acts[0], "x"), *forward], 1),
         f"    return [x, {', '.join(listed(a) for a in acts[1:])}]",
         "",
         "def deltas(p, acts, t):",
-        *_indent([_unpack(params, "p"), _unpack(targets, "t")], 1),
+        *_indent([*load, _unpack(targets, "t")], 1),
         *_indent([_unpack(acts[l], f"acts[{l}]") for l in range(1, len(sizes))], 1),
         *_indent(backward, 1),
         f"    return [{', '.join(listed(d) for d in deltas[1:])}]",
         "",
         "def epoch(p, features, targets, order, lr):",
-        *_indent([_unpack(params, "p"), "total = 0.0", "for i in order:"], 1),
+        *_indent([*load, "total = 0.0", "for i in order:"], 1),
         *_indent([_unpack(acts[0], "features[i]"), _unpack(targets, "targets[i]"), *forward,
                   *loss, *backward, *update], 2),
-        f"    p[:] = {listed(params)}",
+        f"    p[:] = {store}",
         "    return total",
         "",
     ])
@@ -498,30 +493,54 @@ def _forward_lines(sizes: list[int]):
     """The names the generated functions give the parameters and
     activations of ``sizes``, and the lines of one forward pass.
 
-    Returns (weights, biases, params, acts, forward): ``weights[l][j][k]``
-    and ``biases[l][j]`` name entries of the flat parameter sequence
-    (``params`` lists them all in order), ``acts[l][j]`` names node j's
-    output of layer l (layer 0 is the input), and ``forward`` computes
-    every ``acts[l]`` from ``acts[0]``. Each net input folds left from the
-    bias, b + w0*a0 + w1*a1 + ...; the sigmoid is 1 / (1 + e^-z) for
-    z >= 0 and e^z / (1 + e^z) below, clipped to (``_SIG_LO``,
-    ``_SIG_HI``), written as literals: a constant loads faster than a
-    global.
+    Returns (weights, biases, load, store, acts, forward):
+    ``weights[l][j][k]`` and ``biases[l][j]`` name entries of the flat
+    parameter sequence, except that ``weights[l][j]`` names row j of a
+    layer that runs row by row (``_row_form``), a sequence of its weights;
+    ``load`` are the lines that read all these names from the flat
+    parameters ``p`` and ``store`` is a list display of every parameter in
+    flat order; ``acts[l][j]`` names node j's output of layer l (layer 0
+    is the input), and ``forward`` computes every ``acts[l]`` from
+    ``acts[0]``. Each net input folds left from the bias,
+    b + w0*a0 + w1*a1 + ..., written out or, for a layer that runs row by
+    row, as ``dot<n>(b, row, v)`` on the tuple ``v<l>`` of the layer's
+    inputs; the sigmoid is 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z)
+    below, clipped to (``_SIG_LO``, ``_SIG_HI``), written as literals: a
+    constant loads faster than a global.
     """
-    at, weights, biases = 0, [], []
-    for n_in, n_out in zip(sizes, sizes[1:]):
-        weights.append([[f"p{at + j * n_in + k}" for k in range(n_in)] for j in range(n_out)])
+    rows = _row_form(sizes)
+    at, weights, biases, load, stored = 0, [], [], [], []
+    for l, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]), start=1):
+        if rows[l - 1]:
+            weights.append([f"w{l}_{j}" for j in range(n_out)])
+            load += [f"{w} = p[{at + j * n_in}:{at + (j + 1) * n_in}]"
+                     for j, w in enumerate(weights[-1])]
+            stored += [f"*{w}" for w in weights[-1]]
+            scalars = []
+        else:
+            weights.append([[f"p{at + j * n_in + k}" for k in range(n_in)] for j in range(n_out)])
+            scalars = [w for row in weights[-1] for w in row]
         at += n_out * n_in
         biases.append([f"p{at + j}" for j in range(n_out)])
         at += n_out
-    params = [f"p{i}" for i in range(at)]
+        scalars += biases[-1]
+        load.append(_unpack(scalars, f"p[{at - len(scalars)}:{at}]"))
+        stored += scalars
+    if not any(rows):
+        load = [_unpack(stored, "p")]
     acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(sizes)]
     forward, lo, hi = [], repr(_SIG_LO), repr(_SIG_HI)
     for l in range(1, len(sizes)):
+        if rows[l - 1]:
+            forward.append(f"v{l - 1} = ({', '.join(acts[l - 1])},)")
         for j, a in enumerate(acts[l]):
-            terms = (f"{w} * {x}" for w, x in zip(weights[l - 1][j], acts[l - 1]))
+            if rows[l - 1]:
+                z = f"dot{sizes[l - 1]}({biases[l - 1][j]}, {weights[l - 1][j]}, v{l - 1})"
+            else:
+                z = " + ".join((biases[l - 1][j], *(f"{w} * {x}" for w, x in
+                                                    zip(weights[l - 1][j], acts[l - 1]))))
             forward += [
-                f"z = {' + '.join((biases[l - 1][j], *terms))}",
+                f"z = {z}",
                 "if z >= 0.0:",
                 f"    {a} = 1.0 / (1.0 + exp(-z))",
                 f"    if {a} > {hi}:",
@@ -532,7 +551,7 @@ def _forward_lines(sizes: list[int]):
                 f"    if {a} < {lo}:",
                 f"        {a} = {lo}",
             ]
-    return weights, biases, params, acts, forward
+    return weights, biases, load, f"[{', '.join(stored)}]", acts, forward
 
 
 def _choice_lines(outs: list[str], margins: bool) -> list[str]:
@@ -606,7 +625,7 @@ def _classifier_source(sizes, margins: bool, constant: tuple[bool, ...] | None) 
     refuses, goes to ``fallback(x)``.
     """
     sizes = [int(n) for n in sizes]
-    _, _, params, acts, forward = _forward_lines(sizes)
+    _, _, load, _, acts, forward = _forward_lines(sizes)
     x = acts[0]
     thresholds = [f"t{k}" for k in range(sizes[-1])]
     as_floats = [f"{a} = float({a})" for a in x]
@@ -625,7 +644,7 @@ def _classifier_source(sizes, margins: bool, constant: tuple[bool, ...] | None) 
                 "except (TypeError, ValueError, ArithmeticError):", "    return fallback(x)"]
     return "\n".join([
         "def bind(p, t, s, labels, fallback):",
-        *_indent([_unpack(params, "p"), *([_unpack(thresholds, "t")] if margins else []),
+        *_indent([*load, *([_unpack(thresholds, "t")] if margins else []),
                   *([_unpack(bounds, "s")] if bounds else []), "def predict(x):"], 1),
         *_indent([
             "if type(x) is not tuple and type(x) is not list:",
@@ -674,11 +693,11 @@ def bind_classifier(params: NetworkParameters, labels, thresholds=None,
     ``Dataset.normalization`` holds, ``features`` are first scaled as
     ``apply_minmax_vector(tuple(features), normalization)`` scales them.
 
-    On a list-kernel net, a tuple or list of features runs one function
-    generated per topology, choice rule and constant-feature mask, with the
-    parameters, thresholds and ranges bound when this is called. Any other
-    input, any input that function refuses (a wrong width among them), and
-    every input of a numpy-kernel net go through the reference: without
+    A tuple or list of features runs one function generated per topology,
+    choice rule and constant-feature mask, with the parameters, thresholds
+    and ranges bound when this is called. Any other input, and any input
+    that function refuses (a wrong width among them), go through the
+    reference: without
     ``normalization``, ``final_outputs``; with it, ``apply_minmax_vector``
     and then the classifier bound without it. Either way it raises what
     the reference raises, and the class is the same.
@@ -702,8 +721,6 @@ def bind_classifier(params: NetworkParameters, labels, thresholds=None,
 
         if len(constant) != params.spec.input_count:
             return fallback
-    if not params._on_lists:
-        return fallback
     bind = _classifier_kernel(params.spec.layer_sizes, thresholds is not None, constant)
     return bind(params.flat, thresholds, bounds, labels, fallback)
 
@@ -724,8 +741,11 @@ def _indent(lines, depth: int) -> list[str]:
 
 def _compiled(source: str, what: str, sizes) -> dict:
     """The namespace ``source``, generated for ``sizes``, defines its
-    functions in."""
+    functions in, which holds the row functions its layers call."""
     namespace = {"exp": math.exp}
+    for n_in, row in zip(sizes, _row_form(sizes)):
+        if row:
+            namespace.update(_row_functions(n_in))
     name = "-".join(str(int(n)) for n in sizes)
     exec(compile(source, f"<edgectx.nn {what} {name}>", "exec"), namespace)
     return namespace
@@ -780,24 +800,8 @@ def train(
     classes = range(params.spec.output_count)
     one_hot = [[float(c == k) for c in classes] for k in classes]
     targets = [one_hot[s.label] for s in data.samples]
-    if params._on_lists:
-        theta, epoch = list(params.flat), params._list_fns.epoch
-        features = [s.features for s in data.samples]
-    else:
-        import numpy as np
-
-        from .numpy_kernel import ArrayKernel
-
-        kernel = ArrayKernel(params, trainable=True)
-        theta, step, targets = kernel.theta, kernel.step, np.array(targets)
-        features = data.features_matrix()
-
-        def epoch(theta, features, targets, order, lr):
-            # ``step`` updates ``theta``, the kernel's own buffer, in place
-            total = 0.0
-            for i in order:
-                total += step(features[i], targets[i], lr)
-            return total
+    theta, epoch = list(params.flat), params._list_fns.epoch
+    features = [s.features for s in data.samples]
     lr = cfg.learning_rate
     rng = Rng(cfg.seed)
     order = list(range(len(data.samples)))

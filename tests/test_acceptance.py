@@ -98,7 +98,7 @@ def test_criterion_1_gradient_correctness():
 # -- 2. client/server oracle equivalence -------------------------------------
 
 def _oracle_forward(params, x):
-    """Per-node math.exp re-implementation, independent of the numpy path."""
+    """Per-node math.exp re-implementation, independent of the generated kernel."""
     acts = list(x)
     for w, b in zip(params.weights, params.biases):
         acts = [

@@ -611,6 +611,21 @@ class TestRetrainStep:
         assert capsys.readouterr().out.startswith("refused DCL candidate (61 rows): 21 new")
         assert marks.refused == {"DCL": 2} and store.get("DCL").model_version == 1
 
+    def test_unchanged_rows_build_no_dataset(self, monkeypatch, capsys):
+        real, built = edgectx.cli.dataset_from_readings, []
+
+        def counted(*args, **kwargs):
+            built.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(edgectx.cli, "dataset_from_readings", counted)
+        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        sink.store(rows_batch(0, 40))
+        for _ in range(3):
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+        assert built == [40]
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
     def test_unchanged_rows_publish_nothing(self, monkeypatch, capsys):
         calls = TestPerfbenchHooks.record(monkeypatch, ["dcl_train", "cl_train"])
         store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()

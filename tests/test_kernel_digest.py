@@ -1,3 +1,4 @@
+import importlib.util
 import re
 import subprocess
 import sys
@@ -40,3 +41,25 @@ def test_digests_repeat():
         "train-cl-report", "train-sweep-report", "outage-canonical-bytes",
     ]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("kernel_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_compare_lists_moved_missing_and_new_names(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    earlier = tmp_path / "earlier.txt"
+    earlier.write_text("a 01\nb 02\nc 03\n")
+    # the digests are given, not recomputed
+    monkeypatch.setattr(tool, "digests", lambda: [("a", "01"), ("b", "02"), ("c", "03")])
+    assert tool.main(["--compare", str(earlier)]) == 0
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(tool, "digests", lambda: [("a", "01"), ("b", "ff"), ("d", "04")])
+    assert tool.main(["--compare", str(earlier)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["moved b", "new d", "missing c"]
+    assert tool.main([]) == 0
+    assert capsys.readouterr().out == "a 01\nb ff\nd 04\n"

@@ -596,15 +596,18 @@ class TestScaledClassifier:
 
     @staticmethod
     def models(fitted: Dataset):
-        """(name, model) of ADCL on a list-kernel and a numpy-kernel net and
-        of LCL on a single-layer net, trained on ``fitted``; the numpy-kernel
-        net is drawn with signed weights, as trained it answers one class."""
+        """(name, model) of ADCL on a straight-line net and on one whose
+        layers run row by row, and of LCL on a single-layer net, trained on
+        ``fitted``; the row-form net is drawn with signed weights, as
+        trained it answers one class."""
         cfg = TrainingConfig(0.6, 30, 1)
         dcl_lists, _, _ = fit(MODEL_KIND_DCL, fitted, cfg, (9,))
-        dcl_numpy = signed_params(LayerSpec(13, (32,), 5), 2)
+        dcl_rows = signed_params(LayerSpec(13, (32,), 5), 2)
         cl = ClModel(*fit(MODEL_KIND_CL, fitted, cfg)[:2])
-        assert dcl_lists._on_lists and not dcl_numpy._on_lists and cl.params._on_lists
-        return [("lists", dcl_lists), ("numpy", dcl_numpy), ("lcl", cl)]
+        assert nn._row_form(dcl_rows.spec.layer_sizes) == [True, True]
+        assert not any(nn._row_form(dcl_lists.spec.layer_sizes) + nn._row_form(
+            cl.params.spec.layer_sizes))
+        return [("lists", dcl_lists), ("rows", dcl_rows), ("lcl", cl)]
 
     @pytest.mark.parametrize("constant", [False, True], ids=["ranges", "constant"])
     def test_same_outcome_as_the_reference_for_every_input(self, constant):
@@ -619,7 +622,7 @@ class TestScaledClassifier:
         for name, model in self.models(fitted):
             predict = adcl_predict if isinstance(model, NetworkParameters) else lcl_predict
             scaled = classifier(model, names, norms)
-            assert generated(scaled) is (name != "numpy")
+            assert generated(scaled)
             labels = set()
             for x in cases:
                 got = outcome(scaled, x)

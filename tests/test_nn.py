@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -23,7 +24,6 @@ from edgectx.nn import (
     squared_error,
     train,
 )
-from edgectx.numpy_kernel import ArrayKernel
 from edgectx.rng import Rng
 
 
@@ -70,18 +70,12 @@ class TestSigmoid:
         assert np.all(np.diff(ys) >= 0)
 
     def test_bit_identical_to_masked_two_branch_form(self):
-        def reference(x):
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-
+        # the two branches on math.exp, as every network node computes them;
+        # numpy's exp differs from it in the last bit on some inputs
         magnitudes = [0.0, 1e-300, 1e-8, 0.5, 1.0, 2.0, 36.7, 40.0, 709.0, 745.0, 1e308]
         xs = np.array([m * sign for m in magnitudes for sign in (1.0, -1.0)])
         xs = np.concatenate([xs, np.linspace(-50.0, 50.0, 1001)])
-        expected = reference(xs)
+        expected = np.array([ref_sigmoid(x) for x in xs.tolist()])
         assert sigmoid(xs).tobytes() == expected.tobytes()
         for x, y in zip(xs, expected):
             assert np.float64(sigmoid(float(x))).tobytes() == y.tobytes()
@@ -361,150 +355,260 @@ XOR_DATA = Dataset(
 )
 
 
-def chain_spec(weights: int, layers: int) -> LayerSpec:
-    """A topology of ``layers`` weighted layers and exactly ``weights``
-    weights and biases: a wide input into a chain of width-1 layers."""
-    return LayerSpec(weights - 1 - 2 * (layers - 1), (1,) * (layers - 1), 1)
+def ref_sigmoid(z):
+    """The clipped two-branch sigmoid on ``math.exp``."""
+    if z >= 0.0:
+        return min(1.0 / (1.0 + math.exp(-z)), nn._SIG_HI)
+    e = math.exp(z)
+    return max(e / (1.0 + e), nn._SIG_LO)
 
 
-# (topology, kernel): nets the package and the benchmark train, wide nets
-# that stay on numpy, then both sides of the limit the cost model draws at
-# a given layer count
-KERNEL_TABLE = [
-    (LayerSpec(2, (), 2), "lists"),
-    (LayerSpec(2, (2,), 2), "lists"),
-    (LayerSpec(13, (), 5), "lists"),
-    (LayerSpec(13, (9,), 5), "lists"),
-    (LayerSpec(13, (9,) * 3, 5), "lists"),
-    (LayerSpec(13, (9,) * 5, 5), "lists"),
-    (LayerSpec(13, (9,) * 9, 5), "lists"),
-    (LayerSpec(13, (16,), 5), "numpy"),
-    (LayerSpec(13, (32,), 5), "numpy"),
-    (LayerSpec(13, (16,) * 3, 5), "numpy"),
-    # one and two layers: 300 weights, as before layers were counted
-    (chain_spec(299, 1), "lists"),
-    (chain_spec(300, 1), "numpy"),
-    (chain_spec(299, 2), "lists"),
-    (chain_spec(300, 2), "numpy"),
-    # from two layers on: 150 weights per layer
-    (chain_spec(449, 3), "lists"),
-    (chain_spec(450, 3), "numpy"),
-    (chain_spec(599, 4), "lists"),
-    (chain_spec(600, 4), "numpy"),
-    (chain_spec(899, 6), "lists"),
-    (chain_spec(900, 6), "numpy"),
-    # the cap of 1000 weights at any depth; 13-12x9-5 has 1481 weights,
-    # under 150 per layer
-    (LayerSpec(13, (12,) * 9, 5), "numpy"),
-    (chain_spec(999, 10), "lists"),
-    (chain_spec(1000, 10), "numpy"),
-    (chain_spec(999, 40), "lists"),
-    (chain_spec(1000, 40), "numpy"),
+def ref_layers(flat, sizes):
+    """(rows, biases, offsets) of each layer: its weight rows and biases as
+    lists, and the flat index of its first weight and of its first bias."""
+    layers, at = [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        rows = [list(flat[at + j * n_in:at + (j + 1) * n_in]) for j in range(n_out)]
+        layers.append((rows, list(flat[at + n_out * n_in:at + n_out * (n_in + 1)]),
+                       (at, at + n_out * n_in)))
+        at += n_out * (n_in + 1)
+    return layers
+
+
+def ref_activations(flat, sizes, x):
+    """The input and each layer's outputs, each net input a left fold from
+    the bias."""
+    acts = [list(x)]
+    for rows, biases, _ in ref_layers(flat, sizes):
+        out = []
+        for row, z in zip(rows, biases):
+            for w, a in zip(row, acts[-1]):
+                z = z + w * a
+            out.append(ref_sigmoid(z))
+        acts.append(out)
+    return acts
+
+
+def ref_deltas(flat, sizes, acts, t):
+    """dE/dnet of each layer; each hidden sum starts from 0.0 and adds the
+    next layer's rows in order."""
+    layers = ref_layers(flat, sizes)
+    deltas = [[(o - y) * o * (1.0 - o) for o, y in zip(acts[-1], t)]]
+    for l in range(len(layers) - 1, 0, -1):
+        rows, d = layers[l][0], []
+        for k, a in enumerate(acts[l]):
+            s = 0.0
+            for row, dn in zip(rows, deltas[0]):
+                s = s + row[k] * dn
+            d.append(s * a * (1.0 - a))
+        deltas.insert(0, d)
+    return deltas
+
+
+def ref_epochs(flat, sizes, samples, cfg):
+    """``train``'s (flat parameters, loss history) as nested loops: every
+    delta of a sample is taken before any parameter moves."""
+    p, history, rng = list(flat), [], Rng(cfg.seed)
+    order = list(range(len(samples)))
+    for _ in range(cfg.epochs):
+        if cfg.shuffle_each_epoch:
+            rng.shuffle(order)
+        total = 0.0
+        for i in order:
+            x, label = samples[i].features, samples[i].label
+            t = [float(label == c) for c in range(sizes[-1])]
+            acts = ref_activations(p, sizes, x)
+            loss = 0.0
+            for y, o in zip(t, acts[-1]):
+                loss = loss + (y - o) * (y - o)
+            total += 0.5 * loss
+            deltas = ref_deltas(p, sizes, acts, t)
+            for (rows, biases, (w_at, b_at)), d, a in zip(ref_layers(p, sizes), deltas, acts):
+                for j, row in enumerate(rows):
+                    for k, w in enumerate(row):
+                        p[w_at + j * len(row) + k] = w - cfg.learning_rate * (d[j] * a[k])
+                    p[b_at + j] = biases[j] - cfg.learning_rate * d[j]
+        history.append(total / len(order))
+    return p, history
+
+
+def bits(values) -> list[str]:
+    """Every float of ``values``, nested lists flattened, as hex: equal
+    lists hold the same bits, signed zeros included."""
+    if isinstance(values, (list, tuple)):
+        return [h for v in values for h in bits(v)]
+    return [float.hex(float(values))]
+
+
+def gauss_params(spec: LayerSpec, rng: Rng, sd: float) -> NetworkParameters:
+    """Weights and biases drawn from N(0, ``sd``), so nodes see net inputs
+    of both signs, and at large ``sd`` both saturated ends."""
+    sizes = spec.layer_sizes
+    count = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+    return NetworkParameters(spec, flat=[rng.gauss(0, sd) for _ in range(count)])
+
+
+def random_spec(rng: Rng, side: str) -> LayerSpec:
+    """A topology whose layers all stay straight-line ("below"), or one
+    with at least one layer that runs row by row ("above"), often next to
+    straight-line layers."""
+    if side == "below":
+        hidden = tuple(1 + rng.randrange(6) for _ in range(rng.randrange(4)))
+        return LayerSpec(1 + rng.randrange(8), hidden, 1 + rng.randrange(6))
+    while True:
+        hidden = tuple(4 + rng.randrange(18) for _ in range(rng.randrange(4)))
+        spec = LayerSpec(4 + rng.randrange(24), hidden, 1 + rng.randrange(8))
+        if any(nn._row_form(spec.layer_sizes)):
+            return spec
+
+
+# (topology, form of each layer): the nets the package and the benchmark
+# train, wide nets, and both sides of the rule at 150 weights and biases
+FORM_TABLE = [
+    (LayerSpec(2, (), 2), "s"),
+    (LayerSpec(2, (2,), 2), "ss"),
+    (LayerSpec(13, (), 5), "s"),
+    (LayerSpec(13, (9,), 5), "ss"),
+    (LayerSpec(13, (9,) * 9, 5), "s" * 10),
+    (LayerSpec(13, (24,), 5), "rs"),
+    (LayerSpec(13, (32,), 5), "rr"),
+    (LayerSpec(13, (16,) * 3, 5), "rrrs"),
+    (LayerSpec(13, (12,) * 9, 5), "r" * 9 + "s"),
+    (LayerSpec(149, (), 1), "s"),
+    (LayerSpec(150, (), 1), "r"),
+    (LayerSpec(2, (50,), 2), "ss"),
+    (LayerSpec(2, (50, 3), 2), "srs"),
+    (LayerSpec(14, (10,), 14), "sr"),
 ]
 
 
-def on_lists(p: NetworkParameters) -> bool:
-    return p._on_lists
-
-
 class TestKernels:
-    """The cost model puts each network on Python lists or on numpy; the
-    numpy kernel is the reference."""
+    """The generated kernel against the nested-loop reference above, bit
+    for bit, on nets whose layers are straight-line code, run row by row,
+    or both."""
 
-    def test_cost_model_selects_kernel(self):
-        for spec, kernel in KERNEL_TABLE:
-            p = random_params(spec, 1)
-            assert on_lists(p) == (kernel == "lists"), (spec.layer_sizes, p.weight_count)
-        # the chains carry exactly the weights they are named by
-        assert random_params(chain_spec(1000, 40), 1).weight_count == 1000
+    def test_row_rule_selects_form(self):
+        for spec, form in FORM_TABLE:
+            sizes = spec.layer_sizes
+            rows = nn._row_form(sizes)
+            assert "".join("r" if r else "s" for r in rows) == form, sizes
+            # the kernel calls the dot function of each row layer's input width
+            called = set(map(int, re.findall(r"dot(\d+)\(", nn._list_kernel_source(sizes))))
+            assert called == {n_in for n_in, row in zip(sizes, rows) if row}, sizes
+            # a layer's form follows its own weights and biases alone
+            assert all(r == (n_out * (n_in + 1) > 150)
+                       for (n_in, n_out), r in zip(zip(sizes, sizes[1:]), rows))
 
     def test_list_kernel_saturates_like_numpy(self):
         p = make_params([1, 1], [[[1.0]]], [[0.0]])
-        assert on_lists(p)
-        for x in (-1e308, -1000.0, 40.0, 1000.0, 1e308):
-            assert nn.final_outputs(p, [x]) == [sigmoid(x)]
+        for x in (-1e308, -1000.0, -745.0, -40.0, 40.0, 1000.0, 1e308):
+            assert nn.final_outputs(p, [x]) == [sigmoid(x)] == [ref_sigmoid(x)]
             assert 0.0 < sigmoid(x) < 1.0
+        assert sigmoid(-1000.0) == nn._SIG_LO and sigmoid(1000.0) == nn._SIG_HI
 
     @pytest.mark.parametrize("side", ["below", "above"])
-    def test_list_kernel_matches_numpy_kernel(self, side):
+    def test_kernel_matches_reference(self, side):
         rng = Rng(404 if side == "below" else 405)
-        for trial in range(20):
-            if side == "below":
-                hidden = tuple(1 + rng.randrange(6) for _ in range(rng.randrange(3)))
-                spec = LayerSpec(1 + rng.randrange(5), hidden, 1 + rng.randrange(4))
-            else:
-                hidden = tuple(16 + rng.randrange(4) for _ in range(2 + rng.randrange(3)))
-                spec = LayerSpec(10 + rng.randrange(6), hidden, 2 + rng.randrange(5))
+        seen = set()
+        for trial in range(24):
+            spec = random_spec(rng, side)
             sizes = spec.layer_sizes
-            # weights of both signs, so both sigmoid branches are taken
-            weights = [
-                np.array([[rng.gauss(0, 2) for _ in range(sizes[l])]
-                          for _ in range(sizes[l + 1])])
-                for l in range(len(sizes) - 1)
-            ]
-            biases = [np.array([rng.gauss(0, 2) for _ in range(n)]) for n in sizes[1:]]
-            p = NetworkParameters(spec, tuple(weights), tuple(biases))
-            assert on_lists(p) == (side == "below")
-            x = [rng.uniform() * 2 - 0.5 for _ in range(spec.input_count)]
-            t = [float(rng.randrange(2)) for _ in range(spec.output_count)]
-
-            kernel = ArrayKernel(p, gradients=True)
-            kernel.forward(np.array(x))
-            kernel.backward(np.array(t))
-            ref_acts, ref_deltas = kernel.acts, kernel.bias_grads
-            compiled = nn._list_kernel(spec.layer_sizes)
-            acts = compiled.activations(p.flat, x)
-            deltas = compiled.deltas(p.flat, acts, t)
-            for got, ref in zip(acts + deltas, ref_acts + ref_deltas):
-                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+            assert any(nn._row_form(sizes)) is (side == "above")
+            # every fourth net saturates: its net inputs reach both clips
+            p = gauss_params(spec, rng, 1000.0 if trial % 4 == 3 else 2.0)
+            kernel = nn._list_kernel(sizes)
+            taus = tuple(0.05 + 0.9 * rng.uniform() for _ in range(spec.output_count))
+            labels = tuple(range(spec.output_count))
+            classify = nn.bind_classifier(p, labels)
+            margins = nn.bind_classifier(p, labels, taus)
+            assert generated(classify) and generated(margins)
+            samples = []
+            for _ in range(6):
+                x = [4.0 * rng.uniform() - 2.0 for _ in range(spec.input_count)]
+                t = [float(rng.randrange(2)) for _ in range(spec.output_count)]
+                acts = kernel.activations(p.flat, x)
+                ref = ref_activations(p.flat, sizes, x)
+                assert bits(acts) == bits(ref), (sizes, x)
+                assert bits(kernel.deltas(p.flat, acts, t)) == \
+                    bits(ref_deltas(p.flat, sizes, ref, t)), (sizes, x)
+                assert classify(x) == first_argmax(ref[-1])
+                assert margins(x) == margin_choice(ref[-1], taus)
+                seen.update(("lo" if a == nn._SIG_LO else "hi" if a == nn._SIG_HI else
+                             "below 0.5" if a < 0.5 else "above 0.5")
+                            for layer in ref[1:] for a in layer)
+                samples.append(Sample(tuple(x), rng.randrange(spec.output_count)))
+            data = Dataset(tuple(samples), tuple(f"f{i}" for i in range(spec.input_count)),
+                           tuple(str(c) for c in range(spec.output_count)))
+            cfg = TrainingConfig(0.6, 2, trial)
+            trained, history = train(p, data, cfg)
+            ref_flat, ref_history = ref_epochs(p.flat, sizes, samples, cfg)
+            assert bits(trained.flat) == bits(ref_flat), sizes
+            assert bits(history) == bits(ref_history), sizes
+        assert seen == {"lo", "hi", "below 0.5", "above 0.5"}
 
     @pytest.mark.parametrize(
-        "sizes, limit",
-        [((298, 1), 300), ((1, 99, 1), 300), ((13, 15, 5), 300),
-         ((1, 16, 16, 16, 1), 600), ((26, *(9,) * 9, 3), 1000)],
+        "sizes, form",
+        [((298, 1), "r"), ((1, 99, 1), "rs"), ((13, 15, 5), "rs"),
+         ((1, 16, 16, 16, 1), "srrs"), ((26, *(9,) * 9, 3), "r" + "s" * 9)],
         ids=["298-1", "1-99-1", "13-15-5", "1-16x3-1", "26-9x9-3"],
     )
-    def test_widest_list_nets_match_numpy_kernel(self, sizes, limit):
+    def test_widest_nets_match_reference(self, sizes, form):
+        # one wide layer alone, or wide layers next to straight-line ones
         rng = Rng(sum(sizes))
-        weights = [
-            np.array([[rng.gauss(0, 0.5) for _ in range(sizes[l])]
-                      for _ in range(sizes[l + 1])])
-            for l in range(len(sizes) - 1)
-        ]
-        biases = [np.array([rng.gauss(0, 0.5) for _ in range(n)]) for n in sizes[1:]]
         spec = LayerSpec(sizes[0], sizes[1:-1], sizes[-1])
-        p = NetworkParameters(spec, tuple(weights), tuple(biases))
-        assert limit - 10 <= p.weight_count < limit
-        assert on_lists(p)
+        p = gauss_params(spec, rng, 0.5)
+        assert layer_forms(p) == form
+        kernel = nn._list_kernel(sizes)
         samples = tuple(
             Sample(tuple(rng.uniform() for _ in range(sizes[0])), rng.randrange(sizes[-1]))
             for _ in range(4)
         )
-        targets = [[float(s.label == c) for c in range(sizes[-1])] for s in samples]
-        # the list kernel folds a dot product left, numpy does not: a sum of
-        # up to 298 products may differ in its last few hundred ulps
-        tol = dict(rtol=1e-11, atol=1e-14)
-        for s, t in zip(samples, targets):
-            kernel = ArrayKernel(p, gradients=True)
-            kernel.forward(np.array(s.features))
-            kernel.backward(np.array(t))
-            np.testing.assert_allclose(nn.final_outputs(p, s.features), kernel.acts[-1], **tol)
-            grads = backprop(p, s.features, t)
-            for got, ref in zip(grads.weight_grads + grads.bias_grads,
-                                kernel.weight_grads + kernel.bias_grads):
-                np.testing.assert_allclose(got, ref, **tol)
-
+        for s in samples:
+            t = [float(s.label == c) for c in range(sizes[-1])]
+            acts = kernel.activations(p.flat, list(s.features))
+            ref = ref_activations(p.flat, sizes, s.features)
+            assert bits(acts) == bits(ref)
+            assert bits(nn.final_outputs(p, s.features)) == bits(ref[-1])
+            assert bits(kernel.deltas(p.flat, acts, t)) == bits(ref_deltas(p.flat, sizes, ref, t))
         data = Dataset(samples, tuple(f"f{i}" for i in range(sizes[0])),
                        tuple(str(c) for c in range(sizes[-1])))
         cfg = TrainingConfig(0.3, 1, 0, shuffle_each_epoch=False)
         trained, history = train(p, data, cfg)
-        kernel = ArrayKernel(p, trainable=True)
-        total = sum(kernel.step(np.array(s.features), np.array(t), 0.3)
-                    for s, t in zip(samples, targets))
-        np.testing.assert_allclose(history, [total / len(samples)], **tol)
-        flat = np.concatenate([a.ravel() for w, b in zip(trained.weights, trained.biases)
-                               for a in (w, b)])
-        np.testing.assert_allclose(flat, kernel.theta, **tol)
+        ref_flat, ref_history = ref_epochs(p.flat, sizes, samples, cfg)
+        assert bits(trained.flat) == bits(ref_flat)
+        assert bits(history) == bits(ref_history)
+
+    def test_one_epoch_of_a_wide_net_matches_reference(self):
+        spec = LayerSpec(13, (128,), 5)
+        rng = Rng(128)
+        p = gauss_params(spec, rng, 0.5)
+        samples = tuple(Sample(tuple(rng.uniform() for _ in range(13)), rng.randrange(5))
+                        for _ in range(12))
+        data = Dataset(samples, tuple(f"f{i}" for i in range(13)), tuple("abcde"))
+        cfg = TrainingConfig(0.3, 1, 7)
+        trained, history = train(p, data, cfg)
+        ref_flat, ref_history = ref_epochs(p.flat, spec.layer_sizes, samples, cfg)
+        assert bits(trained.flat) == bits(ref_flat)
+        assert bits(history) == bits(ref_history)
+
+    @pytest.mark.parametrize("hidden", [(256,), (64,) * 3], ids=["13-256-5", "13-64x3-5"])
+    def test_source_grows_with_widths_not_weights(self, hidden):
+        def measure(hidden):
+            sizes = (13, *hidden, 5)
+            weights = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+            lines = [*nn._list_kernel_source(sizes).splitlines(),
+                     *nn._classifier_source(sizes, True, (False,) * 13).splitlines()]
+            return sum(sizes[1:]), weights, len(lines), max(map(len, lines))
+
+        nodes, weights, lines, longest = measure(hidden)
+        # about 40 lines a node in the three kernel functions and the classifier
+        assert lines <= 50 * nodes
+        # twice as wide: about twice the lines, three to four times the weights
+        nodes2, weights2, lines2, longest2 = measure(tuple(2 * n for n in hidden))
+        assert weights2 > 3.5 * weights if len(hidden) > 1 else weights2 > 1.9 * weights
+        assert lines2 <= 2.05 * lines and longest2 <= 2.2 * longest
+        # no line lists a wide layer's weights one by one
+        assert longest < 20 * (nodes + 150)
 
     def test_one_topology_shares_one_compiled_kernel(self):
         spec = LayerSpec(3, (4,), 2)
@@ -520,12 +624,21 @@ class TestKernels:
             backprop(p, (0.3, 0.3, 0.3), [1.0, 0.0])
         assert nn._list_kernel.cache_info().misses == misses
 
-    @pytest.mark.parametrize("hidden, kernel",
-                             [((3,), "lists"), ((12,) * 3, "lists"), ((24,) * 2, "numpy")],
+    def test_one_input_width_shares_one_set_of_row_functions(self):
+        nn._row_functions.cache_clear()
+        for sizes in ((13, 24, 5), (13, 32, 5), (13, 16, 5)):
+            nn._list_kernel(sizes)
+        # 13 inputs into each first layer, 32 into 13-32-5's output layer
+        assert sorted(fn for width in (13, 32) for fn in nn._row_functions(width)) == \
+            ["col13", "col32", "dot13", "dot32", "upd13", "upd32"]
+        assert nn._row_functions.cache_info().misses == 2
+
+    @pytest.mark.parametrize("hidden, form",
+                             [((3,), "ss"), ((12,) * 3, "srrs"), ((24,) * 2, "srs")],
                              ids=["2-3-2", "2-12x3-2", "2-24x2-2"])
-    def test_train_sees_the_outputs_forward_gives(self, hidden, kernel):
+    def test_train_sees_the_outputs_forward_gives(self, hidden, form):
         p = random_params(LayerSpec(2, hidden, 2), 8)
-        assert on_lists(p) == (kernel == "lists")
+        assert layer_forms(p) == form
         cfg = TrainingConfig(learning_rate=0.3, epochs=1, seed=0)
         rng = Rng(9)
         for _ in range(5):
@@ -535,6 +648,12 @@ class TestKernels:
             assert nn.final_outputs(p, s.features) == outputs.tolist()
             _, history = train(p, Dataset((s,), ("x", "y"), ("a", "b")), cfg)
             assert history == [squared_error(target, outputs)]
+
+
+def layer_forms(p: NetworkParameters) -> str:
+    """Each weighted layer's form: "s" for straight-line code, "r" for row
+    by row."""
+    return "".join("r" if r else "s" for r in nn._row_form(p.spec.layer_sizes))
 
 
 def manual_train(p, samples, cfg):
@@ -583,17 +702,15 @@ def assert_concurrent_calls_match_sequential(call):
         assert all(out == expected[i] for i, out in got)
 
 
-class TestNumpyKernelThreads:
-    def test_concurrent_final_outputs_match_sequential(self):
-        p = random_params(LayerSpec(13, (16,) * 3, 5), 3)
-        assert not on_lists(p)
-        assert_concurrent_calls_match_sequential(lambda x: nn.final_outputs(p, x))
-
-
 class TestListKernelThreads:
     def test_concurrent_final_outputs_match_sequential(self):
         p = random_params(LayerSpec(13, (9,), 5), 3)
-        assert on_lists(p)
+        assert layer_forms(p) == "ss"
+        assert_concurrent_calls_match_sequential(lambda x: nn.final_outputs(p, x))
+
+    def test_concurrent_row_form_final_outputs_match_sequential(self):
+        p = random_params(LayerSpec(13, (16,) * 3, 5), 3)
+        assert layer_forms(p) == "rrrs"
         assert_concurrent_calls_match_sequential(lambda x: nn.final_outputs(p, x))
 
     def test_concurrent_predict_class_match_sequential(self):
@@ -712,7 +829,7 @@ class TestPredictClass:
                 for w0 in ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4]], [[0.3, 0.4]] * 3)]
         xs = [[0.5, 0.5], [1e308, 1e308], [-1e308, -1e308], [2.0, -3.0]]
         deep = with_tied_outputs(signed_params(LayerSpec(13, (16,) * 3, 4), 5))
-        assert not on_lists(deep)
+        assert layer_forms(deep) == "rrrs"
         rng = Rng(3)
         deep_xs = [[4.0 * rng.uniform() - 2.0 for _ in range(13)] for _ in range(20)]
         for pick in pickers():
@@ -762,16 +879,6 @@ class TestPredictClass:
             # a one-shot iterator is read once
             assert pick(p, iter([0.5, 0.25, 2])) == reference_class(p, [0.5, 0.25, 2])
 
-    def test_numpy_kernel_nets_take_the_reference_path(self):
-        p = random_params(LayerSpec(13, (16,) * 3, 5), 6)
-        assert not on_lists(p)
-        rng = Rng(7)
-        for pick in pickers():
-            for _ in range(50):
-                x = [rng.uniform() for _ in range(13)]
-                assert pick(p, x) == reference_class(p, x)
-        assert not generated(nn.bind_classifier(p, range(5)))
-
     def test_compiled_on_first_predict_apart_from_training(self):
         spec = LayerSpec(3, (4, 2), 2)  # a topology no other test compiles
         nn._classifier_kernel.cache_clear()
@@ -787,7 +894,7 @@ class TestPredictClass:
         nn.predict_class(p, [0.1, 0.2, 0.3], (0.5, 0.5))
         assert nn._classifier_kernel.cache_info().currsize == 2  # and choice rule
 
-    @pytest.mark.parametrize("hidden", [(2,), (16,) * 3], ids=["lists", "numpy"])
+    @pytest.mark.parametrize("hidden", [(2,), (16,) * 3], ids=["lists", "rows"])
     def test_learner_labels_carry_the_class_names(self, hidden):
         from edgectx.learners import (
             ClModel, ContextLabel, ThresholdVector, adcl_predict, classifier, lcl_predict,
@@ -796,7 +903,7 @@ class TestPredictClass:
         names = ("still", "walk", "run")
         dcl = signed_params(LayerSpec(3, hidden, 3), 8)
         cl = ClModel(signed_params(LayerSpec(3, (), 3), 9), ThresholdVector((0.3, 0.6, 0.5)))
-        assert on_lists(dcl) == (hidden == (2,))
+        assert layer_forms(dcl) == ("ss" if hidden == (2,) else "srrs")
         rng = Rng(5)
         for _ in range(30):
             x = [4.0 * rng.uniform() - 2.0 for _ in range(3)]
@@ -812,16 +919,18 @@ class TestPredictClass:
 
 class TestTrain:
     @pytest.mark.parametrize(
-        "hidden, kernel",
-        [((), "lists"), ((3,), "lists"), ((3, 3), "lists"), ((12,) * 3, "lists"),
-         ((12,) * 6, "lists"), ((24,) * 2, "numpy"), ((24,) * 4, "numpy")],
-        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2", "2-12x6-2", "2-24x2-2", "2-24x4-2"],
+        "hidden, form",
+        [((), "s"), ((3,), "ss"), ((3, 3), "sss"), ((12,) * 3, "srrs"),
+         ((12,) * 6, "srrrrrs"), ((24,) * 2, "srs"), ((24,) * 4, "srrrs"),
+         ((80,) * 2, "rrr")],
+        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2", "2-12x6-2", "2-24x2-2", "2-24x4-2",
+             "2-80x2-2"],
     )
-    def test_equals_backprop_then_apply_update(self, hidden, kernel):
+    def test_equals_backprop_then_apply_update(self, hidden, form):
         samples = (Sample((0.2, 0.7), 1), Sample((0.9, 0.1), 0), Sample((0.5, 0.4), 1))
         data = Dataset(samples, ("x", "y"), ("a", "b"))
         p = random_params(LayerSpec(2, hidden, 2), 77)
-        assert on_lists(p) == (kernel == "lists")
+        assert layer_forms(p) == form
         cfg = TrainingConfig(learning_rate=0.3, epochs=2, seed=0, shuffle_each_epoch=False)
         trained, history = train(p, data, cfg)
         manual, manual_history = manual_train(p, samples, cfg)
@@ -831,7 +940,7 @@ class TestTrain:
             assert a.tobytes() == b.tobytes()
         assert trained.trained_epochs == 2
 
-    def test_saturating_numpy_net_equals_backprop_then_apply_update(self):
+    def test_saturating_row_net_equals_backprop_then_apply_update(self):
         rng = Rng(31)
         spec = LayerSpec(2, (24, 24), 2)
         sizes = spec.layer_sizes
@@ -842,7 +951,7 @@ class TestTrain:
         ]
         biases = [np.array([rng.gauss(0, 1000) for _ in range(n)]) for n in sizes[1:]]
         p = NetworkParameters(spec, tuple(weights), tuple(biases))
-        assert not on_lists(p)
+        assert layer_forms(p) == "srs"
         samples = tuple(Sample((rng.uniform(), rng.uniform()), i % 2) for i in range(6))
         # net inputs beyond about -745 and +37 round to 0 and 1: both clips
         outputs = np.concatenate([np.concatenate(forward(p, s.features).outputs)
@@ -856,12 +965,12 @@ class TestTrain:
         for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("hidden, kernel",
-                             [((3,), "lists"), ((12,) * 3, "lists"), ((24,) * 2, "numpy")],
+    @pytest.mark.parametrize("hidden, form",
+                             [((3,), "ss"), ((12,) * 3, "srrs"), ((24,) * 2, "srs")],
                              ids=["2-3-2", "2-12x3-2", "2-24x2-2"])
-    def test_leaves_params_alone_and_returns_fresh_arrays(self, hidden, kernel):
+    def test_leaves_params_alone_and_returns_fresh_arrays(self, hidden, form):
         p = random_params(LayerSpec(2, hidden, 2), 5)
-        assert on_lists(p) == (kernel == "lists")
+        assert layer_forms(p) == form
         before = [a.tobytes() for a in p.weights + p.biases]
         data = two_cluster_data(20)
         cfg = TrainingConfig(0.3, 3, 5)

@@ -175,6 +175,24 @@ for model in (dcl, cl):
     assert "numpy" not in loaded
 
 
+def test_wide_net_predicts_without_numpy():
+    # a 13-32-5 net, whose layers run row by row, built from a flat tuple:
+    # its bound classifier and final_outputs run the generated kernel
+    loaded = loaded_after("""
+from edgectx.nn import LayerSpec, NetworkParameters, bind_classifier, final_outputs
+count = 32 * 14 + 5 * 33
+p = NetworkParameters(LayerSpec(13, (32,), 5), flat=tuple(0.01 * (i % 7) - 0.03
+                                                          for i in range(count)))
+classify = bind_classifier(p, ("a", "b", "c", "d", "e"))
+x = [0.1 * k for k in range(13)]
+outputs = final_outputs(p, x)
+assert classify(x) == "abcde"[outputs.index(max(outputs))]
+assert len(outputs) == 5 and all(0.0 < o < 1.0 for o in outputs)
+""")
+    assert "edgectx.nn" in loaded
+    assert "numpy" not in loaded
+
+
 def test_every_export_resolves():
     # a submodule's entry is None: the name is the submodule itself
     out = run_fresh(f"""

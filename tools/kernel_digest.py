@@ -1,15 +1,20 @@
-"""Print SHA-256 digests of what the training kernels compute.
+"""Print SHA-256 digests of what the training kernel computes.
 
-    python tools/kernel_digest.py
+    python tools/kernel_digest.py > before.txt
+    python tools/kernel_digest.py --compare before.txt
 
-Each line is ``<name> <sha256>``. The names cover:
+Each line is ``<name> <sha256>``. With ``--compare FILE``, the tool prints
+instead each name whose digest moved against FILE, an earlier output
+(``moved <name>``), or that only one of the two holds (``missing <name>``,
+``new <name>``), and exits 1 if there is any. The names cover:
 
 * ``nn.train`` trained weights, biases and loss history on 2-2, 2-2x1-2,
   13-9x1-5, 13-9x3-5, 13-9x5-5, 13-9x9-5, 13-32x1-5 and 13-16x3-5 over the
   303-row ``perfbench/clusters.heart_like(701)`` set, 3 epochs at learning
   rates 0.3 and 0.6 (the 2-input nets see its first two features and class
-  0 against the rest); the last two are wide enough to run on the numpy
-  kernel, the others run on the list kernel;
+  0 against the rest); every layer of the first six is straight-line code,
+  while 13-32x1-5 runs both its layers row by row and 13-16x3-5 all but
+  its output layer (``nn._row_form``);
 * ``nn.final_outputs`` of the same eight untrained nets (seed 1) on every
   row of that set;
 * the class index ``learners.adcl_predict`` gives for every row of that set
@@ -22,7 +27,8 @@ Each line is ``<name> <sha256>``. The names cover:
   LCL with every threshold set to the first), so that every row is an
   exact tie and a change to the tie rule moves these lines;
 * the class index the predictors of ``learners.make_dcl_trainer`` (on
-  13-9x1-5, a list-kernel net, and 13-24x1-5, a numpy-kernel one) and
+  13-9x1-5, straight-line code, and 13-24x1-5, whose first layer runs row by
+  row) and
   ``learners.make_cl_trainer`` give, trained on that set (30 epochs at
   learning rate 0.6), for every raw row of it, for the ends of the fitted
   ranges and for each row with one feature far outside its range
@@ -42,11 +48,12 @@ Each line is ``<name> <sha256>``. The names cover:
 
 Run it in two checkouts and compare the output to show that a change keeps
 every result bit for bit. The digests depend on the host's floating-point
-libraries, so compare runs made on one host only. Takes about 15 s.
+libraries, so compare runs made on one host only. Takes about 5 s.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -273,15 +280,39 @@ def outage_digest(workdir: Path) -> tuple[str, str]:
     return "outage-canonical-bytes", hashlib.sha256(captured[0].canonical_bytes()).hexdigest()
 
 
-def main() -> int:
+def digests() -> list[tuple[str, str]]:
+    """Every (name, digest) line, in the order the tool prints them."""
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        lines = [*train_digests(), *final_outputs_digests(), *predict_digests(),
-                 kfold_predict_digest(), retrain_chain_digest(), *shuffle_digests(),
-                 *report_digests(workdir), outage_digest(workdir)]
-    for name, digest in lines:
-        print(f"{name} {digest}")
-    return 0
+        return [*train_digests(), *final_outputs_digests(), *predict_digests(),
+                kfold_predict_digest(), retrain_chain_digest(), *shuffle_digests(),
+                *report_digests(workdir), outage_digest(workdir)]
+
+
+def compare(earlier: str, lines: list[tuple[str, str]]) -> list[str]:
+    """``moved``, ``new`` and ``missing`` lines for the names whose digest in
+    ``lines`` differs from the one in ``earlier``, a previous output."""
+    before = dict(line.split() for line in earlier.splitlines() if line.strip())
+    now = dict(lines)
+    report = [f"{'new' if name not in before else 'moved'} {name}"
+              for name, digest in lines if before.get(name) != digest]
+    return report + [f"missing {name}" for name in before if name not in now]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Digests of what the training kernel computes.")
+    parser.add_argument("--compare", metavar="FILE", type=Path,
+                        help="print the names whose digest differs from FILE's; exit 1 if any")
+    args = parser.parse_args(argv)
+    lines = digests()
+    if args.compare is None:
+        for name, digest in lines:
+            print(f"{name} {digest}")
+        return 0
+    report = compare(args.compare.read_text(), lines)
+    for line in report:
+        print(line)
+    return 1 if report else 0
 
 
 if __name__ == "__main__":
