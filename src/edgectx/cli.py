@@ -12,8 +12,7 @@ import logging
 import os
 import sys
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import nn
@@ -30,9 +29,11 @@ from .data import (
 from .learners import (
     CL_LEARNING_RATE,
     DCL_LEARNING_RATE,
+    MIN_RETRAIN_ROWS,
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
     Candidate,
+    RetrainMarks,
     cl_train,
     dcl_train,
     fit,
@@ -40,7 +41,7 @@ from .learners import (
     make_cl_trainer,
     make_dcl_trainer,
     model_spec,
-    retrain,
+    retrain_round,
 )
 from .nn import TrainingConfig
 from .protocol import MSG_NOT_READY, TcpTransport, TransportError
@@ -325,7 +326,7 @@ def cmd_serve(args) -> int:
     host, port = server.start()
     log.info("serving on %s:%d, retraining every %ds", host, port, args.retrain_every)
     print(f"listening on {host}:{port}")
-    marks = RetrainMarks()
+    marks = RetrainMarks(published_rows=store.published_rows())
     try:
         while True:
             time.sleep(args.retrain_every)
@@ -336,69 +337,22 @@ def cmd_serve(args) -> int:
         server.stop()
 
 
-@dataclass
-class RetrainMarks:
-    """What ``serve``'s retrains remember within one process: for each
-    model kind, the labelled rows held when its served version was
-    published, how many candidates the guard refused, and the labelled
-    rows held at its last refusal."""
-
-    published_rows: dict[str, int] = field(default_factory=dict)
-    refused: dict[str, int] = field(default_factory=dict)
-    refused_rows: dict[str, int] = field(default_factory=dict)
-
-
 def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
                   marks: RetrainMarks | None = None) -> None:
-    """One retrain step (``learners.retrain``) per kind in ``kinds`` on every
-    labelled row ``sink`` holds; without ``marks`` no publish is on record.
-    A kind whose rows have not changed since its last publish or refusal
-    is skipped, and the rows become a Dataset only when some kind trains."""
+    """One round of the retrain policy (``learners.retrain_round``) on the
+    labelled rows ``sink`` holds; each accepted candidate is published in
+    ``store`` with the rows it saw. Without ``marks`` no publish is on
+    record."""
     pairs = sink.labeled_pairs()
-    if len(pairs) < args.min_rows:
-        log.info("only %d labeled readings; skipping retrain", len(pairs))
-        return
-    width = len(pairs[0][0].values)
-    n_classes = max(label for _, label in pairs) + 1
-    if n_classes < 2:
-        log.info("only one class seen so far; skipping retrain")
-        return
     marks = RetrainMarks() if marks is None else marks
-    due = []
-    for kind in kinds:
-        if marks.refused_rows.get(kind) == len(pairs):
-            # the same rows and served version would train the refused candidate again
-            log.info("no %s rows since its refused candidate; nothing to retrain", kind)
-        elif marks.published_rows.get(kind) == len(pairs):
-            log.info("no %s rows since v%d; nothing to retrain", kind,
-                     store.get(kind).model_version)
-        else:
-            due.append(kind)
-    if not due:
-        return
-    feature_names = tuple(f"f{i}" for i in range(width))
-    class_names = tuple(str(i) for i in range(n_classes))
-    data = dataset_from_readings(pairs, feature_names, class_names)
-    for kind in due:
-        served = store.get(kind)
-        published_rows = marks.published_rows.get(kind)
-        # the same readings and the same served version give the same bundle
-        seed = zlib.crc32(f"{kind} v{store.next_version(kind)}".encode())
-        lr = DCL_LEARNING_RATE if kind == MODEL_KIND_DCL else CL_LEARNING_RATE
-        candidate = retrain(
-            kind, data, TrainingConfig(lr, args.epochs, seed),
-            served=None if served is None else served.model,
-            new_rows=None if published_rows is None else len(pairs) - published_rows,
-            train=_trainer(kind),
-        )
+    for kind, candidate in retrain_round(pairs, kinds, marks, store, args.epochs,
+                                         min_rows=args.min_rows, build=dataset_from_readings,
+                                         trainer=_trainer):
         if not candidate.accepted:
-            marks.refused[kind] = marks.refused.get(kind, 0) + 1
-            marks.refused_rows[kind] = len(pairs)
             print(f"refused {kind} candidate ({len(pairs)} rows): {_outline(candidate)}; "
                   f"{marks.refused[kind]} refused in all")
             continue
-        bundle = store.publish(kind, candidate.params, candidate.thresholds)
-        marks.published_rows[kind] = len(pairs)
+        bundle = store.publish(kind, candidate.params, candidate.thresholds, rows=len(pairs))
         print(f"published {kind} v{bundle.model_version} ({len(pairs)} rows): "
               f"{_outline(candidate)}")
 
@@ -574,6 +528,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text) if text.strip().isdigit() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="edgectx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -600,13 +561,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("serve", help="run the parameter server")
     p.add_argument("--addr", default="127.0.0.1:7787")
-    p.add_argument("--retrain-every", type=int, default=30, metavar="SECONDS")
+    p.add_argument("--retrain-every", type=_at_least_one, default=30, metavar="SECONDS")
     p.add_argument("--data-dir", default="edgectx-data")
     p.add_argument("--kinds", default="DCL,CL")
-    p.add_argument("--epochs", type=int, default=60,
+    p.add_argument("--epochs", type=_at_least_one, default=60,
                    help="epochs of a fresh version; one continued from the served "
                         "version trains a sixth of them, at least 1")
-    p.add_argument("--min-rows", type=int, default=8)
+    p.add_argument("--min-rows", type=_at_least_one, default=MIN_RETRAIN_ROWS)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client", help="stream predictions from stdin or a file")

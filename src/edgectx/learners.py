@@ -9,13 +9,15 @@ Clients never learn; they only consume parameters.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
-from dataclasses import dataclass, replace
+import zlib
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import nn
-from .data import Dataset, normalize_minmax
+from .data import Dataset, SensorReading, dataset_from_readings, normalize_minmax
 from .nn import LayerSpec, NetworkParameters, TrainingConfig
 from .rng import Rng
 
@@ -43,6 +45,12 @@ CONTINUE_EPOCH_DIVISOR = 6
 # since the served version was published is at least the served version's
 # minus this margin.
 GUARD_MARGIN = 0.02
+# A version learns from at most the last this many labelled rows.
+TRAIN_WINDOW_ROWS = 2000
+# No version is trained on fewer labelled rows (``serve --min-rows``).
+MIN_RETRAIN_ROWS = 8
+
+log = logging.getLogger(__name__)
 
 
 class NeverSyncedError(RuntimeError):
@@ -218,13 +226,12 @@ def retrain(
     served: Model | None = None,
     new_rows: int | None = None,
     train: ModelTrainer | None = None,
-) -> Candidate | None:
-    """The retrain step of ``serve`` and of the simulator: the next version
-    of ``kind`` on the window ``data``, whose last ``new_rows`` rows arrived
-    since ``served`` was published (None when that is not known).
+) -> Candidate:
+    """The retrain step of ``retrain_round``: the next version of ``kind``
+    on the window ``data``, whose last ``new_rows`` rows arrived since
+    ``served`` was published (None when that is not known).
 
-    No new rows, no candidate: returns None when ``new_rows`` is 0. A
-    served version with the topology ``fit`` gives ``data`` is continued
+    A served version with the topology ``fit`` gives ``data`` is continued
     for ``max(1, cfg.epochs // CONTINUE_EPOCH_DIVISOR)`` epochs. Otherwise
     (the first version, or a new class that widens the output layer) the
     candidate starts fresh from ``cfg.seed`` for ``cfg.epochs``. CL
@@ -232,15 +239,17 @@ def retrain(
     model (default: ``fit``). The candidate and the served version are
     then scored through their bound classifiers; see ``Candidate``.
     """
-    if new_rows == 0:
-        return None
     start = served.params if isinstance(served, ClModel) else served
     if start is not None and start.spec != model_spec(kind, data):
         start = None
     if start is not None:
         cfg = replace(cfg, epochs=max(1, cfg.epochs // CONTINUE_EPOCH_DIVISOR))
     t0 = time.perf_counter()
-    model = (train or _fitted(kind))(data, cfg, start)
+    if train is None:
+        params, thresholds, _ = fit(kind, data, cfg, start=start)
+        model = params if thresholds is None else ClModel(params, thresholds)
+    else:
+        model = train(data, cfg, start)
     train_ms = (time.perf_counter() - t0) * 1e3
     scored = data.samples if new_rows is None else data.samples[-new_rows:]
     return Candidate(
@@ -249,12 +258,71 @@ def retrain(
     )
 
 
-def _fitted(kind: str) -> ModelTrainer:
-    def train(data: Dataset, cfg: TrainingConfig, start: NetworkParameters | None) -> Model:
-        params, thresholds, _ = fit(kind, data, cfg, start=start)
-        return params if thresholds is None else ClModel(params, thresholds)
+@dataclass
+class RetrainMarks:
+    """What a server's retrains remember: for each model kind, the labelled
+    rows held when its served version was published, how many candidates
+    the guard refused, and the labelled rows held at its last refusal."""
 
-    return train
+    published_rows: dict[str, int] = field(default_factory=dict)
+    refused: dict[str, int] = field(default_factory=dict)
+    refused_rows: dict[str, int] = field(default_factory=dict)
+
+
+def retrain_round(
+    rows: Sequence[tuple[SensorReading, int]],
+    kinds: Sequence[str],
+    marks: RetrainMarks,
+    served,
+    epochs: int,
+    *,
+    min_rows: int = MIN_RETRAIN_ROWS,
+    build: Callable[..., Dataset] = dataset_from_readings,
+    trainer: Callable[[str], ModelTrainer] | None = None,
+) -> list[tuple[str, Candidate]]:
+    """The retrain policy of ``serve`` and the simulator: a ``retrain`` of
+    each due kind in ``kinds`` on the labelled ``rows`` held, oldest first.
+
+    Nothing trains on fewer than ``min_rows`` rows or on one class. A kind
+    is due unless ``marks`` holds the row count at its last publish or
+    refusal, since the same rows, seed and served version
+    (``served.get(kind)``, a ``ParameterBundle`` or None) give the same
+    candidate. The window is the last ``TRAIN_WINDOW_ROWS`` rows, made a
+    Dataset by ``build`` with one class per label up to the largest held.
+    A candidate for version n is seeded with ``crc32("<kind> v<n>")`` and
+    trained by ``trainer(kind)`` (default: ``fit``). Records each publish
+    and refusal in ``marks``; the caller publishes each accepted candidate.
+    """
+    held = len(rows)
+    n_classes = max((label for _, label in rows), default=0) + 1
+    due = [kind for kind in kinds
+           if held not in (marks.published_rows.get(kind), marks.refused_rows.get(kind))]
+    if held < min_rows or n_classes < 2 or not due:
+        log.info("%d labelled rows of %d classes, %s due; nothing to retrain",
+                 held, n_classes, due)
+        return []
+    window = rows[-TRAIN_WINDOW_ROWS:]
+    data = build(window, tuple(f"f{i}" for i in range(len(window[0][0].values))),
+                 tuple(str(i) for i in range(n_classes)))
+    out = []
+    for kind in due:
+        bundle, published = served.get(kind), marks.published_rows.get(kind)
+        version = 1 if bundle is None else bundle.model_version + 1
+        lr = DCL_LEARNING_RATE if kind == MODEL_KIND_DCL else CL_LEARNING_RATE
+        candidate = retrain(
+            kind, data, TrainingConfig(lr, epochs, zlib.crc32(f"{kind} v{version}".encode())),
+            None if bundle is None else bundle.model,
+            # a mark above the rows held counts rows that are gone
+            None if published is None or published > held else held - published,
+            None if trainer is None else trainer(kind),
+        )
+        if candidate.accepted:
+            marks.published_rows[kind] = held
+        else:
+            marks.refused[kind] = marks.refused.get(kind, 0) + 1
+            marks.refused_rows[kind] = held
+        out.append((kind, candidate))
+    return out
 
 
 def _accuracy(model: Model, samples: Sequence) -> float:

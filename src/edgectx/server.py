@@ -5,11 +5,12 @@ reference under a lock, so readers always see a complete old or new bundle,
 never a mix. Versions increase by exactly one per publish and survive
 restarts when a persist directory is configured; there, a bundle is on disk
 before any client can receive it, and the newest ``KEEP_BUNDLE_FILES`` files
-of each kind stay on disk.
+of each kind stay on disk, beside the publish marks (``MARKS_FILE``).
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import re
@@ -48,10 +49,24 @@ _BUNDLE_FILE = re.compile(r"bundle-(DCL|CL)-v(\d+)\.json$")
 # Bundle files kept per model kind. A restart serves the newest of them that
 # decodes; each publish deletes the older ones once its own file is in place.
 KEEP_BUNDLE_FILES = 5
+# The labelled rows each kind's newest version was trained on, with that
+# version's number, as ``{kind: [version, rows]}``.
+MARKS_FILE = "publish-marks.json"
 
 
 def now_ms() -> int:
     return int(time.time() * 1000)
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """A reader or a restart sees the old file or the new one, never a
+    partly written one; a failed write leaves no temp file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class ModelStore:
@@ -66,6 +81,7 @@ class ModelStore:
         self._lock = threading.Lock()
         self._bundles: dict[str, tuple[ParameterBundle, str]] = {}
         self._versions: dict[str, int] = {}
+        self._marks: dict[str, list[int]] = {}
         self._persist_dir = Path(persist_dir) if persist_dir is not None else None
         if self._persist_dir is not None:
             self._persist_dir.mkdir(parents=True, exist_ok=True)
@@ -94,6 +110,14 @@ class ModelStore:
                     break
                 except BundleError as exc:
                     log.warning("skipping corrupt bundle file %s: %s", path, exc)
+        try:
+            marks = json.loads((self._persist_dir / MARKS_FILE).read_bytes())
+            self._marks = {kind: [int(version), int(rows)]
+                           for kind, (version, rows) in marks.items()}
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            log.warning("ignoring unreadable %s: %s", MARKS_FILE, exc)
 
     def _prune(self, model_kind: str) -> None:
         """Delete all but the newest ``KEEP_BUNDLE_FILES`` files of
@@ -110,9 +134,11 @@ class ModelStore:
         params: NetworkParameters,
         thresholds: ThresholdVector | None = None,
         created_at: int | None = None,
+        rows: int | None = None,
     ) -> ParameterBundle:
         """Wrap freshly trained parameters into the next-version bundle and
-        make it the one clients receive."""
+        make it the one clients receive; ``rows``, when given, is the count
+        of labelled rows it was trained on, kept as its publish mark."""
         with self._lock:
             version = self._versions.get(model_kind, 0) + 1
             bundle = ParameterBundle(
@@ -124,28 +150,28 @@ class ModelStore:
             )
             encoded = encode_bundle(bundle)
             if self._persist_dir is not None:
-                path = self._persist_dir / f"bundle-{model_kind}-v{version}.json"
-                # a reader or a restart sees the old file set or the new
-                # one, never a partly written bundle; a failed write leaves
-                # no temp file
-                tmp = path.with_suffix(".json.tmp")
-                try:
-                    tmp.write_bytes(encoded)
-                    os.replace(tmp, path)
-                finally:
-                    tmp.unlink(missing_ok=True)
+                _write_atomic(self._persist_dir / f"bundle-{model_kind}-v{version}.json",
+                              encoded)
             # served only once on disk, so a restart never reissues a
             # version number that some client already holds
             self._bundles[model_kind] = (bundle, encoded.decode("utf-8"))
             self._versions[model_kind] = version
+            if rows is not None:
+                self._marks[model_kind] = [version, rows]
             if self._persist_dir is not None:
+                # after the bundle: a mark is never newer than the files
+                if rows is not None:
+                    _write_atomic(self._persist_dir / MARKS_FILE,
+                                  json.dumps(self._marks, sort_keys=True).encode())
                 self._prune(model_kind)
         return bundle
 
-    def next_version(self, model_kind: str) -> int:
-        """The version the next ``publish`` of ``model_kind`` will carry."""
+    def published_rows(self) -> dict[str, int]:
+        """The labelled rows each served version was trained on, for the
+        kinds whose served version was published with a mark."""
         with self._lock:
-            return self._versions.get(model_kind, 0) + 1
+            return {kind: rows for kind, (version, rows) in self._marks.items()
+                    if kind in self._bundles and self._bundles[kind][0].model_version == version}
 
     def get(self, model_kind: str) -> ParameterBundle | None:
         served = self.get_encoded(model_kind)

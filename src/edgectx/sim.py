@@ -5,11 +5,13 @@ intervals), an edge client that predicts every reading with whatever
 parameters it currently holds, a lossy link (latency, random drops, outage
 windows applied to each direction at its send time), and a server that
 retrains on accumulated uploads and publishes versioned bundles. Each
-retrain tick runs ``learners.retrain``, the retrain step of ``edgectx
-serve``: no rows since the last publish, no candidate; a candidate
-continues from the served version, and is published only if it scores no
-worse on the new rows. Everything except wall-clock prediction latency is a
-pure function of the configuration and seed.
+retrain tick runs ``learners.retrain_round``, the retrain policy of
+``edgectx serve``, with the simulator's ``epochs``: the last
+``TRAIN_WINDOW_ROWS`` rows, a seed from the kind and the version, no
+candidate for a kind with no rows since its last publish or refusal; a
+candidate continues from the served version, and is published only if it
+scores no worse on the new rows. Everything except wall-clock prediction
+latency is a pure function of the configuration and seed.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from .learners import (
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
     Metrics,
+    RetrainMarks,
     adcl_predict,
     classifier,
     # unused here, but perfbench's tracer wraps this name and fails without it
     calibrate_thresholds,
     lcl_predict,
     metrics_from_counts,
-    retrain,
+    retrain_round,
 )
-from .nn import TrainingConfig
 from .rng import Rng
 
 ALGORITHMS = ("CL", "LCL", "DCL", "ADCL")
@@ -43,7 +45,6 @@ _CLIENT_ALGOS = {"ADCL": MODEL_KIND_DCL, "LCL": MODEL_KIND_CL}
 _SERVER_ALGOS = {"DCL": MODEL_KIND_DCL, "CL": MODEL_KIND_CL}
 QUEUE_CAPACITY = 10_000  # readings the edge holds for upload; the oldest go first
 ROLLING_WINDOW = 100  # predictions behind each TickRecord.rolling_accuracy
-MIN_RETRAIN_ROWS = 8  # the server publishes no version trained on fewer rows
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,7 @@ class _ScenarioRunner:
     upload_every_ms: int = 500
     warm_start: bool = True
     warmup_samples: int = 200
-    max_train_rows: int = 2_000
-    dcl_config: TrainingConfig = TrainingConfig(learning_rate=0.3, epochs=30, seed=0)
-    cl_config: TrainingConfig = TrainingConfig(learning_rate=0.05, epochs=30, seed=0)
+    epochs: int = 30  # of a fresh version; a continued one trains a sixth
     drain_ticks: int = 200  # counts down as the drain runs
 
     def __post_init__(self) -> None:
@@ -217,6 +216,8 @@ class _ScenarioRunner:
                 raise ValueError(f"unknown algorithm {a!r}")
         if min(self.retrain_every_ms, self.sync_period_ms, self.upload_every_ms) < 1:
             raise ValueError("periods must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         first = self.nodes[0].source
         for node in self.nodes:
             if (node.source.feature_names != first.feature_names
@@ -226,11 +227,7 @@ class _ScenarioRunner:
         master = Rng(self.seed)
         self.node_rngs = {n.sensor_id: master.fork() for n in self.nodes}
         self.link_rng = master.fork()
-        self.train_rng = master.fork()
-
-        self.feature_names = first.feature_names
-        self.class_names = first.class_names
-        n_classes = len(self.class_names)
+        n_classes = len(first.class_names)
 
         self.client_kinds = sorted(
             {_CLIENT_ALGOS[a] for a in self.algorithms if a in _CLIENT_ALGOS}
@@ -240,11 +237,10 @@ class _ScenarioRunner:
             | {_SERVER_ALGOS[a] for a in self.algorithms if a in _SERVER_ALGOS}
         )
 
-        # server state; published_rows holds len(server_rows) at each
-        # kind's last publish
+        # server state
         self.server_rows: list[tuple[SensorReading, int]] = []
         self.server_bundles: dict[str, ParameterBundle] = {}
-        self.published_rows: dict[str, int] = {}
+        self.marks = RetrainMarks()
         self.published: list[tuple[int, str, int]] = []
         self.refused: list[tuple[int, str]] = []
         self.server_received_total = 0
@@ -311,42 +307,23 @@ class _ScenarioRunner:
     # -- server ------------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        rows: list[tuple[SensorReading, int]] = []
-        for node in self.nodes:
-            take = min(self.warmup_samples, len(node.source.samples))
-            for i in range(take):
-                s = node.source.samples[i]
-                rows.append(
-                    (SensorReading(node.sensor_id, 0, s.features), s.label)
-                )
-        self.server_rows.extend(rows)
+        self.server_rows.extend(
+            (SensorReading(node.sensor_id, 0, s.features), s.label)
+            for node in self.nodes for s in node.source.samples[:self.warmup_samples])
         self._retrain(created_at=0)
         for kind, state in self.client_states.items():
             self.client_states[kind] = state.synced(self.server_bundles.get(kind), 0)
 
     def _retrain(self, created_at: int) -> None:
-        """Each server kind's retrain step on the last ``max_train_rows``
-        rows; a candidate the guard accepts becomes the next version."""
-        rows = self.server_rows[-self.max_train_rows:]
-        held = len(self.server_rows)
-        if len(rows) < MIN_RETRAIN_ROWS or all(
-                self.published_rows.get(kind) == held for kind in self.server_kinds):
-            return  # too few rows, or none since any kind's last publish
-        data = dataset_from_readings(rows, self.feature_names, self.class_names)
-        for kind in self.server_kinds:
-            served = self.server_bundles.get(kind)
-            published_rows = self.published_rows.get(kind)
-            cfg = self.dcl_config if kind == MODEL_KIND_DCL else self.cl_config
-            candidate = retrain(
-                kind, data, replace(cfg, seed=self.train_rng.next_u64()),
-                served=None if served is None else served.model,
-                new_rows=None if published_rows is None else held - published_rows,
-            )
-            if candidate is None:
-                continue
+        """One round of the retrain policy on the rows the server holds; a
+        candidate the guard accepts becomes the next version."""
+        for kind, candidate in retrain_round(self.server_rows, self.server_kinds, self.marks,
+                                             self.server_bundles, self.epochs,
+                                             build=dataset_from_readings):
             if not candidate.accepted:
                 self.refused.append((created_at, kind))
                 continue
+            served = self.server_bundles.get(kind)
             version = 1 if served is None else served.model_version + 1
             bundle = ParameterBundle(
                 model_kind=kind,
@@ -357,7 +334,6 @@ class _ScenarioRunner:
             )
             classifier(bundle.model)  # bound before a timed prediction reads it
             self.server_bundles[kind] = bundle
-            self.published_rows[kind] = held
             self.published.append((created_at, kind, version))
 
     # -- client ------------------------------------------------------------

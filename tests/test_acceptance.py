@@ -306,7 +306,7 @@ def _liveness_scenario(seed: int):
         sync_period_ms=1_000,
         upload_every_ms=500,
         warm_start=True,
-        dcl_config=TrainingConfig(0.3, 10, 0),
+        epochs=10,
     )
 
 

@@ -523,21 +523,79 @@ class TestRetrainStep:
             if run == "restarted":
                 served = [store.get(kind) for kind in ("DCL", "CL")]
                 store, sink = ModelStore(persist_dir=data_dir), JsonlDataSink(data_dir / "r.jsonl")
-                marks = RetrainMarks()
+                marks = RetrainMarks(published_rows=store.published_rows())
                 # version 1 decodes exactly, so it is the same warm start
                 assert [store.get(kind) for kind in ("DCL", "CL")] == served
             sink.store(rows_batch(40, 60))
             _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
         out = capsys.readouterr().out
-        # with no record of v1's publish, the restarted server scores on all rows
-        assert "published DCL v2 (60 rows): 20 new, continued 5 epochs" in out
-        assert "published DCL v2 (60 rows): all new, continued 5 epochs" in out
+        # v1's publish mark survives the restart, so both score on the new rows
+        assert out.count("published DCL v2 (60 rows): 20 new, continued 5 epochs") == 2
         names = sorted(p.name for p in (tmp_path / "straight").glob("bundle-*.json"))
         assert names == ["bundle-CL-v1.json", "bundle-CL-v2.json", "bundle-DCL-v1.json",
                          "bundle-DCL-v2.json"]
         for name in names:
             assert ((tmp_path / "straight" / name).read_bytes()
                     == (tmp_path / "restarted" / name).read_bytes())
+
+    @staticmethod
+    def serve(data_dir, monkeypatch, *options):
+        """Run ``edgectx serve`` on ``data_dir`` through one retrain."""
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) > 1:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(edgectx.cli.time, "sleep", sleep)
+        return run_cli("serve", "--addr", "127.0.0.1:0", "--data-dir", data_dir,
+                       "--retrain-every", "1", "--epochs", "6", *options)
+
+    def test_restart_with_no_new_rows_trains_nothing(self, tmp_path, monkeypatch, capsys):
+        JsonlDataSink(tmp_path / "readings.jsonl").store(rows_batch(0, 40))
+        assert self.serve(tmp_path, monkeypatch) == 0
+        assert "published DCL v1 (40 rows): all new" in capsys.readouterr().out
+        assert json.loads((tmp_path / "publish-marks.json").read_text()) == {
+            "CL": [1, 40], "DCL": [1, 40]}
+        calls = TestPerfbenchHooks.record(monkeypatch, ["dcl_train", "cl_train"])
+        assert self.serve(tmp_path, monkeypatch) == 0
+        out = capsys.readouterr().out
+        assert calls == [] and out.startswith("listening on ") and len(out.splitlines()) == 1
+        JsonlDataSink(tmp_path / "readings.jsonl").store(rows_batch(40, 45))
+        assert self.serve(tmp_path, monkeypatch) == 0
+        assert "published DCL v2 (45 rows): 5 new, continued 1 epoch" in capsys.readouterr().out
+
+    def test_a_mark_for_an_older_version_is_ignored(self, tmp_path, monkeypatch, capsys):
+        JsonlDataSink(tmp_path / "readings.jsonl").store(rows_batch(0, 40))
+        assert self.serve(tmp_path, monkeypatch, "--kinds", "DCL") == 0
+        # a crash between the v2 bundle's write and its mark's leaves v1's mark
+        store = ModelStore(persist_dir=tmp_path)
+        store.publish("DCL", store.get("DCL").params)
+        assert ModelStore(persist_dir=tmp_path).published_rows() == {}
+        capsys.readouterr()
+        assert self.serve(tmp_path, monkeypatch, "--kinds", "DCL") == 0
+        assert "published DCL v3 (40 rows): all new, continued 1 epoch" in capsys.readouterr().out
+        assert ModelStore(persist_dir=tmp_path).published_rows() == {"DCL": 40}
+
+    @pytest.mark.parametrize("option", ["--epochs", "--retrain-every", "--min-rows"])
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_settings_below_one_are_refused_at_parse_time(self, option, value, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.setattr(edgectx.cli, "cmd_serve", lambda args: pytest.fail("served"))
+        assert run_cli("serve", "--data-dir", tmp_path, option, value) == 1
+        assert f"usage error: argument {option}" in capsys.readouterr().err
+
+    def test_only_the_last_2000_rows_train(self):
+        bundles = []
+        for start in (0, 1):
+            sink, store = MemoryDataSink(), ModelStore()
+            sink.store(rows_batch(start, 2001))
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
+            bundles.append([store.get(kind) for kind in ("DCL", "CL")])
+        for a, b in zip(*bundles):
+            assert_same_params(a.params, b.params)
+            assert a.thresholds == b.thresholds
 
     def test_new_class_publishes_a_fresh_wider_net_that_clients_receive(self, capsys):
         store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import zlib
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -12,18 +13,23 @@ from edgectx import nn
 from edgectx.data import (
     Dataset,
     Sample,
+    SensorReading,
     apply_minmax,
     apply_minmax_vector,
+    dataset_from_readings,
     normalize_minmax,
     synth_still_motion,
 )
 from edgectx.learners import (
+    DCL_LEARNING_RATE,
     GUARD_MARGIN,
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
+    TRAIN_WINDOW_ROWS,
     ClModel,
     ContextLabel,
     NeverSyncedError,
+    RetrainMarks,
     ThresholdVector,
     adcl_predict,
     calibrate_thresholds,
@@ -38,6 +44,7 @@ from edgectx.learners import (
     make_dcl_trainer,
     metrics_from_counts,
     retrain,
+    retrain_round,
 )
 from edgectx.nn import (
     LayerSpec,
@@ -489,10 +496,6 @@ class TestRetrain:
     data = synth_still_motion(80, 4)
     cfg = TrainingConfig(0.3, 30, 7)
 
-    def test_no_new_rows_no_candidate(self):
-        served, _, _ = fit(MODEL_KIND_DCL, self.data, self.cfg)
-        assert retrain(MODEL_KIND_DCL, self.data, self.cfg, served, new_rows=0) is None
-
     @pytest.mark.parametrize("kind", [MODEL_KIND_DCL, MODEL_KIND_CL])
     def test_continues_the_served_version_for_a_sixth_of_the_epochs(self, kind):
         first = retrain(kind, self.data, self.cfg)
@@ -524,6 +527,101 @@ class TestRetrain:
         for served_score, accepted in ((candidate.score + GUARD_MARGIN, True),
                                        (candidate.score + GUARD_MARGIN + 1e-9, False)):
             assert replace(candidate, served_score=served_score).accepted is accepted
+
+
+class Served:
+    """The fields of a ``ParameterBundle`` that ``retrain_round`` reads."""
+
+    def __init__(self, model, model_version):
+        self.model, self.model_version = model, model_version
+
+
+def reading_rows(n, label=lambda i: i % 2):
+    return [(SensorReading("acc0", i, (0.1 + 2.0 * label(i), 0.2 + 0.1 * (i % 3))), label(i))
+            for i in range(n)]
+
+
+class TestRetrainRound:
+    """``retrain_round``: the retrain policy of ``serve`` and the simulator."""
+
+    @staticmethod
+    def counted_build(built):
+        def build(rows, feature_names, class_names):
+            built.append(len(rows))
+            return dataset_from_readings(rows, feature_names, class_names)
+        return build
+
+    def test_no_new_rows_no_candidate(self):
+        rows, built = reading_rows(40), []
+        marks = RetrainMarks(published_rows={MODEL_KIND_DCL: 40})
+        served = {MODEL_KIND_DCL: Served(init_network(LayerSpec(2, (2,), 2), 1), 1)}
+        assert retrain_round(rows, [MODEL_KIND_DCL], marks, served, 30,
+                             build=self.counted_build(built)) == []
+        assert built == []
+        ((_, candidate),) = retrain_round(rows + reading_rows(41)[-1:], [MODEL_KIND_DCL],
+                                          marks, served, 30)
+        assert candidate.new_rows == 1 and marks.published_rows == {MODEL_KIND_DCL: 41}
+
+    def test_a_refused_kind_waits_for_a_new_row(self):
+        rows, built = reading_rows(40), []
+        marks = RetrainMarks(refused={MODEL_KIND_DCL: 1}, refused_rows={MODEL_KIND_DCL: 40})
+        args = ([MODEL_KIND_DCL, MODEL_KIND_CL], marks, {}, 3)
+        ((kind, _),) = retrain_round(rows, *args, build=self.counted_build(built))
+        assert kind == MODEL_KIND_CL and built == [40]
+        assert retrain_round(rows, *args) == []
+
+    def test_too_few_rows_or_one_class_train_nothing(self):
+        marks = RetrainMarks()
+        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, {}, 3) == []
+        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, {}, 3, min_rows=7)
+        assert retrain_round(reading_rows(40, label=lambda i: 0), [MODEL_KIND_DCL],
+                             RetrainMarks(), {}, 3) == []
+
+    def test_seed_window_and_config(self):
+        rows = reading_rows(TRAIN_WINDOW_ROWS + 1)
+        ((_, candidate),) = retrain_round(rows, [MODEL_KIND_DCL], RetrainMarks(),
+                                          {MODEL_KIND_DCL: None}, 3)
+        window = dataset_from_readings(rows[1:], ("f0", "f1"), ("0", "1"))
+        params, _, _ = fit(MODEL_KIND_DCL, window, TrainingConfig(
+            DCL_LEARNING_RATE, 3, zlib.crc32(b"DCL v1")))
+        assert same_params(candidate.params, params)
+        # the last 2000 rows alone train the same bits
+        ((_, alone),) = retrain_round(rows[1:], [MODEL_KIND_DCL], RetrainMarks(), {}, 3)
+        assert same_params(alone.params, params)
+        # a served v4 makes the candidate v5, seeded as such
+        served = Served(init_network(LayerSpec(2, (3,), 2), 1), 4)
+        ((_, fifth),) = retrain_round(rows, [MODEL_KIND_DCL], RetrainMarks(),
+                                      {MODEL_KIND_DCL: served}, 3)
+        params, _, _ = fit(MODEL_KIND_DCL, window, TrainingConfig(
+            DCL_LEARNING_RATE, 3, zlib.crc32(b"DCL v5")))
+        assert not fifth.continued and same_params(fifth.params, params)
+
+    def test_class_count_follows_the_largest_label(self):
+        rows = reading_rows(40, label=lambda i: 2 * (i % 2))
+        for kind in (MODEL_KIND_DCL, MODEL_KIND_CL):
+            ((_, candidate),) = retrain_round(rows, [kind], RetrainMarks(), {}, 2)
+            assert candidate.params.spec.output_count == 3
+        # a label held outside the window still sizes the output layer
+        rows = reading_rows(1, label=lambda i: 4) + reading_rows(TRAIN_WINDOW_ROWS)
+        ((_, candidate),) = retrain_round(rows, [MODEL_KIND_CL], RetrainMarks(), {}, 1)
+        assert candidate.params.spec.output_count == 5
+
+    def test_records_publishes_and_refusals(self):
+        rows, marks = reading_rows(40), RetrainMarks(published_rows={MODEL_KIND_DCL: 30})
+        ((_, first),) = retrain_round(rows, [MODEL_KIND_DCL], marks, {}, 30)
+        assert first.accepted and first.new_rows == 10 and first.score == 1.0
+        assert marks.published_rows == {MODEL_KIND_DCL: 40} and marks.refused == {}
+
+        def spoiled(data, cfg, start):
+            # answers class 1 for every row; the new row is class 0
+            return replace(start, flat=(0.0,) * (len(start.flat) - 2) + (-5.0, 5.0))
+
+        served = {MODEL_KIND_DCL: Served(first.model, 1)}
+        ((_, refused),) = retrain_round(reading_rows(41), [MODEL_KIND_DCL], marks, served, 30,
+                                        trainer=lambda kind: spoiled)
+        assert (refused.score, refused.served_score, refused.accepted) == (0.0, 1.0, False)
+        assert marks.refused == {MODEL_KIND_DCL: 1} and marks.refused_rows == {MODEL_KIND_DCL: 41}
+        assert marks.published_rows == {MODEL_KIND_DCL: 40}
 
 
 def heart_like(seed: int) -> Dataset:

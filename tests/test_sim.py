@@ -7,9 +7,18 @@ import pytest
 
 import edgectx.cli
 import edgectx.nn
-from edgectx.data import synth_still_motion
-from edgectx.nn import TrainingConfig
-from edgectx.sim import ALGORITHMS, QUEUE_CAPACITY, LinkConfig, SensorNodeConfig, run_scenario
+from edgectx.cli import _retrain_once
+from edgectx.data import Dataset, synth_still_motion
+from edgectx.protocol import SensorBatch
+from edgectx.server import MemoryDataSink, ModelStore
+from edgectx.sim import (
+    ALGORITHMS,
+    QUEUE_CAPACITY,
+    LinkConfig,
+    SensorNodeConfig,
+    _ScenarioRunner,
+    run_scenario,
+)
 
 OUTAGE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "outage.json"
 KIND_OF = {"ADCL": "DCL", "DCL": "DCL", "LCL": "CL", "CL": "CL"}
@@ -24,9 +33,7 @@ def quick_scenario(link, duration=10_000, seed=11, algorithms=("ADCL",), **kwarg
         sync_period_ms=500,
         upload_every_ms=500,
         warmup_samples=60,
-        max_train_rows=300,
-        dcl_config=TrainingConfig(0.3, 4, 0),
-        cl_config=TrainingConfig(0.05, 4, 0),
+        epochs=4,
     )
     defaults.update(kwargs)
     return run_scenario(
@@ -168,6 +175,62 @@ class TestRetrainGuard:
                                      ((0, 1), (1_000, 2), (3_000, 3), (4_000, 4), (5_000, 5))]
         assert b'"refused":[[2000,"DCL"]]' in result.canonical_bytes()
 
+    def test_unchanged_rows_after_a_refusal_train_nothing(self, monkeypatch, train_calls):
+        def spoiled(params, data, cfg):
+            trained, losses = train(params, data, cfg)
+            if params.trained_epochs:
+                # every continued candidate answers class 1 (motion) for every row
+                return replace(trained, flat=(0.0,) * (len(trained.flat) - 2) + (-5.0, 5.0)), losses
+            return trained, losses
+
+        train = edgectx.nn.train
+        monkeypatch.setattr(edgectx.nn, "train", spoiled)
+        # the last upload before the outage is sent at 1 000 and arrives after
+        # that tick's retrain, so the tick at 2 000 refuses the last new rows
+        # until the upload at 4 500
+        result = quick_scenario(LinkConfig(outage_windows=((1_001, 4_100),)), duration=5_000)
+        assert result.published == [(0, "DCL", 1)]
+        # the same rows, seed and served version would train the same
+        # candidate, so the ticks at 3 000 and 4 000 train nothing
+        assert result.refused == [(1_000, "DCL"), (2_000, "DCL"), (5_000, "DCL")]
+        assert [epochs for _, epochs, _ in train_calls] == [4, 1, 1, 1]
+
+
+class TestOnePolicy:
+    """The simulator's server retrains as ``serve`` does."""
+
+    @staticmethod
+    def bootstrapped(source, warmup, **options):
+        runner = _ScenarioRunner([SensorNodeConfig("acc0", 100, source)], LinkConfig(), 1_000,
+                                 ("ADCL", "LCL"), 1_000, 3, warmup_samples=warmup, **options)
+        runner._bootstrap()
+        return runner
+
+    def test_warm_start_v1_is_serve_s_v1(self):
+        runner = self.bootstrapped(synth_still_motion(600, 3), 200)
+        sink, store = MemoryDataSink(), ModelStore()
+        readings, labels = zip(*runner.server_rows)
+        sink.store(SensorBatch("edge", readings, labels))
+
+        class Args:
+            min_rows = 8
+            epochs = 30
+
+        _retrain_once(store, sink, ["DCL", "CL"], Args)
+        for kind in ("DCL", "CL"):
+            served, published = store.get(kind), runner.server_bundles[kind]
+            assert served.params.flat == published.params.flat
+            assert (served.params, served.thresholds) == (published.params, published.thresholds)
+
+    def test_only_the_last_2000_rows_train(self):
+        source = synth_still_motion(2_001, 3)
+        last = Dataset(source.samples[1:], source.feature_names, source.class_names)
+        runners = [self.bootstrapped(source, 2_001, epochs=2),
+                   self.bootstrapped(last, 2_000, epochs=2)]
+        for kind in ("DCL", "CL"):
+            a, b = (runner.server_bundles[kind] for runner in runners)
+            assert (a.params, a.thresholds) == (b.params, b.thresholds)
+
 
 class TestLossyLink:
     def test_random_drops_slow_but_do_not_stop_sync(self):
@@ -201,10 +264,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_scenario([], LinkConfig(), 1_000, ("ADCL",), 5_000, 1)
 
-    @pytest.mark.parametrize("name", ["queue_capacity", "rolling_window", "min_retrain_rows"])
+    @pytest.mark.parametrize("name", ["queue_capacity", "rolling_window", "min_retrain_rows",
+                                      "max_train_rows", "dcl_config", "cl_config"])
     def test_constants_are_not_options(self, name):
         with pytest.raises(TypeError):
             run_scenario([one_node()], LinkConfig(), 1_000, ("ADCL",), 5_000, 1, **{name: 8})
+
+    def test_epochs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            run_scenario([one_node()], LinkConfig(), 1_000, ("ADCL",), 5_000, 1, epochs=0)
 
     def test_zero_rate_node_rejected(self):
         with pytest.raises(ValueError):
@@ -291,10 +359,10 @@ class TestDeferredTraining:
     # SHA-256 of canonical_bytes(); they move whenever what a seed trains,
     # publishes or refuses moves
     PINNED = {
-        (5, ALGORITHMS): "ce76b3f6fe9d14a163b8fb552c8b2a6ba863881d870b685e27d2b4a00a5e8df7",
-        (17, ALGORITHMS): "e1003309a58c24fd5c466704c36f0066c211b9ad69c69da658d89a4763b1761a",
-        (5, ("ADCL", "LCL")): "63b0a71007e4a97c4caf28ee0b539eeec935c7ef3a083adc168379323bcaa849",
-        (17, ("ADCL", "LCL")): "463f6bc1cb3b76c7c4347cb35a1b357f88b0efb555e8b5662365b2daf584c2c1",
+        (5, ALGORITHMS): "7b61bef69a2e2996a5f9eafcccb404cc44e5fc5f7c7b08cac1e56d76c568bcb0",
+        (17, ALGORITHMS): "6b5565be100c916cf694f0916a5bf6517ea27f641f47d0c621d62010496c3335",
+        (5, ("ADCL", "LCL")): "77a887071f93ce1025b8bd68eda3d56e9972982ee16779ced136c65830572681",
+        (17, ("ADCL", "LCL")): "e94697badc495b80a54d57d17a6152e2751855d23e3adddccb1e452e53573536",
     }
 
     @pytest.mark.parametrize("seed,algorithms", list(PINNED),

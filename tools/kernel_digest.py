@@ -14,9 +14,13 @@ instead each name whose digest moved against FILE, an earlier output
   rates 0.3 and 0.6 (the 2-input nets see its first two features and class
   0 against the rest); every layer of the first six is straight-line code,
   while 13-32x1-5 runs both its layers row by row and 13-16x3-5 all but
-  its output layer (``nn._row_form``);
-* ``nn.final_outputs`` of the same eight untrained nets (seed 1) on every
-  row of that set;
+  its output layer (``nn._row_form``). Those two start from seed 1's
+  weights and biases mapped from [0, 1) to [-1, 1): from all-positive
+  weights their outputs sit within 1e-3 of 1 on every row (13-32x1-5
+  within 2e-6), where a last-bit change in a hidden activation moves no
+  output bit; the others start from seed 1 as drawn;
+* ``nn.final_outputs`` of the same eight untrained nets on every row of
+  that set;
 * the class index ``learners.adcl_predict`` gives for every row of that set
   on each of the eight nets trained at both learning rates, and the one
   ``learners.lcl_predict`` gives on the single-layer net with thresholds
@@ -82,6 +86,8 @@ TOPOLOGIES = (
     (13, (32,), 5),
     (13, (16,) * 3, 5),
 )
+# nets whose weights and biases start in [-1, 1), not [0, 1)
+SIGNED = {(13, (32,), 5), (13, (16,) * 3, 5)}
 LEARNING_RATES = (0.3, 0.6)
 EPOCHS = 3
 DATA_SEED = 701
@@ -113,9 +119,16 @@ def _datasets() -> tuple[Dataset, Dataset]:
     return heart, narrow
 
 
-def _train(spec: nn.LayerSpec, data: Dataset, lr: float):
+def _init(inputs: int, hidden: tuple[int, ...], outputs: int) -> nn.NetworkParameters:
+    params = nn.init_network(nn.LayerSpec(inputs, hidden, outputs), 1)
+    if (inputs, hidden, outputs) in SIGNED:
+        params = replace(params, flat=tuple(2.0 * v - 1.0 for v in params.flat))
+    return params
+
+
+def _train(params: nn.NetworkParameters, data: Dataset, lr: float):
     cfg = nn.TrainingConfig(learning_rate=lr, epochs=EPOCHS, seed=1)
-    return nn.train(nn.init_network(spec, 1), data, cfg)
+    return nn.train(params, data, cfg)
 
 
 def train_digests() -> list[tuple[str, str]]:
@@ -123,10 +136,9 @@ def train_digests() -> list[tuple[str, str]]:
     out = []
     for inputs, hidden, outputs in TOPOLOGIES:
         data = heart if inputs == heart.n_features else narrow
-        spec = nn.LayerSpec(inputs, hidden, outputs)
         digest = hashlib.sha256()
         for lr in LEARNING_RATES:
-            trained, history = _train(spec, data, lr)
+            trained, history = _train(_init(inputs, hidden, outputs), data, lr)
             for arr in (*trained.weights, *trained.biases):
                 digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
             digest.update(np.asarray(history, dtype=np.float64).tobytes())
@@ -139,7 +151,7 @@ def final_outputs_digests() -> list[tuple[str, str]]:
     out = []
     for inputs, hidden, outputs in TOPOLOGIES:
         data = heart if inputs == heart.n_features else narrow
-        params = nn.init_network(nn.LayerSpec(inputs, hidden, outputs), 1)
+        params = _init(inputs, hidden, outputs)
         scores = [nn.final_outputs(params, s.features) for s in data.samples]
         digest = hashlib.sha256(np.asarray(scores, dtype=np.float64).tobytes())
         out.append((f"nn.final_outputs.{_name(inputs, hidden, outputs)}", digest.hexdigest()))
@@ -170,7 +182,7 @@ def predict_digests() -> list[tuple[str, str]]:
         rows = [s.features for s in data.samples]
         adcl_digest, lcl_digest = hashlib.sha256(), hashlib.sha256()
         for lr in LEARNING_RATES:
-            params, _ = _train(nn.LayerSpec(inputs, hidden, outputs), data, lr)
+            params, _ = _train(_init(inputs, hidden, outputs), data, lr)
             tied = _tied(params)
             adcl_digest.update(_classes(learners.adcl_predict, params, rows))
             adcl_ties.update(_classes(learners.adcl_predict, tied, rows))
