@@ -535,6 +535,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="edgectx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -573,8 +583,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("client", help="stream predictions from stdin or a file")
     p.add_argument("--server", default=None, help=f"host:port (or ${ENV_SERVER_ADDR})")
     p.add_argument("--algorithm", choices=("adcl", "lcl"), default="adcl")
-    p.add_argument("--sync-period-ms", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=2.0)
+    p.add_argument("--sync-period-ms", type=_at_least_one, default=None)
+    p.add_argument("--timeout", type=_positive, default=2.0, metavar="SECONDS")
     p.add_argument("--input", default="-")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_client)

@@ -12,7 +12,9 @@ import logging
 import threading
 import time
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
 from pathlib import Path
 
 from .bundle import BundleError, ParameterBundle, decode_bundle
@@ -45,7 +47,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_SYNC_PERIOD_MS = 30_000
 DEFAULT_SYNC_TIMEOUT_S = 2.0
-DEFAULT_QUEUE_CAPACITY = 10_000
+QUEUE_CAPACITY = 10_000  # readings an edge client holds for upload
+MAX_BATCH_READINGS = 500  # readings in one batch cut from the queue
+UPLOAD_RETRIES = 1  # resends of a batch before it waits in the queue
 
 
 @dataclass(frozen=True)
@@ -134,40 +138,76 @@ def client_sync_tick(
     return replace(state, consecutive_failures=state.consecutive_failures + 1)
 
 
-class Uploader:
-    """At-least-once delivery of sensor batches with a bounded retry queue.
+class UploadQueue:
+    """The readings an edge client holds for upload, oldest first; no I/O.
 
-    Readings that cannot be delivered are queued (oldest dropped beyond the
-    capacity, with a counter) and replayed, in order, before the next
-    batch once the link recovers. A batch the server refuses as bad is
-    dropped, not retried, and its readings are counted in
-    ``rejected_count``. An optional spool file makes the queue survive
-    restarts.
+    Beyond ``QUEUE_CAPACITY`` the oldest reading is dropped and counted.
+    ``head`` cuts the next batch from the front: at most
+    ``MAX_BATCH_READINGS`` readings of one client, all labelled or none,
+    each sensor's in time order. ``ack`` removes the readings of a
+    delivered batch that are still at the front.
     """
 
-    def __init__(
-        self,
-        transport,
-        *,
-        capacity: int = DEFAULT_QUEUE_CAPACITY,
-        retries: int = 1,
-        spool_path: str | Path | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self._transport = transport
-        self._capacity = capacity
-        self._retries = max(0, retries)
-        self._queue: deque[tuple[str, SensorReading, int | None]] = deque()
+    def __init__(self, rows: Iterable[tuple[str, SensorReading, int | None]] = ()) -> None:
+        self._rows = deque(rows)
         self.dropped_count = 0
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[tuple[str, SensorReading, int | None]]:
+        return iter(self._rows)
+
+    def add(self, batch: SensorBatch) -> None:
+        self._rows.extend(zip(repeat(batch.client_id), batch.readings,
+                              batch.labels or repeat(None)))
+        while len(self._rows) > QUEUE_CAPACITY:
+            self._rows.popleft()
+            self.dropped_count += 1
+
+    def head(self) -> SensorBatch | None:
+        if not self._rows:
+            return None
+        client_id, labeled = self._rows[0][0], self._rows[0][2] is not None
+        readings, labels, last = [], [], {}
+        for row_client, reading, label in islice(self._rows, MAX_BATCH_READINGS):
+            if ((row_client, label is not None) != (client_id, labeled)
+                    or reading.timestamp < last.get(reading.sensor_id, reading.timestamp)):
+                break
+            last[reading.sensor_id] = reading.timestamp
+            readings.append(reading)
+            labels.append(label)
+        return SensorBatch(client_id, tuple(readings), tuple(labels) if labeled else None)
+
+    def ack(self, batch: SensorBatch) -> None:
+        for reading in batch.readings:
+            if self._rows and self._rows[0][1] is reading:
+                self._rows.popleft()
+
+
+class Uploader:
+    """At-least-once delivery of sensor batches through an ``UploadQueue``.
+
+    A batch the link cannot deliver waits in the queue, whose batches are
+    replayed in order before the next batch once the link recovers. A batch
+    the server refuses as bad is dropped, not retried, and its readings are
+    counted in ``rejected_count``. An optional spool file makes the queue
+    survive restarts.
+    """
+
+    def __init__(self, transport, *, spool_path: str | Path | None = None) -> None:
+        self._transport = transport
         self.rejected_count = 0
         self._spool_path = Path(spool_path) if spool_path is not None else None
-        if self._spool_path is not None and self._spool_path.exists():
-            self._load_spool()
+        self._queue = UploadQueue(self._spool_rows())
 
     @property
     def queued_count(self) -> int:
         return len(self._queue)
+
+    @property
+    def dropped_count(self) -> int:
+        return self._queue.dropped_count
 
     def upload_batch(self, batch: SensorBatch) -> int:
         """Deliver queued readings, then this batch. Returns the number of
@@ -176,7 +216,8 @@ class Uploader:
         # a batch waits behind readings the link could not deliver
         sent = None if self._queue else self._send(batch)
         if sent is None:
-            self._enqueue(batch)
+            self._queue.add(batch)
+            self._save_spool()
         return acked + (sent or 0)
 
     def flush(self) -> int:
@@ -187,25 +228,11 @@ class Uploader:
         """Deliver the queue in order until it drains or the link gives out;
         returns the readings acknowledged."""
         acked, changed = 0, False
-        while self._queue:
-            # one wire batch per run of one client and label presence in
-            # which each sensor's readings stay in time order
-            client_id, labeled = self._queue[0][0], self._queue[0][2] is not None
-            rows, last = [], {}
-            for row in self._queue:
-                reading = row[1]
-                if ((row[0], row[2] is not None) != (client_id, labeled)
-                        or reading.timestamp < last.get(reading.sensor_id, reading.timestamp)):
-                    break
-                last[reading.sensor_id] = reading.timestamp
-                rows.append(row)
-            sent = self._send(SensorBatch(
-                client_id, tuple(reading for _, reading, _ in rows),
-                tuple(label for _, _, label in rows) if labeled else None))
+        while (batch := self._queue.head()) is not None:
+            sent = self._send(batch)
             if sent is None:
                 break
-            for _ in rows:
-                self._queue.popleft()
+            self._queue.ack(batch)
             acked += sent
             changed = True
         if changed:
@@ -216,7 +243,7 @@ class Uploader:
         """Send one batch; acked count (0 when the server refuses it as
         bad), or None on link failure."""
         msg = {"type": MSG_PUSH_DATA, "batch": batch_to_wire(batch)}
-        for _ in range(self._retries + 1):
+        for _ in range(UPLOAD_RETRIES + 1):
             try:
                 response = self._transport.request(msg)
             except TransportError:
@@ -232,23 +259,15 @@ class Uploader:
             break
         return None
 
-    def _enqueue(self, batch: SensorBatch) -> None:
-        for i, reading in enumerate(batch.readings):
-            label = batch.labels[i] if batch.labels else None
-            self._queue.append((batch.client_id, reading, label))
-        while len(self._queue) > self._capacity:
-            self._queue.popleft()
-            self.dropped_count += 1
-        self._save_spool()
-
-    def _load_spool(self) -> None:
-        assert self._spool_path is not None
+    def _spool_rows(self) -> Iterator[tuple[str, SensorReading, int | None]]:
+        if self._spool_path is None or not self._spool_path.exists():
+            return
         with open(self._spool_path, encoding="utf-8") as fh:
             for line in fh:
                 if not line.strip():
                     continue
                 try:
-                    self._queue.append(row_from_line(line, "client_id"))
+                    yield row_from_line(line, "client_id")
                 except ProtocolError as exc:
                     log.warning("skipping corrupt spool row: %s", exc)
 

@@ -273,7 +273,7 @@ def retrain_round(
     rows: Sequence[tuple[SensorReading, int]],
     kinds: Sequence[str],
     marks: RetrainMarks,
-    served,
+    store,
     epochs: int,
     *,
     min_rows: int = MIN_RETRAIN_ROWS,
@@ -286,12 +286,14 @@ def retrain_round(
     Nothing trains on fewer than ``min_rows`` rows or on one class. A kind
     is due unless ``marks`` holds the row count at its last publish or
     refusal, since the same rows, seed and served version
-    (``served.get(kind)``, a ``ParameterBundle`` or None) give the same
-    candidate. The window is the last ``TRAIN_WINDOW_ROWS`` rows, made a
-    Dataset by ``build`` with one class per label up to the largest held.
-    A candidate for version n is seeded with ``crc32("<kind> v<n>")`` and
-    trained by ``trainer(kind)`` (default: ``fit``). Records each publish
-    and refusal in ``marks``; the caller publishes each accepted candidate.
+    (``store.get(kind)``, a ``ParameterBundle`` or None, of a
+    ``server.ModelStore``) give the same candidate. The window is the last
+    ``TRAIN_WINDOW_ROWS`` rows, made a Dataset by ``build`` with one class
+    per label up to the largest held. A candidate is seeded with
+    ``crc32("<kind> v<n>")``, n being the version ``store`` publishes next
+    (``store.next_version(kind)``), and trained by ``trainer(kind)``
+    (default: ``fit``). Records each publish and refusal in ``marks``; the
+    caller publishes each accepted candidate in ``store``.
     """
     held = len(rows)
     n_classes = max((label for _, label in rows), default=0) + 1
@@ -306,11 +308,11 @@ def retrain_round(
                  tuple(str(i) for i in range(n_classes)))
     out = []
     for kind in due:
-        bundle, published = served.get(kind), marks.published_rows.get(kind)
-        version = 1 if bundle is None else bundle.model_version + 1
+        bundle, published = store.get(kind), marks.published_rows.get(kind)
+        seed = zlib.crc32(f"{kind} v{store.next_version(kind)}".encode())
         lr = DCL_LEARNING_RATE if kind == MODEL_KIND_DCL else CL_LEARNING_RATE
         candidate = retrain(
-            kind, data, TrainingConfig(lr, epochs, zlib.crc32(f"{kind} v{version}".encode())),
+            kind, data, TrainingConfig(lr, epochs, seed),
             None if bundle is None else bundle.model,
             # a mark above the rows held counts rows that are gone
             None if published is None or published > held else held - published,

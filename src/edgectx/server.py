@@ -166,6 +166,11 @@ class ModelStore:
                 self._prune(model_kind)
         return bundle
 
+    def next_version(self, model_kind: str) -> int:
+        """The version number the next publish of ``model_kind`` gets."""
+        with self._lock:
+            return self._versions.get(model_kind, 0) + 1
+
     def published_rows(self) -> dict[str, int]:
         """The labelled rows each served version was trained on, for the
         kinds whose served version was published with a mark."""

@@ -4,14 +4,19 @@ A virtual clock drives sensor nodes (sensor delay, duty cycles, sleep
 intervals), an edge client that predicts every reading with whatever
 parameters it currently holds, a lossy link (latency, random drops, outage
 windows applied to each direction at its send time), and a server that
-retrains on accumulated uploads and publishes versioned bundles. Each
-retrain tick runs ``learners.retrain_round``, the retrain policy of
-``edgectx serve``, with the simulator's ``epochs``: the last
-``TRAIN_WINDOW_ROWS`` rows, a seed from the kind and the version, no
-candidate for a kind with no rows since its last publish or refusal; a
-candidate continues from the served version, and is published only if it
-scores no worse on the new rows. Everything except wall-clock prediction
-latency is a pure function of the configuration and seed.
+retrains on accumulated uploads and publishes versioned bundles. The
+client queues readings in the shipped ``client.UploadQueue`` and sends its
+head each upload tick, unless the last batch sent is unanswered and
+younger than ``resend_after_ms``. The server is a shipped
+``server.ModelStore`` and ``server.MemoryDataSink``, so a batch replayed
+after a lost ack is held twice, as by ``edgectx serve``. Each retrain tick
+runs ``learners.retrain_round``, the retrain policy of ``edgectx serve``,
+with the simulator's ``epochs``: the last ``TRAIN_WINDOW_ROWS`` rows, a
+seed from the kind and the version it is published as, no candidate for a
+kind with no rows since its last publish or refusal; a candidate continues
+from the served version, and is published only if it scores no worse on
+the new rows. Everything except wall-clock prediction latency is a pure
+function of the configuration and seed.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ import heapq
 import json
 import time
 from collections import deque
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 
 from .bundle import ParameterBundle
-from .client import SyncState
+from .client import SyncState, UploadQueue
 from .data import Dataset, dataset_from_readings, SensorReading
 from .learners import (
     MODEL_KIND_CL,
@@ -38,13 +43,15 @@ from .learners import (
     metrics_from_counts,
     retrain_round,
 )
+from .protocol import SensorBatch
 from .rng import Rng
+from .server import MemoryDataSink, ModelStore
 
 ALGORITHMS = ("CL", "LCL", "DCL", "ADCL")
 _CLIENT_ALGOS = {"ADCL": MODEL_KIND_DCL, "LCL": MODEL_KIND_CL}
 _SERVER_ALGOS = {"DCL": MODEL_KIND_DCL, "CL": MODEL_KIND_CL}
-QUEUE_CAPACITY = 10_000  # readings the edge holds for upload; the oldest go first
 ROLLING_WINDOW = 100  # predictions behind each TickRecord.rolling_accuracy
+CLIENT_ID = "edge"  # the client id of the simulated uploads
 
 
 @dataclass(frozen=True)
@@ -237,22 +244,18 @@ class _ScenarioRunner:
             | {_SERVER_ALGOS[a] for a in self.algorithms if a in _SERVER_ALGOS}
         )
 
-        # server state
-        self.server_rows: list[tuple[SensorReading, int]] = []
-        self.server_bundles: dict[str, ParameterBundle] = {}
+        # server state; the sink's first ``bootstrapped`` rows are the warm start's
+        self.store, self.sink, self.bootstrapped = ModelStore(), MemoryDataSink(), 0
         self.marks = RetrainMarks()
         self.published: list[tuple[int, str, int]] = []
         self.refused: list[tuple[int, str]] = []
-        self.server_received_total = 0
-        self.server_seen_keys: set[tuple[str, int]] = set()
 
-        # client state: one sync state per kind; upload buffer maps
-        # (sensor_id, timestamp) to [reading, label, last_sent_ms],
-        # insertion-ordered (oldest first)
+        # client state: one sync state per kind, the upload queue, and the
+        # last batch sent (with its send time) while it is unanswered
         self.client_states = {kind: SyncState() for kind in self.client_kinds}
-        self.upload_buffer: dict[tuple[str, int], list] = {}
-        self.client_sent_keys: set[tuple[str, int]] = set()
-        self.evicted_keys: set[tuple[str, int]] = set()
+        self.queue = UploadQueue()
+        self.in_flight: tuple[int, SensorBatch] | None = None
+        self.client_sent: set[SensorReading] = set()
 
         # results
         self.ticks: list[TickRecord] = []
@@ -291,15 +294,16 @@ class _ScenarioRunner:
             for a in self.algorithms
             if sum(map(sum, self.confusion[a]))
         }
+        received = [r for r, _ in self.sink.labeled_pairs()[self.bootstrapped:]]
+        distinct = set(received)
         return ScenarioResult(
             ticks=self.ticks,
             metrics=metrics,
             emitted_readings=self.emitted,
-            client_sent_readings=len(self.client_sent_keys),
-            server_received_total=self.server_received_total,
-            server_received_distinct=len(self.server_seen_keys),
-            # an evicted reading that an upload in flight delivered is not lost
-            dropped_from_queue=len(self.evicted_keys - self.server_seen_keys),
+            client_sent_readings=len(self.client_sent),
+            server_received_total=len(received),
+            server_received_distinct=len(distinct),
+            dropped_from_queue=self.emitted - len(distinct.union(r for _, r, _ in self.queue)),
             published=self.published,
             refused=self.refused,
         )
@@ -307,34 +311,27 @@ class _ScenarioRunner:
     # -- server ------------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        self.server_rows.extend(
-            (SensorReading(node.sensor_id, 0, s.features), s.label)
-            for node in self.nodes for s in node.source.samples[:self.warmup_samples])
+        rows = [(SensorReading(node.sensor_id, 0, s.features), s.label)
+                for node in self.nodes for s in node.source.samples[:self.warmup_samples]]
+        if rows:
+            self.bootstrapped = self.sink.store(SensorBatch(CLIENT_ID, *zip(*rows)))
         self._retrain(created_at=0)
         for kind, state in self.client_states.items():
-            self.client_states[kind] = state.synced(self.server_bundles.get(kind), 0)
+            self.client_states[kind] = state.synced(self.store.get(kind), 0)
 
     def _retrain(self, created_at: int) -> None:
-        """One round of the retrain policy on the rows the server holds; a
-        candidate the guard accepts becomes the next version."""
-        for kind, candidate in retrain_round(self.server_rows, self.server_kinds, self.marks,
-                                             self.server_bundles, self.epochs,
-                                             build=dataset_from_readings):
+        """One round of the retrain policy on the rows the sink holds; a
+        candidate the guard accepts is published as the next version."""
+        pairs = self.sink.labeled_pairs()
+        for kind, candidate in retrain_round(pairs, self.server_kinds, self.marks, self.store,
+                                             self.epochs, build=dataset_from_readings):
             if not candidate.accepted:
                 self.refused.append((created_at, kind))
                 continue
-            served = self.server_bundles.get(kind)
-            version = 1 if served is None else served.model_version + 1
-            bundle = ParameterBundle(
-                model_kind=kind,
-                params=replace(candidate.params, version=version),
-                model_version=version,
-                created_at=created_at,
-                thresholds=candidate.thresholds,
-            )
+            bundle = self.store.publish(kind, candidate.params, candidate.thresholds,
+                                        created_at=created_at, rows=len(pairs))
             classifier(bundle.model)  # bound before a timed prediction reads it
-            self.server_bundles[kind] = bundle
-            self.published.append((created_at, kind, version))
+            self.published.append((created_at, kind, bundle.model_version))
 
     # -- client ------------------------------------------------------------
 
@@ -345,7 +342,7 @@ class _ScenarioRunner:
                 state = self.client_states[_CLIENT_ALGOS[algo]]
                 bundle, staleness = state.current_bundle, state.staleness_ms(t)
             else:
-                bundle = self.server_bundles.get(_SERVER_ALGOS[algo])
+                bundle = self.store.get(_SERVER_ALGOS[algo])
                 staleness = 0 if bundle is not None else None
             if bundle is None:
                 self.ticks.append(
@@ -369,13 +366,7 @@ class _ScenarioRunner:
                     sum(window) / len(window), latency_us,
                 )
             )
-        self.upload_buffer[(reading.sensor_id, reading.timestamp)] = [
-            reading, label, -1_000_000_000,
-        ]
-        while len(self.upload_buffer) > QUEUE_CAPACITY:
-            oldest = next(iter(self.upload_buffer))
-            del self.upload_buffer[oldest]
-            self.evicted_keys.add(oldest)
+        self.queue.add(SensorBatch(CLIENT_ID, (reading,), (label,)))
 
     def link_delivers(self, t: int) -> bool:
         if self.link.in_outage(t):
@@ -410,7 +401,7 @@ class _ScenarioRunner:
             self.schedule(t + self.sync_period_ms, self._sync_tick)
 
     def _sync_reply(self, kind: str, t: int) -> None:
-        bundle = self.server_bundles.get(kind)
+        bundle = self.store.get(kind)
         if bundle is not None and self.link_delivers(t):  # response leg
             self.schedule(t + self.link.latency_ms, self._sync_apply, kind, bundle)
 
@@ -418,37 +409,27 @@ class _ScenarioRunner:
         self.client_states[kind] = self.client_states[kind].synced(bundle, t)
 
     def _upload_tick(self, t: int) -> None:
-        due = [
-            key for key, row in self.upload_buffer.items()
-            if t - row[2] >= self.resend_after_ms
-        ][:500]  # batch cap per tick
-        if due:
-            batch = []
-            for key in due:
-                row = self.upload_buffer[key]
-                row[2] = t
-                self.client_sent_keys.add(key)
-                batch.append((key, row[0], row[1]))
+        batch = self.queue.head()
+        if batch and not (self.in_flight and t - self.in_flight[0] < self.resend_after_ms):
+            self.in_flight = (t, batch)
+            self.client_sent.update(batch.readings)
             if self.link_delivers(t):
                 self.schedule(t + self.link.latency_ms, self._upload_receive, batch)
         if t + self.upload_every_ms <= self.duration_ms:
             self.schedule(t + self.upload_every_ms, self._upload_tick)
-        elif self.upload_buffer and self.drain_ticks > 0:
+        elif self.queue and self.drain_ticks > 0:
             self.drain_ticks -= 1
             self.schedule(t + self.upload_every_ms, self._upload_tick)
 
-    def _upload_receive(self, batch: list, t: int) -> None:
-        for key, reading, label in batch:
-            self.server_received_total += 1
-            if key not in self.server_seen_keys:
-                self.server_seen_keys.add(key)
-                self.server_rows.append((reading, label))
+    def _upload_receive(self, batch: SensorBatch, t: int) -> None:
+        self.sink.store(batch)  # a replay after a lost ack is held twice, as by serve
         if self.link_delivers(t):  # ack leg
             self.schedule(t + self.link.latency_ms, self._upload_ack, batch)
 
-    def _upload_ack(self, batch: list, t: int) -> None:
-        for key, _, _ in batch:
-            self.upload_buffer.pop(key, None)
+    def _upload_ack(self, batch: SensorBatch, t: int) -> None:
+        self.queue.ack(batch)
+        if self.in_flight and self.in_flight[1] is batch:
+            self.in_flight = None
 
     def _retrain_tick(self, t: int) -> None:
         self._retrain(created_at=t)

@@ -294,6 +294,16 @@ class TestClientCommand:
         infile.write_text("1,2\n")
         assert run_cli("client", "--server", "nohost", "--input", infile) == 1
 
+    @pytest.mark.parametrize("option,value", [
+        ("--sync-period-ms", "0"), ("--sync-period-ms", "-5"), ("--sync-period-ms", "x"),
+        ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"), ("--timeout", "inf"),
+    ])
+    def test_timing_below_its_floor_is_refused_at_parse_time(self, option, value,
+                                                             monkeypatch, capsys):
+        monkeypatch.setattr(edgectx.cli, "cmd_client", lambda args: pytest.fail("ran"))
+        assert run_cli("client", "--server", "127.0.0.1:9", option, value) == 1
+        assert f"usage error: argument {option}" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def scenario_file(self, tmp_path, **overrides):
@@ -585,6 +595,24 @@ class TestRetrainStep:
         monkeypatch.setattr(edgectx.cli, "cmd_serve", lambda args: pytest.fail("served"))
         assert run_cli("serve", "--data-dir", tmp_path, option, value) == 1
         assert f"usage error: argument {option}" in capsys.readouterr().err
+
+    def test_the_seed_is_the_version_published(self, tmp_path, monkeypatch, capsys):
+        JsonlDataSink(tmp_path / "readings.jsonl").store(rows_batch(0, 40))
+        assert self.serve(tmp_path, monkeypatch, "--kinds", "DCL") == 0
+        # v1 is served, and the next publish skips the corrupt file's number
+        (tmp_path / "bundle-DCL-v2.json").write_text("not a bundle")
+        JsonlDataSink(tmp_path / "readings.jsonl").store(rows_batch(40, 45))
+        seeds, dcl_train = [], edgectx.cli.dcl_train
+
+        def recording(data, spec, cfg, **options):
+            seeds.append(cfg.seed)
+            return dcl_train(data, spec, cfg, **options)
+
+        monkeypatch.setattr(edgectx.cli, "dcl_train", recording)
+        capsys.readouterr()
+        assert self.serve(tmp_path, monkeypatch, "--kinds", "DCL") == 0
+        assert "published DCL v3 (45 rows)" in capsys.readouterr().out
+        assert seeds == [zlib.crc32(b"DCL v3")]
 
     def test_only_the_last_2000_rows_train(self):
         bundles = []

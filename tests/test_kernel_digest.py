@@ -39,6 +39,7 @@ def test_digests_repeat():
         "rng.shuffle.2",
         "rng.shuffle.3", "rng.shuffle.303", "rng.shuffle.2000", "train-dcl-report",
         "train-cl-report", "train-sweep-report", "outage-canonical-bytes",
+        "lossy-canonical-bytes",
     ]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
 

@@ -536,6 +536,15 @@ class Served:
         self.model, self.model_version = model, model_version
 
 
+class Store(dict):
+    """The parts of a ``server.ModelStore`` that ``retrain_round`` reads: the
+    bundle served for each kind, and the version its next publish gets."""
+
+    def next_version(self, kind):
+        bundle = self.get(kind)
+        return 1 if bundle is None else bundle.model_version + 1
+
+
 def reading_rows(n, label=lambda i: i % 2):
     return [(SensorReading("acc0", i, (0.1 + 2.0 * label(i), 0.2 + 0.1 * (i % 3))), label(i))
             for i in range(n)]
@@ -554,7 +563,7 @@ class TestRetrainRound:
     def test_no_new_rows_no_candidate(self):
         rows, built = reading_rows(40), []
         marks = RetrainMarks(published_rows={MODEL_KIND_DCL: 40})
-        served = {MODEL_KIND_DCL: Served(init_network(LayerSpec(2, (2,), 2), 1), 1)}
+        served = Store({MODEL_KIND_DCL: Served(init_network(LayerSpec(2, (2,), 2), 1), 1)})
         assert retrain_round(rows, [MODEL_KIND_DCL], marks, served, 30,
                              build=self.counted_build(built)) == []
         assert built == []
@@ -565,33 +574,33 @@ class TestRetrainRound:
     def test_a_refused_kind_waits_for_a_new_row(self):
         rows, built = reading_rows(40), []
         marks = RetrainMarks(refused={MODEL_KIND_DCL: 1}, refused_rows={MODEL_KIND_DCL: 40})
-        args = ([MODEL_KIND_DCL, MODEL_KIND_CL], marks, {}, 3)
+        args = ([MODEL_KIND_DCL, MODEL_KIND_CL], marks, Store(), 3)
         ((kind, _),) = retrain_round(rows, *args, build=self.counted_build(built))
         assert kind == MODEL_KIND_CL and built == [40]
         assert retrain_round(rows, *args) == []
 
     def test_too_few_rows_or_one_class_train_nothing(self):
         marks = RetrainMarks()
-        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, {}, 3) == []
-        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, {}, 3, min_rows=7)
+        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, Store(), 3) == []
+        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, Store(), 3, min_rows=7)
         assert retrain_round(reading_rows(40, label=lambda i: 0), [MODEL_KIND_DCL],
-                             RetrainMarks(), {}, 3) == []
+                             RetrainMarks(), Store(), 3) == []
 
     def test_seed_window_and_config(self):
         rows = reading_rows(TRAIN_WINDOW_ROWS + 1)
         ((_, candidate),) = retrain_round(rows, [MODEL_KIND_DCL], RetrainMarks(),
-                                          {MODEL_KIND_DCL: None}, 3)
+                                          Store({MODEL_KIND_DCL: None}), 3)
         window = dataset_from_readings(rows[1:], ("f0", "f1"), ("0", "1"))
         params, _, _ = fit(MODEL_KIND_DCL, window, TrainingConfig(
             DCL_LEARNING_RATE, 3, zlib.crc32(b"DCL v1")))
         assert same_params(candidate.params, params)
         # the last 2000 rows alone train the same bits
-        ((_, alone),) = retrain_round(rows[1:], [MODEL_KIND_DCL], RetrainMarks(), {}, 3)
+        ((_, alone),) = retrain_round(rows[1:], [MODEL_KIND_DCL], RetrainMarks(), Store(), 3)
         assert same_params(alone.params, params)
         # a served v4 makes the candidate v5, seeded as such
         served = Served(init_network(LayerSpec(2, (3,), 2), 1), 4)
         ((_, fifth),) = retrain_round(rows, [MODEL_KIND_DCL], RetrainMarks(),
-                                      {MODEL_KIND_DCL: served}, 3)
+                                      Store({MODEL_KIND_DCL: served}), 3)
         params, _, _ = fit(MODEL_KIND_DCL, window, TrainingConfig(
             DCL_LEARNING_RATE, 3, zlib.crc32(b"DCL v5")))
         assert not fifth.continued and same_params(fifth.params, params)
@@ -599,16 +608,16 @@ class TestRetrainRound:
     def test_class_count_follows_the_largest_label(self):
         rows = reading_rows(40, label=lambda i: 2 * (i % 2))
         for kind in (MODEL_KIND_DCL, MODEL_KIND_CL):
-            ((_, candidate),) = retrain_round(rows, [kind], RetrainMarks(), {}, 2)
+            ((_, candidate),) = retrain_round(rows, [kind], RetrainMarks(), Store(), 2)
             assert candidate.params.spec.output_count == 3
         # a label held outside the window still sizes the output layer
         rows = reading_rows(1, label=lambda i: 4) + reading_rows(TRAIN_WINDOW_ROWS)
-        ((_, candidate),) = retrain_round(rows, [MODEL_KIND_CL], RetrainMarks(), {}, 1)
+        ((_, candidate),) = retrain_round(rows, [MODEL_KIND_CL], RetrainMarks(), Store(), 1)
         assert candidate.params.spec.output_count == 5
 
     def test_records_publishes_and_refusals(self):
         rows, marks = reading_rows(40), RetrainMarks(published_rows={MODEL_KIND_DCL: 30})
-        ((_, first),) = retrain_round(rows, [MODEL_KIND_DCL], marks, {}, 30)
+        ((_, first),) = retrain_round(rows, [MODEL_KIND_DCL], marks, Store(), 30)
         assert first.accepted and first.new_rows == 10 and first.score == 1.0
         assert marks.published_rows == {MODEL_KIND_DCL: 40} and marks.refused == {}
 
@@ -616,7 +625,7 @@ class TestRetrainRound:
             # answers class 1 for every row; the new row is class 0
             return replace(start, flat=(0.0,) * (len(start.flat) - 2) + (-5.0, 5.0))
 
-        served = {MODEL_KIND_DCL: Served(first.model, 1)}
+        served = Store({MODEL_KIND_DCL: Served(first.model, 1)})
         ((_, refused),) = retrain_round(reading_rows(41), [MODEL_KIND_DCL], marks, served, 30,
                                         trainer=lambda kind: spoiled)
         assert (refused.score, refused.served_score, refused.accepted) == (0.0, 1.0, False)

@@ -18,9 +18,12 @@ import edgectx.protocol
 import edgectx.server
 from edgectx.bundle import decode_bundle, encode_bundle
 from edgectx.client import (
+    MAX_BATCH_READINGS,
+    QUEUE_CAPACITY,
     EdgeClient,
     SyncPolicy,
     SyncState,
+    UploadQueue,
     Uploader,
     client_sync_tick,
 )
@@ -28,6 +31,7 @@ from edgectx.data import SensorReading, normalize_minmax, synth_still_motion
 from edgectx.learners import NeverSyncedError, cl_train, dcl_train
 from edgectx.nn import LayerSpec, TrainingConfig, forward
 from edgectx.protocol import (
+    MAX_FRAME_BYTES,
     SensorBatch,
     TcpTransport,
     TransportError,
@@ -752,6 +756,24 @@ class TestClientSync:
         assert label.class_index in (0, 1)
 
 
+class TestUploadQueue:
+    def test_an_ack_removes_only_the_readings_still_queued(self):
+        queue = UploadQueue()
+        queue.add(make_batch(QUEUE_CAPACITY - 2))
+        batch = queue.head()
+        assert len(batch) == MAX_BATCH_READINGS and batch.readings[0].timestamp == 0
+        # five readings arrive while the batch is in flight; the capacity
+        # drops the first three of the batch
+        queue.add(make_batch(5, start=100_000))
+        assert (len(queue), queue.dropped_count) == (QUEUE_CAPACITY, 3)
+        queue.ack(batch)
+        assert len(queue) == QUEUE_CAPACITY - (MAX_BATCH_READINGS - 3)
+        assert queue.head().readings[0].timestamp == MAX_BATCH_READINGS
+        # a second ack of the same batch finds none of it queued
+        queue.ack(batch)
+        assert len(queue) == QUEUE_CAPACITY - (MAX_BATCH_READINGS - 3)
+
+
 class TestUploader:
     def test_healthy_link_acks_full_batch(self):
         ft = FakeTransport()
@@ -762,7 +784,7 @@ class TestUploader:
 
     def test_offline_batches_replayed_in_order(self):
         ft = FakeTransport()
-        uploader = Uploader(ft, retries=0)
+        uploader = Uploader(ft)
         ft.down = True
         for i in range(3):
             assert uploader.upload_batch(make_batch(4, start=100 * i)) == 0
@@ -776,7 +798,7 @@ class TestUploader:
 
     def test_replay_splits_where_a_sensor_goes_back_in_time(self):
         ft = FakeTransport()
-        uploader = Uploader(ft, retries=0)
+        uploader = Uploader(ft)
         ft.down = True
         for start in (100, 50, 60):
             assert uploader.upload_batch(make_batch(2, start=start)) == 0
@@ -796,7 +818,7 @@ class TestUploader:
                 return super().request(msg, timeout)
 
         ft = LinkFailsForClientB()
-        uploader = Uploader(ft, retries=0)
+        uploader = Uploader(ft)
         ft.down = True
         for client_id, n, start in (("a", 1, 0), ("b", 2, 10)):
             assert uploader.upload_batch(
@@ -813,11 +835,34 @@ class TestUploader:
     def test_capacity_drops_oldest(self):
         ft = FakeTransport()
         ft.down = True
-        uploader = Uploader(ft, capacity=100, retries=0)
-        uploader.upload_batch(make_batch(100, start=0))
-        uploader.upload_batch(make_batch(50, start=10_000))
-        assert uploader.queued_count == 100
+        uploader = Uploader(ft)
+        uploader.upload_batch(make_batch(QUEUE_CAPACITY, start=0))
+        uploader.upload_batch(make_batch(50, start=100_000))
+        assert uploader.queued_count == QUEUE_CAPACITY
         assert uploader.dropped_count == 50
+
+    def test_a_full_queue_of_wide_readings_drains(self):
+        class FrameLimitedTransport(FakeTransport):
+            """Fails, as ``TcpTransport`` does, on a request above the frame limit."""
+
+            def request(self, msg, timeout=None):
+                if len(encode_message(msg)) > MAX_FRAME_BYTES:
+                    self.requests += 1
+                    raise TransportError("frame too large")
+                return super().request(msg, timeout)
+
+        ft = FrameLimitedTransport()
+        uploader = Uploader(ft)
+        ft.down = True
+        values = tuple(i / 7 for i in range(100))
+        for ts in (range(1), range(1, QUEUE_CAPACITY)):  # the second waits behind the first
+            uploader.upload_batch(SensorBatch("c", tuple(
+                SensorReading("acc0", t, values) for t in ts)))
+        ft.down = False
+        # the queue is one run of one client, too large for one frame
+        requests = ft.requests
+        assert uploader.flush() == QUEUE_CAPACITY
+        assert ft.requests - requests == QUEUE_CAPACITY // MAX_BATCH_READINGS
 
     def test_refused_batch_is_dropped_not_replayed(self):
         ft = FakeTransport()
@@ -881,7 +926,7 @@ class TestUploader:
     def test_spool_written_only_when_the_queue_changes(self, tmp_path, monkeypatch):
         spool = tmp_path / "spool.jsonl"
         ft = FakeTransport()
-        uploader = Uploader(ft, retries=0, spool_path=spool)
+        uploader = Uploader(ft, spool_path=spool)
         saves = []
         save = Uploader._save_spool
 
@@ -906,10 +951,10 @@ class TestUploader:
         spool = tmp_path / "spool.jsonl"
         ft = FakeTransport()
         ft.down = True
-        uploader = Uploader(ft, retries=0, spool_path=spool)
+        uploader = Uploader(ft, spool_path=spool)
         uploader.upload_batch(make_batch(6))
         assert spool.exists()
-        revived = Uploader(ft, retries=0, spool_path=spool)
+        revived = Uploader(ft, spool_path=spool)
         assert revived.queued_count == 6
         ft.down = False
         assert revived.flush() == 6

@@ -48,7 +48,11 @@ instead each name whose digest moved against FILE, an earlier output
 * the report files of three ``edgectx train`` runs on synth-still-motion
   (DCL, CL, and a DCL sweep);
 * ``ScenarioResult.canonical_bytes()`` of ``edgectx simulate`` on
-  ``scenarios/outage.json``.
+  ``scenarios/outage.json``, which loses no upload and no ack;
+* the same bytes of a 16 s ``sim.run_scenario`` run of all four algorithms
+  on a lossy link (7 ms latency, 15% of legs dropped, outages at 3-6 s and
+  9-13 s; ``tests/test_sim.py::TestDeferredTraining``'s, at seed 5), where
+  uploads are resent after lost acks (``lossy-canonical-bytes``).
 
 Run it in two checkouts and compare the output to show that a change keeps
 every result bit for bit. The digests depend on the host's floating-point
@@ -71,8 +75,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from edgectx import cli, learners, nn  # noqa: E402
-from edgectx.data import Dataset, Sample  # noqa: E402
+from edgectx import cli, learners, nn, sim  # noqa: E402
+from edgectx.data import Dataset, Sample, synth_still_motion  # noqa: E402
 from edgectx.rng import Rng  # noqa: E402
 from perfbench import clusters  # noqa: E402
 
@@ -292,13 +296,23 @@ def outage_digest(workdir: Path) -> tuple[str, str]:
     return "outage-canonical-bytes", hashlib.sha256(captured[0].canonical_bytes()).hexdigest()
 
 
+def lossy_digest() -> tuple[str, str]:
+    link = sim.LinkConfig(latency_ms=7, drop_probability=0.15,
+                          outage_windows=((3_000, 6_000), (9_000, 13_000)))
+    result = sim.run_scenario(
+        [sim.SensorNodeConfig("acc0", 100, synth_still_motion(600, 3))], link, 1_000,
+        sim.ALGORITHMS, 16_000, 5, sync_period_ms=500, upload_every_ms=500,
+        warmup_samples=60, epochs=4)
+    return "lossy-canonical-bytes", hashlib.sha256(result.canonical_bytes()).hexdigest()
+
+
 def digests() -> list[tuple[str, str]]:
     """Every (name, digest) line, in the order the tool prints them."""
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         return [*train_digests(), *final_outputs_digests(), *predict_digests(),
                 kfold_predict_digest(), retrain_chain_digest(), *shuffle_digests(),
-                *report_digests(workdir), outage_digest(workdir)]
+                *report_digests(workdir), outage_digest(workdir), lossy_digest()]
 
 
 def compare(earlier: str, lines: list[tuple[str, str]]) -> list[str]:
