@@ -379,7 +379,7 @@ def cmd_client(args) -> int:
     from .client import EdgeClient, SyncPolicy
 
     addr = _parse_addr(args.server or os.environ.get(ENV_SERVER_ADDR, ""))
-    period = args.sync_period_ms or int(os.environ.get(ENV_SYNC_PERIOD, "0")) or 30_000
+    period = _sync_period_ms(args.sync_period_ms)
     kind = MODEL_KIND_DCL if args.algorithm == "adcl" else MODEL_KIND_CL
     transport = TcpTransport(addr, timeout=args.timeout)
 
@@ -533,6 +533,18 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
     return value
+
+
+def _sync_period_ms(flag: int | None) -> int:
+    """``--sync-period-ms``, else ``$EDGECTX_SYNC_PERIOD_MS`` by the flag's
+    rule, else 30 s."""
+    text = os.environ.get(ENV_SYNC_PERIOD)
+    if flag is not None or not text:
+        return flag or 30_000
+    try:
+        return _at_least_one(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"${ENV_SYNC_PERIOD}: {exc}") from None
 
 
 def _positive(text: str) -> float:

@@ -210,33 +210,35 @@ class Uploader:
         return self._queue.dropped_count
 
     def upload_batch(self, batch: SensorBatch) -> int:
-        """Deliver queued readings, then this batch. Returns the number of
-        readings acknowledged by the server during this call."""
+        """Queue this batch behind the readings the link has not delivered
+        yet, then deliver the queue. Returns the number of readings
+        acknowledged by the server during this call."""
+        spooled = bool(self._queue)
+        self._queue.add(batch)
         acked = self._replay()
-        # a batch waits behind readings the link could not deliver
-        sent = None if self._queue else self._send(batch)
-        if sent is None:
-            self._queue.add(batch)
+        # a batch queued and delivered within one call never reaches the spool
+        if spooled or self._queue:
             self._save_spool()
-        return acked + (sent or 0)
+        return acked
 
     def flush(self) -> int:
         """Try to deliver everything queued; returns readings acknowledged."""
-        return self._replay()
+        queued = len(self._queue)
+        acked = self._replay()
+        if len(self._queue) != queued:
+            self._save_spool()
+        return acked
 
     def _replay(self) -> int:
-        """Deliver the queue in order until it drains or the link gives out;
-        returns the readings acknowledged."""
-        acked, changed = 0, False
+        """Deliver the queue in order, one ``head`` batch a request, until it
+        drains or the link gives out; returns the readings acknowledged."""
+        acked = 0
         while (batch := self._queue.head()) is not None:
             sent = self._send(batch)
             if sent is None:
                 break
             self._queue.ack(batch)
             acked += sent
-            changed = True
-        if changed:
-            self._save_spool()
         return acked
 
     def _send(self, batch: SensorBatch) -> int | None:

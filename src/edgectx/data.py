@@ -13,12 +13,8 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .rng import Rng
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -105,14 +101,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-    def features_matrix(self) -> np.ndarray:
-        import numpy as np
-        return np.array([s.features for s in self.samples], dtype=np.float64)
-
-    def label_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([s.label for s in self.samples], dtype=np.int64)
 
     def class_counts(self) -> list[int]:
         counts = [0] * self.n_classes
@@ -236,11 +224,8 @@ def normalize_minmax(data: Dataset) -> Dataset:
     """
     if not data.samples:
         raise ValueError("cannot normalize an empty dataset")
-    matrix = data.features_matrix()
-    lo = matrix.min(axis=0)
-    hi = matrix.max(axis=0)
-    norms = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return apply_minmax(data, norms)
+    columns = zip(*(s.features for s in data.samples))
+    return apply_minmax(data, tuple((float(min(c)), float(max(c))) for c in columns))
 
 
 def apply_minmax(data: Dataset, normalization: tuple[tuple[float, float], ...]) -> Dataset:

@@ -343,20 +343,17 @@ def calibrate_thresholds(params: NetworkParameters, data: Dataset) -> ThresholdV
         raise ValueError("thresholds are calibrated for single-layer models only")
     if not data.samples:
         raise ValueError("cannot calibrate on an empty dataset")
-    import numpy as np
-
-    outputs = np.array(nn.dataset_outputs(params, data))
-    labels = data.label_array()
+    outputs = nn.dataset_outputs(params, data)
     thresholds = []
     for c in range(params.spec.output_count):
-        pos = outputs[labels == c, c]
-        neg = outputs[labels != c, c]
-        if pos.size == 0:
+        pos = [out[c] for out, s in zip(outputs, data.samples) if s.label == c]
+        neg = [out[c] for out, s in zip(outputs, data.samples) if s.label != c]
+        if not pos:
             t = 0.5
-        elif neg.size == 0:
-            t = float(pos.mean())
+        elif not neg:
+            t = math.fsum(pos) / len(pos)
         else:
-            t = float((pos.mean() + neg.mean()) / 2.0)
+            t = (math.fsum(pos) / len(pos) + math.fsum(neg) / len(neg)) / 2.0
         thresholds.append(min(THRESHOLD_CEIL, max(THRESHOLD_FLOOR, t)))
     return ThresholdVector(tuple(thresholds))
 

@@ -7,8 +7,10 @@ w <- w - learning_rate * dE/dw applied after each sample.
 
 A network's parameters are stored as one flat tuple of floats: each layer's
 weight rows, then its biases. Building, checking, encoding, training and
-predicting with a network need no numpy; only the code that works
-on arrays imports it, so an edge client or a starting server never does.
+predicting with a network need no numpy, nor does any path of ``train``,
+``serve``, ``client`` or ``simulate``; only the array surface that tests
+use (``weights``, ``biases``, ``forward``, ``backprop``, ``apply_update``
+and ``sigmoid`` on arrays) imports it.
 
 One kernel computes the math: straight-line Python generated once per
 topology from the layer sizes, one function for a forward pass, one for

@@ -3,16 +3,22 @@
 A single fixed generator (SplitMix64) backs every random choice in the
 package so that a seed fully determines weights, fold assignments and
 simulated scenarios, independent of platform or library versions.
+
+A shuffle draws one word of that stream and uses it as the key of a
+SHAKE-128 expansion (FIPS 202's extendable-output function, through
+``hashlib``), whose little-endian 64-bit words give the shuffle's indices.
+``hashlib`` makes the hundreds of words a shuffle needs in C, where a
+SplitMix64 word per index costs a Python loop, and the stream advances by
+one word whatever the length of the list.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from functools import lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+import struct
+from collections.abc import Iterator
+from operator import mod
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -20,24 +26,20 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-@lru_cache(maxsize=1)
-def _block_constants() -> tuple:
-    """(golden, mix1, mix2, 2**64 - 1, 1, 30, 27, 31) as numpy uint64
-    scalars, for the block draws of ``shuffle``."""
-    import numpy as np
-    return tuple(map(np.uint64, (_GOLDEN, _MIX1, _MIX2, _MASK64, 1, 30, 27, 31)))
+def _draw(words: Iterator[int], m: int) -> int:
+    """``randrange``'s rule for bound m on the 64-bit ``words``: skip each
+    word at or above 2**64 - 2**64 % m, then take the next one mod m."""
+    limit = (1 << 64) - (1 << 64) % m
+    return next(w for w in words if w < limit) % m
 
 
-@lru_cache(maxsize=64)
-def _golden_steps(n: int) -> np.ndarray:
-    """k * golden mod 2**64 for k = 1..n, read-only: the state offsets of
-    the next n words."""
-    import numpy as np
-
-    steps = np.arange(1, n + 1, dtype=np.uint64)
-    steps *= _block_constants()[0]
-    steps.setflags(write=False)
-    return steps
+def _xof_words(xof) -> Iterator[int]:
+    """The output of ``xof`` as little-endian 64-bit words, without end: a
+    longer digest extends a shorter one, so each read keeps only its new words."""
+    read, count = 0, 1024
+    while True:
+        yield from struct.unpack_from(f"<{count - read}Q", xof.digest(8 * count), 8 * read)
+        read, count = count, 2 * count
 
 
 class Rng:
@@ -69,11 +71,7 @@ class Rng:
         0 < n <= 2**64: one 64-bit word cannot cover a larger range."""
         if not 0 < n <= 1 << 64:
             raise ValueError(f"randrange bound must be in (0, 2**64], got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % n
+        return _draw(iter(self.next_u64, None), n)
 
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p
@@ -85,52 +83,24 @@ class Rng:
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: for i from the last index down to
-        1, swap items[i] with items[randrange(i + 1)]."""
+        """In-place Fisher-Yates shuffle keyed by one stream word: for i from
+        the last index down to 1, swap items[i] with items[j], where j is
+        ``randrange``'s rule for bound i + 1 on the next word of the word's
+        SHAKE-128 expansion. A list of fewer than two items draws no word."""
         n = len(items)
         if n < 2:
             return
-        import numpy as np
-
-        draws = self._randrange_block(np.arange(n, 1, -1, dtype=np.uint64))
+        xof = hashlib.shake_128(self.next_u64().to_bytes(8, "little"))
+        words = struct.unpack(f"<{n - 1}Q", xof.digest(8 * (n - 1)))
+        # randrange(m) rejects only words at or above 2**64 - 2**64 % m, and
+        # 2**64 % m < m <= n, so no word up to 2**64 - n is rejected
+        if max(words) <= _MASK64 + 1 - n:
+            draws = map(mod, words, range(n, 1, -1))
+        else:
+            rest = _xof_words(xof)
+            draws = [_draw(rest, m) for m in range(n, 1, -1)]
         for i, j in zip(range(n - 1, 0, -1), draws):
             items[i], items[j] = items[j], items[i]
-
-    def _randrange_block(self, bounds: np.ndarray) -> list[int]:
-        """``[self.randrange(int(m)) for m in bounds]`` for uint64 bounds,
-        leaving the stream in the same state, computed as numpy blocks.
-
-        The k-th word ahead is mix(state + k * golden), so a block of words
-        needs no loop. A word that randrange would reject ends the block at
-        that bound; the word is consumed and the next block starts by
-        drawing the same bound again.
-        """
-        import numpy as np
-
-        _, mix1, mix2, mask, one, s30, s27, s31 = _block_constants()
-        draws: list[int] = []
-        while len(draws) < len(bounds):
-            m = bounds[len(draws):]
-            z = _golden_steps(len(m)) + np.uint64(self._state)
-            t = z >> s30
-            z ^= t
-            z *= mix1
-            np.right_shift(z, s27, out=t)
-            z ^= t
-            z *= mix2
-            np.right_shift(z, s31, out=t)
-            z ^= t
-            # randrange accepts r < 2**64 - 2**64 % m, i.e. r <= MASK - 2**64 % m;
-            # 2**64 % m < m, so no word up to MASK + 1 - max(m) is rejected
-            take = len(m)
-            if int(z.max()) > _MASK64 + 1 - int(m.max()):
-                accept = z <= mask - (mask % m + one) % m
-                if not accept.all():
-                    take = int(accept.argmin())
-            draws += (z[:take] % m[:take]).tolist()
-            used = take if take == len(m) else take + 1
-            self._state = (self._state + used * _GOLDEN) & _MASK64
-        return draws
 
     def fork(self) -> "Rng":
         """Independent child stream seeded from this one."""

@@ -304,6 +304,14 @@ class TestClientCommand:
         assert run_cli("client", "--server", "127.0.0.1:9", option, value) == 1
         assert f"usage error: argument {option}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    def test_sync_period_variable_below_its_floor_is_refused_before_the_probe(
+            self, value, monkeypatch, capsys):
+        monkeypatch.setenv(edgectx.cli.ENV_SYNC_PERIOD, value)
+        monkeypatch.setattr(edgectx.cli, "TcpTransport", lambda *a, **kw: pytest.fail("probed"))
+        assert run_cli("client", "--server", "127.0.0.1:9") == 1
+        assert f"usage error: ${edgectx.cli.ENV_SYNC_PERIOD}: expected" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def scenario_file(self, tmp_path, **overrides):

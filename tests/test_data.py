@@ -188,11 +188,9 @@ class TestSynthStillMotion:
         data = synth_still_motion(1000, 17)
         counts = data.class_counts()
         assert counts[0] > 0 and counts[1] > 0
-        feats = data.features_matrix()
-        labels = data.label_array()
-        still_mean = feats[labels == 0].mean()
-        motion_mean = feats[labels == 1].mean()
-        assert motion_mean > still_mean
+        still, motion = ([v for s in data.samples if s.label == c for v in s.features]
+                         for c in (0, 1))
+        assert sum(motion) / len(motion) > sum(still) / len(still)
 
     def test_deterministic(self):
         assert synth_still_motion(200, 9).samples == synth_still_motion(200, 9).samples

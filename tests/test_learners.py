@@ -330,7 +330,7 @@ class TestKFold:
         doubled = Dataset(base.samples + base.samples, base.feature_names, base.class_names)
         # seed chosen so every duplicate pair straddles folds: each tested
         # sample is then guaranteed to sit in the training fold too
-        result = kfold_cross_validate(doubled, 4, memorizing_trainer, 0)
+        result = kfold_cross_validate(doubled, 4, memorizing_trainer, 2)
         assert result.mean_accuracy == 1.0
 
     def test_deterministic_assignment(self):

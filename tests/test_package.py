@@ -13,6 +13,7 @@ from edgectx.nn import LayerSpec, init_network
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_CL = Path(__file__).resolve().parent / "golden" / "bundle_cl_golden.json"
 GOLDEN_SPOOL = GOLDEN_CL.with_name("spool.jsonl")
+SCENARIO = SRC.parent / "scenarios" / "outage.json"
 
 # every public name ``import edgectx`` has offered since the package
 # re-exported its submodules' names eagerly, with the submodule defining it
@@ -69,19 +70,22 @@ def test_cli_import_leaves_out_what_serve_does_not_use():
     assert "statistics" not in loaded and "csv" not in loaded
 
 
-def test_serve_through_a_retrain_leaves_out_what_it_does_not_use(tmp_path):
+def serve_one_retrain(data_dir: Path) -> str:
+    """Code that runs ``serve`` on ``data_dir``, holding a v1 bundle of each
+    kind and 20 readings, through one retrain of each kind, then prints
+    what it saw as JSON."""
     rows = [{"sensor_id": "acc0", "timestamp": i, "values": [0.1 + 2.0 * (i % 2), 0.2],
              "label": i % 2} for i in range(20)]
-    (tmp_path / "readings.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (data_dir / "readings.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
     for kind, hidden, thresholds in (("DCL", (2,), None),
                                      ("CL", (), ThresholdVector((0.5, 0.5)))):
         bundle = ParameterBundle(kind, init_network(LayerSpec(2, hidden, 2), 3), 1, 0,
                                  thresholds)
-        (tmp_path / f"bundle-{kind}-v1.json").write_bytes(encode_bundle(bundle))
+        (data_dir / f"bundle-{kind}-v1.json").write_bytes(encode_bundle(bundle))
     # the first sleep stands for the wait before the first retrain: it talks
     # to the server, then returns, so one retrain runs; the second sleep
     # stops the loop
-    out = run_fresh(f"""
+    return f"""
 import contextlib, io, json, time
 import edgectx.cli
 from edgectx.protocol import TcpTransport
@@ -104,19 +108,49 @@ def sleep(seconds):
     seen["before_retrain"] = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 time.sleep = sleep
 with contextlib.redirect_stdout(printed):
-    code = edgectx.cli.main(["serve", "--addr", "127.0.0.1:0", "--data-dir", {str(tmp_path)!r},
+    code = edgectx.cli.main(["serve", "--addr", "127.0.0.1:0", "--data-dir", {str(data_dir)!r},
                              "--retrain-every", "1", "--epochs", "2"])
 assert code == 0 and len(sleeps) == 2, code
 seen["loaded"] = sorted(sys.modules)
 print(json.dumps(seen))
-""")
+"""
+
+
+def check_one_retrain(data_dir: Path, out: str) -> dict:
+    """What ``serve_one_retrain`` printed, once the retrain is checked."""
     seen = json.loads(out.splitlines()[-1])
     assert seen["replies"] == ["PONG", "PARAMS", "PARAMS", "ACK"]
-    assert seen["before_retrain"] == []
-    assert seen["after_retrain"] is True
-    assert not set(seen["loaded"]) & set(NOT_SERVED)
-    assert sorted(p.name for p in tmp_path.glob("bundle-*.json")) == [
+    assert sorted(p.name for p in data_dir.glob("bundle-*.json")) == [
         "bundle-CL-v1.json", "bundle-CL-v2.json", "bundle-DCL-v1.json", "bundle-DCL-v2.json"]
+    return seen
+
+
+def test_serve_through_a_retrain_leaves_out_what_it_does_not_use(tmp_path):
+    seen = check_one_retrain(tmp_path, run_fresh(serve_one_retrain(tmp_path)))
+    assert seen["before_retrain"] == []
+    assert seen["after_retrain"] is False
+    assert not set(seen["loaded"]) & set(NOT_SERVED)
+
+
+def test_train_simulate_and_serve_run_with_numpy_blocked(tmp_path):
+    # a None entry in sys.modules makes ``import numpy`` raise ImportError
+    serve_dir = tmp_path / "serve"
+    serve_dir.mkdir()
+    out = run_fresh(f"""
+sys.modules["numpy"] = None
+import contextlib, io, json
+import edgectx.cli
+for kind in ("dcl", "cl"):
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert edgectx.cli.main(["train", "synth-still-motion", "--kind", kind, "--kfold", "3",
+                                 "--epochs", "5", "--synth-n", "200"]) == 0
+    assert json.loads(printed.getvalue())["mean_accuracy"] > 0.5, printed.getvalue()
+with contextlib.redirect_stdout(io.StringIO()) as printed:
+    assert edgectx.cli.main(["simulate", "--scenario", {str(SCENARIO)!r},
+                             "--out-dir", {str(tmp_path / "sim")!r}]) == 0
+assert json.loads(printed.getvalue())["publishes"] > 0
+{serve_one_retrain(serve_dir)}""")
+    check_one_retrain(serve_dir, out)
 
 
 def test_edge_path_leaves_out_numpy(tmp_path):

@@ -1,7 +1,12 @@
-import numpy as np
+import hashlib
+import struct
+from collections import Counter
+from itertools import islice
+
 import pytest
 
-from edgectx.rng import Rng
+import edgectx.rng
+from edgectx.rng import Rng, _draw, _xof_words
 
 # published reference outputs of the splitmix64 algorithm for seed 1234567
 REFERENCE_SEED = 1234567
@@ -103,10 +108,17 @@ def test_gauss_moments():
     assert abs(var - 0.25) < 0.02
 
 
-def fisher_yates(rng, items):
-    """The reference shuffle: one ``randrange`` per position."""
+def keyed_fisher_yates(key, items):
+    """The shuffle from its definition: Fisher-Yates on the little-endian
+    64-bit words of the SHAKE-128 expansion of ``key``, each index drawn by
+    randrange's rule."""
+    stream = hashlib.shake_128(key.to_bytes(8, "little")).digest(16 * len(items) + 64)
+    words = (int.from_bytes(stream[k:k + 8], "little") for k in range(0, len(stream), 8))
     for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        w = next(words)
+        while w >= 2**64 - 2**64 % (i + 1):
+            w = next(words)
+        j = w % (i + 1)
         items[i], items[j] = items[j], items[i]
 
 
@@ -114,22 +126,46 @@ def fisher_yates(rng, items):
 def test_shuffle_equals_sequential_fisher_yates(n):
     for seed in range(50):
         got, want = list(range(n)), list(range(n))
-        a, b = Rng(seed), Rng(seed)
-        a.shuffle(got)
-        fisher_yates(b, want)
+        Rng(seed).shuffle(got)
+        keyed_fisher_yates(Rng(seed).next_u64(), want)
         assert got == want
-        assert a.next_u64() == b.next_u64()
 
 
-def test_block_draws_reject_words_like_randrange():
-    # randrange(m) for m just above 2**63 rejects about half of all words
-    bounds = [2**63 + 7919 * k + 1 for k in range(200)] + [2**64 - 1, 3, 2**63]
-    golden, mask = 0x9E3779B97F4A7C15, 2**64 - 1
-    for seed in range(10):
-        a, b = Rng(seed), Rng(seed)
-        assert a._randrange_block(np.array(bounds, dtype=np.uint64)) == [
-            b.randrange(m) for m in bounds
-        ]
-        assert a.next_u64() == b.next_u64()
-        # more words were drawn than there are bounds
-        assert b._state != (seed + (len(bounds) + 1) * golden) & mask
+def test_draws_skip_the_words_randrange_rejects(monkeypatch):
+    # 2**64 % 6 == 4 and 2**64 % 5 == 1, so the top word is rejected for
+    # both; a power of two rejects none
+    top = 2**64 - 1
+    words = iter([top, 3, top, 10, top, 7])
+    assert [_draw(words, m) for m in (6, 5, 4)] == [3, 0, 3]
+    assert next(words) == 7
+    # a block holding a word above 2**64 - n takes the sequential rule on
+    # the longer digest, which starts with the same words
+    xof = hashlib.shake_128(b"key")
+    assert list(islice(_xof_words(xof), 3000)) == list(struct.unpack("<3000Q",
+                                                                     xof.digest(24000)))
+    monkeypatch.setattr(edgectx.rng, "max", lambda words: top, raising=False)
+    for n in (2, 301, 2000):
+        got, want = list(range(n)), list(range(n))
+        Rng(n).shuffle(got)
+        keyed_fisher_yates(Rng(n).next_u64(), want)
+        assert got == want
+
+
+def test_a_shuffle_draws_one_word_from_two_items_on():
+    for n in range(6):
+        shuffled, drawn = Rng(n), Rng(n)
+        shuffled.shuffle(list(range(n)))
+        if n >= 2:
+            drawn.next_u64()
+        assert shuffled.next_u64() == drawn.next_u64()
+
+
+def test_permutations_of_four_are_uniform():
+    rng, counts = Rng(21), Counter()
+    for _ in range(24_000):
+        items = [0, 1, 2, 3]
+        rng.shuffle(items)
+        counts[tuple(items)] += 1
+    assert len(counts) == 24
+    chi2 = sum((c - 1000) ** 2 / 1000 for c in counts.values())
+    assert chi2 < 49.73  # the 0.999 quantile of chi-square with 23 degrees of freedom

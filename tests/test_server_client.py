@@ -633,6 +633,28 @@ class FakeTransport:
         return response
 
 
+class FrameLimitedTransport(FakeTransport):
+    """Fails, as ``TcpTransport`` does, on a request above the frame limit,
+    and counts such requests in ``oversized``."""
+
+    def __init__(self):
+        super().__init__()
+        self.oversized = 0
+
+    def request(self, msg, timeout=None):
+        if len(encode_message(msg)) > MAX_FRAME_BYTES:
+            self.requests += 1
+            self.oversized += 1
+            raise TransportError("frame too large")
+        return super().request(msg, timeout)
+
+
+def wide_batch(timestamps) -> SensorBatch:
+    """One client's unlabelled readings of 100 values, one per timestamp."""
+    values = tuple(i / 7 for i in range(100))
+    return SensorBatch("c", tuple(SensorReading("acc0", t, values) for t in timestamps))
+
+
 class TestClientSync:
     def test_first_sync_adopts_bundle(self, trained_dcl):
         ft = FakeTransport()
@@ -842,27 +864,23 @@ class TestUploader:
         assert uploader.dropped_count == 50
 
     def test_a_full_queue_of_wide_readings_drains(self):
-        class FrameLimitedTransport(FakeTransport):
-            """Fails, as ``TcpTransport`` does, on a request above the frame limit."""
-
-            def request(self, msg, timeout=None):
-                if len(encode_message(msg)) > MAX_FRAME_BYTES:
-                    self.requests += 1
-                    raise TransportError("frame too large")
-                return super().request(msg, timeout)
-
         ft = FrameLimitedTransport()
         uploader = Uploader(ft)
         ft.down = True
-        values = tuple(i / 7 for i in range(100))
         for ts in (range(1), range(1, QUEUE_CAPACITY)):  # the second waits behind the first
-            uploader.upload_batch(SensorBatch("c", tuple(
-                SensorReading("acc0", t, values) for t in ts)))
+            uploader.upload_batch(wide_batch(ts))
         ft.down = False
         # the queue is one run of one client, too large for one frame
         requests = ft.requests
         assert uploader.flush() == QUEUE_CAPACITY
         assert ft.requests - requests == QUEUE_CAPACITY // MAX_BATCH_READINGS
+
+    def test_an_oversized_batch_on_an_empty_queue_is_sent_in_cuts(self):
+        ft = FrameLimitedTransport()
+        uploader = Uploader(ft)
+        assert uploader.upload_batch(wide_batch(range(QUEUE_CAPACITY))) == QUEUE_CAPACITY
+        assert (ft.requests, ft.oversized) == (QUEUE_CAPACITY // MAX_BATCH_READINGS, 0)
+        assert uploader.queued_count == 0
 
     def test_refused_batch_is_dropped_not_replayed(self):
         ft = FakeTransport()

@@ -373,10 +373,10 @@ class TestDeferredTraining:
     # publishes or refuses moves. The link drops uploads and acks, so a
     # replay after a lost ack is held twice and trained on twice, as by serve
     PINNED = {
-        (5, ALGORITHMS): "391d9119627032ed21a4ed0897a6eaf1df72f8a32cacbdb08d4fe15d5881ef93",
-        (17, ALGORITHMS): "fa13e8e6a57272c06ec134f03d30fe73a73dd19f46f963e53e4ff911896d3e0c",
-        (5, ("ADCL", "LCL")): "77a887071f93ce1025b8bd68eda3d56e9972982ee16779ced136c65830572681",
-        (17, ("ADCL", "LCL")): "00e5803ac3ccd25a3e09429a0be2304b5d82859c1d58fbe7d4502647a52108a0",
+        (5, ALGORITHMS): "ab2fc98c5a897b3879e1758fb82eb9481f0b4ae6f7b32cf54b4cf10d36310e78",
+        (17, ALGORITHMS): "c39c47d02e5b478daa7c5945dae900edeae37028914859b66f55acfe84744095",
+        (5, ("ADCL", "LCL")): "567c6c9738550a771188f70ff4de218c3424f1ca9bbe8b0f5c16286e27231489",
+        (17, ("ADCL", "LCL")): "b9a6cfc06175efd14287bbeb6ad1e4357f54b60904aa5fb591eee7ff61a9b440",
     }
 
     @pytest.mark.parametrize("seed,algorithms", list(PINNED),

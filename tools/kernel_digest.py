@@ -44,7 +44,10 @@ instead each name whose digest moved against FILE, an earlier output
   parameters, thresholds, guard scores and verdict (the DCL v3 candidate
   is refused, so the served version stays v2);
 * ``Rng.shuffle`` permutations of 2, 3, 303 and 2000 items under seeds 0-9,
-  each with the next word of the stream after it;
+  each with the next word of the stream after it: a shuffle keys its
+  SHAKE-128 expansion with one word of the stream, so a change to the
+  expansion or to the draw rule moves the permutations, and one to the
+  number of words a shuffle takes moves the word after it;
 * the report files of three ``edgectx train`` runs on synth-still-motion
   (DCL, CL, and a DCL sweep);
 * ``ScenarioResult.canonical_bytes()`` of ``edgectx simulate`` on
