@@ -27,9 +27,8 @@ _NAMES = {
                 "NeverSyncedError ThresholdVector adcl_predict calibrate_thresholds "
                 "cl_train dcl_train evaluate fit kfold_cross_validate lcl_predict "
                 "make_cl_trainer make_dcl_trainer",
-    "nn": "ActivationTrace DimensionError GradientSet LayerSpec NetworkParameters "
-          "TrainingConfig apply_update backprop forward hidden_size_default "
-          "init_network sigmoid squared_error train",
+    "nn": "DimensionError LayerSpec NetworkParameters TrainingConfig apply_update "
+          "backprop forward hidden_size_default init_network sigmoid squared_error train",
     "protocol": "SensorBatch TcpTransport TransportError",
     "server": "JsonlDataSink MemoryDataSink ModelStore ParameterServer",
     "sim": "LinkConfig ScenarioResult SensorNodeConfig run_scenario",

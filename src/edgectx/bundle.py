@@ -86,7 +86,6 @@ class ParameterBundle:
 def encode_bundle(bundle: ParameterBundle) -> bytes:
     """Canonical bytes for a bundle; bit-stable across runs and platforms."""
     p = bundle.params
-    weights, biases = p.layers()
     doc = {
         "format_version": bundle.format_version,
         "model_kind": bundle.model_kind,
@@ -99,8 +98,8 @@ def encode_bundle(bundle: ParameterBundle) -> bytes:
             "activation": p.activation,
             "version": p.version,
             "trained_epochs": p.trained_epochs,
-            "weights": weights,
-            "biases": biases,
+            "weights": p.weights,
+            "biases": p.biases,
         },
         "thresholds": list(bundle.thresholds.values) if bundle.thresholds else None,
     }
@@ -137,7 +136,7 @@ def decode_bundle(raw: bytes) -> ParameterBundle:
         )
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BundleFormatError(f"invalid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise BundleFormatError("document is not an object")

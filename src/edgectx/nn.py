@@ -6,11 +6,11 @@ summed squared error 0.5 * sum((actual - output)^2) with the update
 w <- w - learning_rate * dE/dw applied after each sample.
 
 A network's parameters are stored as one flat tuple of floats: each layer's
-weight rows, then its biases. Building, checking, encoding, training and
-predicting with a network need no numpy, nor does any path of ``train``,
-``serve``, ``client`` or ``simulate``; only the array surface that tests
-use (``weights``, ``biases``, ``forward``, ``backprop``, ``apply_update``
-and ``sigmoid`` on arrays) imports it.
+weight rows, then its biases. Every view of them is tuples of floats:
+``weights`` and ``biases`` slice the flat tuple by layer and row,
+``forward`` returns each layer's outputs, ``backprop`` returns gradients
+in the flat tuple's order and ``apply_update`` steps the flat tuple. The
+package imports nothing outside the standard library.
 
 One kernel computes the math: straight-line Python generated once per
 topology from the layer sizes, one function for a forward pass, one for
@@ -54,13 +54,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .data import Dataset, apply_minmax_vector
 from .rng import Rng
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class DimensionError(ValueError):
@@ -110,11 +107,11 @@ class NetworkParameters:
     """Complete weight/bias snapshot; the unit shipped server to client.
 
     ``flat`` holds every parameter as one tuple of floats: per layer, its
-    weight rows, then its biases. ``weights[l]`` (shape (to_count,
-    from_count)) and ``biases[l]`` are read-only numpy views of it, built
-    on first use. Built from nested ``weights`` and ``biases`` or from
-    ``flat``; layers given with ``flat`` replace the ones it holds, so
-    ``dataclasses.replace`` takes either. Snapshots compare by value.
+    weight rows, then its biases. ``weights[l][j]`` (row j of layer l, one
+    weight per input) and ``biases[l]`` are tuples sliced from it. Built
+    from nested ``weights`` and ``biases`` or from ``flat``; layers given
+    with ``flat`` replace the ones it holds, so ``dataclasses.replace``
+    takes either. Snapshots compare by value.
     """
 
     spec: LayerSpec
@@ -154,26 +151,12 @@ class NetworkParameters:
         return len(self.flat)
 
     @property
-    def weights(self) -> tuple[np.ndarray, ...]:
-        return self._arrays[0]
+    def weights(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        return _layer_views(self.flat, self.spec.layer_sizes)[0]
 
     @property
-    def biases(self) -> tuple[np.ndarray, ...]:
-        return self._arrays[1]
-
-    def layers(self) -> tuple[list[list[tuple[float, ...]]], list[tuple[float, ...]]]:
-        """(weights, biases) as tuples of floats sliced from ``flat``:
-        ``weights[l][j]`` is row j of layer l."""
-        return _layer_views(self.flat, self.spec.layer_sizes)
-
-    @cached_property
-    def _arrays(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        import numpy as np
-
-        flat = np.array(self.flat, dtype=np.float64)
-        flat.setflags(write=False)
-        weights, biases = _layer_views(flat, self.spec.layer_sizes)
-        return tuple(weights), tuple(biases)
+    def biases(self) -> tuple[tuple[float, ...], ...]:
+        return _layer_views(self.flat, self.spec.layer_sizes)[1]
 
     @cached_property
     def _list_fns(self) -> _ListKernel:
@@ -182,14 +165,12 @@ class NetworkParameters:
 
 
 def _flattened(weights, biases, sizes) -> list:
-    """Per-layer ``weights`` and ``biases`` of ``sizes``, numpy arrays or
-    nested sequences, as one list in the order of ``flat``."""
+    """Per-layer ``weights`` and ``biases`` of ``sizes``, nested sequences
+    (numpy arrays among them), as one list in the order of ``flat``."""
     if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
         raise DimensionError("layer count does not match spec")
     flat: list = []
     for l, (w, b) in enumerate(zip(weights, biases)):
-        # an array becomes nested lists in one call
-        w, b = (x.tolist() if hasattr(x, "tolist") else x for x in (w, b))
         try:
             fits = len(w) == len(b) == sizes[l + 1] and all(len(r) == sizes[l] for r in w)
         except TypeError:  # a number where a row or a layer belongs
@@ -197,26 +178,11 @@ def _flattened(weights, biases, sizes) -> list:
         if not fits:
             raise DimensionError(f"layer {l} shapes do not match spec ({sizes[l + 1]}, {sizes[l]})")
         for row in w:
-            flat += row
-        flat += b
+            flat.extend(row)
+        flat.extend(b)
     if any(hasattr(v, "__len__") for v in flat):
         raise DimensionError("parameters nest deeper than the spec's layers")
     return flat
-
-
-@dataclass(frozen=True)
-class ActivationTrace:
-    """Per-layer sigmoid outputs from one forward pass.
-
-    Index 0 is the first computed layer; the input vector itself is not part
-    of the trace. ``final_outputs`` are the class scores.
-    """
-
-    outputs: tuple[np.ndarray, ...]
-
-    @property
-    def final_outputs(self) -> np.ndarray:
-        return self.outputs[-1]
 
 
 @dataclass(frozen=True)
@@ -233,32 +199,15 @@ class TrainingConfig:
             raise ValueError("epochs must be at least 1")
 
 
-@dataclass(frozen=True)
-class GradientSet:
-    """dE/dw and dE/db, shaped exactly like the network they came from."""
+def sigmoid(x: float) -> float:
+    """Logistic activation 1 / (1 + exp(-x)) of a real number.
 
-    weight_grads: tuple[np.ndarray, ...]
-    bias_grads: tuple[np.ndarray, ...]
-
-
-def sigmoid(x):
-    """Logistic activation 1 / (1 + exp(-x)).
-
-    Accepts a scalar or array; finite inputs never produce NaN, and results
-    saturate just inside (0, 1) at the extremes. Each value is the output
-    of the generated kernel's 1-1 net with weight 1 and bias 0, whose net
-    input is exactly x, so it is the value any network's node computes.
+    A finite input never produces NaN, and the result saturates just inside
+    (0, 1) at the extremes. It is the output of the generated kernel's 1-1
+    net with weight 1 and bias 0, whose net input is exactly x, so it is
+    the value any network's node computes.
     """
-    from numbers import Real
-
-    unit = _list_kernel((1, 1)).activations
-    if isinstance(x, Real):
-        return unit((1.0, 0.0), [float(x)])[1][0]
-    import numpy as np
-
-    values = np.asarray(x, dtype=np.float64)
-    out = np.array([unit((1.0, 0.0), [v])[1][0] for v in values.ravel().tolist()])
-    return float(out[0]) if values.ndim == 0 else out.reshape(values.shape)
+    return _list_kernel((1, 1)).activations((1.0, 0.0), [float(x)])[1][0]
 
 
 def hidden_size_default(input_count: int, output_count: int) -> int:
@@ -281,20 +230,16 @@ def init_network(spec: LayerSpec, seed: int) -> NetworkParameters:
     return NetworkParameters(spec, flat=[rng.uniform() for _ in range(count)])
 
 
-def forward(params: NetworkParameters, features) -> ActivationTrace:
-    """Propagate one feature vector through every layer."""
-    import numpy as np
-
+def forward(params: NetworkParameters, features) -> tuple[tuple[float, ...], ...]:
+    """Propagate one feature vector through every layer: each computed
+    layer's outputs, the class scores last; the input is not included."""
     acts = params._list_fns.activations(params.flat, _check_input(params, features))
-    outs = [np.asarray(a) for a in acts[1:]]
-    for a in outs:
-        a.setflags(write=False)
-    return ActivationTrace(tuple(outs))
+    return tuple(map(tuple, acts[1:]))
 
 
 def final_outputs(params: NetworkParameters, features) -> list[float]:
-    """The class scores ``forward(params, features).final_outputs`` holds,
-    as a list, without building the per-layer trace."""
+    """The class scores ``forward(params, features)[-1]`` holds, as a
+    list, without building the other layers' tuples."""
     return params._list_fns.activations(params.flat, _check_input(params, features))[-1]
 
 
@@ -323,41 +268,37 @@ def squared_error(actual, predicted) -> float:
     return 0.5 * total
 
 
-def backprop(params: NetworkParameters, features, target) -> GradientSet:
-    """Exact gradients of the squared error for one (input, target) pair.
+def backprop(params: NetworkParameters, features, target) -> tuple[float, ...]:
+    """Exact gradients of the squared error for one (input, target) pair,
+    one per parameter in the order of ``params.flat``: per layer, each
+    row's d_j * a_k, then the deltas d_j, the bias gradients.
 
     Output-layer delta is (output - actual) * output * (1 - output); hidden
     deltas chain back through the transposed weights. Does not mutate
     ``params``.
     """
-    import numpy as np
-
     x = _check_input(params, features)
     t = _vector(target, params.spec.output_count, "target")
     if not all(0.0 <= v <= 1.0 for v in t):
         raise ValueError("targets must lie in [0, 1]")
     acts = params._list_fns.activations(params.flat, x)
-    deltas = params._list_fns.deltas(params.flat, acts, t)
-    w_grads = [np.outer(d, a) for d, a in zip(deltas, acts)]
-    b_grads = [np.array(d, dtype=np.float64) for d in deltas]
-    for g in w_grads + b_grads:
-        g.setflags(write=False)
-    return GradientSet(tuple(w_grads), tuple(b_grads))
+    grads: list[float] = []
+    for d, a in zip(params._list_fns.deltas(params.flat, acts, t), acts):
+        grads += [dj * ak for dj in d for ak in a]
+        grads += d
+    return tuple(grads)
 
 
-def _layer_views(flat, sizes) -> tuple[list, list]:
-    """Per-layer weights and biases of a flat sequence that holds each
-    layer's weight rows followed by its biases: views into a numpy array,
-    weights shaped (n_out, n_in), or slices of a tuple, one per row."""
+def _layer_views(flat: tuple[float, ...], sizes) -> tuple[tuple, tuple]:
+    """Per-layer weights and biases of a flat tuple that holds each layer's
+    weight rows followed by its biases: slices of it, one per row."""
     weights, biases, at = [], [], 0
     for n_in, n_out in zip(sizes, sizes[1:]):
-        w = flat[at:at + n_out * n_in]
-        weights.append(w.reshape(n_out, n_in) if hasattr(w, "reshape") else
-                       [w[k:k + n_in] for k in range(0, n_out * n_in, n_in)])
+        weights.append(tuple(flat[k:k + n_in] for k in range(at, at + n_out * n_in, n_in)))
         at += n_out * n_in
         biases.append(flat[at:at + n_out])
         at += n_out
-    return weights, biases
+    return tuple(weights), tuple(biases)
 
 
 class _ListKernel(NamedTuple):
@@ -753,28 +694,16 @@ def _compiled(source: str, what: str, sizes) -> dict:
     return namespace
 
 
-def apply_update(
-    params: NetworkParameters, grads: GradientSet, learning_rate: float
-) -> NetworkParameters:
-    """One gradient-descent step: each parameter y becomes
-    y - learning_rate * dE/dy. Version bookkeeping is left to the sync layer."""
-    import numpy as np
-
+def apply_update(params: NetworkParameters, grads, learning_rate: float) -> NetworkParameters:
+    """One gradient-descent step: each parameter y of ``params.flat``
+    becomes y - learning_rate * g, g its gradient in ``grads`` (in
+    ``backprop``'s order). Version bookkeeping is left to the sync layer."""
     if learning_rate <= 0.0:
         raise ValueError("learning_rate must be positive")
-    if len(grads.weight_grads) != len(params.weights):
-        raise DimensionError("gradient layer count does not match network")
-    new_w, new_b = [], []
-    for w, b, gw, gb in zip(
-        params.weights, params.biases, grads.weight_grads, grads.bias_grads
-    ):
-        if gw.shape != w.shape or gb.shape != b.shape:
-            raise DimensionError("gradient shape does not match network")
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise ValueError("non-finite gradient")
-        new_w.append(w - learning_rate * gw)
-        new_b.append(b - learning_rate * gb)
-    return replace(params, weights=tuple(new_w), biases=tuple(new_b))
+    g = _vector(grads, len(params.flat), "gradient")
+    if not all(map(math.isfinite, g)):
+        raise ValueError("non-finite gradient")
+    return replace(params, flat=[y - learning_rate * gy for y, gy in zip(params.flat, g)])
 
 
 def train(

@@ -102,7 +102,9 @@ def encode_message(msg: dict) -> bytes:
 def decode_message(payload: bytes) -> dict:
     try:
         msg = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # here and in ``row_from_line``, JSON nested deeper than the
+    # interpreter's recursion limit raises RecursionError
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"unparseable message: {exc}") from exc
     if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
         raise ProtocolError("message must be an object with a string 'type'")
@@ -192,7 +194,7 @@ def row_from_line(line: str, *head: str) -> tuple:
         label = obj.get("label")
         return (*fields, reading,
                 json_integer(label, "label") if label is not None else None)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ProtocolError(f"malformed row: {exc}") from exc
 
 
@@ -216,16 +218,18 @@ class TcpTransport:
         deadline = self.timeout if timeout is None else timeout
         data = encode_message(msg)
         kept = self._sock is not None
-        payload = self._exchange(data, deadline)
-        if payload is None and kept:
-            payload = self._exchange(data, deadline)
-        if payload is None:
+        reply = self._exchange(data, deadline)
+        if reply is None and kept:
+            reply = self._exchange(data, deadline)
+        if reply is None:
             raise TransportError("server closed the connection")
-        return decode_message(payload)
+        return reply
 
-    def _exchange(self, data: bytes, deadline: float) -> bytes | None:
-        """The reply frame; None, with the connection closed, when the
-        server closed or reset it before any reply byte."""
+    def _exchange(self, data: bytes, deadline: float) -> dict | None:
+        """The reply message; None, with the connection closed, when the
+        server closed or reset it before any reply byte. A reply that does
+        not decode fails as a broken link does: the connection is closed
+        and TransportError raised."""
         try:
             if self._sock is None:
                 self._sock = socket.create_connection(self.addr, timeout=deadline)
@@ -236,12 +240,13 @@ class TcpTransport:
                 payload = None
             else:
                 payload = recv_frame(self._sock)
+            reply = None if payload is None else decode_message(payload)
         except (OSError, ProtocolError) as exc:
             self.close()
             raise TransportError(f"request failed: {exc}") from exc
-        if payload is None:
+        if reply is None:
             self.close()
-        return payload
+        return reply
 
     def close(self) -> None:
         if self._sock is not None:

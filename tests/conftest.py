@@ -1,9 +1,10 @@
-"""Shared dataset access for the test suite.
+"""Shared dataset access and parameter comparison for the test suite.
 
-iris comes from scikit-learn's bundled copy. The wheat-seeds and
-heart-disease benchmark files are user-supplied (UCI downloads, see
-README): tests that need them look under $EDGECTX_DATASETS (default
-./datasets) and skip with download instructions when absent.
+Test modules import ``same_params`` from here. iris comes from
+scikit-learn's bundled copy. The wheat-seeds and heart-disease benchmark
+files are user-supplied (UCI downloads, see README): tests that need them
+look under $EDGECTX_DATASETS (default ./datasets) and skip with download
+instructions when absent.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ HEART_HINT = (
     "original processed.cleveland.data (13 features + 0-4 label; "
     "https://archive.ics.uci.edu/dataset/45/heart+disease)"
 )
+
+
+def same_params(a, b) -> bool:
+    """Whether two ``NetworkParameters`` share a topology and hold the same
+    parameters bit for bit. Compared as ``float.hex``, since tuple ``==``
+    takes -0.0 for 0.0."""
+    return a.spec == b.spec and [v.hex() for v in a.flat] == [v.hex() for v in b.flat]
 
 
 @pytest.fixture(scope="session")

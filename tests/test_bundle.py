@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import same_params
 
 from edgectx.bundle import (
     BundleChecksumError,
@@ -79,16 +80,14 @@ class TestRoundTrip:
         assert d.model_kind == b.model_kind
         assert d.model_version == b.model_version
         assert d.created_at == b.created_at
-        for wa, wb in zip(b.params.weights, d.params.weights):
-            assert np.array_equal(wa, wb)
+        assert same_params(b.params, d.params)
 
     def test_forward_outputs_survive_the_wire(self):
         b = dcl_bundle()
         d = decode_bundle(encode_bundle(b))
         x = [0.1, 0.9, 0.3, 0.7]
-        assert np.max(np.abs(
-            forward(b.params, x).final_outputs - forward(d.params, x).final_outputs
-        )) <= 1e-12
+        assert max(abs(u - v) for u, v in zip(forward(b.params, x)[-1],
+                                              forward(d.params, x)[-1])) <= 1e-12
 
     def test_one_weight_document_is_small(self):
         assert len(encode_bundle(mini_bundle())) < 1024
@@ -173,6 +172,12 @@ class TestSchemaErrors:
         raw = _rewire(encode_bundle(mini_bundle()), b'"weights":[[[0.5]]]',
                       b'"weights":[[[0.5,0.5]]]')
         with pytest.raises(BundleShapeError):
+            decode_bundle(raw)
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        raw = _rewire(encode_bundle(mini_bundle()), b'"weights":[[[0.5]]]', b'"weights":' + deep)
+        with pytest.raises(BundleFormatError, match="invalid document"):
             decode_bundle(raw)
 
     def test_missing_field(self):

@@ -4,8 +4,8 @@ import zlib
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
+from conftest import same_params
 
 import edgectx.cli
 import edgectx.client
@@ -136,12 +136,6 @@ class TestTrainCommand:
         ) == 0
 
 
-def assert_same_params(a, b):
-    assert a.spec == b.spec
-    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
-        assert x.tobytes() == y.tobytes()
-
-
 @pytest.mark.parametrize("kind, hidden_arg, hidden", [
     ("dcl", None, None), ("dcl", "3,2", (3, 2)), ("cl", None, None),
 ])
@@ -160,7 +154,7 @@ def test_train_out_ships_the_fit_model(small_csv, tmp_path, capsys, kind, hidden
         model_kind, normalize_minmax(load_csv(small_csv)), TrainingConfig(lr, 12, 5), hidden
     )
     assert shipped.model_kind == model_kind
-    assert_same_params(shipped.params, params)
+    assert same_params(shipped.params, params)
     assert shipped.thresholds == thresholds
     assert json.loads(capsys.readouterr().out)["final_epoch_loss"] == losses[-1]
 
@@ -262,9 +256,9 @@ class TestClientCommand:
         def newer(bundle, features):
             """The next version, answering the other class on ``features``."""
             other = 1 - adcl_predict(bundle.params, features).class_index
-            biases = list(bundle.params.biases)
-            biases[-1] = np.where(np.arange(2) == other, 100.0, -100.0)
-            params = replace(bundle.params, biases=tuple(biases))
+            biases = (*bundle.params.biases[:-1],
+                      tuple(100.0 if j == other else -100.0 for j in range(2)))
+            params = replace(bundle.params, biases=biases)
             return ParameterBundle(bundle.model_kind, params, bundle.model_version + 1,
                                    bundle.created_at)
 
@@ -446,8 +440,7 @@ class TestServeHelpers:
             published.append(bundles)
         for a, b in zip(*published):
             assert a.model_version == b.model_version
-            for x, y in zip(a.params.weights + a.params.biases, b.params.weights + b.params.biases):
-                assert x.tobytes() == y.tobytes()
+            assert same_params(a.params, b.params)
         # the next version continues from the served one for 6 // 6 epochs,
         # on every row, with the crc32 seed of its own version
         data = dataset_from_readings(sink.labeled_pairs(), ("f0", "f1"), ("0", "1"))
@@ -459,7 +452,7 @@ class TestServeHelpers:
             seed = zlib.crc32(f"{kind} v2".encode())
             params, thresholds, _ = fit(kind, data, TrainingConfig(lr, 1, seed),
                                         start=first.params)
-            assert_same_params(second.params, params)
+            assert same_params(second.params, params)
             assert second.thresholds == thresholds
 
     def test_retrain_publishes_the_fit_model(self, tmp_path):
@@ -483,7 +476,7 @@ class TestServeHelpers:
             params, thresholds, _ = fit(kind, data, TrainingConfig(lr, 7, seed))
             bundle = store.get(kind)
             assert bundle.model_version == 1
-            assert_same_params(bundle.params, params)
+            assert same_params(bundle.params, params)
             assert bundle.thresholds == thresholds
 
     def test_restart_continues_versions(self, tmp_path, live_server):
@@ -630,7 +623,7 @@ class TestRetrainStep:
             _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
             bundles.append([store.get(kind) for kind in ("DCL", "CL")])
         for a, b in zip(*bundles):
-            assert_same_params(a.params, b.params)
+            assert same_params(a.params, b.params)
             assert a.thresholds == b.thresholds
 
     def test_new_class_publishes_a_fresh_wider_net_that_clients_receive(self, capsys):

@@ -5,14 +5,18 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "kernel_digest.py"
+# runs the script named by the first argument with ``import numpy`` failing:
+# a None entry in sys.modules makes the import raise ImportError
+NUMPY_BLOCKED = ("import runpy, sys; sys.modules['numpy'] = None; sys.argv = sys.argv[1:]; "
+                 "runpy.run_path(sys.argv[0], run_name='__main__')")
 
 
 def test_digests_repeat():
-    # two runs side by side; the digests themselves vary with the host's
-    # floating-point libraries, so no value is pinned
+    # two runs side by side, numpy blocked; the digests themselves vary with
+    # the host's floating-point libraries, so no value is pinned
     runs = [
-        subprocess.Popen([sys.executable, str(TOOL)], stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True)
+        subprocess.Popen([sys.executable, "-c", NUMPY_BLOCKED, str(TOOL)],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for _ in range(2)
     ]
     outputs = []

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import same_params
 
 from edgectx import nn
 from edgectx.data import (
@@ -374,8 +375,7 @@ class TestTrainers:
         cfg = TrainingConfig(0.3, 20, 6)
         a = dcl_train(data, LayerSpec(2, (2,), 2), cfg)
         b = dcl_train(data, LayerSpec(2, (2,), 2), cfg)
-        for wa, wb in zip(a.weights, b.weights):
-            assert wa.tobytes() == wb.tobytes()
+        assert same_params(a, b)
 
     def test_cl_on_separable_clusters(self):
         data = synth_still_motion(300, 8)
@@ -420,7 +420,8 @@ class TestTrainers:
         fitted = normalize_minmax(data)
         params = dcl_train(fitted, LayerSpec(2, (2,), 2), TrainingConfig(0.3, 40, 7))
         for s in fitted.samples[:50]:
-            direct = int(np.argmax(forward(params, s.features).final_outputs))
+            outputs = forward(params, s.features)[-1]
+            direct = outputs.index(max(outputs))
             via_pipeline = predict(
                 tuple(
                     lo + f * (hi - lo)
@@ -428,13 +429,6 @@ class TestTrainers:
                 )
             )
             assert direct == via_pipeline.class_index
-
-
-def same_params(a: NetworkParameters, b: NetworkParameters) -> bool:
-    return a.spec == b.spec and all(
-        x.tobytes() == y.tobytes()
-        for x, y in zip(a.weights + a.biases, b.weights + b.biases)
-    )
 
 
 class TestFit:

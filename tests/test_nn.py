@@ -6,12 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import same_params
 
 from edgectx import nn
 from edgectx.data import Dataset, Sample
 from edgectx.nn import (
     DimensionError,
-    GradientSet,
     LayerSpec,
     NetworkParameters,
     TrainingConfig,
@@ -29,11 +29,7 @@ from edgectx.rng import Rng
 
 def make_params(sizes, weights, biases):
     spec = LayerSpec(sizes[0], tuple(sizes[1:-1]), sizes[-1])
-    return NetworkParameters(
-        spec,
-        tuple(np.array(w, dtype=float) for w in weights),
-        tuple(np.array(b, dtype=float) for b in biases),
-    )
+    return NetworkParameters(spec, weights, biases)
 
 
 def random_params(spec: LayerSpec, seed: int) -> NetworkParameters:
@@ -65,20 +61,16 @@ class TestSigmoid:
             assert not math.isnan(y)
 
     def test_monotone(self):
-        xs = np.linspace(-30, 30, 301)
-        ys = sigmoid(xs)
-        assert np.all(np.diff(ys) >= 0)
+        ys = [sigmoid(x) for x in np.linspace(-30, 30, 301).tolist()]
+        assert all(a <= b for a, b in zip(ys, ys[1:]))
 
     def test_bit_identical_to_masked_two_branch_form(self):
         # the two branches on math.exp, as every network node computes them;
         # numpy's exp differs from it in the last bit on some inputs
         magnitudes = [0.0, 1e-300, 1e-8, 0.5, 1.0, 2.0, 36.7, 40.0, 709.0, 745.0, 1e308]
-        xs = np.array([m * sign for m in magnitudes for sign in (1.0, -1.0)])
-        xs = np.concatenate([xs, np.linspace(-50.0, 50.0, 1001)])
-        expected = np.array([ref_sigmoid(x) for x in xs.tolist()])
-        assert sigmoid(xs).tobytes() == expected.tobytes()
-        for x, y in zip(xs, expected):
-            assert np.float64(sigmoid(float(x))).tobytes() == y.tobytes()
+        xs = [m * sign for m in magnitudes for sign in (1.0, -1.0)]
+        xs += np.linspace(-50.0, 50.0, 1001).tolist()
+        assert bits([sigmoid(x) for x in xs]) == bits([ref_sigmoid(x) for x in xs])
 
 
 class TestHiddenSizeDefault:
@@ -95,29 +87,23 @@ class TestHiddenSizeDefault:
 class TestInit:
     def test_deterministic(self):
         spec = LayerSpec(4, (3,), 3)
-        a = init_network(spec, 123)
-        b = init_network(spec, 123)
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
-        for ba, bb in zip(a.biases, b.biases):
-            assert np.array_equal(ba, bb)
+        assert same_params(init_network(spec, 123), init_network(spec, 123))
 
     def test_shapes(self):
         p = init_network(LayerSpec(4, (3,), 3), 1)
-        assert [w.shape for w in p.weights] == [(3, 4), (3, 3)]
-        assert [b.shape for b in p.biases] == [(3,), (3,)]
+        assert [[len(row) for row in w] for w in p.weights] == [[4] * 3, [3] * 3]
+        assert [len(b) for b in p.biases] == [3, 3]
         assert p.version == 0 and p.trained_epochs == 0
 
     def test_values_in_unit_interval(self):
         for seed in (0, 1, 999):
             p = init_network(LayerSpec(5, (4, 4), 2), seed)
-            for arr in (*p.weights, *p.biases):
-                assert np.all(arr >= 0.0) and np.all(arr < 1.0)
+            assert all(0.0 <= v < 1.0 for v in p.flat)
 
     def test_different_seeds_differ(self):
         a = init_network(LayerSpec(3, (3,), 2), 1)
         b = init_network(LayerSpec(3, (3,), 2), 2)
-        assert any(not np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
+        assert a.weights != b.weights
 
     def test_rejects_zero_sized_layer(self):
         with pytest.raises(ValueError):
@@ -141,8 +127,7 @@ class TestForward:
     def test_zero_params_give_half_everywhere(self):
         p = make_params([3, 2, 2], [np.zeros((2, 3)), np.zeros((2, 2))],
                         [np.zeros(2), np.zeros(2)])
-        trace = forward(p, [0.3, -1.2, 5.0])
-        for layer in trace.outputs:
+        for layer in forward(p, [0.3, -1.2, 5.0]):
             assert np.allclose(layer, 0.5)
 
     def test_two_sigmoid_chain_matches_hand_oracle(self):
@@ -152,28 +137,23 @@ class TestForward:
         trace = forward(p, [2.0])
         hidden = 1.0 / (1.0 + math.exp(-2.0))
         output = 1.0 / (1.0 + math.exp(-hidden))
-        assert abs(trace.outputs[0][0] - hidden) < 1e-15
-        assert abs(trace.final_outputs[0] - output) < 1e-15
+        assert abs(trace[0][0] - hidden) < 1e-15
+        assert abs(trace[-1][0] - output) < 1e-15
 
     def test_hidden_node_permutation_invariance(self):
         p = random_params(LayerSpec(3, (4,), 2), 5)
         perm = [2, 0, 3, 1]
-        w0 = p.weights[0][perm, :]
-        b0 = p.biases[0][perm]
-        w1 = p.weights[1][:, perm]
+        w0 = [p.weights[0][j] for j in perm]
+        b0 = [p.biases[0][j] for j in perm]
+        w1 = [[row[j] for j in perm] for row in p.weights[1]]
         q = make_params([3, 4, 2], [w0, w1], [b0, p.biases[1]])
         x = [0.2, -0.4, 0.9]
-        assert np.allclose(
-            forward(p, x).final_outputs, forward(q, x).final_outputs, atol=1e-15
-        )
+        assert np.allclose(forward(p, x)[-1], forward(q, x)[-1], atol=1e-15)
 
     def test_pure_and_bit_identical(self):
         p = random_params(LayerSpec(4, (3,), 3), 9)
         x = [0.1, 0.2, 0.3, 0.4]
-        t1 = forward(p, x)
-        t2 = forward(p, x)
-        for a, b in zip(t1.outputs, t2.outputs):
-            assert a.tobytes() == b.tobytes()
+        assert bits(forward(p, x)) == bits(forward(p, x))
 
     def test_dimension_mismatch(self):
         p = random_params(LayerSpec(4, (3,), 3), 9)
@@ -198,35 +178,18 @@ class TestSquaredError:
 
 
 def finite_difference_grads(params, x, target, h=1e-5):
-    """Central-difference oracle, elementwise."""
+    """Central-difference oracle, one entry of ``flat`` at a time."""
 
-    def loss_with(weights, biases):
-        p = replace(params, weights=tuple(weights), biases=tuple(biases))
-        return squared_error(target, forward(p, x).final_outputs)
+    def loss_with(flat):
+        return squared_error(target, forward(replace(params, flat=flat), x)[-1])
 
-    w_grads, b_grads = [], []
-    for l in range(len(params.weights)):
-        gw = np.zeros_like(params.weights[l])
-        for idx in np.ndindex(*params.weights[l].shape):
-            wp = [w.copy() for w in params.weights]
-            wm = [w.copy() for w in params.weights]
-            wp[l][idx] += h
-            wm[l][idx] -= h
-            gw[idx] = (
-                loss_with(wp, list(params.biases)) - loss_with(wm, list(params.biases))
-            ) / (2 * h)
-        w_grads.append(gw)
-        gb = np.zeros_like(params.biases[l])
-        for idx in np.ndindex(*params.biases[l].shape):
-            bp = [b.copy() for b in params.biases]
-            bm = [b.copy() for b in params.biases]
-            bp[l][idx] += h
-            bm[l][idx] -= h
-            gb[idx] = (
-                loss_with(list(params.weights), bp) - loss_with(list(params.weights), bm)
-            ) / (2 * h)
-        b_grads.append(gb)
-    return w_grads, b_grads
+    grads = []
+    for i in range(len(params.flat)):
+        plus, minus = list(params.flat), list(params.flat)
+        plus[i] += h
+        minus[i] -= h
+        grads.append((loss_with(plus) - loss_with(minus)) / (2 * h))
+    return grads
 
 
 def relative_error(a, b):
@@ -237,10 +200,8 @@ class TestBackprop:
     def test_zero_error_zero_gradients(self):
         p = random_params(LayerSpec(3, (3,), 2), 4)
         x = [0.5, 0.1, 0.9]
-        target = forward(p, x).final_outputs
-        g = backprop(p, x, target)
-        for arr in (*g.weight_grads, *g.bias_grads):
-            assert np.allclose(arr, 0.0, atol=1e-300)
+        target = forward(p, x)[-1]
+        assert np.allclose(backprop(p, x, target), 0.0, atol=1e-300)
 
     def test_matches_finite_differences_on_random_networks(self):
         rng = Rng(2024)
@@ -253,26 +214,25 @@ class TestBackprop:
             p = init_network(spec, trial)
             x = [rng.uniform() for _ in range(spec.input_count)]
             t = [rng.uniform() for _ in range(spec.output_count)]
-            g = backprop(p, x, t)
-            fw, fb = finite_difference_grads(p, x, np.array(t))
-            for an, fd in zip((*g.weight_grads, *g.bias_grads), (*fw, *fb)):
-                assert np.max(relative_error(an, fd)) < 1e-4
+            an = np.array(backprop(p, x, t))
+            fd = np.array(finite_difference_grads(p, x, t))
+            assert an.shape == fd.shape and np.max(relative_error(an, fd)) < 1e-4
 
     def test_single_layer_closed_form(self):
         # no hidden layer: dE/dw[x][k] = (o_x - a_x) * o_x * (1 - o_x) * i_k
         p = random_params(LayerSpec(3, (), 2), 8)
         x = np.array([0.3, 0.8, 0.5])
         a = np.array([1.0, 0.0])
-        o = forward(p, x).final_outputs
+        o = np.array(forward(p, x)[-1])
         expected = np.outer((o - a) * o * (1 - o), x)
         g = backprop(p, x, a)
-        assert np.allclose(g.weight_grads[0], expected, atol=1e-14)
+        assert np.allclose(np.reshape(g[:6], (2, 3)), expected, atol=1e-14)
 
     def test_does_not_mutate_params(self):
         p = random_params(LayerSpec(2, (2,), 2), 3)
-        before = [w.tobytes() for w in p.weights]
+        before = bits(p.flat)
         backprop(p, [0.1, 0.9], [1.0, 0.0])
-        assert [w.tobytes() for w in p.weights] == before
+        assert bits(p.flat) == before
 
     def test_rejects_bad_targets(self):
         p = random_params(LayerSpec(2, (2,), 2), 3)
@@ -283,30 +243,20 @@ class TestBackprop:
 class TestApplyUpdate:
     def test_zero_gradient_is_identity(self):
         p = random_params(LayerSpec(2, (2,), 2), 1)
-        zeros = GradientSet(
-            tuple(np.zeros_like(w) for w in p.weights),
-            tuple(np.zeros_like(b) for b in p.biases),
-        )
-        q = apply_update(p, zeros, 0.3)
-        for a, b in zip(p.weights, q.weights):
-            assert np.array_equal(a, b)
+        q = apply_update(p, (0.0,) * p.weight_count, 0.3)
+        assert same_params(p, q)
 
     def test_arithmetic(self):
         p = make_params([1, 1], [[[0.5]]], [[0.0]])
-        g = GradientSet((np.array([[0.1]]),), (np.array([0.0]),))
-        q = apply_update(p, g, 0.3)
-        assert abs(q.weights[0][0, 0] - 0.47) < 1e-15
+        q = apply_update(p, (0.1, 0.0), 0.3)
+        assert abs(q.weights[0][0][0] - 0.47) < 1e-15
 
     def test_inverse_step_restores(self):
         p = random_params(LayerSpec(3, (2,), 2), 6)
         g = backprop(p, [0.2, 0.5, 0.7], [1.0, 0.0])
         stepped = apply_update(p, g, 0.3)
-        neg = GradientSet(
-            tuple(-w for w in g.weight_grads), tuple(-b for b in g.bias_grads)
-        )
-        back = apply_update(stepped, neg, 0.3)
-        for a, b in zip(p.weights, back.weights):
-            assert np.allclose(a, b, atol=1e-15)
+        back = apply_update(stepped, [-v for v in g], 0.3)
+        assert np.allclose(p.flat, back.flat, atol=1e-15)
 
     def test_version_untouched(self):
         p = replace(random_params(LayerSpec(2, (), 2), 1), version=7)
@@ -321,17 +271,21 @@ class TestApplyUpdate:
             x = [rng.uniform() for _ in range(spec.input_count)]
             t = [float(rng.randrange(2)) for _ in range(spec.output_count)]
             g = backprop(p, x, t)
-            if all(np.allclose(w, 0) for w in g.weight_grads):
+            if np.allclose(g, 0):
                 continue
-            before = squared_error(t, forward(p, x).final_outputs)
-            after = squared_error(t, forward(apply_update(p, g, 1e-3), x).final_outputs)
+            before = squared_error(t, forward(p, x)[-1])
+            after = squared_error(t, forward(apply_update(p, g, 1e-3), x)[-1])
             assert after < before
 
     def test_rejects_non_finite_gradient(self):
         p = random_params(LayerSpec(2, (), 2), 1)
-        g = GradientSet((np.full((2, 2), np.nan),), (np.zeros(2),))
         with pytest.raises(ValueError):
-            apply_update(p, g, 0.1)
+            apply_update(p, (math.nan,) * 4 + (0.0,) * 2, 0.1)
+
+    def test_rejects_gradient_of_another_length(self):
+        p = random_params(LayerSpec(2, (), 2), 1)
+        with pytest.raises(DimensionError):
+            apply_update(p, (0.0,) * 5, 0.1)
 
 
 def two_cluster_data(n=200, seed=3):
@@ -644,8 +598,8 @@ class TestKernels:
         for _ in range(5):
             s = Sample((rng.uniform(), rng.uniform()), rng.randrange(2))
             target = [float(s.label == c) for c in range(2)]
-            outputs = forward(p, s.features).final_outputs
-            assert nn.final_outputs(p, s.features) == outputs.tolist()
+            outputs = forward(p, s.features)[-1]
+            assert nn.final_outputs(p, s.features) == list(outputs)
             _, history = train(p, Dataset((s,), ("x", "y"), ("a", "b")), cfg)
             assert history == [squared_error(target, outputs)]
 
@@ -663,7 +617,7 @@ def manual_train(p, samples, cfg):
         total = 0.0
         for s in samples:
             target = [float(s.label == c) for c in range(p.spec.output_count)]
-            total += squared_error(target, forward(p, s.features).final_outputs)
+            total += squared_error(target, forward(p, s.features)[-1])
             p = apply_update(p, backprop(p, s.features, target), cfg.learning_rate)
         history.append(total / len(samples))
     return p, history
@@ -794,9 +748,10 @@ def generated(classify) -> bool:
 def with_tied_outputs(p: NetworkParameters) -> NetworkParameters:
     """``p`` with output nodes 1 and 2 given node 1's weights and bias, so
     their outputs are equal bit for bit."""
-    weights, biases = p.layers()
-    weights[-1][2], biases[-1] = weights[-1][1], (*biases[-1][:2], biases[-1][1], *biases[-1][3:])
-    return NetworkParameters(p.spec, weights, biases)
+    weights, biases = p.weights, p.biases
+    last, bias = weights[-1], biases[-1]
+    return NetworkParameters(p.spec, (*weights[:-1], (*last[:2], last[1], *last[3:])),
+                             (*biases[:-1], (*bias[:2], bias[1], *bias[3:])))
 
 
 class TestPredictClass:
@@ -936,8 +891,7 @@ class TestTrain:
         manual, manual_history = manual_train(p, samples, cfg)
 
         assert history == manual_history
-        for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
-            assert a.tobytes() == b.tobytes()
+        assert same_params(trained, manual)
         assert trained.trained_epochs == 2
 
     def test_saturating_row_net_equals_backprop_then_apply_update(self):
@@ -945,25 +899,22 @@ class TestTrain:
         spec = LayerSpec(2, (24, 24), 2)
         sizes = spec.layer_sizes
         weights = [
-            np.array([[rng.gauss(0, 1000) for _ in range(sizes[l])]
-                      for _ in range(sizes[l + 1])])
+            [[rng.gauss(0, 1000) for _ in range(sizes[l])] for _ in range(sizes[l + 1])]
             for l in range(len(sizes) - 1)
         ]
-        biases = [np.array([rng.gauss(0, 1000) for _ in range(n)]) for n in sizes[1:]]
-        p = NetworkParameters(spec, tuple(weights), tuple(biases))
+        biases = [[rng.gauss(0, 1000) for _ in range(n)] for n in sizes[1:]]
+        p = NetworkParameters(spec, weights, biases)
         assert layer_forms(p) == "srs"
         samples = tuple(Sample((rng.uniform(), rng.uniform()), i % 2) for i in range(6))
         # net inputs beyond about -745 and +37 round to 0 and 1: both clips
-        outputs = np.concatenate([np.concatenate(forward(p, s.features).outputs)
-                                  for s in samples])
-        assert np.any(outputs == nn._SIG_LO) and np.any(outputs == nn._SIG_HI)
+        outputs = [a for s in samples for layer in forward(p, s.features) for a in layer]
+        assert nn._SIG_LO in outputs and nn._SIG_HI in outputs
 
         cfg = TrainingConfig(learning_rate=0.6, epochs=2, seed=0, shuffle_each_epoch=False)
         trained, history = train(p, Dataset(samples, ("x", "y"), ("a", "b")), cfg)
         manual, manual_history = manual_train(p, samples, cfg)
         assert history == manual_history
-        for a, b in zip(trained.weights + trained.biases, manual.weights + manual.biases):
-            assert a.tobytes() == b.tobytes()
+        assert same_params(trained, manual)
 
     @pytest.mark.parametrize("hidden, form",
                              [((3,), "ss"), ((12,) * 3, "srrs"), ((24,) * 2, "srs")],
@@ -971,17 +922,16 @@ class TestTrain:
     def test_leaves_params_alone_and_returns_fresh_arrays(self, hidden, form):
         p = random_params(LayerSpec(2, hidden, 2), 5)
         assert layer_forms(p) == form
-        before = [a.tobytes() for a in p.weights + p.biases]
+        before = bits(p.flat)
         data = two_cluster_data(20)
         cfg = TrainingConfig(0.3, 3, 5)
         a, ha = train(p, data, cfg)
         b, hb = train(p, data, cfg)
-        assert [x.tobytes() for x in p.weights + p.biases] == before
+        assert bits(p.flat) == before
         assert ha == hb
-        for x, y in zip(a.weights + a.biases, b.weights + b.biases):
-            assert x.tobytes() == y.tobytes()
-            assert not np.shares_memory(x, y)
-            assert not x.flags.writeable
+        assert same_params(a, b)
+        # each snapshot holds its own immutable tuple
+        assert type(a.flat) is tuple and a.flat is not b.flat
 
     def test_epochs_accumulate(self):
         data = two_cluster_data(20)
@@ -994,7 +944,7 @@ class TestTrain:
         p = init_network(LayerSpec(2, (3,), 2), 1)
         trained, _ = train(p, XOR_DATA, TrainingConfig(0.3, 5000, 1))
         correct = sum(
-            int(np.argmax(forward(trained, s.features).final_outputs)) == s.label
+            int(np.argmax(forward(trained, s.features)[-1])) == s.label
             for s in XOR_DATA.samples
         )
         assert correct == 4
@@ -1012,8 +962,7 @@ class TestTrain:
         a, ha = train(init_network(LayerSpec(2, (3,), 2), 12), data, cfg)
         b, hb = train(init_network(LayerSpec(2, (3,), 2), 12), data, cfg)
         assert ha == hb
-        for wa, wb in zip(a.weights, b.weights):
-            assert wa.tobytes() == wb.tobytes()
+        assert same_params(a, b)
 
     def test_rejects_empty_and_mismatched(self):
         p = random_params(LayerSpec(2, (2,), 2), 1)

@@ -34,10 +34,9 @@ EXPORTS = {
                      "adcl_predict", "calibrate_thresholds", "cl_train", "dcl_train",
                      "evaluate", "fit", "kfold_cross_validate", "lcl_predict",
                      "make_cl_trainer", "make_dcl_trainer"), "learners"),
-    **dict.fromkeys(("ActivationTrace", "DimensionError", "GradientSet", "LayerSpec",
-                     "NetworkParameters", "TrainingConfig", "apply_update", "backprop",
-                     "forward", "hidden_size_default", "init_network", "sigmoid",
-                     "squared_error", "train"), "nn"),
+    **dict.fromkeys(("DimensionError", "LayerSpec", "NetworkParameters", "TrainingConfig",
+                     "apply_update", "backprop", "forward", "hidden_size_default",
+                     "init_network", "sigmoid", "squared_error", "train"), "nn"),
     **dict.fromkeys(("SensorBatch", "TcpTransport", "TransportError"), "protocol"),
     **dict.fromkeys(("JsonlDataSink", "MemoryDataSink", "ModelStore", "ParameterServer"),
                     "server"),
@@ -227,9 +226,9 @@ assert len(outputs) == 5 and all(0.0 < o < 1.0 for o in outputs)
     assert "numpy" not in loaded
 
 
-def test_every_export_resolves():
-    # a submodule's entry is None: the name is the submodule itself
-    out = run_fresh(f"""
+# resolves every name of EXPORTS, then prints the names the package does
+# not list; a submodule's entry is None: the name is the submodule itself
+RESOLVE_EXPORTS = f"""
 import importlib
 import edgectx
 for name, module in {EXPORTS!r}.items():
@@ -241,6 +240,29 @@ for name, module in {EXPORTS!r}.items():
         assert namespace[name] is getattr(importlib.import_module(f"edgectx.{{module}}"),
                                           name), name
 print(sorted(set({sorted(EXPORTS)!r}) - (set(dir(edgectx)) & set(edgectx.__all__))))
+"""
+
+
+def test_every_export_resolves():
+    out = run_fresh(RESOLVE_EXPORTS)
+    assert out.strip() == "[]"
+
+
+def test_every_export_resolves_and_nn_runs_with_numpy_blocked():
+    # every export, then one step of the network surface on a 2-3-2 net:
+    # forward, backprop, apply_update and sigmoid
+    out = run_fresh(f"""
+sys.modules["numpy"] = None
+{RESOLVE_EXPORTS}
+from edgectx import LayerSpec, apply_update, backprop, forward, init_network, sigmoid
+p = init_network(LayerSpec(2, (3,), 2), 1)
+outputs = forward(p, [0.2, 0.7])
+grads = backprop(p, [0.2, 0.7], [1.0, 0.0])
+q = apply_update(p, grads, 0.3)
+assert [len(layer) for layer in outputs] == [3, 2] and len(grads) == len(p.flat) == 17
+assert q.flat == tuple(y - 0.3 * g for y, g in zip(p.flat, grads))
+(w0, w1), b = p.weights[0][0], p.biases[0][0]
+assert sigmoid(0.0) == 0.5 and outputs[0][0] == sigmoid(b + w0 * 0.2 + w1 * 0.7)
 """)
     assert out.strip() == "[]"
 

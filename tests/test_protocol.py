@@ -116,6 +116,10 @@ class TestMessages:
         with pytest.raises(ProtocolError):
             decode_message(b"\xff\xfe not json")
 
+    def test_rejects_nesting_deeper_than_the_recursion_limit(self):
+        with pytest.raises(ProtocolError, match="unparseable"):
+            decode_message(b"[" * 100_000)
+
 
 class TestSensorBatch:
     def readings(self, n=3, sensor="acc"):
@@ -175,8 +179,9 @@ class TestSensorBatch:
 
 class StubServer:
     """Plain-socket server: connection i is served by ``scripts[i]``, one
-    letter per request (R reply PONG, C close unanswered, P send half a
-    header and close, S hold the request until ``stop``); the connection
+    letter per request (R reply PONG, G reply ``[1,2]``, which is no
+    message, C close unanswered, P send half a header and close, S hold
+    the request until ``stop``); the connection
     closes after its script, and the listener after the last script."""
 
     def __init__(self, scripts, port=0):
@@ -199,6 +204,8 @@ class StubServer:
                             break
                         if step == "R":
                             send_frame(conn, encode_message({"type": "PONG"}))
+                        elif step == "G":
+                            send_frame(conn, b"[1,2]")
                         elif step == "P":
                             conn.sendall(b"\x00\x00")
                             break
@@ -263,6 +270,18 @@ class TestTcpTransportReconnect:
             with pytest.raises(TransportError, match="mid-frame"):
                 tp.request(PING)
             assert stub.accepted == 1
+        finally:
+            tp.close()
+            stub.stop()
+
+    def test_reply_that_does_not_decode_fails_and_closes_the_connection(self):
+        stub = StubServer(["GR", "R"])
+        tp = TcpTransport(stub.addr, timeout=5.0)
+        try:
+            with pytest.raises(TransportError, match="must be an object"):
+                tp.request(PING)
+            assert tp.request(PING) == {"type": "PONG"}
+            assert stub.accepted == 2
         finally:
             tp.close()
             stub.stop()

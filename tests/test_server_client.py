@@ -11,7 +11,6 @@ import time
 from dataclasses import replace
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import edgectx.protocol
@@ -134,9 +133,9 @@ class TestServer:
         response = tp.request({"type": "GET_PARAMS", "model_kind": "DCL"})
         bundle = decode_bundle(response["bundle"].encode())
         for x in ([0.1, 0.9], [0.5, 0.5], [0.9, 0.2]):
-            server_out = forward(trained_dcl, x).final_outputs
-            wire_out = forward(bundle.params, x).final_outputs
-            assert np.max(np.abs(server_out - wire_out)) <= 1e-12
+            server_out = forward(trained_dcl, x)[-1]
+            wire_out = forward(bundle.params, x)[-1]
+            assert max(abs(u - v) for u, v in zip(server_out, wire_out)) <= 1e-12
         tp.close()
 
     def test_cl_bundle_ships_thresholds(self, server, trained_cl):
@@ -655,7 +654,70 @@ def wide_batch(timestamps) -> SensorBatch:
     return SensorBatch("c", tuple(SensorReading("acc0", t, values) for t in timestamps))
 
 
+class UndecodablePeer:
+    """Loopback peer that answers every frame with ``[1,2]``, JSON but no
+    message, on each connection until the client closes it."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.addr = self.listener.getsockname()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
+
+    def _accept(self):
+        with self.listener:
+            while not self._stop.is_set():
+                try:
+                    conn, _ = self.listener.accept()
+                except TimeoutError:
+                    continue
+                threading.Thread(target=self._answer, args=(conn,), daemon=True).start()
+
+    @staticmethod
+    def _answer(conn):
+        with conn:
+            conn.settimeout(10.0)
+            try:
+                while recv_frame(conn) is not None:
+                    send_frame(conn, b"[1,2]")
+            except OSError:
+                pass
+
+    def stop(self):
+        self._stop.set()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
 class TestClientSync:
+    def test_a_reply_that_does_not_decode_is_a_failed_link(self, trained_dcl):
+        # the tick counts a failure and keeps its bundle, the batch stays
+        # queued, and the sync loop lives on
+        peer = UndecodablePeer()
+        links = [TcpTransport(peer.addr, timeout=5.0) for _ in range(3)]
+        client = EdgeClient(links[2], "DCL", SyncPolicy(period_ms=10, timeout_s=5.0))
+        try:
+            held = SyncState().synced(ModelStore().publish("DCL", trained_dcl), 0)
+            state = client_sync_tick(held, links[0], "DCL", now_ms=10)
+            assert state.current_bundle is held.current_bundle
+            assert (state.consecutive_failures, state.last_sync_at) == (1, 0)
+            uploader = Uploader(links[1])
+            assert uploader.upload_batch(make_batch(3)) == 0
+            assert uploader.queued_count == 3
+            client.start_sync_loop()
+            deadline = time.monotonic() + 10.0
+            while client.state.consecutive_failures < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.state.consecutive_failures >= 3
+            assert client._thread.is_alive()
+        finally:
+            client.stop_sync_loop()
+            for link in links:
+                link.close()
+            peer.stop()
+
     def test_first_sync_adopts_bundle(self, trained_dcl):
         ft = FakeTransport()
         ft.store.publish("DCL", trained_dcl)
@@ -922,6 +984,16 @@ class TestUploader:
         spool = tmp_path / "spool.jsonl"
         good = '{"client_id":"c","sensor_id":"acc0","timestamp":%d,"values":[0.1,%s],"label":0}\n'
         spool.write_text(good % (1, "0.2") + good % (2, "1" + "0" * 400) + good % (3, "0.2"))
+        ft = FakeTransport()
+        revived = Uploader(ft, spool_path=spool)
+        assert revived.queued_count == 2
+        assert revived.flush() == 2
+        assert [r.timestamp for r, _ in ft.sink.labeled_pairs()] == [1, 3]
+
+    def test_spool_row_nested_past_the_recursion_limit_skipped(self, tmp_path):
+        spool = tmp_path / "spool.jsonl"
+        good = '{"client_id":"c","sensor_id":"acc0","timestamp":%d,"values":[0.1,0.2],"label":0}\n'
+        spool.write_text(good % 1 + "[" * 100_000 + "\n" + good % 3)
         ft = FakeTransport()
         revived = Uploader(ft, spool_path=spool)
         assert revived.queued_count == 2

@@ -68,6 +68,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import struct
 import sys
 import tempfile
 from dataclasses import replace
@@ -75,8 +76,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-
-import numpy as np  # noqa: E402
 
 from edgectx import cli, learners, nn, sim  # noqa: E402
 from edgectx.data import Dataset, Sample, synth_still_motion  # noqa: E402
@@ -133,6 +132,16 @@ def _init(inputs: int, hidden: tuple[int, ...], outputs: int) -> nn.NetworkParam
     return params
 
 
+def _doubles(values) -> bytes:
+    """``values`` as little-endian float64s."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _int64s(values) -> bytes:
+    """``values`` as little-endian int64s."""
+    return struct.pack(f"<{len(values)}q", *values)
+
+
 def _train(params: nn.NetworkParameters, data: Dataset, lr: float):
     cfg = nn.TrainingConfig(learning_rate=lr, epochs=EPOCHS, seed=1)
     return nn.train(params, data, cfg)
@@ -146,9 +155,10 @@ def train_digests() -> list[tuple[str, str]]:
         digest = hashlib.sha256()
         for lr in LEARNING_RATES:
             trained, history = _train(_init(inputs, hidden, outputs), data, lr)
-            for arr in (*trained.weights, *trained.biases):
-                digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-            digest.update(np.asarray(history, dtype=np.float64).tobytes())
+            # every layer's weight rows, then every layer's biases
+            for values in (*(row for layer in trained.weights for row in layer),
+                           *trained.biases, history):
+                digest.update(_doubles(values))
         out.append((f"nn.train.{_name(inputs, hidden, outputs)}", digest.hexdigest()))
     return out
 
@@ -160,7 +170,7 @@ def final_outputs_digests() -> list[tuple[str, str]]:
         data = heart if inputs == heart.n_features else narrow
         params = _init(inputs, hidden, outputs)
         scores = [nn.final_outputs(params, s.features) for s in data.samples]
-        digest = hashlib.sha256(np.asarray(scores, dtype=np.float64).tobytes())
+        digest = hashlib.sha256(b"".join(map(_doubles, scores)))
         out.append((f"nn.final_outputs.{_name(inputs, hidden, outputs)}", digest.hexdigest()))
     return out
 
@@ -168,14 +178,14 @@ def final_outputs_digests() -> list[tuple[str, str]]:
 def _tied(params: nn.NetworkParameters) -> nn.NetworkParameters:
     """``params`` with the second output's weights and bias copied from the
     first, so that those two outputs are equal on every row."""
-    weights, biases = list(params.weights), list(params.biases)
-    weights[-1] = np.vstack([weights[-1][:1], weights[-1][:1], weights[-1][2:]])
-    biases[-1] = np.concatenate([biases[-1][:1], biases[-1][:1], biases[-1][2:]])
-    return replace(params, weights=tuple(weights), biases=tuple(biases))
+    weights, biases = params.weights, params.biases
+    last, bias = weights[-1], biases[-1]
+    return replace(params, weights=(*weights[:-1], (last[0], last[0], *last[2:])),
+                   biases=(*biases[:-1], (bias[0], bias[0], *bias[2:])))
 
 
 def _classes(predict, model, rows) -> bytes:
-    return np.asarray([predict(model, x).class_index for x in rows], dtype=np.int64).tobytes()
+    return _int64s([predict(model, x).class_index for x in rows])
 
 
 def predict_digests() -> list[tuple[str, str]]:
@@ -225,8 +235,7 @@ def kfold_predict_digest() -> tuple[str, str]:
     for trainer in (learners.make_dcl_trainer((9,), cfg), learners.make_dcl_trainer((24,), cfg),
                     learners.make_cl_trainer(cfg)):
         predict = trainer(heart)
-        digest.update(np.asarray([predict(x).class_index for x in rows],
-                                 dtype=np.int64).tobytes())
+        digest.update(_int64s([predict(x).class_index for x in rows]))
     return "learners.kfold_predict", digest.hexdigest()
 
 
@@ -242,12 +251,12 @@ def retrain_chain_digest() -> tuple[str, str]:
                                          None if served is None else 101)
             if candidate.accepted:
                 served = candidate.model
-            digest.update(np.asarray(candidate.params.flat, dtype=np.float64).tobytes())
+            digest.update(_doubles(candidate.params.flat))
             thresholds = candidate.thresholds.values if candidate.thresholds else ()
             scores = (candidate.score, -1.0 if candidate.served_score is None
                       else candidate.served_score, candidate.epochs, candidate.accepted,
                       *thresholds)
-            digest.update(np.asarray(scores, dtype=np.float64).tobytes())
+            digest.update(_doubles([float(v) for v in scores]))
     return "learners.retrain.chain", digest.hexdigest()
 
 
@@ -259,7 +268,8 @@ def shuffle_digests() -> list[tuple[str, str]]:
             rng = Rng(seed)
             items = list(range(n))
             rng.shuffle(items)
-            digest.update(np.asarray(items + [rng.next_u64()], dtype=np.uint64).tobytes())
+            words = items + [rng.next_u64()]
+            digest.update(struct.pack(f"<{len(words)}Q", *words))
         out.append((f"rng.shuffle.{n}", digest.hexdigest()))
     return out
 
