@@ -20,7 +20,7 @@ _NAMES = {
     "bench": "bench_execution",
     "bundle": "BundleChecksumError BundleError BundleFormatError BundleShapeError "
               "BundleVersionError ParameterBundle decode_bundle encode_bundle",
-    "client": "EdgeClient SyncPolicy SyncState Uploader client_sync_tick",
+    "client": "EdgeClient SyncPolicy SyncState Uploader",
     "data": "DataFormatError Dataset Sample SensorReading apply_minmax load_csv "
             "normalize_minmax stratified_split synth_still_motion",
     "learners": "MODEL_KIND_CL MODEL_KIND_DCL ClModel ContextLabel KFoldResult Metrics "

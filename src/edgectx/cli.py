@@ -376,7 +376,7 @@ def _outline(candidate: Candidate) -> str:
 
 
 def cmd_client(args) -> int:
-    from .client import EdgeClient, SyncPolicy
+    from .client import EdgeClient, SyncPolicy, sync_request
 
     addr = _parse_addr(args.server or os.environ.get(ENV_SERVER_ADDR, ""))
     period = _sync_period_ms(args.sync_period_ms)
@@ -385,16 +385,16 @@ def cmd_client(args) -> int:
 
     # fail fast when the server has models but not the requested kind
     try:
-        probe = transport.request({"type": "GET_PARAMS", "model_kind": kind})
-        if probe.get("type") == MSG_NOT_READY:
-            available = probe.get("available") or []
-            if available and kind not in available:
-                print(
-                    f"error: server has no {kind} model (available: "
-                    f"{', '.join(available)}); wrong --algorithm?",
-                    file=sys.stderr,
-                )
-                return 2
+        probe = transport.request(sync_request(kind))
+        available = probe.get("available")
+        if (probe.get("type") == MSG_NOT_READY and isinstance(available, list) and available
+                and all(isinstance(k, str) for k in available) and kind not in available):
+            print(
+                f"error: server has no {kind} model (available: "
+                f"{', '.join(available)}); wrong --algorithm?",
+                file=sys.stderr,
+            )
+            return 2
     except TransportError:
         pass  # stay live; the sync loop keeps retrying
 

@@ -3,7 +3,8 @@
 The client polls the server for newer parameter bundles on a fixed period.
 A failed poll never touches the bundle it already holds, so prediction
 keeps working on stale parameters for as long as the link is down; the only
-cost is accuracy, never availability.
+cost is accuracy, never availability. The request and reply steps of sync
+and upload do no I/O, so the TCP client and the simulator share them.
 """
 
 from __future__ import annotations
@@ -89,6 +90,30 @@ class SyncState:
             return SyncState(current_bundle=bundle, last_sync_at=t)
         return replace(self, last_sync_at=t, consecutive_failures=0)
 
+    def replied(self, kind: str, response: dict, t: int) -> SyncState:
+        """The state after the reply to ``sync_request(kind)`` at ``t``
+        (``{}`` for a failed link) applies by ``synced``; a bundle taken is
+        bound here, not by the first prediction, and one no newer than the
+        held version is not decoded. Any other reply counts a failure."""
+        if response.get("type") == MSG_NOT_READY:
+            return self.synced(None, t)
+        if response.get("type") == MSG_PARAMS:
+            held, version = self.model_version, response.get("model_version")
+            if (response.get("model_kind") == kind and type(version) is int
+                    and held is not None and version <= held):
+                return self.synced(None, t)
+            try:
+                bundle = decode_bundle(str(response.get("bundle", "")).encode("utf-8"))
+            except BundleError as exc:
+                log.warning("received undecodable bundle: %s", exc)
+            else:
+                if bundle.model_kind == kind:
+                    state = self.synced(bundle, t)
+                    if state.current_bundle is bundle:
+                        classifier(bundle.model)
+                    return state
+        return replace(self, consecutive_failures=self.consecutive_failures + 1)
+
     def predict(self, features) -> ContextLabel:
         """The label the held bundle gives ``features``."""
         bundle = self.current_bundle
@@ -99,43 +124,14 @@ class SyncState:
         return adcl_predict(bundle.params, features)
 
 
-def client_sync_tick(
-    state: SyncState,
-    transport,
-    model_kind: str,
-    policy: SyncPolicy = SyncPolicy(),
-    now_ms: int | None = None,
-) -> SyncState:
-    """One poll of the server for parameters of ``model_kind``.
+def sync_request(kind: str) -> dict:
+    """The request that asks the server for its parameters of ``kind``."""
+    return {"type": MSG_GET_PARAMS, "model_kind": kind}
 
-    A reply applies by ``SyncState.synced``; a bundle it takes gets its
-    classifier bound before the state is returned. Any failure leaves the
-    current bundle untouched and bumps consecutive_failures, so prediction stays
-    available throughout.
-    """
-    t = int(time.time() * 1000) if now_ms is None else now_ms
-    try:
-        response = transport.request(
-            {"type": MSG_GET_PARAMS, "model_kind": model_kind}, timeout=policy.timeout_s
-        )
-    except TransportError as exc:
-        log.debug("sync failed (%s); keeping current parameters", exc)
-        response = {}
-    if response.get("type") == MSG_NOT_READY:
-        return state.synced(None, t)
-    if response.get("type") == MSG_PARAMS:
-        try:
-            bundle = decode_bundle(str(response.get("bundle", "")).encode("utf-8"))
-        except BundleError as exc:
-            log.warning("received undecodable bundle: %s", exc)
-        else:
-            if bundle.model_kind == model_kind:
-                state = state.synced(bundle, t)
-                if state.current_bundle is bundle:
-                    # bound here, on the sync thread, not by the first prediction
-                    classifier(bundle.model)
-                return state
-    return replace(state, consecutive_failures=state.consecutive_failures + 1)
+
+def push_request(batch: SensorBatch) -> dict:
+    """The request that uploads ``batch``."""
+    return {"type": MSG_PUSH_DATA, "batch": batch_to_wire(batch)}
 
 
 class UploadQueue:
@@ -151,6 +147,7 @@ class UploadQueue:
     def __init__(self, rows: Iterable[tuple[str, SensorReading, int | None]] = ()) -> None:
         self._rows = deque(rows)
         self.dropped_count = 0
+        self.rejected_count = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -184,6 +181,21 @@ class UploadQueue:
             if self._rows and self._rows[0][1] is reading:
                 self._rows.popleft()
 
+    def delivered(self, batch: SensorBatch, response: dict) -> int | None:
+        """Apply the reply to ``push_request(batch)`` (``{}`` for a failed
+        link): the readings acknowledged, 0 for a batch refused as bad and
+        dropped, or None when the batch stays queued."""
+        if response.get("type") == MSG_ACK:
+            self.ack(batch)
+            return len(batch)
+        if response.get("type") == MSG_ERROR and response.get("code") == "bad_batch":
+            # resending cannot succeed and would hold up every later reading
+            log.warning("server refused %d readings: %s", len(batch), response.get("message"))
+            self.ack(batch)
+            self.rejected_count += len(batch)
+            return 0
+        return None
+
 
 class Uploader:
     """At-least-once delivery of sensor batches through an ``UploadQueue``.
@@ -197,7 +209,6 @@ class Uploader:
 
     def __init__(self, transport, *, spool_path: str | Path | None = None) -> None:
         self._transport = transport
-        self.rejected_count = 0
         self._spool_path = Path(spool_path) if spool_path is not None else None
         self._queue = UploadQueue(self._spool_rows())
 
@@ -208,6 +219,10 @@ class Uploader:
     @property
     def dropped_count(self) -> int:
         return self._queue.dropped_count
+
+    @property
+    def rejected_count(self) -> int:
+        return self._queue.rejected_count
 
     def upload_batch(self, batch: SensorBatch) -> int:
         """Queue this batch behind the readings the link has not delivered
@@ -234,32 +249,18 @@ class Uploader:
         drains or the link gives out; returns the readings acknowledged."""
         acked = 0
         while (batch := self._queue.head()) is not None:
-            sent = self._send(batch)
+            msg = push_request(batch)
+            for _ in range(UPLOAD_RETRIES + 1):
+                try:
+                    response = self._transport.request(msg)
+                    break
+                except TransportError:
+                    response = {}
+            sent = self._queue.delivered(batch, response)
             if sent is None:
                 break
-            self._queue.ack(batch)
             acked += sent
         return acked
-
-    def _send(self, batch: SensorBatch) -> int | None:
-        """Send one batch; acked count (0 when the server refuses it as
-        bad), or None on link failure."""
-        msg = {"type": MSG_PUSH_DATA, "batch": batch_to_wire(batch)}
-        for _ in range(UPLOAD_RETRIES + 1):
-            try:
-                response = self._transport.request(msg)
-            except TransportError:
-                continue
-            if response.get("type") == MSG_ACK:
-                return int(response.get("stored", len(batch)))
-            if response.get("type") == MSG_ERROR and response.get("code") == "bad_batch":
-                # resending cannot succeed and would hold up every later reading
-                log.warning("server refused %d readings: %s", len(batch),
-                            response.get("message"))
-                self.rejected_count += len(batch)
-                return 0
-            break
-        return None
 
     def _spool_rows(self) -> Iterator[tuple[str, SensorReading, int | None]]:
         if self._spool_path is None or not self._spool_path.exists():
@@ -309,9 +310,15 @@ class EdgeClient:
         return self._state
 
     def sync_tick(self, now_ms: int | None = None) -> SyncState:
-        self._state = client_sync_tick(
-            self._state, self._transport, self.model_kind, self.policy, now_ms
-        )
+        """One poll of the server; a failed link applies as the reply ``{}``."""
+        t = int(time.time() * 1000) if now_ms is None else now_ms
+        try:
+            response = self._transport.request(sync_request(self.model_kind),
+                                               timeout=self.policy.timeout_s)
+        except TransportError as exc:
+            log.debug("sync failed (%s); keeping current parameters", exc)
+            response = {}
+        self._state = self._state.replied(self.model_kind, response, t)
         return self._state
 
     def predict(self, features) -> ContextLabel:

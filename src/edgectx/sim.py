@@ -2,21 +2,23 @@
 
 A virtual clock drives sensor nodes (sensor delay, duty cycles, sleep
 intervals), an edge client that predicts every reading with whatever
-parameters it currently holds, a lossy link (latency, random drops, outage
-windows applied to each direction at its send time), and a server that
-retrains on accumulated uploads and publishes versioned bundles. The
-client queues readings in the shipped ``client.UploadQueue`` and sends its
-head each upload tick, unless the last batch sent is unanswered and
-younger than ``resend_after_ms``. The server is a shipped
-``server.ModelStore`` and ``server.MemoryDataSink``, so a batch replayed
-after a lost ack is held twice, as by ``edgectx serve``. Each retrain tick
-runs ``learners.retrain_round``, the retrain policy of ``edgectx serve``,
+parameters it currently holds, a lossy link (latency, random drops,
+outage windows applied to each direction at its send time), and a server
+that retrains on accumulated uploads and publishes versioned bundles.
+The client syncs and uploads through the request and reply steps of
+``edgectx.client``; a lost leg gives the reply ``{}``. It sends the head
+of its ``client.UploadQueue`` each upload tick, unless the last batch
+sent is unanswered and younger than ``resend_after_ms``.
+``server.handle_request`` answers over a shipped ``server.ModelStore``
+and ``server.MemoryDataSink``, so a batch replayed after a lost ack is
+held twice, as by ``edgectx serve``. Each retrain tick runs
+``learners.retrain_round``, the retrain policy of ``edgectx serve``,
 with the simulator's ``epochs``: the last ``TRAIN_WINDOW_ROWS`` rows, a
-seed from the kind and the version it is published as, no candidate for a
-kind with no rows since its last publish or refusal; a candidate continues
-from the served version, and is published only if it scores no worse on
-the new rows. Everything except wall-clock prediction latency is a pure
-function of the configuration and seed.
+seed from the kind and the version it is published as, no candidate for
+a kind with no rows since its last publish or refusal; a candidate
+continues from the served version, and is published only if it scores no
+worse on the new rows. Everything except wall-clock prediction latency
+is a pure function of the configuration and seed.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import json
 import time
 from collections import deque
 from dataclasses import KW_ONLY, dataclass
+from functools import partial
 
-from .bundle import ParameterBundle
-from .client import SyncState, UploadQueue
+from .client import SyncState, UploadQueue, push_request, sync_request
 from .data import Dataset, dataset_from_readings, SensorReading
 from .learners import (
     MODEL_KIND_CL,
@@ -45,7 +47,7 @@ from .learners import (
 )
 from .protocol import SensorBatch
 from .rng import Rng
-from .server import MemoryDataSink, ModelStore
+from .server import MemoryDataSink, ModelStore, handle_request
 
 ALGORITHMS = ("CL", "LCL", "DCL", "ADCL")
 _CLIENT_ALGOS = {"ADCL": MODEL_KIND_DCL, "LCL": MODEL_KIND_CL}
@@ -251,10 +253,10 @@ class _ScenarioRunner:
         self.refused: list[tuple[int, str]] = []
 
         # client state: one sync state per kind, the upload queue, and the
-        # last batch sent (with its send time) while it is unanswered
+        # send time of the last batch sent while it is unanswered
         self.client_states = {kind: SyncState() for kind in self.client_kinds}
         self.queue = UploadQueue()
-        self.in_flight: tuple[int, SensorBatch] | None = None
+        self.in_flight: int | None = None
         self.client_sent: set[SensorReading] = set()
 
         # results
@@ -393,42 +395,42 @@ class _ScenarioRunner:
         if next_t < self.duration_ms:
             self.schedule(next_t, self._emit, node, emitted_in_cycle)
 
+    def _request(self, msg: dict, apply, t: int) -> None:
+        """Send ``msg`` at ``t``; ``apply(response, t)`` runs when its reply
+        reaches the client, with ``{}`` for a lost leg."""
+        if self.link_delivers(t):  # request leg
+            self.schedule(t + self.link.latency_ms, self._serve, msg, apply)
+        else:
+            self.schedule(t + 2 * self.link.latency_ms, apply, {})
+
+    def _serve(self, msg: dict, apply, t: int) -> None:
+        response, _ = handle_request(msg, self.store, self.sink)
+        self.schedule(t + self.link.latency_ms, apply, response if self.link_delivers(t) else {})
+
     def _sync_tick(self, t: int) -> None:
         for kind in self.client_kinds:
-            if self.link_delivers(t):  # request leg
-                self.schedule(t + self.link.latency_ms, self._sync_reply, kind)
+            self._request(sync_request(kind), partial(self._synced, kind), t)
         if t + self.sync_period_ms <= self.duration_ms:
             self.schedule(t + self.sync_period_ms, self._sync_tick)
 
-    def _sync_reply(self, kind: str, t: int) -> None:
-        bundle = self.store.get(kind)
-        if bundle is not None and self.link_delivers(t):  # response leg
-            self.schedule(t + self.link.latency_ms, self._sync_apply, kind, bundle)
-
-    def _sync_apply(self, kind: str, bundle: ParameterBundle, t: int) -> None:
-        self.client_states[kind] = self.client_states[kind].synced(bundle, t)
+    def _synced(self, kind: str, response: dict, t: int) -> None:
+        self.client_states[kind] = self.client_states[kind].replied(kind, response, t)
 
     def _upload_tick(self, t: int) -> None:
         batch = self.queue.head()
-        if batch and not (self.in_flight and t - self.in_flight[0] < self.resend_after_ms):
-            self.in_flight = (t, batch)
+        if batch and not (self.in_flight is not None and t - self.in_flight < self.resend_after_ms):
+            self.in_flight = t
             self.client_sent.update(batch.readings)
-            if self.link_delivers(t):
-                self.schedule(t + self.link.latency_ms, self._upload_receive, batch)
+            self._request(push_request(batch), partial(self._delivered, batch), t)
         if t + self.upload_every_ms <= self.duration_ms:
             self.schedule(t + self.upload_every_ms, self._upload_tick)
         elif self.queue and self.drain_ticks > 0:
             self.drain_ticks -= 1
             self.schedule(t + self.upload_every_ms, self._upload_tick)
 
-    def _upload_receive(self, batch: SensorBatch, t: int) -> None:
-        self.sink.store(batch)  # a replay after a lost ack is held twice, as by serve
-        if self.link_delivers(t):  # ack leg
-            self.schedule(t + self.link.latency_ms, self._upload_ack, batch)
-
-    def _upload_ack(self, batch: SensorBatch, t: int) -> None:
-        self.queue.ack(batch)
-        if self.in_flight and self.in_flight[1] is batch:
+    def _delivered(self, batch: SensorBatch, response: dict, t: int) -> None:
+        # a reply lands 2·latency after its send, before any resend
+        if self.queue.delivered(batch, response) is not None:
             self.in_flight = None
 
     def _retrain_tick(self, t: int) -> None:

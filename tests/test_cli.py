@@ -9,6 +9,7 @@ from conftest import same_params
 
 import edgectx.cli
 import edgectx.client
+import edgectx.server
 import edgectx.sim
 from edgectx.bundle import ParameterBundle, decode_bundle
 from edgectx.cli import (
@@ -227,6 +228,24 @@ class TestClientCommand:
         )
         assert code == 2
         assert "available" in capsys.readouterr().err
+
+    def test_a_malformed_not_ready_probe_goes_on_to_the_sync_loop(self, tmp_path, monkeypatch):
+        def not_ready(msg, store, sink):
+            return {"type": "NOT_READY", "model_kind": msg["model_kind"], "available": [1]}, True
+
+        monkeypatch.setattr(edgectx.server, "handle_request", not_ready)
+        srv = ParameterServer(("127.0.0.1", 0), ModelStore(), MemoryDataSink())
+        host, port = srv.start()
+        try:
+            infile = tmp_path / "input.txt"
+            infile.write_text("0.2,0.3\n", encoding="utf-8")
+            outfile = tmp_path / "out.csv"
+            code = run_cli("client", "--server", f"{host}:{port}",
+                           "--input", infile, "--out", outfile)
+            assert code == 0
+            assert outfile.read_text().splitlines()[1].endswith(",NOT_READY")
+        finally:
+            srv.stop()
 
     def test_never_synced_emits_not_ready_records(self, tmp_path):
         store = ModelStore()

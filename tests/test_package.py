@@ -15,8 +15,7 @@ GOLDEN_CL = Path(__file__).resolve().parent / "golden" / "bundle_cl_golden.json"
 GOLDEN_SPOOL = GOLDEN_CL.with_name("spool.jsonl")
 SCENARIO = SRC.parent / "scenarios" / "outage.json"
 
-# every public name ``import edgectx`` has offered since the package
-# re-exported its submodules' names eagerly, with the submodule defining it
+# every public name ``import edgectx`` offers, with the submodule defining it
 EXPORTS = {
     **dict.fromkeys(("bench", "bundle", "client", "data", "learners", "nn", "protocol",
                      "rng", "server", "sim")),
@@ -24,8 +23,7 @@ EXPORTS = {
     **dict.fromkeys(("BundleChecksumError", "BundleError", "BundleFormatError",
                      "BundleShapeError", "BundleVersionError", "ParameterBundle",
                      "decode_bundle", "encode_bundle"), "bundle"),
-    **dict.fromkeys(("EdgeClient", "SyncPolicy", "SyncState", "Uploader",
-                     "client_sync_tick"), "client"),
+    **dict.fromkeys(("EdgeClient", "SyncPolicy", "SyncState", "Uploader"), "client"),
     **dict.fromkeys(("DataFormatError", "Dataset", "Sample", "SensorReading", "apply_minmax",
                      "load_csv", "normalize_minmax", "stratified_split",
                      "synth_still_motion"), "data"),

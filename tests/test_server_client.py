@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import edgectx.client
 import edgectx.protocol
 import edgectx.server
 from edgectx.bundle import decode_bundle, encode_bundle
@@ -24,7 +25,7 @@ from edgectx.client import (
     SyncState,
     UploadQueue,
     Uploader,
-    client_sync_tick,
+    sync_request,
 )
 from edgectx.data import SensorReading, normalize_minmax, synth_still_motion
 from edgectx.learners import NeverSyncedError, cl_train, dcl_train
@@ -700,7 +701,9 @@ class TestClientSync:
         client = EdgeClient(links[2], "DCL", SyncPolicy(period_ms=10, timeout_s=5.0))
         try:
             held = SyncState().synced(ModelStore().publish("DCL", trained_dcl), 0)
-            state = client_sync_tick(held, links[0], "DCL", now_ms=10)
+            with pytest.raises(TransportError):
+                links[0].request(sync_request("DCL"))
+            state = held.replied("DCL", {}, 10)
             assert state.current_bundle is held.current_bundle
             assert (state.consecutive_failures, state.last_sync_at) == (1, 0)
             uploader = Uploader(links[1])
@@ -721,7 +724,7 @@ class TestClientSync:
     def test_first_sync_adopts_bundle(self, trained_dcl):
         ft = FakeTransport()
         ft.store.publish("DCL", trained_dcl)
-        state = client_sync_tick(SyncState(), ft, "DCL", now_ms=1000)
+        state = EdgeClient(ft, "DCL").sync_tick(now_ms=1000)
         assert state.model_version == 1
         assert state.last_sync_at == 1000
         assert state.consecutive_failures == 0
@@ -729,36 +732,39 @@ class TestClientSync:
     def test_newer_version_swaps(self, trained_dcl):
         ft = FakeTransport()
         ft.store.publish("DCL", trained_dcl)
-        state = client_sync_tick(SyncState(), ft, "DCL", now_ms=1000)
+        client = EdgeClient(ft, "DCL")
+        client.sync_tick(now_ms=1000)
         ft.store.publish("DCL", trained_dcl)
-        state = client_sync_tick(state, ft, "DCL", now_ms=2000)
+        state = client.sync_tick(now_ms=2000)
         assert state.model_version == 2
 
     def test_same_version_refreshes_timestamp_only(self, trained_dcl):
         ft = FakeTransport()
         ft.store.publish("DCL", trained_dcl)
-        state = client_sync_tick(SyncState(), ft, "DCL", now_ms=1000)
-        bundle_before = state.current_bundle
-        state = client_sync_tick(state, ft, "DCL", now_ms=5000)
+        client = EdgeClient(ft, "DCL")
+        bundle_before = client.sync_tick(now_ms=1000).current_bundle
+        state = client.sync_tick(now_ms=5000)
         assert state.current_bundle is bundle_before
         assert state.last_sync_at == 5000
 
     def test_failure_keeps_bundle_and_counts(self, trained_dcl):
         ft = FakeTransport()
         ft.store.publish("DCL", trained_dcl)
-        state = client_sync_tick(SyncState(), ft, "DCL", now_ms=1000)
+        client = EdgeClient(ft, "DCL")
+        client.sync_tick(now_ms=1000)
         ft.down = True
         for i in range(1, 6):
-            state = client_sync_tick(state, ft, "DCL", now_ms=1000 + i)
+            state = client.sync_tick(now_ms=1000 + i)
             assert state.consecutive_failures == i
             assert state.model_version == 1
         ft.down = False
-        state = client_sync_tick(state, ft, "DCL", now_ms=9000)
+        state = client.sync_tick(now_ms=9000)
         assert state.consecutive_failures == 0
 
     def test_not_ready_counts_as_contact(self):
         ft = FakeTransport()
-        state = client_sync_tick(SyncState(consecutive_failures=3), ft, "DCL", now_ms=50)
+        state = SyncState(consecutive_failures=3).replied(
+            "DCL", ft.request(sync_request("DCL")), 50)
         assert state.consecutive_failures == 0
         assert state.current_bundle is None
         assert state.last_sync_at == 50
@@ -766,7 +772,7 @@ class TestClientSync:
     def test_staleness(self, trained_dcl):
         ft = FakeTransport()
         bundle = ft.store.publish("DCL", trained_dcl, created_at=1_000)
-        state = client_sync_tick(SyncState(), ft, "DCL", now_ms=1_500)
+        state = EdgeClient(ft, "DCL").sync_tick(now_ms=1_500)
         assert state.staleness_ms(4_000) == 3_000
         assert SyncState().staleness_ms(99) is None
 
@@ -819,17 +825,43 @@ class TestClientSync:
         monkeypatch.setattr(edgectx.nn, "bind_classifier", counting)
         ft = FakeTransport()
         publish()
-        state = client_sync_tick(SyncState(), ft, kind, now_ms=0)
+        client = EdgeClient(ft, kind)
+        state = client.sync_tick(now_ms=0)
         assert len(builds) == 1 and () in state.current_bundle.model._classifiers
         state.predict((0.1, 0.2))
-        state = client_sync_tick(state, ft, kind, now_ms=10)  # the same version
+        state = client.sync_tick(now_ms=10)  # the same version
         state.predict((0.3, 0.2))
         assert len(builds) == 1
         publish()
-        state = client_sync_tick(state, ft, kind, now_ms=20)
+        state = client.sync_tick(now_ms=20)
         assert state.model_version == 2 and len(builds) == 2
         state.predict((0.1, 0.4))
         assert len(builds) == 2  # no build landed on the prediction
+
+    @pytest.mark.parametrize("kind,change,decodes,failures", [
+        ("DCL", {}, 0, 0),
+        ("DCL", {"model_version": 0}, 0, 0),
+        ("DCL", {"model_version": "1"}, 1, 0),
+        ("DCL", {"model_version": 1.0}, 1, 0),
+        ("DCL", {"model_version": True}, 1, 0),
+        ("DCL", {"model_kind": "CL"}, 1, 0),
+        ("CL", {}, 1, 1),  # a DCL bundle answers a CL sync
+    ], ids=["same-version", "older-version", "string-version", "float-version",
+            "bool-version", "other-kind-field", "other-kind"])
+    def test_only_a_reply_that_may_be_newer_is_decoded(self, kind, change, decodes, failures,
+                                                       trained_dcl, monkeypatch):
+        calls = []
+        decode = edgectx.client.decode_bundle
+        monkeypatch.setattr(edgectx.client, "decode_bundle",
+                            lambda raw: calls.append(raw) or decode(raw))
+        ft = FakeTransport()
+        held = SyncState().synced(ft.store.publish("DCL", trained_dcl), 0)
+        reply = {**ft.request(sync_request("DCL")), **change}
+        state = held.replied(kind, reply, 10)
+        assert len(calls) == decodes
+        assert state.current_bundle is held.current_bundle
+        assert state.consecutive_failures == failures
+        assert state.last_sync_at == (0 if failures else 10)
 
     def test_lcl_client_path(self, trained_cl):
         ft = FakeTransport()
@@ -857,6 +889,18 @@ class TestUploadQueue:
         queue.ack(batch)
         assert len(queue) == QUEUE_CAPACITY - (MAX_BATCH_READINGS - 3)
 
+    @pytest.mark.parametrize("response,sent,queued,rejected", [
+        ({"type": "ACK", "stored": 3}, 3, 0, 0),
+        ({"type": "ERROR", "code": "bad_batch", "message": "refused"}, 0, 0, 3),
+        ({"type": "ERROR", "code": "bad_type", "message": "refused"}, None, 3, 0),
+        ({}, None, 3, 0),
+    ], ids=["ack", "bad-batch", "other-error", "failed-link"])
+    def test_delivered_applies_each_reply(self, response, sent, queued, rejected):
+        queue = UploadQueue()
+        queue.add(make_batch(3))
+        assert queue.delivered(queue.head(), response) == sent
+        assert (len(queue), queue.rejected_count) == (queued, rejected)
+
 
 class TestUploader:
     def test_healthy_link_acks_full_batch(self):
@@ -865,6 +909,17 @@ class TestUploader:
         assert uploader.upload_batch(make_batch(10)) == 10
         assert uploader.queued_count == 0
         assert len(ft.sink) == 10
+
+    @pytest.mark.parametrize("stored", ['"x"', "null", "[1]", "1e400"],
+                             ids=["string", "null", "list", "1e400"])
+    def test_an_ack_with_a_malformed_count_acknowledges_the_batch(self, stored):
+        class OddAck:
+            def request(self, msg, timeout=None):
+                return decode_message(b'{"type": "ACK", "stored": %s}' % stored.encode())
+
+        uploader = Uploader(OddAck())
+        assert uploader.upload_batch(make_batch(1)) == 1
+        assert uploader.queued_count == 0
 
     def test_offline_batches_replayed_in_order(self):
         ft = FakeTransport()

@@ -8,6 +8,7 @@ import pytest
 
 import edgectx.cli
 import edgectx.nn
+import edgectx.sim
 from edgectx.cli import _retrain_once
 from edgectx.client import QUEUE_CAPACITY
 from edgectx.data import Dataset, synth_still_motion
@@ -311,6 +312,41 @@ class TestValidation:
         assert times[:6] == [0, 100, 500, 600, 1000, 1100]
 
 
+class TestSharedClientSteps:
+    """The simulated client syncs and uploads through the request and reply
+    steps of ``edgectx.client``, answered by ``server.handle_request``."""
+
+    def test_the_server_answers_through_handle_request(self, monkeypatch, tmp_path):
+        seen = Counter()
+        handle = edgectx.sim.handle_request
+
+        def counting(msg, store, sink):
+            seen[msg["type"]] += 1
+            return handle(msg, store, sink)
+
+        monkeypatch.setattr(edgectx.sim, "handle_request", counting)
+        code = edgectx.cli.main(["simulate", "--scenario", str(OUTAGE_SCENARIO),
+                                 "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert set(seen) == {"GET_PARAMS", "PUSH_DATA"}
+
+    @staticmethod
+    def failures(outage_window):
+        runner = _ScenarioRunner(
+            [one_node()], LinkConfig(latency_ms=5, outage_windows=(outage_window,)),
+            1_000, ("ADCL", "LCL"), 9_000, 11, sync_period_ms=500, upload_every_ms=500,
+            warmup_samples=60, epochs=4)
+        runner.run()
+        return {kind: state.consecutive_failures for kind, state in runner.client_states.items()}
+
+    def test_a_run_ending_in_an_outage_counts_every_lost_sync(self):
+        # the syncs at 4 000, 4 500, ..., 9 000 are all lost
+        assert self.failures((4_000, 20_000)) == {"CL": 11, "DCL": 11}
+
+    def test_a_sync_after_the_outage_clears_the_count(self):
+        assert self.failures((4_000, 6_000)) == {"CL": 0, "DCL": 0}
+
+
 class TestCsvOutputs:
     def test_csv_shapes(self):
         result = quick_scenario(LinkConfig(), duration=3_000, algorithms=("ADCL", "LCL"))
@@ -368,6 +404,8 @@ class TestDeferredTraining:
         assert [epochs for _, epochs, _ in train_calls] == [30] * 2 + [5] * 20
         # 195 300 updates when every version read trained fresh
         assert sum(epochs * rows for _, epochs, rows in train_calls) == 47_500
+        assert hashlib.sha256(result.canonical_bytes()).hexdigest() == (
+            "687119c0c64c65fddc622be76a11617f0bfb7c774dc7dcb0b9c1793b50b9990a")
 
     # SHA-256 of canonical_bytes(); they move whenever what a seed trains,
     # publishes or refuses moves. The link drops uploads and acks, so a
