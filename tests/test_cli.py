@@ -229,6 +229,25 @@ class TestClientCommand:
         assert code == 2
         assert "available" in capsys.readouterr().err
 
+    def test_the_probe_is_the_only_sync_before_the_first_prediction(self, live_server,
+                                                                      tmp_path, monkeypatch):
+        replies = []
+        handle = edgectx.server.handle_request
+
+        def recording(msg, store, sink):
+            response, keep = handle(msg, store, sink)
+            replies.append(response["type"])
+            return response, keep
+
+        monkeypatch.setattr(edgectx.server, "handle_request", recording)
+        infile = tmp_path / "input.txt"
+        infile.write_text("0.1,0.1\n", encoding="utf-8")
+        outfile = tmp_path / "out.csv"
+        assert run_cli("client", "--server", live_server, "--input", infile,
+                       "--out", outfile) == 0
+        assert outfile.read_text().splitlines()[1].endswith(",OK")
+        assert replies == ["PARAMS"]
+
     def test_a_malformed_not_ready_probe_goes_on_to_the_sync_loop(self, tmp_path, monkeypatch):
         def not_ready(msg, store, sink):
             return {"type": "NOT_READY", "model_kind": msg["model_kind"], "available": [1]}, True
@@ -851,11 +870,11 @@ def test_usage_error_exit_code():
 
 class TestPredictHooks:
     """perfbench's ``learners.*_predict`` spans wrap ``adcl_predict`` and
-    ``lcl_predict`` on the module each caller looks them up in: the client
-    on ``edgectx.client`` and the simulator on ``edgectx.sim``. Each caller
-    must still go through those names, or the traced metrics read 0. The
-    k-fold trainers' predictors are bound classifiers that scale raw
-    features themselves, so they go through neither name."""
+    ``lcl_predict`` on ``edgectx.learners``, ``edgectx.client`` and
+    ``edgectx.sim``, so both names stay importable from each. No predictor
+    goes through them: the live client, the simulator and the k-fold
+    trainers each call a bound classifier, one generated function, so the
+    traced metrics read 0 calls."""
 
     @staticmethod
     def record(monkeypatch):
@@ -888,18 +907,20 @@ class TestPredictHooks:
                 return handle_request(msg, store, MemoryDataSink())[0]
 
         calls = self.record(monkeypatch)
-        for kind, name in ((MODEL_KIND_DCL, "adcl_predict"), (MODEL_KIND_CL, "lcl_predict")):
+        for kind in (MODEL_KIND_DCL, MODEL_KIND_CL):
             client = EdgeClient(StoreTransport(), kind)
             client.sync_tick(now_ms=0)
             client.predict((0.1, 0.2))
-            assert calls.pop() == ("edgectx.client", name)
+            assert client.predict.__code__.co_filename.startswith("<edgectx.nn classifier ")
         assert calls == []
 
     def test_run_scenario(self, tmp_path, monkeypatch):
         calls = self.record(monkeypatch)
         scenario = TestSimulateCommand().scenario_file(tmp_path, duration_ms=1_000)
         assert run_cli("simulate", "--scenario", scenario, "--out-dir", tmp_path / "o") == 0
-        assert set(calls) == {("edgectx.sim", "adcl_predict"), ("edgectx.sim", "lcl_predict")}
+        rows = [line.split(",") for line in (tmp_path / "o" / "ticks.csv").read_text().splitlines()]
+        assert {row[1] for row in rows[1:] if row[2]} == {"ADCL", "LCL"}  # both predicted
+        assert calls == []
 
     def test_trainer_predictors(self, monkeypatch):
         from edgectx.learners import make_cl_trainer, make_dcl_trainer

@@ -418,6 +418,7 @@ def random_spec(rng: Rng, side: str) -> LayerSpec:
 
 # (topology, form of each layer): the nets the package and the benchmark
 # train, wide nets, and both sides of the rule at 150 weights and biases
+# for rows of 16 inputs or more and at 300 for narrower rows
 FORM_TABLE = [
     (LayerSpec(2, (), 2), "s"),
     (LayerSpec(2, (2,), 2), "ss"),
@@ -426,13 +427,19 @@ FORM_TABLE = [
     (LayerSpec(13, (9,) * 9, 5), "s" * 10),
     (LayerSpec(13, (24,), 5), "rs"),
     (LayerSpec(13, (32,), 5), "rr"),
-    (LayerSpec(13, (16,) * 3, 5), "rrrs"),
-    (LayerSpec(13, (12,) * 9, 5), "r" * 9 + "s"),
+    (LayerSpec(13, (16,) * 3, 5), "srrs"),
+    (LayerSpec(13, (12,) * 9, 5), "s" * 10),
     (LayerSpec(149, (), 1), "s"),
     (LayerSpec(150, (), 1), "r"),
-    (LayerSpec(2, (50,), 2), "ss"),
+    (LayerSpec(16, (), 8), "s"),
+    (LayerSpec(16, (), 9), "r"),
+    (LayerSpec(15, (), 18), "s"),
+    (LayerSpec(15, (), 19), "r"),
+    (LayerSpec(2, (100,), 1), "ss"),
+    (LayerSpec(2, (101,), 1), "rs"),
     (LayerSpec(2, (50, 3), 2), "srs"),
-    (LayerSpec(14, (10,), 14), "sr"),
+    (LayerSpec(14, (10,), 14), "ss"),
+    (LayerSpec(14, (10,), 28), "sr"),
 ]
 
 
@@ -449,8 +456,8 @@ class TestKernels:
             # the kernel calls the dot function of each row layer's input width
             called = set(map(int, re.findall(r"dot(\d+)\(", nn._list_kernel_source(sizes))))
             assert called == {n_in for n_in, row in zip(sizes, rows) if row}, sizes
-            # a layer's form follows its own weights and biases alone
-            assert all(r == (n_out * (n_in + 1) > 150)
+            # a layer's form follows its own weights and biases and row width
+            assert all(r == (n_out * (n_in + 1) > (150 if n_in >= 16 else 300))
                        for (n_in, n_out), r in zip(zip(sizes, sizes[1:]), rows))
 
     def test_list_kernel_saturates_like_numpy(self):
@@ -502,9 +509,9 @@ class TestKernels:
 
     @pytest.mark.parametrize(
         "sizes, form",
-        [((298, 1), "r"), ((1, 99, 1), "rs"), ((13, 15, 5), "rs"),
-         ((1, 16, 16, 16, 1), "srrs"), ((26, *(9,) * 9, 3), "r" + "s" * 9)],
-        ids=["298-1", "1-99-1", "13-15-5", "1-16x3-1", "26-9x9-3"],
+        [((298, 1), "r"), ((1, 99, 1), "ss"), ((1, 151, 1), "rr"), ((13, 15, 5), "ss"),
+         ((13, 22, 5), "rs"), ((1, 16, 16, 16, 1), "srrs"), ((26, *(9,) * 9, 3), "r" + "s" * 9)],
+        ids=["298-1", "1-99-1", "1-151-1", "13-15-5", "13-22-5", "1-16x3-1", "26-9x9-3"],
     )
     def test_widest_nets_match_reference(self, sizes, form):
         # one wide layer alone, or wide layers next to straight-line ones
@@ -588,8 +595,9 @@ class TestKernels:
         assert nn._row_functions.cache_info().misses == 2
 
     @pytest.mark.parametrize("hidden, form",
-                             [((3,), "ss"), ((12,) * 3, "srrs"), ((24,) * 2, "srs")],
-                             ids=["2-3-2", "2-12x3-2", "2-24x2-2"])
+                             [((3,), "ss"), ((12,) * 3, "ssss"), ((16,) * 3, "srrs"),
+                              ((24,) * 2, "srs")],
+                             ids=["2-3-2", "2-12x3-2", "2-16x3-2", "2-24x2-2"])
     def test_train_sees_the_outputs_forward_gives(self, hidden, form):
         p = random_params(LayerSpec(2, hidden, 2), 8)
         assert layer_forms(p) == form
@@ -664,7 +672,7 @@ class TestListKernelThreads:
 
     def test_concurrent_row_form_final_outputs_match_sequential(self):
         p = random_params(LayerSpec(13, (16,) * 3, 5), 3)
-        assert layer_forms(p) == "rrrs"
+        assert layer_forms(p) == "srrs"
         assert_concurrent_calls_match_sequential(lambda x: nn.final_outputs(p, x))
 
     def test_concurrent_predict_class_match_sequential(self):
@@ -784,7 +792,7 @@ class TestPredictClass:
                 for w0 in ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4]], [[0.3, 0.4]] * 3)]
         xs = [[0.5, 0.5], [1e308, 1e308], [-1e308, -1e308], [2.0, -3.0]]
         deep = with_tied_outputs(signed_params(LayerSpec(13, (16,) * 3, 4), 5))
-        assert layer_forms(deep) == "rrrs"
+        assert layer_forms(deep) == "srrs"
         rng = Rng(3)
         deep_xs = [[4.0 * rng.uniform() - 2.0 for _ in range(13)] for _ in range(20)]
         for pick in pickers():
@@ -875,11 +883,11 @@ class TestPredictClass:
 class TestTrain:
     @pytest.mark.parametrize(
         "hidden, form",
-        [((), "s"), ((3,), "ss"), ((3, 3), "sss"), ((12,) * 3, "srrs"),
-         ((12,) * 6, "srrrrrs"), ((24,) * 2, "srs"), ((24,) * 4, "srrrs"),
-         ((80,) * 2, "rrr")],
-        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2", "2-12x6-2", "2-24x2-2", "2-24x4-2",
-             "2-80x2-2"],
+        [((), "s"), ((3,), "ss"), ((3, 3), "sss"), ((12,) * 3, "ssss"),
+         ((12,) * 6, "sssssss"), ((16,) * 3, "srrs"), ((16,) * 6, "srrrrrs"),
+         ((24,) * 2, "srs"), ((24,) * 4, "srrrs"), ((80,) * 2, "srr"), ((160,) * 2, "rrr")],
+        ids=["2-2", "2-3-2", "2-3-3-2", "2-12x3-2", "2-12x6-2", "2-16x3-2", "2-16x6-2",
+             "2-24x2-2", "2-24x4-2", "2-80x2-2", "2-160x2-2"],
     )
     def test_equals_backprop_then_apply_update(self, hidden, form):
         samples = (Sample((0.2, 0.7), 1), Sample((0.9, 0.1), 0), Sample((0.5, 0.4), 1))
@@ -917,8 +925,9 @@ class TestTrain:
         assert same_params(trained, manual)
 
     @pytest.mark.parametrize("hidden, form",
-                             [((3,), "ss"), ((12,) * 3, "srrs"), ((24,) * 2, "srs")],
-                             ids=["2-3-2", "2-12x3-2", "2-24x2-2"])
+                             [((3,), "ss"), ((12,) * 3, "ssss"), ((16,) * 3, "srrs"),
+                              ((24,) * 2, "srs")],
+                             ids=["2-3-2", "2-12x3-2", "2-16x3-2", "2-24x2-2"])
     def test_leaves_params_alone_and_returns_fresh_arrays(self, hidden, form):
         p = random_params(LayerSpec(2, hidden, 2), 5)
         assert layer_forms(p) == form

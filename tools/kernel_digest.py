@@ -13,8 +13,8 @@ instead each name whose digest moved against FILE, an earlier output
   303-row ``perfbench/clusters.heart_like(701)`` set, 3 epochs at learning
   rates 0.3 and 0.6 (the 2-input nets see its first two features and class
   0 against the rest); every layer of the first six is straight-line code,
-  while 13-32x1-5 runs both its layers row by row and 13-16x3-5 all but
-  its output layer (``nn._row_form``). Those two start from seed 1's
+  while 13-32x1-5 runs both its layers row by row and 13-16x3-5 its two
+  16-16 layers (``nn._row_form``). Those two start from seed 1's
   weights and biases mapped from [0, 1) to [-1, 1): from all-positive
   weights their outputs sit within 1e-3 of 1 on every row (13-32x1-5
   within 2e-6), where a last-bit change in a hidden activation moves no
