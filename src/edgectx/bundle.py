@@ -13,10 +13,9 @@ import json
 import re
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
 
 from .data import json_integer, json_numbers
-from .learners import MODEL_KIND_CL, MODEL_KIND_DCL, MODEL_KINDS, ClModel, ThresholdVector
+from .learners import MODEL_KIND_CL, MODEL_KIND_DCL, MODEL_KINDS, ThresholdVector
 from .nn import LayerSpec, NetworkParameters
 
 FORMAT_VERSION = 1
@@ -67,20 +66,6 @@ class ParameterBundle:
             raise ValueError("thresholds are required for CL and forbidden otherwise")
         if self.thresholds is not None and len(self.thresholds) != self.params.spec.output_count:
             raise ValueError("threshold count must equal output count")
-
-    @property
-    def model(self) -> NetworkParameters | ClModel:
-        """What the bundle's client predictor reads: the network for ADCL,
-        ``as_cl_model`` for LCL."""
-        return self.as_cl_model if self.model_kind == MODEL_KIND_CL else self.params
-
-    @cached_property
-    def as_cl_model(self) -> ClModel:
-        """The bundle as an LCL predictor, built once per bundle."""
-        if self.model_kind != MODEL_KIND_CL:
-            raise ValueError("not a CL bundle")
-        assert self.thresholds is not None
-        return ClModel(self.params, self.thresholds)
 
 
 def encode_bundle(bundle: ParameterBundle) -> bytes:

@@ -358,11 +358,15 @@ def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
 
 
 def _trainer(kind: str):
-    """``learners.retrain``'s ``train`` for ``kind``, through ``dcl_train`` and
-    ``cl_train`` as this module holds them when it runs."""
-    if kind == MODEL_KIND_DCL:
-        return lambda data, cfg, start: dcl_train(data, model_spec(kind, data), cfg, start=start)
-    return lambda data, cfg, start: cl_train(data, cfg, start=start)
+    """``learners.retrain``'s ``train`` for ``kind``: (params, thresholds)
+    through ``dcl_train`` and ``cl_train`` as this module holds them when it
+    runs."""
+    def train(data, cfg, start):
+        if kind == MODEL_KIND_DCL:
+            return dcl_train(data, model_spec(kind, data), cfg, start=start), None
+        model = cl_train(data, cfg, start=start)
+        return model.params, model.thresholds
+    return train
 
 
 def _outline(candidate: Candidate) -> str:
@@ -428,7 +432,7 @@ def cmd_client(args) -> int:
             try:
                 # the version reported is the one that made the prediction
                 label = state.predict(features)
-            except (ValueError, BundleError) as exc:
+            except ValueError as exc:
                 outfile.write(f"{now},{feat_text},,,,ERROR\n")
                 log.warning("prediction failed: %s", exc)
                 outfile.flush()

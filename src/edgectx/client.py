@@ -73,7 +73,8 @@ class SyncState:
     """What the client knows about its parameters and the link.
 
     ``predict(features)`` is the label the held bundle gives ``features``:
-    the bundle's classifier (``learners.classifier(bundle.model)``), bound
+    the bundle's classifier
+    (``learners.classifier(bundle.params, bundle.thresholds)``), bound
     when the state is built, so a prediction is one call into the
     generated function; with no bundle it raises NeverSyncedError.
     """
@@ -85,8 +86,8 @@ class SyncState:
 
     def __post_init__(self) -> None:
         bundle = self.current_bundle
-        object.__setattr__(self, "predict",
-                           _never_synced if bundle is None else classifier(bundle.model))
+        object.__setattr__(self, "predict", _never_synced if bundle is None
+                           else classifier(bundle.params, bundle.thresholds))
 
     def staleness_ms(self, now_ms: int) -> int | None:
         """Age of the held bundle; None before the first sync."""

@@ -81,7 +81,7 @@ class ContextLabel:
 @dataclass(frozen=True)
 class ClModel:
     """Single-layer network (inputs wired directly to sigmoid outputs) plus
-    its calibrated thresholds."""
+    its calibrated thresholds: the validated record ``cl_train`` returns."""
 
     params: NetworkParameters
     thresholds: ThresholdVector
@@ -91,8 +91,6 @@ class ClModel:
             raise ValueError("CL model must not have hidden layers")
         if len(self.thresholds) != self.params.spec.output_count:
             raise ValueError("threshold count must equal output count")
-        # classifiers bound to this model by ``classifier``, by class-name tuple
-        object.__setattr__(self, "_classifiers", {})
 
 
 @dataclass(frozen=True)
@@ -183,22 +181,26 @@ def cl_train(
     return ClModel(params, thresholds)
 
 
-Model = NetworkParameters | ClModel
-# builds a model from (data, cfg, the network to continue or None)
-ModelTrainer = Callable[[Dataset, TrainingConfig, NetworkParameters | None], Model]
+# builds (params, thresholds), as ``fit`` does, from (data, cfg, the
+# network to continue or None)
+ModelTrainer = Callable[[Dataset, TrainingConfig, NetworkParameters | None],
+                        tuple[NetworkParameters, ThresholdVector | None]]
 
 
 @dataclass(frozen=True)
 class Candidate:
     """A retrained version before it is published, and the guard's scores.
 
-    ``score`` and ``served_score`` are the accuracies of the candidate and
-    of the served version on the rows that arrived since the served version
-    was published, or on the whole window when that is not known;
-    ``served_score`` is None when no version is served.
+    ``params`` and ``thresholds`` are the model, as ``fit`` returns it
+    (thresholds None for DCL). ``score`` and ``served_score`` are the
+    accuracies of the candidate and of the served version on the rows that
+    arrived since the served version was published, or on the whole window
+    when that is not known; ``served_score`` is None when no version is
+    served.
     """
 
-    model: Model
+    params: NetworkParameters
+    thresholds: ThresholdVector | None
     continued: bool  # trained on from the served version's parameters
     epochs: int
     new_rows: int | None  # None when it is not known which rows are new
@@ -210,36 +212,31 @@ class Candidate:
     def accepted(self) -> bool:
         return self.served_score is None or self.score >= self.served_score - GUARD_MARGIN
 
-    @property
-    def params(self) -> NetworkParameters:
-        return self.model.params if isinstance(self.model, ClModel) else self.model
-
-    @property
-    def thresholds(self) -> ThresholdVector | None:
-        return self.model.thresholds if isinstance(self.model, ClModel) else None
-
 
 def retrain(
     kind: str,
     data: Dataset,
     cfg: TrainingConfig,
-    served: Model | None = None,
+    served=None,
     new_rows: int | None = None,
     train: ModelTrainer | None = None,
 ) -> Candidate:
     """The retrain step of ``retrain_round``: the next version of ``kind``
     on the window ``data``, whose last ``new_rows`` rows arrived since
-    ``served`` was published (None when that is not known).
+    ``served`` was published (None when that is not known). ``served`` is
+    None or anything that holds a model as ``params`` and ``thresholds``:
+    a ``ParameterBundle``, a ``Candidate`` or a ``ClModel``.
 
     A served version with the topology ``fit`` gives ``data`` is continued
     for ``max(1, cfg.epochs // CONTINUE_EPOCH_DIVISOR)`` epochs. Otherwise
     (the first version, or a new class that widens the output layer) the
     candidate starts fresh from ``cfg.seed`` for ``cfg.epochs``. CL
     thresholds are calibrated on ``data`` either way. ``train`` builds the
-    model (default: ``fit``). The candidate and the served version are
-    then scored through their bound classifiers; see ``Candidate``.
+    model as (params, thresholds) (default: ``fit``). The candidate and the
+    served version are then scored through their bound classifiers; see
+    ``Candidate``.
     """
-    start = served.params if isinstance(served, ClModel) else served
+    start = None if served is None else served.params
     if start is not None and start.spec != model_spec(kind, data):
         start = None
     if start is not None:
@@ -247,14 +244,15 @@ def retrain(
     t0 = time.perf_counter()
     if train is None:
         params, thresholds, _ = fit(kind, data, cfg, start=start)
-        model = params if thresholds is None else ClModel(params, thresholds)
     else:
-        model = train(data, cfg, start)
+        params, thresholds = train(data, cfg, start)
     train_ms = (time.perf_counter() - t0) * 1e3
     scored = data.samples if new_rows is None else data.samples[-new_rows:]
     return Candidate(
-        model, start is not None, cfg.epochs, new_rows, _accuracy(model, scored),
-        None if served is None else _accuracy(served, scored), train_ms,
+        params, thresholds, start is not None, cfg.epochs, new_rows,
+        _accuracy(params, thresholds, scored),
+        None if served is None else _accuracy(served.params, served.thresholds, scored),
+        train_ms,
     )
 
 
@@ -312,8 +310,7 @@ def retrain_round(
         seed = zlib.crc32(f"{kind} v{store.next_version(kind)}".encode())
         lr = DCL_LEARNING_RATE if kind == MODEL_KIND_DCL else CL_LEARNING_RATE
         candidate = retrain(
-            kind, data, TrainingConfig(lr, epochs, seed),
-            None if bundle is None else bundle.model,
+            kind, data, TrainingConfig(lr, epochs, seed), bundle,
             # a mark above the rows held counts rows that are gone
             None if published is None or published > held else held - published,
             None if trainer is None else trainer(kind),
@@ -327,8 +324,9 @@ def retrain_round(
     return out
 
 
-def _accuracy(model: Model, samples: Sequence) -> float:
-    classify = classifier(model)
+def _accuracy(params: NetworkParameters, thresholds: ThresholdVector | None,
+              samples: Sequence) -> float:
+    classify = classifier(params, thresholds)
     return sum(classify(s.features).class_index == s.label for s in samples) / len(samples)
 
 
@@ -370,11 +368,7 @@ def adcl_predict(
     """
     if params is None:
         raise NeverSyncedError("no network parameters received yet")
-    try:
-        classify = params._classifiers[class_names]
-    except (KeyError, TypeError):  # not bound yet, or names in a list
-        classify = classifier(params, class_names)
-    return classify(features)
+    return classifier(params, None, class_names)(features)
 
 
 def lcl_predict(
@@ -387,42 +381,38 @@ def lcl_predict(
     Among classes whose output exceeds its threshold, the one with the
     largest margin (output - threshold) wins; when none exceeds, falls back
     to plain argmax. Ties break toward the lowest index, so a prediction is
-    always produced. Raises NeverSyncedError when no model has been
-    received yet.
+    always produced. ``model`` holds the network as ``params`` and the
+    thresholds as ``thresholds``: a ClModel, or a CL ``ParameterBundle``.
+    Raises NeverSyncedError when no model has been received yet.
     """
     if model is None:
         raise NeverSyncedError("no CL model received yet")
-    try:
-        classify = model._classifiers[class_names]
-    except (KeyError, TypeError):  # not bound yet, or names in a list
-        classify = classifier(model, class_names)
-    return classify(features)
+    return classifier(model.params, model.thresholds, class_names)(features)
 
 
 def classifier(
-    model: NetworkParameters | ClModel,
+    params: NetworkParameters,
+    thresholds: ThresholdVector | None = None,
     class_names: Sequence[str] = (),
     normalization: tuple[tuple[float, float], ...] | None = None,
 ) -> Callable[[Sequence[float]], ContextLabel]:
-    """The classifier ``adcl_predict`` (for a network) or ``lcl_predict``
-    (for a ClModel) calls: features to the ContextLabel, named from
-    ``class_names`` where a class has a name. With ``normalization`` (a
-    fitted ``Dataset.normalization``) it takes raw features and scales them
-    first, as ``apply_minmax_vector`` does (``nn.bind_classifier``). Bound
-    once per model, class-name tuple and normalization and kept on the
-    model, so a prediction is one call."""
+    """The classifier of the model (``params``, ``thresholds``), the one
+    ``adcl_predict`` (thresholds None) or ``lcl_predict`` calls: features
+    to the ContextLabel, named from ``class_names`` where a class has a
+    name. With ``normalization`` (a fitted ``Dataset.normalization``) it
+    takes raw features and scales them first, as ``apply_minmax_vector``
+    does (``nn.bind_classifier``). Bound once per thresholds, class-name
+    tuple and normalization and kept on the network, so a prediction is one
+    call."""
     names = tuple(class_names)
-    key = names if normalization is None else (names, normalization)
-    bound = model._classifiers.get(key)
+    taus = None if thresholds is None else thresholds.values
+    key = (taus, names, normalization)
+    bound = params._classifiers.get(key)
     if bound is None:
-        if isinstance(model, ClModel):
-            params, thresholds = model.params, model.thresholds.values
-        else:
-            params, thresholds = model, None
         labels = tuple(ContextLabel(i, names[i] if i < len(names) else "")
                        for i in range(params.spec.output_count))
-        bound = model._classifiers[key] = nn.bind_classifier(params, labels, thresholds,
-                                                             normalization)
+        bound = params._classifiers[key] = nn.bind_classifier(params, labels, taus,
+                                                              normalization)
     return bound
 
 
@@ -590,7 +580,6 @@ def _make_trainer(
     def trainer(train_data: Dataset):
         fitted = normalize_minmax(train_data)
         params, thresholds, _ = fit(kind, fitted, cfg, hidden)
-        model = params if thresholds is None else ClModel(params, thresholds)
-        return classifier(model, train_data.class_names, fitted.normalization)
+        return classifier(params, thresholds, train_data.class_names, fitted.normalization)
 
     return trainer

@@ -32,13 +32,15 @@ A fourth function, compiled apart when a net's first classifier is bound
 (``bind_classifier``), takes the parameters, the labels and LCL's
 thresholds once per net and returns one function that checks an input,
 runs the same forward pass and returns the label of the class it picks.
-An input it refuses goes through ``final_outputs``, which raises what it
-always raised. A prediction is one call into that function, so one that
-arrives with cold caches walks little code: on a 2-core VM (Python
-3.11), with a 1.5 ms sleep before each call, a 13-9-5 ADCL prediction
-took about 41 us and a 13-5 LCL one 31 us, against 52 and 43 us when a
-generated function returned the class index and a cached lookup its
-label; in a tight loop 7.3 and 3.7 us, against 8.1 and 4.4. Bound
+An input it refuses is checked as ``final_outputs`` checks it, which
+raises what it always raised, and the checked list of floats, which the
+function never refuses, goes through it again. A prediction is one call
+into that function, so one that arrives with cold caches walks little
+code: on a 2-core VM (Python 3.11), with a 1.5 ms sleep before each
+call, a 13-9-5 ADCL prediction took about 41 us and a 13-5 LCL one
+31 us, against 52 and 43 us when a generated function returned the
+class index and a cached lookup its label; in a tight loop 7.3 and
+3.7 us, against 8.1 and 4.4. Bound
 with the min-max ranges of a fitted ``Dataset.normalization``, the same
 function first scales raw features (``_minmax_lines``, the ranges
 bound as closure variables, one compile per topology, choice rule and
@@ -53,6 +55,7 @@ classifier's call.
 from __future__ import annotations
 
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -617,24 +620,6 @@ def _classifier_kernel(sizes: tuple[int, ...], margins: bool,
     return _compiled(_classifier_source(sizes, margins, constant), "classifier", sizes)["bind"]
 
 
-@lru_cache(maxsize=64)
-def _class_choice(n: int) -> Callable[[list[float], tuple[float, ...] | None], int]:
-    """``choose(o, t)``: the class ``_choice_lines`` picks from ``n``
-    outputs ``o``, with thresholds ``t`` unless it is None."""
-    outs = [f"o{k}" for k in range(int(n))]
-    source = "\n".join([
-        "def choose(o, t):",
-        *_indent([_unpack(outs, "o"), "if t is None:"], 1),
-        *_indent(_choice_lines(outs, False), 2),
-        "    else:",
-        *_indent([_unpack([f"t{k}" for k in range(int(n))], "t"),
-                  *_choice_lines(outs, True)], 2),
-        "    return i",
-        "",
-    ])
-    return _compiled(source, "class choice", (n,))["choose"]
-
-
 def bind_classifier(params: NetworkParameters, labels, thresholds=None,
                     normalization=None) -> Callable:
     """``classify(features)``: ``labels[i]`` of the class
@@ -650,17 +635,17 @@ def bind_classifier(params: NetworkParameters, labels, thresholds=None,
     choice rule and constant-feature mask, with the parameters, thresholds
     and ranges bound when this is called. Any other input, and any input
     that function refuses (a wrong width among them), go through the
-    reference: without
-    ``normalization``, ``final_outputs``; with it, ``apply_minmax_vector``
-    and then the classifier bound without it. Either way it raises what
-    the reference raises, and the class is the same.
+    reference: without ``normalization``, the check ``final_outputs``
+    makes, and then that function on the checked list; with it,
+    ``apply_minmax_vector`` and then the classifier bound without it.
+    Either way it raises what the reference raises, and the class is the
+    same. A set is refused, since its features have no order.
     """
     if normalization is None:
-        choose = _class_choice(params.spec.output_count)
         bounds = constant = None
 
         def fallback(features):
-            return labels[choose(final_outputs(params, features), thresholds)]
+            return predict(_check_input(params, features))
     else:
         constant, bounds = _minmax_ranges(normalization)
 
@@ -670,12 +655,15 @@ def bind_classifier(params: NetworkParameters, labels, thresholds=None,
             return bind_classifier(params, labels, thresholds)
 
         def fallback(features):
-            return unscaled()(apply_minmax_vector(tuple(features), normalization))
+            features = tuple(_ordered(features, "input"))
+            return unscaled()(apply_minmax_vector(features, normalization))
 
         if len(constant) != params.spec.input_count:
             return fallback
     bind = _classifier_kernel(params.spec.layer_sizes, thresholds is not None, constant)
-    return bind(params.flat, thresholds, bounds, labels, fallback)
+    # the unscaled fallback hands the list it checked back to ``predict``
+    predict = bind(params.flat, thresholds, bounds, labels, fallback)
+    return predict
 
 
 def predict_class(params: NetworkParameters, features, thresholds=None) -> int:
@@ -757,13 +745,20 @@ def train(
     return trained, loss_history
 
 
+def _ordered(values, what: str):
+    """``values``, refused when they are a set, whose order is not defined."""
+    if isinstance(values, AbstractSet):
+        raise DimensionError(f"{what} is a set, which has no order")
+    return values
+
+
 def _vector(values, width: int, what: str) -> list[float]:
     """``values`` as a list of exactly ``width`` floats."""
     # an array of other than one dimension iterates as rows, not numbers
     if getattr(values, "ndim", 1) != 1:
         raise DimensionError(f"{what} shape {values.shape} is not a vector")
     try:
-        vec = [float(v) for v in values]
+        vec = [float(v) for v in _ordered(values, what)]
     except TypeError as exc:
         raise DimensionError(f"{what} is not a flat vector: {exc}") from None
     if len(vec) != width:

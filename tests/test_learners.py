@@ -4,6 +4,7 @@ import zlib
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from edgectx.learners import (
     retrain_round,
 )
 from edgectx.nn import (
+    DimensionError,
     LayerSpec,
     NetworkParameters,
     TrainingConfig,
@@ -222,23 +224,25 @@ class TestLclPredict:
             assert 0 <= label.class_index < k
 
     def test_compiled_choice_matches_margin_rule(self):
-        from edgectx.nn import _class_choice
-
         def reference(outs, taus):
             margins = [o - t for o, t in zip(outs, taus)]
             idx = margins.index(max(margins))
             return idx if margins[idx] > 0.0 else outs.index(max(outs))
 
         rng = Rng(78)
-        # few distinct values, so ties and zero margins are common
+        # few distinct outputs, so ties are common, and thresholds drawn
+        # from the same outputs, so zero margins are too
         levels = (0.2, 0.4, 0.6, 0.8)
+        level_outs = nn.final_outputs(single_layer_with_outputs(levels), whatever)
         for n in range(1, 9):
             for _ in range(200):
-                outs = [levels[rng.randrange(4)] for _ in range(n)]
-                taus = tuple(levels[rng.randrange(4)] for _ in range(n))
-                assert _class_choice(n)(outs, taus) == reference(outs, taus)
+                net = single_layer_with_outputs([levels[rng.randrange(4)] for _ in range(n)])
+                outs = nn.final_outputs(net, whatever)
+                taus = ThresholdVector(tuple(level_outs[rng.randrange(4)] for _ in range(n)))
+                label = classifier(net, taus)(whatever)
+                assert label.class_index == reference(outs, taus.values)
                 # without thresholds: the first largest output
-                assert _class_choice(n)(outs, None) == outs.index(max(outs))
+                assert classifier(net)(whatever).class_index == outs.index(max(outs))
 
     def test_never_synced(self):
         with pytest.raises(NeverSyncedError):
@@ -495,19 +499,19 @@ class TestRetrain:
         first = retrain(kind, self.data, self.cfg)
         assert not first.continued and first.epochs == 30 and first.served_score is None
         assert first.accepted
-        second = retrain(kind, self.data, TrainingConfig(0.3, 30, 8), first.model, new_rows=20)
+        second = retrain(kind, self.data, TrainingConfig(0.3, 30, 8), first, new_rows=20)
         assert second.continued and second.epochs == 5
         params, thresholds, _ = fit(kind, self.data, TrainingConfig(0.3, 5, 8),
                                     start=first.params)
         assert same_params(second.params, params) and second.thresholds == thresholds
         # both are scored on the last 20 rows
         tail = Dataset(self.data.samples[-20:], self.data.feature_names, self.data.class_names)
-        predict = adcl_predict if kind == MODEL_KIND_DCL else lcl_predict
-        for model, score in ((second.model, second.score), (first.model, second.served_score)):
-            assert score == evaluate(lambda x, m=model: predict(m, x), tail).accuracy
+        for model, score in ((second, second.score), (first, second.served_score)):
+            predict = partial(reference_predict, model.params, model.thresholds)
+            assert score == evaluate(predict, tail).accuracy
 
     def test_a_new_class_starts_fresh(self):
-        served, _, _ = fit(MODEL_KIND_DCL, self.data, self.cfg)
+        served = retrain(MODEL_KIND_DCL, self.data, self.cfg)
         wider = Dataset(self.data.samples + (Sample((5.0, 5.0), 2),), self.data.feature_names,
                         self.data.class_names + ("far",))
         candidate = retrain(MODEL_KIND_DCL, wider, self.cfg, served, new_rows=1)
@@ -516,7 +520,7 @@ class TestRetrain:
         assert candidate.served_score == 0.0
 
     def test_the_guard_allows_the_margin_and_no_more(self):
-        served, _, _ = fit(MODEL_KIND_DCL, self.data, self.cfg)
+        served = retrain(MODEL_KIND_DCL, self.data, self.cfg)
         candidate = retrain(MODEL_KIND_DCL, self.data, self.cfg, served)
         for served_score, accepted in ((candidate.score + GUARD_MARGIN, True),
                                        (candidate.score + GUARD_MARGIN + 1e-9, False)):
@@ -524,10 +528,10 @@ class TestRetrain:
 
 
 class Served:
-    """The fields of a ``ParameterBundle`` that ``retrain_round`` reads."""
+    """The fields of a DCL ``ParameterBundle`` that ``retrain_round`` reads."""
 
-    def __init__(self, model, model_version):
-        self.model, self.model_version = model, model_version
+    def __init__(self, params, model_version):
+        self.params, self.thresholds, self.model_version = params, None, model_version
 
 
 class Store(dict):
@@ -617,9 +621,9 @@ class TestRetrainRound:
 
         def spoiled(data, cfg, start):
             # answers class 1 for every row; the new row is class 0
-            return replace(start, flat=(0.0,) * (len(start.flat) - 2) + (-5.0, 5.0))
+            return replace(start, flat=(0.0,) * (len(start.flat) - 2) + (-5.0, 5.0)), None
 
-        served = Store({MODEL_KIND_DCL: Served(first.model, 1)})
+        served = Store({MODEL_KIND_DCL: Served(first.params, 1)})
         ((_, refused),) = retrain_round(reading_rows(41), [MODEL_KIND_DCL], marks, served, 30,
                                         trainer=lambda kind: spoiled)
         assert (refused.score, refused.served_score, refused.accepted) == (0.0, 1.0, False)
@@ -642,6 +646,13 @@ def signed_params(spec: LayerSpec, seed: int) -> NetworkParameters:
     sizes = spec.layer_sizes
     count = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
     return NetworkParameters(spec, flat=[4.0 * rng.uniform() - 2.0 for _ in range(count)])
+
+
+def reference_predict(params, thresholds, x, names=()):
+    """The label ``adcl_predict`` (thresholds None) or ``lcl_predict`` gives."""
+    if thresholds is None:
+        return adcl_predict(params, x, names)
+    return lcl_predict(ClModel(params, thresholds), x, names)
 
 
 def outcome(call, x):
@@ -697,18 +708,18 @@ class TestScaledClassifier:
 
     @staticmethod
     def models(fitted: Dataset):
-        """(name, model) of ADCL on a straight-line net and on one whose
-        layers run row by row, and of LCL on a single-layer net, trained on
-        ``fitted``; the row-form net is drawn with signed weights, as
-        trained it answers one class."""
+        """(name, params, thresholds) of ADCL on a straight-line net and on
+        one whose layers run row by row, and of LCL on a single-layer net,
+        trained on ``fitted``; the row-form net is drawn with signed
+        weights, as trained it answers one class."""
         cfg = TrainingConfig(0.6, 30, 1)
         dcl_lists, _, _ = fit(MODEL_KIND_DCL, fitted, cfg, (9,))
         dcl_rows = signed_params(LayerSpec(13, (32,), 5), 2)
-        cl = ClModel(*fit(MODEL_KIND_CL, fitted, cfg)[:2])
+        cl, thresholds, _ = fit(MODEL_KIND_CL, fitted, cfg)
         assert nn._row_form(dcl_rows.spec.layer_sizes) == [True, True]
         assert not any(nn._row_form(dcl_lists.spec.layer_sizes) + nn._row_form(
-            cl.params.spec.layer_sizes))
-        return [("lists", dcl_lists), ("rows", dcl_rows), ("lcl", cl)]
+            cl.spec.layer_sizes))
+        return [("lists", dcl_lists, None), ("rows", dcl_rows, None), ("lcl", cl, thresholds)]
 
     @pytest.mark.parametrize("constant", [False, True], ids=["ranges", "constant"])
     def test_same_outcome_as_the_reference_for_every_input(self, constant):
@@ -720,20 +731,23 @@ class TestScaledClassifier:
         assert (norms[self.CONSTANT][0] == norms[self.CONSTANT][1]) is constant
         names = data.class_names
         cases = self.inputs(norms)
-        for name, model in self.models(fitted):
-            predict = adcl_predict if isinstance(model, NetworkParameters) else lcl_predict
-            scaled = classifier(model, names, norms)
+        for name, params, thresholds in self.models(fitted):
+            predict = partial(reference_predict, params, thresholds)
+            scaled = classifier(params, thresholds, names, norms)
             assert generated(scaled)
             labels = set()
             for x in cases:
                 got = outcome(scaled, x)
                 assert got == outcome(
-                    lambda x: predict(model, apply_minmax_vector(tuple(x), norms), names), x
+                    lambda x: predict(apply_minmax_vector(tuple(x), norms), names), x
                 ), (name, x)
                 labels.add(got)
             # a one-shot iterator is read once
             row = data.samples[5].features
-            assert scaled(iter(row)) == predict(model, apply_minmax_vector(row, norms), names)
+            assert scaled(iter(row)) == predict(apply_minmax_vector(row, norms), names)
+            # a set has no feature order
+            with pytest.raises(DimensionError):
+                scaled(set(row))
             # the nets answer more than one class, and some inputs raise
             assert len({lab for lab in labels if isinstance(lab, ContextLabel)}) > 1, name
             assert any(isinstance(lab, tuple) for lab in labels), name
@@ -756,23 +770,23 @@ class TestScaledClassifier:
         norms = ((0.0, 1.0), (2.0, 5.0), (1.0, 1.0), (-1.0, 0.0))
         before = nn._classifier_kernel.cache_info().misses
         for seed in (1, 2):
-            classify = classifier(signed_params(spec, seed), (), norms)
+            classify = classifier(signed_params(spec, seed), None, (), norms)
             classify((0.5, 3.0, 1.0, -0.5))
         # other ranges with the same constant feature
-        classifier(signed_params(spec, 3), (), tuple((lo - 1.0, hi + 2.0) if lo < hi
-                                                      else (lo, hi) for lo, hi in norms))
+        classifier(signed_params(spec, 3), None, (), tuple((lo - 1.0, hi + 2.0) if lo < hi
+                                                            else (lo, hi) for lo, hi in norms))
         assert nn._classifier_kernel.cache_info().misses == before + 1
         # the first fallback binds the unscaled classifier
         with pytest.raises(ValueError):
             classify((0.5, 3.0, 1.0))
         assert nn._classifier_kernel.cache_info().misses == before + 2
-        classifier(signed_params(spec, 4), (), ((0.0, 1.0),) * 4)
+        classifier(signed_params(spec, 4), None, (), ((0.0, 1.0),) * 4)
         assert nn._classifier_kernel.cache_info().misses == before + 3
 
     def test_ranges_of_another_width_take_the_reference_path(self):
         p = signed_params(LayerSpec(13, (9,), 5), 7)
         norms = normalize_minmax(self.heart).normalization[:-1]
-        scaled = classifier(p, (), norms)
+        scaled = classifier(p, None, (), norms)
         assert not generated(scaled)
         row = self.heart.samples[0].features
         for x in (row, row[:-1]):
@@ -782,10 +796,10 @@ class TestScaledClassifier:
     def test_bound_once_per_model_and_ranges(self):
         p = signed_params(LayerSpec(13, (9,), 5), 6)
         norms = normalize_minmax(self.heart).normalization
-        scaled = classifier(p, ("a",), norms)
-        assert classifier(p, ("a",), norms) is scaled
-        assert classifier(p, ("a",)) is not scaled
-        assert classifier(p, ("a",), norms[::-1]) is not scaled
+        scaled = classifier(p, None, ("a",), norms)
+        assert classifier(p, None, ("a",), norms) is scaled
+        assert classifier(p, None, ("a",)) is not scaled
+        assert classifier(p, None, ("a",), norms[::-1]) is not scaled
 
     @pytest.mark.parametrize("kind", [MODEL_KIND_DCL, MODEL_KIND_CL])
     def test_kfold_predictors_label_raw_rows_as_the_reference(self, kind):
@@ -798,12 +812,11 @@ class TestScaledClassifier:
         assert generated(predict)
         fitted = normalize_minmax(train_data)
         params, thresholds, _ = fit(kind, fitted, cfg, hidden)
-        model = params if thresholds is None else ClModel(params, thresholds)
-        ref = adcl_predict if thresholds is None else lcl_predict
         for x in self.inputs(fitted.normalization):
             assert outcome(predict, x) == outcome(
-                lambda x: ref(model, apply_minmax_vector(tuple(x), fitted.normalization),
-                              train_data.class_names), x), x
+                lambda x: reference_predict(params, thresholds,
+                                            apply_minmax_vector(tuple(x), fitted.normalization),
+                                            train_data.class_names), x), x
 
     @pytest.mark.parametrize("constant", [False, True], ids=["ranges", "constant"])
     def test_apply_minmax_rows_match_the_reference_bit_for_bit(self, constant):

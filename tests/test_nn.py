@@ -160,6 +160,14 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(p, [1.0, 2.0])
 
+    def test_refuses_a_set(self):
+        # a set's iteration order is not defined, so it holds no feature order
+        p = random_params(LayerSpec(2, (2,), 2), 9)
+        for x in ({0.1, 0.9}, frozenset((0.1, 0.9)), {0.1: 0, 0.9: 1}.keys()):
+            for run in (forward, nn.final_outputs):
+                with pytest.raises(DimensionError, match="input is a set"):
+                    run(p, x)
+
 
 class TestSquaredError:
     def test_zero_residual(self):
@@ -818,6 +826,7 @@ class TestPredictClass:
             ["a", "0.2", "0.3"], "abc", (b"x", 0.2, 0.3),  # not numbers
             [nan, 0.2, 0.3], (0.1, inf, 0.3), [0.1, 0.2, -inf], ["nan", 0.2, 0.3],
             [1e308 * 10, 0.0, 0.0], [10**400, 0.0, 0.0],
+            {0.1, 0.2, 0.3}, frozenset((0.1, 0.2, 0.3)),  # sets: no order
         ]
         for pick in pickers():
             for x in bad:
@@ -871,13 +880,17 @@ class TestPredictClass:
         for _ in range(30):
             x = [4.0 * rng.uniform() - 2.0 for _ in range(3)]
             for predict, model, params, taus in ((adcl_predict, dcl, dcl, None),
-                                                 (lcl_predict, cl, cl.params, cl.thresholds.values)):
-                ref = reference_class(params, x, taus)
+                                                 (lcl_predict, cl, cl.params, cl.thresholds)):
+                ref = reference_class(params, x, None if taus is None else taus.values)
                 for given in ((), names, list(names), names[:2]):
                     label = predict(model, x, given)
                     assert label == ContextLabel(ref, given[ref] if ref < len(given) else "")
-                    assert label is classifier(model, given)(x)  # one label object per class
-        assert set(dcl._classifiers) == set(cl._classifiers) == {(), names, names[:2]}
+                    # one label object per class
+                    assert label is classifier(params, taus, given)(x)
+        # one classifier per thresholds and names, kept on the network
+        given = ((), names, names[:2])
+        assert set(dcl._classifiers) == {(None, g, None) for g in given}
+        assert set(cl.params._classifiers) == {(cl.thresholds.values, g, None) for g in given}
 
 
 class TestTrain:

@@ -164,7 +164,7 @@ from edgectx.learners import adcl_predict, lcl_predict
 from edgectx.protocol import SensorBatch, TransportError
 cl = decode_bundle(open({str(GOLDEN_CL)!r}, "rb").read())
 dcl = decode_bundle({dcl!r})
-assert lcl_predict(cl.as_cl_model, [0.1, 0.5, 0.9]).class_index in (0, 1)
+assert lcl_predict(cl, [0.1, 0.5, 0.9]).class_index in (0, 1)
 assert adcl_predict(dcl.params, [0.1, 0.5, 0.9, 0.3]).class_index in (0, 1, 2)
 class Down:
     def request(self, msg, timeout=None):
@@ -190,8 +190,8 @@ norms = ((0.0, 2.0), (1.0, 1.0), (-1.0, 3.0))
 dcl = NetworkParameters(LayerSpec(3, (2,), 2), flat=[0.1 * i - 0.7 for i in range(14)])
 cl = ClModel(NetworkParameters(LayerSpec(3, (), 2), flat=[0.3 - 0.1 * i for i in range(8)]),
              ThresholdVector((0.4, 0.6)))
-for model in (dcl, cl):
-    classify = classifier(model, ("a", "b"), norms)
+for params, thresholds in ((dcl, None), (cl.params, cl.thresholds)):
+    classify = classifier(params, thresholds, ("a", "b"), norms)
     assert classify.__code__.co_filename.startswith("<edgectx.nn classifier ")
     for x in ([0.5, 7.0, 9.0], (-1.0, 1.0, float("nan")), (True, "x", 2), iter([1, 1, 1])):
         assert classify(x).name in ("a", "b")

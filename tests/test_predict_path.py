@@ -15,6 +15,7 @@ from edgectx.data import normalize_minmax, synth_still_motion
 from edgectx.learners import (
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
+    ClModel,
     NeverSyncedError,
     adcl_predict,
     cl_train,
@@ -28,7 +29,7 @@ from edgectx.sim import LinkConfig, SensorNodeConfig, _ScenarioRunner
 ROWS = synth_still_motion(300, 5).samples
 BAD_INPUTS = [
     (0.1,), (0.1, 0.2, 0.3), (), (float("nan"), 0.2), (0.1, float("inf")),
-    (float("-inf"), 0.2), "ab", ("x", 0.2), 5, None,
+    (float("-inf"), 0.2), "ab", ("x", 0.2), 5, None, {0.1, 0.2},
 ]
 
 
@@ -41,10 +42,13 @@ class StoreTransport:
 
 
 def reference(bundle, features):
-    """The label (or the error) the pre-bound path gives ``features``."""
+    """The label (or the error) ``adcl_predict`` or ``lcl_predict`` gives
+    ``features`` on a copy of the bundle's network, whose classifier is
+    bound apart from the bundle's."""
+    params = replace(bundle.params)
     if bundle.model_kind == MODEL_KIND_CL:
-        return outcome(lambda x: lcl_predict(bundle.as_cl_model, x), features)
-    return outcome(lambda x: adcl_predict(bundle.params, x), features)
+        return outcome(lambda x: lcl_predict(ClModel(params, bundle.thresholds), x), features)
+    return outcome(lambda x: adcl_predict(params, x), features)
 
 
 def outcome(predict, features):

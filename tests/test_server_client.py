@@ -827,7 +827,9 @@ class TestClientSync:
         publish()
         client = EdgeClient(ft, kind)
         state = client.sync_tick(now_ms=0)
-        assert len(builds) == 1 and () in state.current_bundle.model._classifiers
+        bundle, taus = state.current_bundle, state.current_bundle.thresholds
+        key = (None if taus is None else taus.values, (), None)
+        assert len(builds) == 1 and key in bundle.params._classifiers
         state.predict((0.1, 0.2))
         state = client.sync_tick(now_ms=10)  # the same version
         state.predict((0.3, 0.2))

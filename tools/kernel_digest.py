@@ -250,7 +250,7 @@ def retrain_chain_digest() -> tuple[str, str]:
             candidate = learners.retrain(kind, window, replace(cfg, seed=version), served,
                                          None if served is None else 101)
             if candidate.accepted:
-                served = candidate.model
+                served = candidate
             digest.update(_doubles(candidate.params.flat))
             thresholds = candidate.thresholds.values if candidate.thresholds else ()
             scores = (candidate.score, -1.0 if candidate.served_score is None
