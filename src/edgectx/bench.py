@@ -1,8 +1,10 @@
 """Wall-clock execution-time comparison of the four algorithms.
 
-Predictors (LCL, ADCL) are timed per prediction; trainers (CL, DCL) per
-full training run under their default profiles on the same still/motion
-data. Warm-up iterations are excluded from the statistics.
+Predictors (LCL, ADCL) are timed per prediction, each as its model's
+classifier bound once (``learners.classifier``), the call an edge client's
+``SyncState`` makes; trainers (CL, DCL) per full training run under their
+default profiles on the same still/motion data. Warm-up iterations are
+excluded from the statistics.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from .data import normalize_minmax, synth_still_motion
 from .learners import (
     CL_DEFAULT_CONFIG,
     DCL_DEFAULT_CONFIG,
-    adcl_predict,
     cl_train,
+    classifier,
     dcl_train,
-    lcl_predict,
     p95,
 )
 from .nn import LayerSpec
@@ -83,7 +84,7 @@ def bench_execution(
     if "CL" in algorithms:
         trainers.append(("CL", lambda: cl_train(data, CL_DEFAULT_CONFIG), single))
     if "LCL" in algorithms:
-        predictors.append(("LCL", lambda vec: lcl_predict(cl_model, vec), single))
+        predictors.append(("LCL", classifier(cl_model.params, cl_model.thresholds), single))
 
     for width in widths:
         spec = LayerSpec(data.n_features, (width,), data.n_classes)
@@ -94,9 +95,7 @@ def bench_execution(
             )
         if "ADCL" in algorithms:
             dcl_params = dcl_train(data, spec, DCL_DEFAULT_CONFIG)
-            predictors.append(
-                ("ADCL", lambda vec, p=dcl_params: adcl_predict(p, vec), deep)
-            )
+            predictors.append(("ADCL", classifier(dcl_params), deep))
 
     train_lats = _time_runs_interleaved([fn for _, fn, _ in trainers], train_reps)
     rows = [

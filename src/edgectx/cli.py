@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import nn
-from .bundle import BundleError, encode_bundle
+from .bundle import encode_bundle
 from .data import (
-    DataFormatError,
     Dataset,
     dataset_from_readings,
     load_csv,
@@ -33,7 +32,6 @@ from .learners import (
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
     Candidate,
-    RetrainMarks,
     cl_train,
     dcl_train,
     fit,
@@ -326,35 +324,30 @@ def cmd_serve(args) -> int:
     host, port = server.start()
     log.info("serving on %s:%d, retraining every %ds", host, port, args.retrain_every)
     print(f"listening on {host}:{port}")
-    marks = RetrainMarks(published_rows=store.published_rows())
     try:
         while True:
             time.sleep(args.retrain_every)
-            _retrain_once(store, sink, kinds, args, marks)
+            _retrain_once(store, sink, kinds, args)
     except KeyboardInterrupt:
         return 0
     finally:
         server.stop()
 
 
-def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args,
-                  marks: RetrainMarks | None = None) -> None:
-    """One round of the retrain policy (``learners.retrain_round``) on the
-    labelled rows ``sink`` holds; each accepted candidate is published in
-    ``store`` with the rows it saw. Without ``marks`` no publish is on
-    record."""
+def _retrain_once(store: ModelStore, sink: JsonlDataSink, kinds, args) -> None:
+    """One retrain step (``learners.retrain_round``) on the labelled rows
+    ``sink`` holds, which publishes each accepted candidate in ``store``;
+    prints a line for each publish and each refusal."""
     pairs = sink.labeled_pairs()
-    marks = RetrainMarks() if marks is None else marks
-    for kind, candidate in retrain_round(pairs, kinds, marks, store, args.epochs,
-                                         min_rows=args.min_rows, build=dataset_from_readings,
-                                         trainer=_trainer):
-        if not candidate.accepted:
+    for kind, candidate, bundle in retrain_round(pairs, kinds, store, args.epochs,
+                                                 min_rows=args.min_rows,
+                                                 build=dataset_from_readings, trainer=_trainer):
+        if bundle is None:
             print(f"refused {kind} candidate ({len(pairs)} rows): {_outline(candidate)}; "
-                  f"{marks.refused[kind]} refused in all")
-            continue
-        bundle = store.publish(kind, candidate.params, candidate.thresholds, rows=len(pairs))
-        print(f"published {kind} v{bundle.model_version} ({len(pairs)} rows): "
-              f"{_outline(candidate)}")
+                  f"{store.refusals()[kind][0]} refused in all")
+        else:
+            print(f"published {kind} v{bundle.model_version} ({len(pairs)} rows): "
+                  f"{_outline(candidate)}")
 
 
 def _trainer(kind: str):
@@ -640,7 +633,7 @@ def main(argv=None) -> int:
     except ThresholdFailure as exc:
         print(f"threshold failure: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, BundleError, TransportError, OSError, ValueError) as exc:
+    except (TransportError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

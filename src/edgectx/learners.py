@@ -13,13 +13,16 @@ import logging
 import math
 import time
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import nn
 from .data import Dataset, SensorReading, dataset_from_readings, normalize_minmax
 from .nn import LayerSpec, NetworkParameters, TrainingConfig
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from .bundle import ParameterBundle
 
 # Default training profiles. The server-resident single-layer CL uses a low
 # learning rate; models destined for on-device ADCL prediction train at the
@@ -221,7 +224,7 @@ def retrain(
     new_rows: int | None = None,
     train: ModelTrainer | None = None,
 ) -> Candidate:
-    """The retrain step of ``retrain_round``: the next version of ``kind``
+    """The training step of ``retrain_round``: the next version of ``kind``
     on the window ``data``, whose last ``new_rows`` rows arrived since
     ``served`` was published (None when that is not known). ``served`` is
     None or anything that holds a model as ``params`` and ``thresholds``:
@@ -256,47 +259,40 @@ def retrain(
     )
 
 
-@dataclass
-class RetrainMarks:
-    """What a server's retrains remember: for each model kind, the labelled
-    rows held when its served version was published, how many candidates
-    the guard refused, and the labelled rows held at its last refusal."""
-
-    published_rows: dict[str, int] = field(default_factory=dict)
-    refused: dict[str, int] = field(default_factory=dict)
-    refused_rows: dict[str, int] = field(default_factory=dict)
-
-
 def retrain_round(
     rows: Sequence[tuple[SensorReading, int]],
     kinds: Sequence[str],
-    marks: RetrainMarks,
     store,
     epochs: int,
     *,
+    created_at: int | None = None,
     min_rows: int = MIN_RETRAIN_ROWS,
     build: Callable[..., Dataset] = dataset_from_readings,
     trainer: Callable[[str], ModelTrainer] | None = None,
-) -> list[tuple[str, Candidate]]:
-    """The retrain policy of ``serve`` and the simulator: a ``retrain`` of
-    each due kind in ``kinds`` on the labelled ``rows`` held, oldest first.
+) -> list[tuple[str, Candidate, ParameterBundle | None]]:
+    """The retrain step of ``serve`` and the simulator: a ``retrain`` of
+    each due kind in ``kinds`` on the labelled ``rows`` held, oldest first,
+    published in ``store`` (a ``server.ModelStore``) when the guard accepts
+    it.
 
     Nothing trains on fewer than ``min_rows`` rows or on one class. A kind
-    is due unless ``marks`` holds the row count at its last publish or
-    refusal, since the same rows, seed and served version
-    (``store.get(kind)``, a ``ParameterBundle`` or None, of a
-    ``server.ModelStore``) give the same candidate. The window is the last
-    ``TRAIN_WINDOW_ROWS`` rows, made a Dataset by ``build`` with one class
-    per label up to the largest held. A candidate is seeded with
+    is due unless ``store`` marks the row count at its served version's
+    publish or at its last refusal, since the same rows, seed and served
+    version (``store.get(kind)``) give the same candidate. The window is
+    the last ``TRAIN_WINDOW_ROWS`` rows, made a Dataset by ``build`` with
+    one class per label up to the largest held. A candidate is seeded with
     ``crc32("<kind> v<n>")``, n being the version ``store`` publishes next
     (``store.next_version(kind)``), and trained by ``trainer(kind)``
-    (default: ``fit``). Records each publish and refusal in ``marks``; the
-    caller publishes each accepted candidate in ``store``.
+    (default: ``fit``). An accepted candidate is published with the rows
+    held as its mark and ``created_at`` as its time (None: the store's
+    clock); a refused one is marked refused in ``store``. Returns (kind,
+    candidate, the published bundle or None) for each kind trained.
     """
     held = len(rows)
     n_classes = max((label for _, label in rows), default=0) + 1
+    published, refusals = store.published_rows(), store.refusals()
     due = [kind for kind in kinds
-           if held not in (marks.published_rows.get(kind), marks.refused_rows.get(kind))]
+           if held not in (published.get(kind), refusals.get(kind, (0, None))[1])]
     if held < min_rows or n_classes < 2 or not due:
         log.info("%d labelled rows of %d classes, %s due; nothing to retrain",
                  held, n_classes, due)
@@ -306,21 +302,22 @@ def retrain_round(
                  tuple(str(i) for i in range(n_classes)))
     out = []
     for kind in due:
-        bundle, published = store.get(kind), marks.published_rows.get(kind)
+        mark = published.get(kind)
         seed = zlib.crc32(f"{kind} v{store.next_version(kind)}".encode())
         lr = DCL_LEARNING_RATE if kind == MODEL_KIND_DCL else CL_LEARNING_RATE
         candidate = retrain(
-            kind, data, TrainingConfig(lr, epochs, seed), bundle,
+            kind, data, TrainingConfig(lr, epochs, seed), store.get(kind),
             # a mark above the rows held counts rows that are gone
-            None if published is None or published > held else held - published,
+            None if mark is None or mark > held else held - mark,
             None if trainer is None else trainer(kind),
         )
+        bundle = None
         if candidate.accepted:
-            marks.published_rows[kind] = held
+            bundle = store.publish(kind, candidate.params, candidate.thresholds,
+                                   created_at=created_at, rows=held)
         else:
-            marks.refused[kind] = marks.refused.get(kind, 0) + 1
-            marks.refused_rows[kind] = held
-        out.append((kind, candidate))
+            store.refuse(kind, held)
+        out.append((kind, candidate, bundle))
     return out
 
 

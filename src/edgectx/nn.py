@@ -107,11 +107,6 @@ class LayerSpec:
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_count, *self.hidden_sizes, self.output_count)
 
-    @property
-    def layer_count(self) -> int:
-        """Number of weighted layers (hidden layers plus the output layer)."""
-        return len(self.hidden_sizes) + 1
-
 
 @dataclass(frozen=True, init=False)
 class NetworkParameters:
@@ -664,12 +659,6 @@ def bind_classifier(params: NetworkParameters, labels, thresholds=None,
     # the unscaled fallback hands the list it checked back to ``predict``
     predict = bind(params.flat, thresholds, bounds, labels, fallback)
     return predict
-
-
-def predict_class(params: NetworkParameters, features, thresholds=None) -> int:
-    """The class index ``bind_classifier(params, ..., thresholds)`` picks
-    for ``features``; binds a classifier on every call."""
-    return bind_classifier(params, range(params.spec.output_count), thresholds)(features)
 
 
 def _unpack(names, value) -> str:

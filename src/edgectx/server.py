@@ -74,7 +74,11 @@ class ModelStore:
 
     Each bundle is held with its encoded text, which requests are served
     from: the text is made once, when the bundle is published or read back
-    from its file at start.
+    from its file at start. The store is also the record that
+    ``learners.retrain_round`` reads to tell which kinds are due: the
+    labelled rows each version was published on (``published_rows``, kept
+    on disk beside the bundles), and the candidates the retrain guard
+    refused (``refusals``, kept in memory only, so a restart forgets them).
     """
 
     def __init__(self, persist_dir: str | Path | None = None) -> None:
@@ -82,6 +86,7 @@ class ModelStore:
         self._bundles: dict[str, tuple[ParameterBundle, str]] = {}
         self._versions: dict[str, int] = {}
         self._marks: dict[str, list[int]] = {}
+        self._refusals: dict[str, tuple[int, int]] = {}
         self._persist_dir = Path(persist_dir) if persist_dir is not None else None
         if self._persist_dir is not None:
             self._persist_dir.mkdir(parents=True, exist_ok=True)
@@ -177,6 +182,19 @@ class ModelStore:
         with self._lock:
             return {kind: rows for kind, (version, rows) in self._marks.items()
                     if kind in self._bundles and self._bundles[kind][0].model_version == version}
+
+    def refuse(self, model_kind: str, rows: int) -> None:
+        """Mark a candidate of ``model_kind``, trained on ``rows`` labelled
+        rows, as refused by the retrain guard."""
+        with self._lock:
+            count = self._refusals.get(model_kind, (0, rows))[0]
+            self._refusals[model_kind] = (count + 1, rows)
+
+    def refusals(self) -> dict[str, tuple[int, int]]:
+        """For each kind with a refused candidate: how many were refused,
+        and the labelled rows held at the last refusal."""
+        with self._lock:
+            return dict(self._refusals)
 
     def get(self, model_kind: str) -> ParameterBundle | None:
         served = self.get_encoded(model_kind)

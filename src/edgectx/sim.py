@@ -12,12 +12,13 @@ sent is unanswered and younger than ``resend_after_ms``.
 ``server.handle_request`` answers over a shipped ``server.ModelStore``
 and ``server.MemoryDataSink``, so a batch replayed after a lost ack is
 held twice, as by ``edgectx serve``. Each retrain tick runs
-``learners.retrain_round``, the retrain policy of ``edgectx serve``,
-with the simulator's ``epochs``: the last ``TRAIN_WINDOW_ROWS`` rows, a
-seed from the kind and the version it is published as, no candidate for
-a kind with no rows since its last publish or refusal; a candidate
-continues from the served version, and is published only if it scores no
-worse on the new rows. Everything except wall-clock prediction latency
+``learners.retrain_round``, the retrain step of ``edgectx serve``, with
+the simulator's ``epochs``: the last ``TRAIN_WINDOW_ROWS`` rows, a seed
+from the kind and the version it is published as, no candidate for a
+kind with no rows since its last publish or refusal; a candidate
+continues from the served version, and the step publishes it in the
+store, stamped with the virtual time, only if it scores no worse on the
+new rows. Everything except wall-clock prediction latency
 is a pure function of the configuration and seed.
 """
 
@@ -36,7 +37,6 @@ from .learners import (
     MODEL_KIND_CL,
     MODEL_KIND_DCL,
     Metrics,
-    RetrainMarks,
     # unused here, but perfbench's tracer wraps these names and fails without them
     adcl_predict,
     calibrate_thresholds,
@@ -247,7 +247,6 @@ class _ScenarioRunner:
 
         # server state; the sink's first ``bootstrapped`` rows are the warm start's
         self.store, self.sink, self.bootstrapped = ModelStore(), MemoryDataSink(), 0
-        self.marks = RetrainMarks()
         self.published: list[tuple[int, str, int]] = []
         self.refused: list[tuple[int, str]] = []
         # the served bundle of each kind, held as a SyncState so that the
@@ -325,18 +324,17 @@ class _ScenarioRunner:
             self.client_states[kind] = state.synced(self.store.get(kind), 0)
 
     def _retrain(self, created_at: int) -> None:
-        """One round of the retrain policy on the rows the sink holds; a
-        candidate the guard accepts is published as the next version."""
-        pairs = self.sink.labeled_pairs()
-        for kind, candidate in retrain_round(pairs, self.server_kinds, self.marks, self.store,
-                                             self.epochs, build=dataset_from_readings):
-            if not candidate.accepted:
+        """One retrain step (``learners.retrain_round``, which publishes
+        each accepted candidate in the store) on the rows the sink holds,
+        recorded at ``created_at``."""
+        for kind, _, bundle in retrain_round(self.sink.labeled_pairs(), self.server_kinds,
+                                             self.store, self.epochs, created_at=created_at,
+                                             build=dataset_from_readings):
+            if bundle is None:
                 self.refused.append((created_at, kind))
-                continue
-            bundle = self.store.publish(kind, candidate.params, candidate.thresholds,
-                                        created_at=created_at, rows=len(pairs))
-            self.served[kind] = SyncState(bundle)
-            self.published.append((created_at, kind, bundle.model_version))
+            else:
+                self.served[kind] = SyncState(bundle)
+                self.published.append((created_at, kind, bundle.model_version))
 
     # -- client ------------------------------------------------------------
 

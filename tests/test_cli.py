@@ -13,7 +13,6 @@ import edgectx.server
 import edgectx.sim
 from edgectx.bundle import ParameterBundle, decode_bundle
 from edgectx.cli import (
-    RetrainMarks,
     UsageError,
     _parse_sweep,
     _retrain_once,
@@ -469,11 +468,10 @@ class TestServeHelpers:
         for run in ("a", "b"):
             store = ModelStore(persist_dir=tmp_path / run / "models")
             sink = JsonlDataSink(tmp_path / run / "readings.jsonl")
-            marks = RetrainMarks()
             bundles = []
             for batch in batches:
                 sink.store(batch)
-                _retrain_once(store, sink, ["DCL", "CL"], Args, marks)
+                _retrain_once(store, sink, ["DCL", "CL"], Args)
                 bundles += [store.get("DCL"), store.get("CL")]
             published.append(bundles)
         for a, b in zip(*published):
@@ -566,17 +564,15 @@ class TestRetrainStep:
         for run in ("straight", "restarted"):
             data_dir = tmp_path / run
             store, sink = ModelStore(persist_dir=data_dir), JsonlDataSink(data_dir / "r.jsonl")
-            marks = RetrainMarks()
             sink.store(rows_batch(0, 40))
-            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
             if run == "restarted":
                 served = [store.get(kind) for kind in ("DCL", "CL")]
                 store, sink = ModelStore(persist_dir=data_dir), JsonlDataSink(data_dir / "r.jsonl")
-                marks = RetrainMarks(published_rows=store.published_rows())
                 # version 1 decodes exactly, so it is the same warm start
                 assert [store.get(kind) for kind in ("DCL", "CL")] == served
             sink.store(rows_batch(40, 60))
-            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
         out = capsys.readouterr().out
         # v1's publish mark survives the restart, so both score on the new rows
         assert out.count("published DCL v2 (60 rows): 20 new, continued 5 epochs") == 2
@@ -665,14 +661,14 @@ class TestRetrainStep:
             assert a.thresholds == b.thresholds
 
     def test_new_class_publishes_a_fresh_wider_net_that_clients_receive(self, capsys):
-        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        store, sink = ModelStore(), MemoryDataSink()
         sink.store(rows_batch(0, 40))
-        _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+        _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
         clients = [EdgeClient(StoreTransport(store), kind) for kind in ("DCL", "CL")]
         for client in clients:
             client.sync_tick(now_ms=0)
         sink.store(rows_batch(40, 70, label=lambda i: i % 3))
-        _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+        _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
         out = capsys.readouterr().out
         for kind, client in zip(("DCL", "CL"), clients):
             assert f"published {kind} v2 (70 rows): 30 new, fresh 30 epochs" in out
@@ -693,10 +689,10 @@ class TestRetrainStep:
             return params
 
         monkeypatch.setattr(edgectx.cli, "dcl_train", spoiled)
-        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        store, sink = ModelStore(), MemoryDataSink()
         for stop in (40, 60, 80):
             sink.store(rows_batch(stop - 20 if stop > 40 else 0, stop))
-            _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+            _retrain_once(store, sink, ["DCL"], RetrainArgs)
         lines = capsys.readouterr().out.splitlines()
         assert candidates == [False, True, True]
         assert lines[0].startswith("published DCL v1 (40 rows): all new, fresh 30 epochs")
@@ -704,7 +700,7 @@ class TestRetrainStep:
         assert lines[1].endswith("score 0.500, served 1.000; 1 refused in all")
         # the rows since v1 include the refused candidate's
         assert lines[2].startswith("published DCL v2 (80 rows): 40 new, continued 5 epochs")
-        assert marks.refused == {"DCL": 1} and store.get("DCL").model_version == 2
+        assert store.refusals() == {"DCL": (1, 60)} and store.get("DCL").model_version == 2
 
     def test_refused_candidate_is_not_retrained_on_unchanged_rows(self, monkeypatch, capsys):
         real, starts = edgectx.cli.dcl_train, []
@@ -718,23 +714,23 @@ class TestRetrainStep:
             return params
 
         monkeypatch.setattr(edgectx.cli, "dcl_train", spoiled)
-        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        store, sink = ModelStore(), MemoryDataSink()
         sink.store(rows_batch(0, 40))
-        _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        _retrain_once(store, sink, ["DCL"], RetrainArgs)
         sink.store(rows_batch(40, 60))
-        _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        _retrain_once(store, sink, ["DCL"], RetrainArgs)
         lines = capsys.readouterr().out.splitlines()
         assert starts == [False, True] and len(lines) == 2
         assert lines[1].startswith("refused DCL candidate (60 rows): 20 new")
         # the same rows and served version would train the same candidate
         for _ in range(2):
-            _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+            _retrain_once(store, sink, ["DCL"], RetrainArgs)
         assert starts == [False, True] and capsys.readouterr().out == ""
         sink.store(rows_batch(60, 61))
-        _retrain_once(store, sink, ["DCL"], RetrainArgs, marks)
+        _retrain_once(store, sink, ["DCL"], RetrainArgs)
         assert starts == [False, True, True]
         assert capsys.readouterr().out.startswith("refused DCL candidate (61 rows): 21 new")
-        assert marks.refused == {"DCL": 2} and store.get("DCL").model_version == 1
+        assert store.refusals() == {"DCL": (2, 61)} and store.get("DCL").model_version == 1
 
     def test_unchanged_rows_build_no_dataset(self, monkeypatch, capsys):
         real, built = edgectx.cli.dataset_from_readings, []
@@ -744,19 +740,19 @@ class TestRetrainStep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(edgectx.cli, "dataset_from_readings", counted)
-        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        store, sink = ModelStore(), MemoryDataSink()
         sink.store(rows_batch(0, 40))
         for _ in range(3):
-            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
         assert built == [40]
         assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_unchanged_rows_publish_nothing(self, monkeypatch, capsys):
         calls = TestPerfbenchHooks.record(monkeypatch, ["dcl_train", "cl_train"])
-        store, sink, marks = ModelStore(), MemoryDataSink(), RetrainMarks()
+        store, sink = ModelStore(), MemoryDataSink()
         sink.store(rows_batch(0, 40))
         for _ in range(3):
-            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs, marks)
+            _retrain_once(store, sink, ["DCL", "CL"], RetrainArgs)
         assert calls == ["dcl_train", "cl_train"]
         assert [store.get(kind).model_version for kind in ("DCL", "CL")] == [1, 1]
         assert len(capsys.readouterr().out.splitlines()) == 2
@@ -866,6 +862,18 @@ class TestPerfbenchHooks:
 def test_usage_error_exit_code():
     assert main(["train"]) == 1  # missing dataset argument
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("case", ["malformed-csv", "corrupt-bundle"])
+def test_bad_data_file_exit_code(case, tmp_path, monkeypatch, capsys):
+    # a DataFormatError or a BundleError is a ValueError, which exits 2
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,label\n0.1,x,0\n")
+    if case == "corrupt-bundle":
+        monkeypatch.setattr(edgectx.cli, "cmd_train",
+                            lambda args: decode_bundle(b"not a bundle"))
+    assert run_cli("train", path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPredictHooks:

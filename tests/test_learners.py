@@ -31,7 +31,6 @@ from edgectx.learners import (
     ClModel,
     ContextLabel,
     NeverSyncedError,
-    RetrainMarks,
     ThresholdVector,
     adcl_predict,
     calibrate_thresholds,
@@ -59,6 +58,7 @@ from edgectx.nn import (
     train,
 )
 from edgectx.rng import Rng
+from edgectx.server import ModelStore
 
 
 def logit(p: float) -> float:
@@ -527,29 +527,14 @@ class TestRetrain:
             assert replace(candidate, served_score=served_score).accepted is accepted
 
 
-class Served:
-    """The fields of a DCL ``ParameterBundle`` that ``retrain_round`` reads."""
-
-    def __init__(self, params, model_version):
-        self.params, self.thresholds, self.model_version = params, None, model_version
-
-
-class Store(dict):
-    """The parts of a ``server.ModelStore`` that ``retrain_round`` reads: the
-    bundle served for each kind, and the version its next publish gets."""
-
-    def next_version(self, kind):
-        bundle = self.get(kind)
-        return 1 if bundle is None else bundle.model_version + 1
-
-
 def reading_rows(n, label=lambda i: i % 2):
     return [(SensorReading("acc0", i, (0.1 + 2.0 * label(i), 0.2 + 0.1 * (i % 3))), label(i))
             for i in range(n)]
 
 
 class TestRetrainRound:
-    """``retrain_round``: the retrain policy of ``serve`` and the simulator."""
+    """``retrain_round``: the retrain step of ``serve`` and the simulator,
+    which publishes into, and reads its marks from, a ``ModelStore``."""
 
     @staticmethod
     def counted_build(built):
@@ -559,46 +544,46 @@ class TestRetrainRound:
         return build
 
     def test_no_new_rows_no_candidate(self):
-        rows, built = reading_rows(40), []
-        marks = RetrainMarks(published_rows={MODEL_KIND_DCL: 40})
-        served = Store({MODEL_KIND_DCL: Served(init_network(LayerSpec(2, (2,), 2), 1), 1)})
-        assert retrain_round(rows, [MODEL_KIND_DCL], marks, served, 30,
+        rows, built, store = reading_rows(40), [], ModelStore()
+        store.publish(MODEL_KIND_DCL, init_network(LayerSpec(2, (2,), 2), 1), rows=40)
+        assert retrain_round(rows, [MODEL_KIND_DCL], store, 30,
                              build=self.counted_build(built)) == []
         assert built == []
-        ((_, candidate),) = retrain_round(rows + reading_rows(41)[-1:], [MODEL_KIND_DCL],
-                                          marks, served, 30)
-        assert candidate.new_rows == 1 and marks.published_rows == {MODEL_KIND_DCL: 41}
+        ((_, candidate, bundle),) = retrain_round(rows + reading_rows(41)[-1:],
+                                                  [MODEL_KIND_DCL], store, 30)
+        assert candidate.new_rows == 1 and bundle.model_version == 2
+        assert store.published_rows() == {MODEL_KIND_DCL: 41}
 
     def test_a_refused_kind_waits_for_a_new_row(self):
-        rows, built = reading_rows(40), []
-        marks = RetrainMarks(refused={MODEL_KIND_DCL: 1}, refused_rows={MODEL_KIND_DCL: 40})
-        args = ([MODEL_KIND_DCL, MODEL_KIND_CL], marks, Store(), 3)
-        ((kind, _),) = retrain_round(rows, *args, build=self.counted_build(built))
+        rows, built, store = reading_rows(40), [], ModelStore()
+        store.refuse(MODEL_KIND_DCL, 40)
+        args = ([MODEL_KIND_DCL, MODEL_KIND_CL], store, 3)
+        ((kind, _, _),) = retrain_round(rows, *args, build=self.counted_build(built))
         assert kind == MODEL_KIND_CL and built == [40]
         assert retrain_round(rows, *args) == []
 
     def test_too_few_rows_or_one_class_train_nothing(self):
-        marks = RetrainMarks()
-        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, Store(), 3) == []
-        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], marks, Store(), 3, min_rows=7)
+        store = ModelStore()
+        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], store, 3) == []
+        assert retrain_round(reading_rows(7), [MODEL_KIND_DCL], store, 3, min_rows=7)
         assert retrain_round(reading_rows(40, label=lambda i: 0), [MODEL_KIND_DCL],
-                             RetrainMarks(), Store(), 3) == []
+                             ModelStore(), 3) == []
 
     def test_seed_window_and_config(self):
         rows = reading_rows(TRAIN_WINDOW_ROWS + 1)
-        ((_, candidate),) = retrain_round(rows, [MODEL_KIND_DCL], RetrainMarks(),
-                                          Store({MODEL_KIND_DCL: None}), 3)
+        ((_, candidate, _),) = retrain_round(rows, [MODEL_KIND_DCL], ModelStore(), 3)
         window = dataset_from_readings(rows[1:], ("f0", "f1"), ("0", "1"))
         params, _, _ = fit(MODEL_KIND_DCL, window, TrainingConfig(
             DCL_LEARNING_RATE, 3, zlib.crc32(b"DCL v1")))
         assert same_params(candidate.params, params)
         # the last 2000 rows alone train the same bits
-        ((_, alone),) = retrain_round(rows[1:], [MODEL_KIND_DCL], RetrainMarks(), Store(), 3)
+        ((_, alone, _),) = retrain_round(rows[1:], [MODEL_KIND_DCL], ModelStore(), 3)
         assert same_params(alone.params, params)
         # a served v4 makes the candidate v5, seeded as such
-        served = Served(init_network(LayerSpec(2, (3,), 2), 1), 4)
-        ((_, fifth),) = retrain_round(rows, [MODEL_KIND_DCL], RetrainMarks(),
-                                      Store({MODEL_KIND_DCL: served}), 3)
+        store = ModelStore()
+        for _ in range(4):
+            store.publish(MODEL_KIND_DCL, init_network(LayerSpec(2, (3,), 2), 1))
+        ((_, fifth, _),) = retrain_round(rows, [MODEL_KIND_DCL], store, 3)
         params, _, _ = fit(MODEL_KIND_DCL, window, TrainingConfig(
             DCL_LEARNING_RATE, 3, zlib.crc32(b"DCL v5")))
         assert not fifth.continued and same_params(fifth.params, params)
@@ -606,29 +591,33 @@ class TestRetrainRound:
     def test_class_count_follows_the_largest_label(self):
         rows = reading_rows(40, label=lambda i: 2 * (i % 2))
         for kind in (MODEL_KIND_DCL, MODEL_KIND_CL):
-            ((_, candidate),) = retrain_round(rows, [kind], RetrainMarks(), Store(), 2)
+            ((_, candidate, _),) = retrain_round(rows, [kind], ModelStore(), 2)
             assert candidate.params.spec.output_count == 3
         # a label held outside the window still sizes the output layer
         rows = reading_rows(1, label=lambda i: 4) + reading_rows(TRAIN_WINDOW_ROWS)
-        ((_, candidate),) = retrain_round(rows, [MODEL_KIND_CL], RetrainMarks(), Store(), 1)
+        ((_, candidate, _),) = retrain_round(rows, [MODEL_KIND_CL], ModelStore(), 1)
         assert candidate.params.spec.output_count == 5
 
     def test_records_publishes_and_refusals(self):
-        rows, marks = reading_rows(40), RetrainMarks(published_rows={MODEL_KIND_DCL: 30})
-        ((_, first),) = retrain_round(rows, [MODEL_KIND_DCL], marks, Store(), 30)
+        # v1, of another topology, was published on the first 30 rows
+        rows, store = reading_rows(40), ModelStore()
+        store.publish(MODEL_KIND_DCL, init_network(LayerSpec(2, (3,), 2), 1), rows=30)
+        ((_, first, bundle),) = retrain_round(rows, [MODEL_KIND_DCL], store, 30, created_at=5)
         assert first.accepted and first.new_rows == 10 and first.score == 1.0
-        assert marks.published_rows == {MODEL_KIND_DCL: 40} and marks.refused == {}
+        assert (bundle.model_version, bundle.created_at) == (2, 5)
+        assert same_params(bundle.params, first.params) and store.get(MODEL_KIND_DCL) is bundle
+        assert store.published_rows() == {MODEL_KIND_DCL: 40} and store.refusals() == {}
 
         def spoiled(data, cfg, start):
             # answers class 1 for every row; the new row is class 0
             return replace(start, flat=(0.0,) * (len(start.flat) - 2) + (-5.0, 5.0)), None
 
-        served = Store({MODEL_KIND_DCL: Served(first.params, 1)})
-        ((_, refused),) = retrain_round(reading_rows(41), [MODEL_KIND_DCL], marks, served, 30,
-                                        trainer=lambda kind: spoiled)
+        ((_, refused, bundle),) = retrain_round(reading_rows(41), [MODEL_KIND_DCL], store, 30,
+                                                trainer=lambda kind: spoiled)
         assert (refused.score, refused.served_score, refused.accepted) == (0.0, 1.0, False)
-        assert marks.refused == {MODEL_KIND_DCL: 1} and marks.refused_rows == {MODEL_KIND_DCL: 41}
-        assert marks.published_rows == {MODEL_KIND_DCL: 40}
+        assert bundle is None and store.get(MODEL_KIND_DCL).model_version == 2
+        assert store.refusals() == {MODEL_KIND_DCL: (1, 41)}
+        assert store.published_rows() == {MODEL_KIND_DCL: 40}
 
 
 def heart_like(seed: int) -> Dataset:

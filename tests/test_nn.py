@@ -687,8 +687,10 @@ class TestListKernelThreads:
         p = signed_params(LayerSpec(13, (9,), 5), 3)
         taus = (0.3, 0.5, 0.7, 0.5, 0.3)
         for thresholds in (None, taus):
-            assert_concurrent_calls_match_sequential(
-                lambda x: nn.predict_class(p, x, thresholds))
+            # bound on every call, and bound once and shared by the threads
+            for pick in (lambda x: fresh_pick(p, x, thresholds),
+                         nn.bind_classifier(p, range(5), thresholds)):
+                assert_concurrent_calls_match_sequential(pick)
 
 
 def signed_params(spec: LayerSpec, seed: int) -> NetworkParameters:
@@ -750,10 +752,16 @@ class BoundPicker:
         return i
 
 
+def fresh_pick(p, x, thresholds=None):
+    """The class index a classifier labelled by index, bound for this call
+    alone, returns."""
+    return nn.bind_classifier(p, range(p.spec.output_count), thresholds)(x)
+
+
 def pickers():
-    """``predict_class``, which binds on every call, and a bound classifier
-    reused across calls."""
-    return (nn.predict_class, BoundPicker())
+    """A classifier bound on every call, and one bound once and reused
+    across calls."""
+    return (fresh_pick, BoundPicker())
 
 
 def generated(classify) -> bool:
@@ -771,7 +779,7 @@ def with_tied_outputs(p: NetworkParameters) -> NetworkParameters:
 
 
 class TestPredictClass:
-    """``predict_class`` and classifiers from ``bind_classifier`` against
+    """The class classifiers from ``bind_classifier`` pick, against
     ``final_outputs`` and the choice rules written as loops."""
 
     def test_matches_reference_on_random_list_topologies(self):
@@ -858,12 +866,12 @@ class TestPredictClass:
                        ("a", "b", "c"), ("0", "1"))
         p, _ = train(random_params(spec, 1), data, TrainingConfig(epochs=2))
         assert nn._classifier_kernel.cache_info().currsize == 0
-        nn.predict_class(p, [0.1, 0.2, 0.3])
+        fresh_pick(p, [0.1, 0.2, 0.3])
         assert nn._classifier_kernel.cache_info().currsize == 1
-        nn.predict_class(p, [0.1, 0.2, 0.3])
-        nn.predict_class(random_params(spec, 2), [0.1, 0.2, 0.3])
+        fresh_pick(p, [0.1, 0.2, 0.3])
+        fresh_pick(random_params(spec, 2), [0.1, 0.2, 0.3])
         assert nn._classifier_kernel.cache_info().misses == 1  # once per topology
-        nn.predict_class(p, [0.1, 0.2, 0.3], (0.5, 0.5))
+        fresh_pick(p, [0.1, 0.2, 0.3], (0.5, 0.5))
         assert nn._classifier_kernel.cache_info().currsize == 2  # and choice rule
 
     @pytest.mark.parametrize("hidden", [(2,), (16,) * 3], ids=["lists", "rows"])

@@ -3,15 +3,20 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import edgectx.cli
+import edgectx.learners
 import edgectx.nn
+import edgectx.server
 import edgectx.sim
+from edgectx.bundle import encode_bundle
 from edgectx.cli import _retrain_once
 from edgectx.client import QUEUE_CAPACITY
-from edgectx.data import Dataset, synth_still_motion
+from edgectx.data import Dataset, SensorReading, synth_still_motion
+from edgectx.learners import MIN_RETRAIN_ROWS
 from edgectx.protocol import SensorBatch
 from edgectx.server import MemoryDataSink, ModelStore
 from edgectx.sim import (
@@ -223,6 +228,52 @@ class TestOnePolicy:
             served, published = store.get(kind), runner.store.get(kind)
             assert served.params.flat == published.params.flat
             assert (served.params, served.thresholds) == (published.params, published.thresholds)
+
+    @staticmethod
+    def both_steps(monkeypatch, epochs=6):
+        """Three rounds of the same growing labelled rows through ``serve``'s
+        retrain step and the simulator's, with every bundle created at 7;
+        after each, both stores must serve the same bytes and hold the same
+        refusal marks. Returns the simulator's runner."""
+        monkeypatch.setattr(edgectx.server, "now_ms", lambda: 7)
+        source = synth_still_motion(600, 3)
+        runner = _ScenarioRunner([SensorNodeConfig("acc0", 100, source)], LinkConfig(), 1_000,
+                                 ("ADCL", "LCL"), 1_000, 3, epochs=epochs)
+        store, sink = ModelStore(), MemoryDataSink()
+        args = SimpleNamespace(min_rows=MIN_RETRAIN_ROWS, epochs=epochs)
+        rows = [(SensorReading("acc0", i, s.features), s.label)
+                for i, s in enumerate(source.samples[:120])]
+        for start, stop in ((0, 40), (40, 80), (80, 120)):
+            batch = SensorBatch("edge", *zip(*rows[start:stop]))
+            sink.store(batch)
+            runner.sink.store(batch)
+            _retrain_once(store, sink, runner.server_kinds, args)
+            runner._retrain(created_at=7)
+            for kind in runner.server_kinds:
+                assert encode_bundle(store.get(kind)) == encode_bundle(runner.store.get(kind))
+            assert store.refusals() == runner.store.refusals()
+        return runner
+
+    def test_serve_and_the_simulator_publish_the_same_bundles(self, monkeypatch):
+        runner = self.both_steps(monkeypatch)
+        assert runner.published == [(7, kind, v) for v in (1, 2, 3) for kind in ("CL", "DCL")]
+        assert runner.refused == []
+
+    def test_serve_and_the_simulator_refuse_alike(self, monkeypatch):
+        fit = edgectx.learners.fit
+
+        def spoiled(kind, data, cfg, hidden=None, start=None):
+            # a continued candidate answers the last class for every row
+            params, thresholds, losses = fit(kind, data, cfg, hidden, start)
+            if start is not None:
+                params = replace(params, flat=(0.0,) * (len(params.flat) - 2) + (-5.0, 5.0))
+            return params, thresholds, losses
+
+        monkeypatch.setattr(edgectx.learners, "fit", spoiled)
+        runner = self.both_steps(monkeypatch)
+        assert runner.published == [(7, "CL", 1), (7, "DCL", 1)]
+        assert runner.refused == [(7, "CL"), (7, "DCL")] * 2
+        assert runner.store.refusals() == {"CL": (2, 120), "DCL": (2, 120)}
 
     def test_only_the_last_2000_rows_train(self):
         source = synth_still_motion(2_001, 3)

@@ -43,6 +43,12 @@ instead each name whose digest moved against FILE, an earlier output
   and on all 303 rows (12 epochs fresh, 2 continued), each candidate's
   parameters, thresholds, guard scores and verdict (the DCL v3 candidate
   is refused, so the served version stays v2);
+* three rounds of ``learners.retrain_round``, the retrain step of ``edgectx
+  serve`` and the simulator, for both kinds over the first 101, 202 and 303
+  rows of that set into one ``server.ModelStore``, with ``created_at=0``
+  (``learners.retrain_round.chain``): each published bundle's bytes and,
+  after each round, the store's refusal marks (9 epochs fresh, 1
+  continued; the third round's DCL candidate is refused);
 * ``Rng.shuffle`` permutations of 2, 3, 303 and 2000 items under seeds 0-9,
   each with the next word of the stream after it: a shuffle keys its
   SHAKE-128 expansion with one word of the stream, so a change to the
@@ -78,8 +84,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from edgectx import cli, learners, nn, sim  # noqa: E402
-from edgectx.data import Dataset, Sample, synth_still_motion  # noqa: E402
+from edgectx.bundle import encode_bundle  # noqa: E402
+from edgectx.data import Dataset, Sample, SensorReading, synth_still_motion  # noqa: E402
 from edgectx.rng import Rng  # noqa: E402
+from edgectx.server import ModelStore  # noqa: E402
 from perfbench import clusters  # noqa: E402
 
 TOPOLOGIES = (
@@ -260,6 +268,22 @@ def retrain_chain_digest() -> tuple[str, str]:
     return "learners.retrain.chain", digest.hexdigest()
 
 
+def retrain_round_chain_digest() -> tuple[str, str]:
+    heart, _ = _datasets()
+    rows = [(SensorReading("heart", i, s.features), s.label)
+            for i, s in enumerate(heart.samples)]
+    store, digest = ModelStore(), hashlib.sha256()
+    for held in (101, 202, 303):
+        for _, _, bundle in learners.retrain_round(rows[:held], learners.MODEL_KINDS, store,
+                                                   3 * EPOCHS, created_at=0):
+            if bundle is not None:
+                digest.update(encode_bundle(bundle))
+        refusals = store.refusals()
+        digest.update(_int64s([v for kind in learners.MODEL_KINDS
+                               for v in refusals.get(kind, (0, 0))]))
+    return "learners.retrain_round.chain", digest.hexdigest()
+
+
 def shuffle_digests() -> list[tuple[str, str]]:
     out = []
     for n in SHUFFLE_LENGTHS:
@@ -324,7 +348,8 @@ def digests() -> list[tuple[str, str]]:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         return [*train_digests(), *final_outputs_digests(), *predict_digests(),
-                kfold_predict_digest(), retrain_chain_digest(), *shuffle_digests(),
+                kfold_predict_digest(), retrain_chain_digest(), retrain_round_chain_digest(),
+                *shuffle_digests(),
                 *report_digests(workdir), outage_digest(workdir), lossy_digest()]
 
 
